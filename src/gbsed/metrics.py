@@ -69,6 +69,25 @@ def _node_matches(sent_node, recv_node, ontology, tol):
     return True
 
 
+def nodes_match(sent, received, ontology, tol=NodeMatchTolerance()):
+    """Array form of semantic_fidelity's node test, one node per row.
+
+    ``sent`` and ``received`` hold feature values with one column per
+    attribute index; True where every attribute of the row matches.
+    """
+    ok = np.ones(len(sent), dtype=bool)
+    with np.errstate(invalid="ignore"):
+        for attr in ontology.attributes:
+            s = sent[:, attr.index]
+            r = received[:, attr.index]
+            if attr.kind == "categorical":
+                ok &= np.isfinite(r) & (np.rint(s) == np.rint(r))
+            else:
+                limit = tol.speed if attr.kind == "speed-mps" else tol.position
+                ok &= np.isfinite(r) & (np.abs(s - r) <= limit)
+    return ok
+
+
 def semantic_fidelity(sent, received, ontology, tol=NodeMatchTolerance(),
                       received_ontology=None):
     """Fraction of transmitted semantic entities (nodes + triplets)

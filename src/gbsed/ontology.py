@@ -7,6 +7,7 @@ a mismatch is caught before any matrix is interpreted.
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import SchemaError
 
@@ -59,6 +60,15 @@ class RelationOntology:
             if attr.name == name:
                 return attr.index
         raise KeyError(name)
+
+    @cached_property
+    def digest(self):
+        """FNV-1a-64 digest over the canonical emission, as an int in [0, 2^64)."""
+        h = _FNV_OFFSET
+        for b in emit_ontology(self).encode("utf-8"):
+            h ^= b
+            h = (h * _FNV_PRIME) & _MASK64
+        return h
 
 
 def _check_name(name, what):
@@ -139,12 +149,8 @@ def emit_ontology(o):
 
 
 def ontology_digest(o):
-    """FNV-1a-64 digest over the canonical emission, as an int in [0, 2^64)."""
-    h = _FNV_OFFSET
-    for b in emit_ontology(o).encode("utf-8"):
-        h ^= b
-        h = (h * _FNV_PRIME) & _MASK64
-    return h
+    """The ontology's digest, computed once per ontology object."""
+    return o.digest
 
 
 DEFAULT_ONTOLOGY_TEXT = """\

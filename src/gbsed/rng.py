@@ -5,7 +5,8 @@ Flood constants), so a single 64-bit seed reproduces an entire experiment
 bit-for-bit. The bulk generators are counter-based (output k of the stream
 is a pure function of seed and k), so the numba and numpy paths produce
 identical integer and uniform streams; normals agree to the last ulp (the
-two paths may use different trig code).
+two paths may use different trig code). The ``*_streams`` generators run
+many seeds in one call on the numpy path.
 
 Set GBSED_NO_NUMBA=1 to force the pure-numpy path even when numba is
 installed.
@@ -62,30 +63,71 @@ class SplitMix64:
 # bulk counter-based generators: numpy reference path
 
 
-def _splitmix64_numpy(seed, n):
-    idx = np.arange(1, n + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK64) + idx * _U_GOLDEN
+def _mix(z):
     z = (z ^ (z >> np.uint64(30))) * _U_MIX1
     z = (z ^ (z >> np.uint64(27))) * _U_MIX2
     return z ^ (z >> np.uint64(31))
 
 
+def _to_unit(raw):
+    return (raw >> np.uint64(11)).astype(np.float64) * _TWO_NEG53
+
+
+def _box_muller(raw):
+    """One normal per raw output; raw holds whole (u1, u2) pairs."""
+    # u1 in (0, 1] keeps log() finite; u2 in [0, 1)
+    u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _TWO_NEG53
+    u2 = _to_unit(raw[1::2])
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = (2.0 * math.pi) * u2
+    out = np.empty(raw.size)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
+    return out
+
+
+def _splitmix64_numpy(seed, n):
+    idx = np.arange(1, n + 1, dtype=np.uint64)
+    return _mix(np.uint64(seed & _MASK64) + idx * _U_GOLDEN)
+
+
 def _uniforms_numpy(seed, n):
-    return (_splitmix64_numpy(seed, n) >> np.uint64(11)).astype(np.float64) * _TWO_NEG53
+    return _to_unit(_splitmix64_numpy(seed, n))
 
 
 def _normals_numpy(seed, n):
-    npairs = (n + 1) // 2
-    raw = _splitmix64_numpy(seed, 2 * npairs)
-    # u1 in (0, 1] keeps log() finite; u2 in [0, 1)
-    u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _TWO_NEG53
-    u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * _TWO_NEG53
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = (2.0 * math.pi) * u2
-    out = np.empty(2 * npairs)
-    out[0::2] = r * np.cos(theta)
-    out[1::2] = r * np.sin(theta)
-    return out[:n]
+    return _box_muller(_splitmix64_numpy(seed, 2 * ((n + 1) // 2)))[:n]
+
+
+# ---------------------------------------------------------------------------
+# many seeds at once: the streams of seeds[i], counts[i] outputs each, back
+# to back. Output k of a stream depends only on (seed, k), so each segment
+# equals the single-seed generator's output for that seed.
+
+
+def splitmix64_streams(seeds, counts):
+    """``concatenate([splitmix64_stream(s, c) for s, c in zip(seeds, counts)])``."""
+    counts = np.asarray(counts, dtype=np.int64)
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    # 1-based position of every output within its own stream
+    idx = np.arange(1, total + 1, dtype=np.int64) - np.repeat(ends - counts, counts)
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    return _mix(np.repeat(seeds, counts) + idx.astype(np.uint64) * _U_GOLDEN)
+
+
+def uniforms_streams(seeds, counts):
+    """``uniforms(seeds[i], counts[i])`` for every i, back to back."""
+    return _to_unit(splitmix64_streams(seeds, counts))
+
+
+def normals_streams(seeds, counts):
+    """``normals(seeds[i], counts[i])`` for every i, back to back; every
+    count must be even."""
+    counts = np.asarray(counts, dtype=np.int64)
+    if np.any(counts % 2):
+        raise ValueError("normals_streams needs even counts")
+    return _box_muller(splitmix64_streams(seeds, counts))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ class RiskVerdict:
     score: float
 
 
-def _frame_near_vehicles(frame, ontology, params):
+def frame_near_ego(frame, ontology, params=RiskParams()):
     """(any is_near-to-ego, vehicle-class node indices is_near the ego)."""
     near_id = ontology.relation_id("is_near")
     class_idx = ontology.attribute_index("class")
@@ -55,18 +55,23 @@ def assess_risk(sequence, ontology, params=RiskParams()):
     is_near-to-ego triplet."""
     if not sequence.frames:
         raise DegenerateInput("empty graph sequence")
+    return verdict_from_near([frame_near_ego(f, ontology, params) for f in sequence.frames],
+                             params)
+
+
+def verdict_from_near(near, params=RiskParams()):
+    """assess_risk's verdict from each frame's frame_near_ego pair."""
     near_frames = 0
     runs = {}  # node index -> current consecutive-frame streak
     risky = False
-    for frame in sequence.frames:
-        any_near, vehicles = _frame_near_vehicles(frame, ontology, params)
+    for any_near, vehicles in near:
         if any_near:
             near_frames += 1
         runs = {v: runs.get(v, 0) + 1 for v in vehicles}
         if runs and max(runs.values()) >= params.consecutive_frames:
             risky = True
     decision = RISKY if risky else SAFE
-    return RiskVerdict(decision, near_frames / len(sequence.frames))
+    return RiskVerdict(decision, near_frames / len(near))
 
 
 def task_consistency(sent_seqs, received_seqs, ontology, params=RiskParams()):
@@ -78,12 +83,19 @@ def task_consistency(sent_seqs, received_seqs, ontology, params=RiskParams()):
     """
     if len(sent_seqs) != len(received_seqs):
         raise ShapeError(f"{len(sent_seqs)} sent vs {len(received_seqs)} received sequences")
+    truths, preds = [], []
+    for sent, received in zip(sent_seqs, received_seqs):
+        truths.append(assess_risk(sent, ontology, params))
+        preds.append(assess_risk(received, ontology, params))
+    return verdict_consistency(truths, preds)
+
+
+def verdict_consistency(truths, preds):
+    """task_consistency's result from paired sent and received verdicts."""
     tp = fp = tn = fn = 0
     agree = 0
     scored = []
-    for sent, received in zip(sent_seqs, received_seqs):
-        truth = assess_risk(sent, ontology, params)
-        pred = assess_risk(received, ontology, params)
+    for truth, pred in zip(truths, preds):
         if truth.decision == pred.decision:
             agree += 1
         if truth.decision == RISKY:
@@ -98,4 +110,4 @@ def task_consistency(sent_seqs, received_seqs, ontology, params=RiskParams()):
                 tn += 1
         scored.append((pred.score, 1 if truth.decision == RISKY else 0))
     counts = ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
-    return counts, agree / len(sent_seqs) if sent_seqs else 1.0, scored
+    return counts, agree / len(truths) if truths else 1.0, scored

@@ -6,7 +6,6 @@ asserting, so the gate reads as a checklist.
 """
 
 import math
-import os
 import time
 
 import numpy as np
@@ -44,15 +43,7 @@ def snr_sweep_rows(default_corpus):
     # trial count that gives the monotonicity test statistical power
     cfg = sweep.SweepConfig(snr_points=tuple(float(s) for s in range(0, 21, 2)),
                             trials_per_point=10_000, base_seed=0)
-    saved = os.environ.get("GBSED_THREADS")
-    os.environ["GBSED_THREADS"] = "4"  # output bytes are thread-count invariant
-    try:
-        return sweep.run_sweep(default_corpus, ONT, cfg)
-    finally:
-        if saved is None:
-            os.environ.pop("GBSED_THREADS", None)
-        else:
-            os.environ["GBSED_THREADS"] = saved
+    return sweep.run_sweep(default_corpus, ONT, cfg)
 
 
 @pytest.fixture(scope="module")

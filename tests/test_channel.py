@@ -1,15 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbsed import rng
+from gbsed import channel, rng
+from gbsed.codec import HEADER_LEN
 from gbsed.channel import (
     AWGN64QAM,
     BSC,
-    HEADER_OCTETS,
     PROTECTED,
     UNPROTECTED,
     FrameGrid,
@@ -19,6 +20,7 @@ from gbsed.channel import (
     qam64_demap,
     qam64_map,
     transmit,
+    transmit_frames,
 )
 
 _SCALE = 1.0 / math.sqrt(42.0)
@@ -89,6 +91,50 @@ def test_midway_tie_goes_to_lower_magnitude():
                                atol=1e-12)
 
 
+# The map and the decision spelled out per axis: the symbol is the scaled
+# pair of Gray levels, and the decision rounds q = (u + 7) / 2 to the nearest
+# level index, a midway q going to the lower-magnitude level.
+_LEVELS = np.array([-7, -5, -1, -3, 7, 5, 1, 3], dtype=np.float64)
+_CODES = np.array([0, 1, 3, 2, 6, 7, 5, 4])
+
+
+def _map_by_axis(bits):
+    groups = np.asarray(bits, dtype=np.int64).reshape(-1, 6)
+    code_i = groups[:, 0] * 4 + groups[:, 1] * 2 + groups[:, 2]
+    code_q = groups[:, 3] * 4 + groups[:, 4] * 2 + groups[:, 5]
+    return (_LEVELS[code_i] + 1j * _LEVELS[code_q]) * _SCALE
+
+
+def _decide_by_rounding(u):
+    q = (u + 7.0) / 2.0
+    low = np.floor(q)
+    lower_magnitude = np.where(low >= 3, low, low + 1)
+    idx = np.where(q - low == 0.5, lower_magnitude, np.round(q))
+    return np.clip(idx, 0, 7).astype(np.int64)
+
+
+def _demap_by_axis(symbols):
+    u = np.asarray(symbols) / _SCALE
+    codes = _CODES[_decide_by_rounding(u.real)] * 8 + _CODES[_decide_by_rounding(u.imag)]
+    return ((codes[:, None] >> np.arange(5, -1, -1)) & 1).astype(np.uint8).reshape(-1)
+
+
+def test_map_matches_per_axis_levels():
+    bits = (rng.uniforms(3, 6 * 5000) < 0.5).astype(np.uint8)
+    symbols, _ = qam64_map(bits)
+    assert symbols.tobytes() == _map_by_axis(bits).tobytes()
+
+
+def test_demap_matches_rounding_at_ties_and_their_neighbours():
+    mids = np.arange(-24, 25) / 2.0
+    amps = np.concatenate([mids, np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf),
+                           [1e300, -1e300, 5e-324, -0.0]])
+    u = np.add.outer(amps, 1j * amps).ravel()
+    z = rng.normals(4, 200_000) * 4.0
+    for symbols in (u * _SCALE, u, (z[0::2] + 1j * z[1::2]) * _SCALE):
+        np.testing.assert_array_equal(qam64_demap(symbols), _demap_by_axis(symbols))
+
+
 # -- AWGN ---------------------------------------------------------------------
 
 def test_awgn_noiseless_sentinel():
@@ -133,7 +179,7 @@ def test_transmit_header_protected():
     payload = bytes(range(64))
     cfg = LinkConfig(snr_db=-10.0, seed=5, header_protection=PROTECTED)
     received, errors = transmit(payload, cfg)
-    assert received[:HEADER_OCTETS] == payload[:HEADER_OCTETS]
+    assert received[:HEADER_LEN] == payload[:HEADER_LEN]
     assert errors > 0
 
 
@@ -141,7 +187,7 @@ def test_transmit_header_unprotected_can_corrupt_header():
     payload = bytes(64)
     cfg = LinkConfig(snr_db=-10.0, seed=5, header_protection=UNPROTECTED)
     received, _ = transmit(payload, cfg)
-    assert received[:HEADER_OCTETS] != payload[:HEADER_OCTETS]
+    assert received[:HEADER_LEN] != payload[:HEADER_LEN]
 
 
 def test_transmit_short_payload_fully_protected():
@@ -158,7 +204,7 @@ def test_bsc_zero_flip_identity():
 
 
 def test_bsc_half_flip_rate():
-    n_octets = 125_000 + HEADER_OCTETS  # 10^6 body bits
+    n_octets = 125_000 + HEADER_LEN  # 10^6 body bits
     payload = bytes(n_octets)
     cfg = LinkConfig(channel_kind=BSC, bsc_flip_prob=0.5, seed=9)
     _, errors = transmit(payload, cfg)
@@ -168,7 +214,7 @@ def test_bsc_half_flip_rate():
 def test_bsc_rate_within_binomial_bounds():
     p = 0.05
     n = 800_000
-    payload = bytes(n // 8 + HEADER_OCTETS)
+    payload = bytes(n // 8 + HEADER_LEN)
     _, errors = transmit(payload, LinkConfig(channel_kind=BSC, bsc_flip_prob=p, seed=21))
     sigma = math.sqrt(n * p * (1 - p))
     assert abs(errors - n * p) <= 3 * sigma
@@ -181,6 +227,29 @@ def test_transmit_error_count_consistent():
     sent_bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
     got_bits = np.unpackbits(np.frombuffer(received, dtype=np.uint8))
     assert errors == int(np.count_nonzero(sent_bits != got_bits))
+
+
+@pytest.mark.parametrize("cfg", [
+    LinkConfig(snr_db=4.0),
+    LinkConfig(snr_db=4.0, header_protection=UNPROTECTED),
+    LinkConfig(snr_db=math.inf),
+    LinkConfig(channel_kind=BSC, bsc_flip_prob=0.1),
+    LinkConfig(channel_kind=BSC, bsc_flip_prob=0.1, header_protection=UNPROTECTED),
+    LinkConfig(channel_kind=BSC),
+], ids=["awgn", "awgn_unprotected", "noiseless", "bsc", "bsc_unprotected", "bsc_0"])
+def test_transmit_frames_matches_transmit(cfg, monkeypatch):
+    # lengths cover every 64-QAM pad, payloads inside the header guard and
+    # an empty one; a small block budget splits the batch into many blocks
+    monkeypatch.setattr(channel, "_BLOCK_BITS", 1000)
+    lengths = [40, 41, 42, 0, 10, HEADER_LEN, 300, 22, 23, 24]
+    gen = rng.SplitMix64(8)
+    payloads = [bytes(gen.randint(0, 255) for _ in range(n)) for n in lengths]
+    seeds = [(1 << 64) - 1, 0, 5, 6, 7, 1 << 63, 9, 10, 11, 12]
+    received, errors = transmit_frames(
+        np.frombuffer(b"".join(payloads), dtype=np.uint8), lengths, seeds, cfg)
+    expect = [transmit(p, replace(cfg, seed=s)) for p, s in zip(payloads, seeds)]
+    assert received.tobytes() == b"".join(r for r, _ in expect)
+    assert errors == sum(e for _, e in expect)
 
 
 def test_link_config_validation():

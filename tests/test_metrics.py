@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from gbsed.metrics import (
     classification_metrics,
     compression_ratio,
     f1_from_precision_recall,
+    nodes_match,
     raw_frame_octets,
     semantic_fidelity,
 )
@@ -45,6 +47,20 @@ def test_parse_failure_is_zero(ontology):
     g = _graph([(0, 0, 0, 10)], [])
     r = semantic_fidelity(g, None, ontology)
     assert r.fidelity == 0.0 and r.nodes_recovered == 0
+
+
+def test_nodes_match_agrees_with_semantic_fidelity(ontology):
+    sent = (0.0, 1.0, 2.0, 10.0)
+    received = [sent, (0.5, 1.0, 2.0, 10.0), (-0.5, 1.0, 2.0, 10.0),
+                (1.5, 1.0, 2.0, 10.0), (0.0, 1.1, 2.0, 10.0), (0.0, 1.0, 2.0, 10.1),
+                (0.0, 1.0, 2.0, 10.0 + 2 ** -20), (math.nan, 1.0, 2.0, 10.0),
+                (0.0, math.inf, 2.0, 10.0), (0.0, 1.0, -math.inf, 10.0),
+                (0.0, 1.0, 2.0, math.nan), (-1e300, 1.0, 2.0, 10.0)]
+    expect = [semantic_fidelity(_graph([sent], []), _graph([r], []), ontology)
+              .nodes_recovered == 1 for r in received]
+    got = nodes_match(np.array([sent] * len(received)), np.array(received), ontology)
+    assert got.tolist() == expect
+    assert any(expect) and not all(expect)
 
 
 def test_node_tolerances(ontology):

@@ -91,6 +91,17 @@ def test_digest_is_64_bit_and_stable():
     assert d == 0xA0B62C4E16A0B7D7
 
 
+def test_digest_is_cached_per_ontology():
+    o = default_ontology()
+    assert ontology_digest(o) == 0xA0B62C4E16A0B7D7
+    assert vars(o)["digest"] == 0xA0B62C4E16A0B7D7  # computed once, then kept
+    again = load_ontology(emit_ontology(o))
+    assert "digest" not in vars(again)
+    assert ontology_digest(again) == ontology_digest(o)
+    # the cached value is not a field: equality and hashing are unchanged
+    assert again == o and hash(again) == hash(o)
+
+
 def test_digest_sensitive_to_single_name_change():
     base = default_ontology()
     for i in range(base.num_relations):

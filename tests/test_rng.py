@@ -75,3 +75,27 @@ def test_choice_uniformity():
 @pytest.mark.skipif(not rng.USING_NUMBA, reason="numba path not active")
 def test_numba_path_is_active_by_default():
     assert rng.splitmix64_stream is not rng.splitmix64_numpy
+
+
+# -- many seeds at once -------------------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(SEEDS, st.integers(min_value=0, max_value=40)), max_size=8))
+def test_streams_concatenate_single_seed_streams(pairs):
+    seeds = [s for s, _ in pairs]
+    counts = [c for _, c in pairs]
+    np.testing.assert_array_equal(
+        rng.splitmix64_streams(seeds, counts),
+        np.concatenate([rng.splitmix64_numpy(s, c) for s, c in pairs] or [[]]))
+    np.testing.assert_array_equal(
+        rng.uniforms_streams(seeds, counts),
+        np.concatenate([rng.uniforms_numpy(s, c) for s, c in pairs] or [[]]))
+    even = [2 * c for c in counts]
+    np.testing.assert_array_equal(
+        rng.normals_streams(seeds, even),
+        np.concatenate([rng.normals_numpy(s, c) for s, c in zip(seeds, even)] or [[]]))
+
+
+def test_normals_streams_needs_even_counts():
+    with pytest.raises(ValueError):
+        rng.normals_streams([1, 2], [2, 3])

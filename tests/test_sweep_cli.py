@@ -4,11 +4,16 @@ import math
 
 import pytest
 
-from gbsed import sweep
-from gbsed.channel import BSC, UNPROTECTED
+from gbsed import channel, sweep
+from gbsed.channel import BSC, UNPROTECTED, LinkConfig, frames_required, transmit
 from gbsed.cli import main
+from gbsed.codec import HEADER_LEN
+from gbsed.errors import GbsedError
+from gbsed.metrics import auc, classification_metrics, semantic_fidelity
 from gbsed.ontology import default_ontology, emit_ontology
 from gbsed.scenarios import ScenarioSpec, generate
+from gbsed.scene_graph import SceneGraph, SceneNode
+from gbsed.task import GraphSequence, task_consistency
 
 ONT = default_ontology()
 
@@ -48,12 +53,123 @@ def test_sweep_deterministic(small_corpus):
     assert a == b
 
 
-def test_sweep_thread_pool_output_identical(small_corpus, monkeypatch):
-    cfg = sweep.SweepConfig(snr_points=(4.0, 10.0, 16.0), trials_per_point=50)
-    serial = sweep.rows_to_csv(sweep.run_sweep(small_corpus, ONT, cfg))
-    monkeypatch.setenv("GBSED_THREADS", "3")
-    parallel = sweep.rows_to_csv(sweep.run_sweep(small_corpus, ONT, cfg))
-    assert serial == parallel
+# -- the per-frame reference --------------------------------------------------
+# The sweep computed frame by frame with the single-frame API: every trial
+# goes through transmit, decode_frame and semantic_fidelity, and the
+# received sequences through task_consistency. run_sweep, which batches
+# whole corpus passes, must write the same CSV bytes.
+
+def _fallback_frame():
+    return SceneGraph((SceneNode(0, (1.0, 0.0, 0.0, 0.0)),), ())
+
+
+def _reference_point(point_index, snr_db, sequences, payloads, cfg):
+    repeats = -(-cfg.trials_per_point // len(payloads))
+    bits_total = errors_total = n_frames = trial = 0
+    fidelity_sum = 0.0
+    recv_all, sent_all = [], []
+    for _ in range(repeats):
+        frame_cursor = 0
+        for seq in sequences:
+            recv_frames = []
+            for frame in seq.frames:
+                payload = payloads[frame_cursor]
+                link = LinkConfig(snr_db=snr_db, channel_kind=cfg.channel_kind,
+                                  bsc_flip_prob=cfg.bsc_flip_prob,
+                                  seed=cfg.base_seed ^ point_index ^ trial,
+                                  header_protection=cfg.header_protection)
+                received, bit_errors = transmit(payload, link)
+                bits_total += 8 * len(payload)
+                errors_total += bit_errors
+                decoded = sweep.decode_frame(received, ONT)
+                fidelity_sum += semantic_fidelity(frame, decoded, ONT).fidelity
+                recv_frames.append(decoded if decoded is not None else _fallback_frame())
+                n_frames += 1
+                frame_cursor += 1
+                trial += 1
+            recv_all.append(GraphSequence(tuple(recv_frames)))
+            sent_all.append(seq)
+    counts, consistency, scored = task_consistency(sent_all, recv_all, ONT)
+    cls = classification_metrics(counts)
+    try:
+        auc_val = auc(scored)
+    except GbsedError:
+        auc_val = float("nan")
+    return {
+        "snr_db": snr_db,
+        "ber": errors_total / bits_total if bits_total else 0.0,
+        "fidelity": fidelity_sum / n_frames,
+        "consistency": consistency,
+        "accuracy": cls.accuracy,
+        "precision": cls.precision,
+        "recall": cls.recall,
+        "f1": cls.f1,
+        "mcc": cls.mcc,
+        "auc": auc_val,
+        "mean_payload_octets": sum(len(p) for p in payloads) / len(payloads),
+        "frames_per_payload": sum(frames_required(len(p), cfg.grid)
+                                  for p in payloads) / len(payloads),
+    }
+
+
+def _reference_sweep(sequences, cfg):
+    payloads = [sweep.encode_frame(f, ONT) for seq in sequences for f in seq.frames]
+    return [_reference_point(i, s, sequences, payloads, cfg)
+            for i, s in enumerate(cfg.snr_points)]
+
+
+def _dense_corpus():
+    # 45-49 nodes: every frame's body is longer than the channel's block
+    return generate(ScenarioSpec(seed=5, num_sequences=2, frames_per_sequence=3,
+                                 vehicles_range=(40, 48), lane_count=5), ONT)
+
+
+EQUIVALENCE_CASES = {
+    "awgn": (sweep.SweepConfig(snr_points=(0.0, 6.0, 12.0, 20.0, math.inf),
+                               trials_per_point=50, base_seed=4), False),
+    "awgn_unprotected": (sweep.SweepConfig(snr_points=(0.0,), trials_per_point=50,
+                                           header_protection=UNPROTECTED), False),
+    "bsc_0": (sweep.SweepConfig(snr_points=(0.0,), trials_per_point=50,
+                                channel_kind=BSC), False),
+    "bsc_002": (sweep.SweepConfig(snr_points=(0.0,), trials_per_point=50, base_seed=9,
+                                  channel_kind=BSC, bsc_flip_prob=0.02), False),
+    "bsc_02_unprotected": (sweep.SweepConfig(snr_points=(0.0,), trials_per_point=50,
+                                             channel_kind=BSC, bsc_flip_prob=0.2,
+                                             header_protection=UNPROTECTED), False),
+    "several_passes": (sweep.SweepConfig(snr_points=(4.0, 10.0), trials_per_point=121,
+                                         base_seed=17), False),
+    "dense": (sweep.SweepConfig(snr_points=(8.0, 16.0), trials_per_point=6,
+                                base_seed=2), True),
+    "seed_above_2_63": (sweep.SweepConfig(snr_points=(2.0, 14.0), trials_per_point=50,
+                                          base_seed=(1 << 63) + 12345), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_sweep_matches_per_frame_reference(small_corpus, case):
+    cfg, dense = EQUIVALENCE_CASES[case]
+    corpus = _dense_corpus() if dense else small_corpus
+    expect = sweep.rows_to_csv(_reference_sweep(corpus, cfg))
+    assert sweep.rows_to_csv(sweep.run_sweep(corpus, ONT, cfg)) == expect
+
+
+def test_equivalence_cases_cover_pads_and_blocks(small_corpus):
+    def body_bits(corpus):
+        return [8 * (len(sweep.encode_frame(f, ONT)) - HEADER_LEN)
+                for seq in corpus for f in seq.frames]
+
+    # 64-QAM closes each body with 0, 2 or 4 zero bits
+    assert {-b % 6 for b in body_bits(small_corpus)} == {0, 2, 4}
+    assert min(body_bits(_dense_corpus())) > channel._BLOCK_BITS
+    # on the BSC at p = 0.2 most headers arrive changed: the per-frame path runs
+    cfg = EQUIVALENCE_CASES["bsc_02_unprotected"][0]
+    payloads = [sweep.encode_frame(f, ONT) for seq in small_corpus for f in seq.frames]
+    changed = sum(
+        transmit(p, LinkConfig(channel_kind=BSC, bsc_flip_prob=cfg.bsc_flip_prob, seed=t,
+                               header_protection=UNPROTECTED))[0][:HEADER_LEN]
+        != p[:HEADER_LEN]
+        for t, p in enumerate(payloads))
+    assert changed > len(payloads) // 2
 
 
 def test_csv_schema(small_corpus):
