@@ -3,6 +3,10 @@ symmetric channel, and OFDM frame-capacity accounting.
 
 The noiseless sentinel is ``snr_db = math.inf``. All randomness derives
 from the 64-bit seed in LinkConfig via the splitmix64 stream.
+
+``transmit`` sends one payload. ``plan_link`` lays out many back-to-back
+payloads once, and each ``send`` of the plan then gives every payload, with
+its own seed, what ``transmit`` would give it.
 """
 
 import math
@@ -19,8 +23,8 @@ BSC = "bsc"
 PROTECTED = "protected"
 UNPROTECTED = "unprotected"
 
-# transmit_frames sends whole frames in blocks of at most this many body
-# bits (a larger frame is a block of its own), which bounds its memory
+# a link plan sends whole frames in blocks of at most this many body bits
+# (a larger frame is a block of its own), which bounds the memory of a send
 _BLOCK_BITS = 1 << 16
 
 # per-axis Gray map: 3-bit code -> amplitude level
@@ -88,11 +92,15 @@ def _noiseless(snr_db):
     return math.isinf(snr_db) and snr_db > 0
 
 
+def _sigma(snr_db):
+    """Per-axis noise deviation at snr_db, with unit symbol energy."""
+    n0 = 10.0 ** (-snr_db / 10.0)
+    return math.sqrt(n0 / 2.0)
+
+
 def _add_noise(symbols, snr_db, z):
     """symbols plus noise at snr_db from z, two unit normals per symbol."""
-    n0 = 10.0 ** (-snr_db / 10.0)
-    sigma = math.sqrt(n0 / 2.0)
-    return symbols + sigma * (z[0::2] + 1j * z[1::2])
+    return symbols + _sigma(snr_db) * (z[0::2] + 1j * z[1::2])
 
 
 def awgn(symbols, snr_db, seed):
@@ -125,6 +133,26 @@ def qam64_demap(symbols, pad=0):
     return flat[: flat.size - pad] if pad else flat
 
 
+def qam64_ber_exact(snr_db):
+    """Exact bit error rate of hard decisions on Gray-coded square 64-QAM
+    over AWGN at snr_db = Es/N0 (Cho & Yoon, "On the general BER expression
+    of one- and two-dimensional amplitude modulations", IEEE Trans. Commun.
+    2002). Bit k of an axis code has a weighted sum of erfc terms, one per
+    distance 2i+1 in half level spacings; the BER is their mean over bits."""
+    root_m = 8
+    # half the level spacing over the noise deviation, divided by sqrt(2):
+    # sqrt(3 Es/N0 / (2 (M - 1)))
+    arg = math.sqrt(3.0 * 10.0 ** (snr_db / 10.0) / (2.0 * (root_m ** 2 - 1)))
+    total = 0.0
+    for k in (1, 2, 3):
+        w = 2 ** (k - 1)
+        for i in range(root_m - root_m // 2 ** k):
+            sign = -1.0 if (i * w // root_m) % 2 else 1.0
+            total += sign * (w - (2 * i * w + root_m) // (2 * root_m)) \
+                * math.erfc((2 * i + 1) * arg)
+    return total / (3 * root_m)
+
+
 def _channel_bits(bits, cfg):
     if bits.size == 0:
         return bits.copy()
@@ -155,58 +183,158 @@ def transmit(payload, cfg):
     return np.packbits(received_bits).tobytes(), errors
 
 
-def transmit_frames(buffer, lengths, seeds, cfg):
-    """Send back-to-back payloads through the link, payload i with seed
-    seeds[i]; cfg.seed is not used.
+# the (I, Q) level indices of a symbol, two int8 read as one uint16 (at most
+# 7·256 + 7 in either byte order) -> its 6-bit code
+_LEVEL_PAIRS = np.stack([_SIX >> 3, _SIX & 7], axis=1).astype(np.int8).view(np.uint16)
+_CODE_BY_LEVEL_PAIR = np.zeros(1 << 11, dtype=np.uint8)
+_CODE_BY_LEVEL_PAIR[_LEVEL_PAIRS[:, 0]] = _CODE_BY_LEVELS
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
-    Returns (received_buffer, bit_error_count), the same octets and total
-    as ``transmit(payload_i, replace(cfg, seed=seeds[i]))`` for every i,
-    but one batch of numpy calls per block of whole payloads.
+
+@dataclass(frozen=True)
+class _Block:
+    frames: slice       # the frames it carries
+    octets: slice       # their body octets, within the plan's body octets
+    counts: np.ndarray  # splitmix64 outputs each frame draws
+    codes: np.ndarray   # AWGN: the sent 6-bit codes, see plan_link
+    keep: np.ndarray    # AWGN: where the body octets sit among the repacked octets
+
+
+@dataclass(frozen=True)
+class LinkPlan:
+    """What sending a fixed set of back-to-back payloads over one kind of
+    link takes that does not depend on the seeds or the noise level; built
+    by ``plan_link``, used by ``send``."""
+    channel_kind: str
+    header_protection: str
+    buffer: np.ndarray   # the sent payloads, back to back
+    body_at: np.ndarray  # buffer offsets of the octets that meet the channel
+    sent: np.ndarray     # those octets
+    blocks: tuple
+    steps: np.ndarray    # rng.golden_steps of the longest block's draws
+
+
+def plan_link(buffer, lengths, channel_kind, header_protection):
+    """Lay out back-to-back payloads of the given lengths for ``send``.
+
+    On AWGN every frame's body octets are padded with zeros to whole groups
+    of 3, which are 4 symbols: the zero bits that close the frame's last
+    symbol, as ``qam64_map`` pads a lone frame, are among them, and
+    decisions on the pad land only in octets that are dropped.
     """
     buffer = np.asarray(buffer, dtype=np.uint8)
     lengths = np.asarray(lengths, dtype=np.int64)
-    seeds = np.asarray(seeds, dtype=np.uint64)
     starts = np.cumsum(lengths) - lengths
-    guard = HEADER_LEN if cfg.header_protection == PROTECTED else 0
-    body = np.ones(buffer.size, dtype=bool)
-    head = np.arange(guard)
-    body[(starts[:, None] + head)[head < lengths[:, None]]] = False
-    body_bits = 8 * (lengths - np.minimum(lengths, guard))
-    received = buffer.copy()
-    errors = 0
-    ends = np.cumsum(body_bits)
+    guard = HEADER_LEN if header_protection == PROTECTED else 0
+    head = np.minimum(lengths, guard)
+    octets = lengths - head
+    first = np.cumsum(octets) - octets
+    body_at = np.repeat(starts + head - first, octets) + np.arange(octets.sum())
+    awgn_link = channel_kind == AWGN64QAM
+    groups = -(-octets // 3)
+    # two splitmix64 outputs per symbol, one per bit
+    counts = 8 * groups if awgn_link else 8 * octets
+    sent = buffer[body_at]
+    blocks = []
+    ends = np.cumsum(8 * octets)
     a = 0
     while a < lengths.size:
         # the longest run of frames within the block budget, at least one
-        b = max(a + 1, int(np.searchsorted(ends, ends[a] - body_bits[a] + _BLOCK_BITS,
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - 8 * octets[a] + _BLOCK_BITS,
                                           side="right")))
-        lo, hi = starts[a], starts[b - 1] + lengths[b - 1]
-        sent = buffer[lo:hi][body[lo:hi]]
-        got, block_errors = _channel_block(sent, body_bits[a:b], seeds[a:b], cfg)
-        received[lo:hi][body[lo:hi]] = got
-        errors += block_errors
+        span = slice(int(first[a]), int(first[b - 1] + octets[b - 1]))
+        codes = keep = None
+        if awgn_link:
+            padded = 3 * groups[a:b]
+            keep = (np.repeat(np.cumsum(padded) - padded - (first[a:b] - first[a]),
+                              octets[a:b]) + np.arange(span.stop - span.start))
+            octet_groups = np.zeros(padded.sum(), dtype=np.uint8)
+            octet_groups[keep] = sent[span]
+            codes = _codes_from_octets(octet_groups)
+        blocks.append(_Block(slice(a, b), span, counts[a:b], codes, keep))
         a = b
+    most = max((int(blk.counts.sum()) for blk in blocks), default=0)
+    return LinkPlan(channel_kind, header_protection, buffer, body_at, sent, tuple(blocks),
+                    rng.golden_steps(most))
+
+
+def _codes_from_octets(octets):
+    """Octets, a whole number of groups of 3, as 6-bit codes, 4 a group."""
+    o = octets.reshape(-1, 3)
+    codes = np.empty((o.shape[0], 4), dtype=np.uint8)
+    codes[:, 0] = o[:, 0] >> 2
+    codes[:, 1] = (o[:, 0] & 3) << 4 | o[:, 1] >> 4
+    codes[:, 2] = (o[:, 1] & 15) << 2 | o[:, 2] >> 6
+    codes[:, 3] = o[:, 2] & 63
+    return codes.reshape(-1)
+
+
+def _octets_from_codes(codes):
+    """Inverse of _codes_from_octets."""
+    c = codes.reshape(-1, 4)
+    octets = np.empty((c.shape[0], 3), dtype=np.uint8)
+    octets[:, 0] = c[:, 0] << 2 | c[:, 1] >> 4
+    octets[:, 1] = c[:, 1] << 4 | c[:, 2] >> 2
+    octets[:, 2] = c[:, 2] << 6 | c[:, 3]
+    return octets.reshape(-1)
+
+
+def _flip_threshold(p):
+    """The raw splitmix64 outputs below which a BSC flips a bit: uniforms'
+    (raw >> 11)·2^-53 < p holds exactly when raw < ceil(p·2^53)·2^11."""
+    return np.uint64(math.ceil(p * 2.0 ** 53) << 11)
+
+
+def send(plan, seeds, cfg):
+    """Send the plan's payloads through the link, payload i with seed
+    seeds[i]; cfg.seed is not used, and cfg's channel kind and header
+    protection must be the plan's.
+
+    Returns (received_buffer, bit_error_count), the same octets and total
+    as ``transmit(payload_i, replace(cfg, seed=seeds[i]))`` for every i.
+    """
+    if (cfg.channel_kind, cfg.header_protection) != (plan.channel_kind,
+                                                     plan.header_protection):
+        raise ValueError("the link differs from the one the plan was made for")
+    received = plan.buffer.copy()
+    if (cfg.bsc_flip_prob == 0.0 if cfg.channel_kind == BSC else _noiseless(cfg.snr_db)):
+        return received, 0
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    got = np.empty_like(plan.sent)
+    errors = 0
+    for blk in plan.blocks:
+        sent = plan.sent[blk.octets]
+        if cfg.channel_kind == BSC:
+            raw = rng.splitmix64_streams(seeds[blk.frames], blk.counts, plan.steps)
+            octets = sent ^ np.packbits(raw < _flip_threshold(cfg.bsc_flip_prob))
+        else:
+            octets = _awgn_block(blk, seeds[blk.frames], plan.steps, cfg.snr_db)
+        errors += int(_POPCOUNT[octets ^ sent].sum())
+        got[blk.octets] = octets
+    received[plan.body_at] = got
     return received, errors
 
 
-def _channel_block(octets, frame_bits, seeds, cfg):
-    """Body octets of whole frames through the channel; each frame's bits
-    meet the noise that _channel_bits gives them under that frame's seed."""
-    if cfg.channel_kind == BSC:
-        if cfg.bsc_flip_prob == 0.0:
-            return octets.copy(), 0
-        flips = rng.uniforms_streams(seeds, frame_bits) < cfg.bsc_flip_prob
-        return octets ^ np.packbits(flips), int(np.count_nonzero(flips))
-    bits = np.unpackbits(octets)
-    # zero bits close each frame's last symbol, as qam64_map pads a lone frame
-    pad = -frame_bits % 6
-    at = np.repeat(np.cumsum(frame_bits), pad)
-    symbols, _ = qam64_map(np.insert(bits, at, 0))
-    if not _noiseless(cfg.snr_db):
-        z = rng.normals_streams(seeds, (frame_bits + pad) // 3)
-        symbols = _add_noise(symbols, cfg.snr_db, z)
-    got = np.delete(qam64_demap(symbols), at + np.arange(at.size))
-    return np.packbits(got), int(np.count_nonzero(got != bits))
+def _awgn_block(blk, seeds, steps, snr_db):
+    """The block's body octets as qam64_demap decides them after awgn."""
+    noisy = rng.normals_streams(seeds, blk.counts, steps)
+    # the parts of _add_noise's complex sum, whose cross terms are exact zeros
+    noisy *= _sigma(snr_db)
+    noisy += _SYMBOL_BY_CODE[blk.codes].view(np.float64)
+    if snr_db == -math.inf:
+        # infinite noise: qam64_demap's complex division makes every sample
+        # NaN, which decides level index 0 on both axes
+        noisy.fill(math.nan)
+    return _octets_from_codes(_decide_codes(noisy))[blk.keep]
+
+
+def _decide_codes(iq):
+    """The 6-bit codes qam64_demap decides for finite symbols given as
+    interleaved (I, Q) floats; overwrites iq."""
+    # numpy's complex y / _SCALE multiplies each part by fl(1 / _SCALE),
+    # which on a few values near a midpoint decides otherwise than dividing
+    iq *= 1.0 / _SCALE
+    return _CODE_BY_LEVEL_PAIR[_decide_axis(iq).view(np.uint16)]
 
 
 def frames_required(payload_len_octets, grid=FrameGrid()):

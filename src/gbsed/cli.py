@@ -32,16 +32,42 @@ def _load_ontology_arg(path):
         return load_ontology(fh.read())
 
 
+# argparse types: what they raise is a usage error
+
+
+def _number(kind, text):
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+
+
 def _parse_snr_list(text):
     points = []
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
             continue
-        points.append(math.inf if tok in ("inf", "noiseless") else float(tok))
+        points.append(math.inf if tok in ("inf", "noiseless") else _number(float, tok))
     if not points:
-        raise ValueError("empty SNR list")
+        raise argparse.ArgumentTypeError("empty SNR list")
+    if any(math.isnan(p) for p in points):
+        raise argparse.ArgumentTypeError("NaN SNR point")
     return tuple(points)
+
+
+def _positive_int(text):
+    value = _number(int, text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
+    return value
+
+
+def _flip_prob(text):
+    value = _number(float, text)
+    if not 0.0 <= value <= 0.5:
+        raise argparse.ArgumentTypeError(f"{value} is outside [0, 0.5]")
+    return value
 
 
 def cmd_gen(args):
@@ -90,7 +116,7 @@ def cmd_sweep(args):
     o = _load_ontology_arg(args.ontology)
     seqs = scenarios.read_scenes(args.scenes, o)
     cfg = sweep.SweepConfig(
-        snr_points=_parse_snr_list(args.snr),
+        snr_points=args.snr,
         trials_per_point=args.trials,
         base_seed=args.seed,
         channel_kind=args.channel,
@@ -167,11 +193,12 @@ def build_parser():
     p.add_argument("--scenes", required=True)
     p.add_argument("--ontology", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--snr", default="0,2,4,6,8,10,12,14,16,18,20")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--snr", type=_parse_snr_list, default="0,2,4,6,8,10,12,14,16,18,20",
+                   help="comma-separated dB values; inf or noiseless for no noise")
+    p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--channel", choices=[AWGN64QAM, BSC], default=AWGN64QAM)
-    p.add_argument("--flip-prob", type=float, default=0.0)
+    p.add_argument("--flip-prob", type=_flip_prob, default=0.0)
     p.add_argument("--header-protection", choices=[PROTECTED, UNPROTECTED],
                    default=PROTECTED)
     p.set_defaults(func=cmd_sweep)

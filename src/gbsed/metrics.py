@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DegenerateInput, OntologyMismatch
 from .ontology import ontology_digest
@@ -156,6 +155,24 @@ def classification_metrics(c):
     return ClassificationMetrics(accuracy, precision, recall, f1, mcc, degenerate)
 
 
+def average_ranks(values):
+    """1-based ranks of values, tied values sharing the mean of their ranks
+    (``scipy.stats.rankdata``'s default); all NaN if any value is NaN."""
+    values = np.asarray(values, dtype=float)
+    if np.isnan(values).any():
+        return np.full(values.shape, math.nan)
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    # tie groups of the sorted values: first and last 0-based position
+    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    group = np.cumsum(new) - 1
+    first = np.flatnonzero(new)
+    last = np.append(first[1:], values.size) - 1
+    ranks = np.empty(values.size)
+    ranks[order] = 0.5 * (first + last + 2)[group]
+    return ranks
+
+
 def auc(scored_labels):
     """Rank-based (Mann-Whitney) area under the ROC curve.
 
@@ -168,6 +185,6 @@ def auc(scored_labels):
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
         raise DegenerateInput("AUC needs at least one positive and one negative label")
-    ranks = rankdata(scores)
+    ranks = average_ranks(scores)
     rank_sum_pos = float(np.sum(ranks[labels == 1]))
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)

@@ -2,18 +2,13 @@
 
 Everything random in this package flows from splitmix64 (Steele, Lea &
 Flood constants), so a single 64-bit seed reproduces an entire experiment
-bit-for-bit. The bulk generators are counter-based (output k of the stream
-is a pure function of seed and k), so the numba and numpy paths produce
-identical integer and uniform streams; normals agree to the last ulp (the
-two paths may use different trig code). The ``*_streams`` generators run
-many seeds in one call on the numpy path.
-
-Set GBSED_NO_NUMBA=1 to force the pure-numpy path even when numba is
-installed.
+bit-for-bit. The bulk generators are counter-based: output k of the stream
+of seed s is ``mix(s + k·G)``, a pure function of (s, k), so the streams of
+many seeds can be drawn in one call (``*_streams``) and each equals the
+single-seed generator's output for its seed.
 """
 
 import math
-import os
 
 import numpy as np
 
@@ -26,6 +21,9 @@ _U_GOLDEN = np.uint64(_GOLDEN)
 _U_MIX1 = np.uint64(_MIX1)
 _U_MIX2 = np.uint64(_MIX2)
 _TWO_NEG53 = 2.0 ** -53
+
+# the bulk generators are numpy only; perfbench reports this as the RNG path
+USING_NUMBA = False
 
 
 def _mix_scalar(z):
@@ -60,13 +58,26 @@ class SplitMix64:
 
 
 # ---------------------------------------------------------------------------
-# bulk counter-based generators: numpy reference path
+# bulk counter-based generators
+
+
+def golden_steps(n):
+    """``k·G`` for k = 1..n: the counter term of outputs 1..n of any stream."""
+    return np.arange(1, n + 1, dtype=np.uint64) * _U_GOLDEN
 
 
 def _mix(z):
-    z = (z ^ (z >> np.uint64(30))) * _U_MIX1
-    z = (z ^ (z >> np.uint64(27))) * _U_MIX2
-    return z ^ (z >> np.uint64(31))
+    """splitmix64's output function, in place on a uint64 array."""
+    t = np.empty_like(z)
+    np.right_shift(z, np.uint64(30), out=t)
+    z ^= t
+    z *= _U_MIX1
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= _U_MIX2
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
 
 def _to_unit(raw):
@@ -75,136 +86,60 @@ def _to_unit(raw):
 
 def _box_muller(raw):
     """One normal per raw output; raw holds whole (u1, u2) pairs."""
-    # u1 in (0, 1] keeps log() finite; u2 in [0, 1)
-    u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _TWO_NEG53
-    u2 = _to_unit(raw[1::2])
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = (2.0 * math.pi) * u2
+    # r = sqrt(-2 log u1) with u1 in (0, 1], which keeps log() finite, and
+    # theta = 2 pi u2 with u2 in [0, 1), each step rounded as written
+    r = (raw[0::2] >> np.uint64(11)).astype(np.float64)
+    r += 1.0
+    r *= _TWO_NEG53
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = _to_unit(raw[1::2])
+    theta *= 2.0 * math.pi
     out = np.empty(raw.size)
-    out[0::2] = r * np.cos(theta)
-    out[1::2] = r * np.sin(theta)
+    np.multiply(r, np.cos(theta), out=out[0::2])
+    np.multiply(r, np.sin(theta, out=theta), out=out[1::2])
     return out
 
 
-def _splitmix64_numpy(seed, n):
-    idx = np.arange(1, n + 1, dtype=np.uint64)
-    return _mix(np.uint64(seed & _MASK64) + idx * _U_GOLDEN)
+def splitmix64_stream(seed, n):
+    return _mix(np.uint64(seed & _MASK64) + golden_steps(n))
 
 
-def _uniforms_numpy(seed, n):
-    return _to_unit(_splitmix64_numpy(seed, n))
+def uniforms(seed, n):
+    return _to_unit(splitmix64_stream(seed, n))
 
 
-def _normals_numpy(seed, n):
-    return _box_muller(_splitmix64_numpy(seed, 2 * ((n + 1) // 2)))[:n]
+def normals(seed, n):
+    return _box_muller(splitmix64_stream(seed, 2 * ((n + 1) // 2)))[:n]
 
 
 # ---------------------------------------------------------------------------
 # many seeds at once: the streams of seeds[i], counts[i] outputs each, back
-# to back. Output k of a stream depends only on (seed, k), so each segment
-# equals the single-seed generator's output for that seed.
+# to back. Output j of stream i sits at position g = starts[i] + j - 1 of the
+# batch, so its counter is (seeds[i] - starts[i]·G) + (g + 1)·G mod 2^64:
+# one per-stream offset plus a counter term shared by every stream.
 
 
-def splitmix64_streams(seeds, counts):
-    """``concatenate([splitmix64_stream(s, c) for s, c in zip(seeds, counts)])``."""
+def splitmix64_streams(seeds, counts, steps):
+    """``concatenate([splitmix64_stream(s, c) for s, c in zip(seeds, counts)])``.
+
+    ``steps`` is ``golden_steps(n)`` for some n >= sum(counts), which can be
+    laid out once and shared by every call.
+    """
     counts = np.asarray(counts, dtype=np.int64)
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if ends.size else 0
-    # 1-based position of every output within its own stream
-    idx = np.arange(1, total + 1, dtype=np.int64) - np.repeat(ends - counts, counts)
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    return _mix(np.repeat(seeds, counts) + idx.astype(np.uint64) * _U_GOLDEN)
+    starts = np.cumsum(counts) - counts
+    total = int(counts.sum())
+    offsets = np.asarray(seeds, dtype=np.uint64) - starts.astype(np.uint64) * _U_GOLDEN
+    z = np.repeat(offsets, counts)
+    z += steps[:total]
+    return _mix(z)
 
 
-def uniforms_streams(seeds, counts):
-    """``uniforms(seeds[i], counts[i])`` for every i, back to back."""
-    return _to_unit(splitmix64_streams(seeds, counts))
-
-
-def normals_streams(seeds, counts):
+def normals_streams(seeds, counts, steps):
     """``normals(seeds[i], counts[i])`` for every i, back to back; every
     count must be even."""
     counts = np.asarray(counts, dtype=np.int64)
     if np.any(counts % 2):
         raise ValueError("normals_streams needs even counts")
-    return _box_muller(splitmix64_streams(seeds, counts))
-
-
-# ---------------------------------------------------------------------------
-# numba-accelerated path
-
-_want_numba = os.environ.get("GBSED_NO_NUMBA", "") not in ("1", "true", "yes")
-_numba_ok = False
-if _want_numba:
-    try:
-        from numba import njit as _njit
-
-        _numba_ok = True
-    except ImportError:
-        _numba_ok = False
-
-if _numba_ok:
-
-    @_njit(cache=True)
-    def _splitmix64_numba(seed, n):  # pragma: no cover - exercised via dispatch
-        out = np.empty(n, dtype=np.uint64)
-        g = np.uint64(_GOLDEN)
-        m1 = np.uint64(_MIX1)
-        m2 = np.uint64(_MIX2)
-        s = np.uint64(seed)
-        for k in range(n):
-            z = s + np.uint64(k + 1) * g
-            z = (z ^ (z >> np.uint64(30))) * m1
-            z = (z ^ (z >> np.uint64(27))) * m2
-            out[k] = z ^ (z >> np.uint64(31))
-        return out
-
-    @_njit(cache=True)
-    def _uniforms_numba(seed, n):  # pragma: no cover
-        raw = _splitmix64_numba(seed, n)
-        out = np.empty(n)
-        for k in range(n):
-            out[k] = (raw[k] >> np.uint64(11)) * _TWO_NEG53
-        return out
-
-    @_njit(cache=True)
-    def _normals_numba(seed, n):  # pragma: no cover
-        npairs = (n + 1) // 2
-        raw = _splitmix64_numba(seed, 2 * npairs)
-        out = np.empty(2 * npairs)
-        for k in range(npairs):
-            u1 = ((raw[2 * k] >> np.uint64(11)) + np.uint64(1)) * _TWO_NEG53
-            u2 = (raw[2 * k + 1] >> np.uint64(11)) * _TWO_NEG53
-            r = np.sqrt(-2.0 * np.log(u1))
-            theta = (2.0 * math.pi) * u2
-            out[2 * k] = r * np.cos(theta)
-            out[2 * k + 1] = r * np.sin(theta)
-        return out[:n]
-
-
-USING_NUMBA = _numba_ok
-
-if USING_NUMBA:
-    def splitmix64_stream(seed, n):
-        return _splitmix64_numba(np.uint64(seed & _MASK64), n)
-
-    def uniforms(seed, n):
-        return _uniforms_numba(np.uint64(seed & _MASK64), n)
-
-    def normals(seed, n):
-        return _normals_numba(np.uint64(seed & _MASK64), n)
-else:
-    def splitmix64_stream(seed, n):
-        return _splitmix64_numpy(seed, n)
-
-    def uniforms(seed, n):
-        return _uniforms_numpy(seed, n)
-
-    def normals(seed, n):
-        return _normals_numpy(seed, n)
-
-
-# reference implementations stay importable for cross-path tests and benchmarks
-splitmix64_numpy = _splitmix64_numpy
-uniforms_numpy = _uniforms_numpy
-normals_numpy = _normals_numpy
+    return _box_muller(splitmix64_streams(seeds, counts, steps))

@@ -4,11 +4,12 @@ fidelity plus downstream risk-task metrics.
 
 An SNR point is computed one corpus pass at a time. The pass is encoded
 once per sweep into one octet buffer with the offsets of every header,
-matrix and feature row; each pass then goes through the link in one
-``transmit_frames`` call and is scored straight from the received octets
-with a few numpy calls. A frame whose header arrived changed is decoded on
-its own with ``decode_frame``, the only path on which a payload can fail to
-parse. The single-frame path (``encode_frame``, ``transmit``,
+matrix and feature row, and the link is planned once for that buffer
+(``plan_link``). Each pass then goes through the link in one ``send``
+call, which does only the work that depends on the seeds and the noise
+level, and is scored straight from the received octets with a few numpy
+calls. A frame whose header arrived changed is decoded on its own with
+``decode_frame``, the only path on which a payload can fail to parse. The single-frame path (``encode_frame``, ``transmit``,
 ``decode_frame``, ``semantic_fidelity``, ``task_consistency``) gives the
 same numbers frame by frame and is the reference the sweep is tested
 against.
@@ -26,8 +27,9 @@ from .channel import (
     FrameGrid,
     LinkConfig,
     frames_required,
+    plan_link,
+    send,
     transmit,  # noqa: F401  (single-frame path, kept beside encode/decode_frame)
-    transmit_frames,
 )
 from .errors import GbsedError
 from .metrics import classification_metrics, auc as auc_metric, nodes_match, semantic_fidelity
@@ -227,7 +229,7 @@ def _score_pass(lay, received, ontology, risk_params):
     return fidelity, near_ego
 
 
-def _run_point(point_index, snr_db, lay, ontology, cfg, risk_params, sizes):
+def _run_point(point_index, snr_db, lay, plan, ontology, cfg, risk_params, sizes):
     link = LinkConfig(snr_db=snr_db, channel_kind=cfg.channel_kind,
                       bsc_flip_prob=cfg.bsc_flip_prob,
                       header_protection=cfg.header_protection)
@@ -240,7 +242,7 @@ def _run_point(point_index, snr_db, lay, ontology, cfg, risk_params, sizes):
     for p in range(passes):
         # trial t sends frame t mod F with seed base_seed ^ point_index ^ t
         seeds = point_seed ^ np.arange(p * num_frames, (p + 1) * num_frames, dtype=np.uint64)
-        received, errors = transmit_frames(lay.buffer, lay.lengths, seeds, link)
+        received, errors = send(plan, seeds, link)
         errors_total += errors
         fidelity, near_ego = _score_pass(lay, received, ontology, risk_params)
         for v in fidelity.tolist():  # frame by frame: the sum's rounding is part of the output
@@ -277,12 +279,13 @@ def run_sweep(sequences, ontology, cfg, risk_params=RiskParams()):
     if not sequences:
         raise ValueError("empty corpus")
     lay = _lay_out(sequences, ontology, risk_params)
+    plan = plan_link(lay.buffer, lay.lengths, cfg.channel_kind, cfg.header_protection)
     lengths = lay.lengths.tolist()
     sizes = {
         "mean_payload_octets": sum(lengths) / len(lengths),
         "frames_per_payload": sum(frames_required(x, cfg.grid) for x in lengths) / len(lengths),
     }
-    return [_run_point(i, s, lay, ontology, cfg, risk_params, sizes)
+    return [_run_point(i, s, lay, plan, ontology, cfg, risk_params, sizes)
             for i, s in enumerate(cfg.snr_points)]
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbsed import channel, rng
+from gbsed import channel, rng, sweep
 from gbsed.codec import HEADER_LEN
 from gbsed.channel import (
     AWGN64QAM,
@@ -17,11 +17,15 @@ from gbsed.channel import (
     LinkConfig,
     awgn,
     frames_required,
+    plan_link,
+    qam64_ber_exact,
     qam64_demap,
     qam64_map,
+    send,
     transmit,
-    transmit_frames,
 )
+from gbsed.ontology import default_ontology
+from gbsed.scenarios import ScenarioSpec, generate
 
 _SCALE = 1.0 / math.sqrt(42.0)
 
@@ -135,6 +139,17 @@ def test_demap_matches_rounding_at_ties_and_their_neighbours():
         np.testing.assert_array_equal(qam64_demap(symbols), _demap_by_axis(symbols))
 
 
+def test_flat_decision_matches_demap_at_ties_and_their_neighbours():
+    # send decides on interleaved (I, Q) floats; at +-6 * _SCALE, dividing by
+    # _SCALE and multiplying by its inverse fall on either side of a midpoint
+    mids = np.arange(-24, 25) / 2.0 * _SCALE
+    amps = np.concatenate([mids, np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf)])
+    symbols = np.add.outer(amps, 1j * amps).ravel()
+    codes = channel._decide_codes(symbols.view(np.float64).copy())
+    np.testing.assert_array_equal(np.unpackbits(codes[:, None], axis=1)[:, 2:].ravel(),
+                                  qam64_demap(symbols))
+
+
 # -- AWGN ---------------------------------------------------------------------
 
 def test_awgn_noiseless_sentinel():
@@ -236,20 +251,129 @@ def test_transmit_error_count_consistent():
     LinkConfig(channel_kind=BSC, bsc_flip_prob=0.1),
     LinkConfig(channel_kind=BSC, bsc_flip_prob=0.1, header_protection=UNPROTECTED),
     LinkConfig(channel_kind=BSC),
-], ids=["awgn", "awgn_unprotected", "noiseless", "bsc", "bsc_unprotected", "bsc_0"])
+    LinkConfig(snr_db=-5.0),
+    LinkConfig(snr_db=20.0, header_protection=UNPROTECTED),
+    LinkConfig(snr_db=40.0),
+    LinkConfig(snr_db=-math.inf, header_protection=UNPROTECTED),
+    LinkConfig(channel_kind=BSC, bsc_flip_prob=0.5),
+    LinkConfig(channel_kind=BSC, bsc_flip_prob=2.0 ** -10, header_protection=UNPROTECTED),
+    LinkConfig(channel_kind=BSC, bsc_flip_prob=1 / 3),
+], ids=["awgn", "awgn_unprotected", "noiseless", "bsc", "bsc_unprotected", "bsc_0",
+        "awgn_minus_5db", "awgn_20db_unprotected", "awgn_40db", "awgn_minus_inf",
+        "bsc_half", "bsc_2_to_minus_10_unprotected", "bsc_third"])
 def test_transmit_frames_matches_transmit(cfg, monkeypatch):
-    # lengths cover every 64-QAM pad, payloads inside the header guard and
-    # an empty one; a small block budget splits the batch into many blocks
-    monkeypatch.setattr(channel, "_BLOCK_BITS", 1000)
-    lengths = [40, 41, 42, 0, 10, HEADER_LEN, 300, 22, 23, 24]
+    # a plan and one send per seed vector give what transmit gives frame by
+    # frame. The lengths cover every 64-QAM pad and every pad to whole
+    # groups of 3 octets, payloads inside the header guard, an empty one and
+    # one longer than the block budget; a 1,000-bit budget splits the batch
+    # into many blocks, the 2^16-bit default into few
+    lengths = [40, 41, 42, 0, 10, HEADER_LEN, 300, 22, 23, 24, 5000, 25]
     gen = rng.SplitMix64(8)
     payloads = [bytes(gen.randint(0, 255) for _ in range(n)) for n in lengths]
-    seeds = [(1 << 64) - 1, 0, 5, 6, 7, 1 << 63, 9, 10, 11, 12]
-    received, errors = transmit_frames(
-        np.frombuffer(b"".join(payloads), dtype=np.uint8), lengths, seeds, cfg)
-    expect = [transmit(p, replace(cfg, seed=s)) for p, s in zip(payloads, seeds)]
-    assert received.tobytes() == b"".join(r for r, _ in expect)
-    assert errors == sum(e for _, e in expect)
+    buffer = np.frombuffer(b"".join(payloads), dtype=np.uint8)
+    for budget in (1000, 1 << 16):
+        monkeypatch.setattr(channel, "_BLOCK_BITS", budget)
+        plan = plan_link(buffer, lengths, cfg.channel_kind, cfg.header_protection)
+        for point in range(2):
+            seeds = [((1 << 64) - 1) ^ point, point, 5, 6, 7, 1 << 63, 9, 10, 11, 12, 13, 14]
+            received, errors = send(plan, seeds, cfg)
+            with np.errstate(invalid="ignore"):  # qam64_demap's NaNs at -inf dB
+                expect = [transmit(p, replace(cfg, seed=s)) for p, s in zip(payloads, seeds)]
+            assert received.tobytes() == b"".join(r for r, _ in expect)
+            assert errors == sum(e for _, e in expect)
+
+
+def test_send_refuses_another_link():
+    plan = plan_link(np.zeros(30, dtype=np.uint8), [30], AWGN64QAM, PROTECTED)
+    for cfg in (LinkConfig(channel_kind=BSC), LinkConfig(header_protection=UNPROTECTED)):
+        with pytest.raises(ValueError):
+            send(plan, [0], cfg)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.25, 2.0 ** -10, 0.1, 1 / 3, 0.002,
+                               2.0 ** -60, 1e-300, 5e-324])
+def test_bsc_threshold_on_raw_outputs_is_exact(p):
+    # send flips a bit where the raw splitmix64 output is below a threshold,
+    # ceil(p·2^53)·2^11, where transmit compares uniforms' (raw >> 11)·2^-53
+    # with p; at and next to the boundary raws K·2^11 they must agree
+    k = math.ceil(p * 2.0 ** 53)
+    raws = np.array([max(v, 0) for v in (k * 2048 - 1, k * 2048, k * 2048 + 2047,
+                                         (k - 1) * 2048, (k - 1) * 2048 + 2047, 0,
+                                         (1 << 64) - 1)], dtype=np.uint64)
+    as_uniforms = (raws >> np.uint64(11)).astype(np.float64) * 2.0 ** -53 < p
+    np.testing.assert_array_equal(raws < channel._flip_threshold(p), as_uniforms)
+    assert as_uniforms[0] and not as_uniforms[1] and not as_uniforms[2]
+
+
+# -- exact BER ----------------------------------------------------------------
+
+# Gray labels of the axis levels -7, -5, ..., 7
+_GRAY = [0b000, 0b001, 0b011, 0b010, 0b110, 0b111, 0b101, 0b100]
+
+
+def _bit_errors_by_decision_regions(snr_db):
+    """[sent level index, bit of the axis label, high bit first] -> the
+    probability that the bit is decided wrong: the Gaussian mass of every
+    decision interval whose label differs in that bit."""
+    sigma = math.sqrt(10.0 ** (-snr_db / 10.0) / 2.0) * math.sqrt(42.0)  # level units
+
+    def below(x):  # P(noise < x)
+        return 0.5 * math.erfc(-x / (sigma * math.sqrt(2.0)))
+
+    p = np.zeros((8, 3))
+    for sent in range(8):
+        for decided in range(8):
+            lo = -math.inf if decided == 0 else 2 * decided - 8
+            hi = math.inf if decided == 7 else 2 * decided - 6
+            mass = below(hi - (2 * sent - 7)) - below(lo - (2 * sent - 7))
+            for bit in range(3):
+                if (_GRAY[sent] ^ _GRAY[decided]) >> (2 - bit) & 1:
+                    p[sent, bit] += mass
+    return p
+
+
+def test_qam64_ber_exact_matches_decision_regions():
+    # equally likely levels: the mean over sent levels and label bits
+    for snr_db in np.arange(0.0, 20.5, 0.5):
+        expect = _bit_errors_by_decision_regions(snr_db).mean()
+        assert qam64_ber_exact(snr_db) == pytest.approx(expect, rel=0, abs=1e-12)
+    assert qam64_ber_exact(math.inf) == 0.0
+
+
+def test_send_ber_on_uniform_bits_matches_exact():
+    # 2 x 10^6 bits of uniform payload, unprotected, through the batched link
+    lengths = [2500] * 100
+    buffer = (rng.splitmix64_stream(31, sum(lengths)) >> np.uint64(56)).astype(np.uint8)
+    plan = plan_link(buffer, lengths, AWGN64QAM, UNPROTECTED)
+    for snr_db in (8.0, 12.0):
+        _, errors = send(plan, np.arange(len(lengths)) + int(snr_db) * 1009,
+                         LinkConfig(snr_db=snr_db, header_protection=UNPROTECTED))
+        assert errors / (8 * buffer.size) == pytest.approx(qam64_ber_exact(snr_db), rel=0.05)
+
+
+def test_sweep_ber_matches_exact_for_its_payloads():
+    # Payload bits are far from uniform (most matrix cells are zero), so
+    # their symbols sit on the outer levels more often than the equally
+    # likely levels qam64_ber_exact assumes, and the sweep's BER is about a
+    # third below it. The expected BER here weighs every sent bit by the
+    # decision regions of the level it rides on.
+    ont = default_ontology()
+    corpus = generate(ScenarioSpec(seed=7, num_sequences=10, frames_per_sequence=5), ont)
+    level_by_label = np.argsort(_GRAY)
+    bits = []
+    for seq in corpus:
+        for frame in seq.frames:
+            b = np.unpackbits(np.frombuffer(sweep.encode_frame(frame, ont), dtype=np.uint8))
+            groups = np.concatenate([b, np.zeros(-b.size % 6, dtype=np.uint8)]).reshape(-1, 3)
+            levels = level_by_label[groups @ np.array([4, 2, 1])]
+            bits.append(np.stack([np.repeat(levels, 3), np.tile(np.arange(3), levels.size)],
+                                 axis=1)[:b.size])
+    bits = np.concatenate(bits)
+    cfg = sweep.SweepConfig(snr_points=(8.0, 12.0), trials_per_point=400,
+                            header_protection=UNPROTECTED)
+    for row in sweep.run_sweep(corpus, ont, cfg):
+        p = _bit_errors_by_decision_regions(row["snr_db"])
+        assert row["ber"] == pytest.approx(p[bits[:, 0], bits[:, 1]].mean(), rel=0.05)
 
 
 def test_link_config_validation():
@@ -284,6 +408,6 @@ def test_channel_output_matches_numpy_rng_path():
     symbols = _all_symbols()
     n0 = 10.0 ** (-1.2)
     sigma = math.sqrt(n0 / 2.0)
-    z = rng.normals_numpy(42, 2 * len(symbols))
+    z = rng.normals(42, 2 * len(symbols))
     expect = symbols + sigma * (z[0::2] + 1j * z[1::2])
     np.testing.assert_allclose(awgn(symbols, 12.0, 42), expect, rtol=0, atol=1e-12)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from gbsed.errors import DegenerateInput, OntologyMismatch
 from gbsed.metrics import (
     ConfusionCounts,
     NodeMatchTolerance,
     auc,
+    average_ranks,
     classification_metrics,
     compression_ratio,
     f1_from_precision_recall,
@@ -225,3 +227,21 @@ def test_auc_label_symmetry():
     scored += [(0.5, 0), (0.5, 1)]
     negated = [(-s, l) for s, l in scored]
     assert auc(scored) == pytest.approx(1.0 - auc(negated), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.5, -3.0, math.inf, -math.inf]),
+                max_size=30)
+       | st.lists(st.floats(allow_nan=False, width=32), max_size=30))
+def test_average_ranks_match_scipy(values):
+    # ties among few distinct values, and mostly distinct floats
+    assert average_ranks(values).tobytes() == rankdata(values).astype(float).tobytes()
+
+
+def test_average_ranks_edge_cases_match_scipy():
+    for values in ([], [7.0], [2.0, 1.0], [1.0, 1.0, 1.0], [3.0, math.nan, 1.0], [math.nan]):
+        np.testing.assert_array_equal(average_ranks(values), rankdata(values))
+
+
+def test_auc_nan_score_gives_nan():
+    assert math.isnan(auc([(0.2, 0), (math.nan, 1), (0.9, 1)]))

@@ -281,6 +281,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.scenes"
     bad.write_text("not a scene line\n")
     assert main(["encode", "--scenes", str(bad), "--out", str(tmp_path / "o")]) == 3
+    sweep_args = ["sweep", "--scenes", str(_gen(tmp_path)), "--out", str(tmp_path / "r.csv")]
+    for value in (["--trials", "0"], ["--trials", "x"], ["--flip-prob", "0.7"],
+                  ["--flip-prob", "-0.1"], ["--snr", ""], ["--snr", "abc"],
+                  ["--snr", "nan"]):
+        assert main(sweep_args + value) == 2, value  # usage
+    assert main(["sweep", "--scenes", str(bad), "--out", str(tmp_path / "r.csv")]) == 3
     capsys.readouterr()
 
 
