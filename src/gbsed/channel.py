@@ -60,6 +60,8 @@ class LinkConfig:
             raise ValueError(f"unknown header protection {self.header_protection!r}")
         if math.isnan(self.snr_db):
             raise ValueError("snr_db is NaN")
+        if math.isinf(_noise_power(self.snr_db)):
+            raise ValueError(f"snr_db {self.snr_db} gives an infinite noise power")
 
 
 @dataclass(frozen=True)
@@ -92,10 +94,17 @@ def _noiseless(snr_db):
     return math.isinf(snr_db) and snr_db > 0
 
 
+def _noise_power(snr_db):
+    """N0 at snr_db with unit symbol energy; inf where it overflows."""
+    try:
+        return 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def _sigma(snr_db):
     """Per-axis noise deviation at snr_db, with unit symbol energy."""
-    n0 = 10.0 ** (-snr_db / 10.0)
-    return math.sqrt(n0 / 2.0)
+    return math.sqrt(_noise_power(snr_db) / 2.0)
 
 
 def _add_noise(symbols, snr_db, z):
@@ -315,26 +324,89 @@ def send(plan, seeds, cfg):
     return received, errors
 
 
+# numpy's float32 cos and sin are vectorized and its float64 ones are not.
+# For theta in [0, 2 pi), |fl32(theta) - theta| <= 2^-22 and the float32
+# functions are good to a few float32 ulps, so cos and sin of fl32(theta)
+# are within 2^-20 of the float64 ones of theta (the tests pin this); the
+# bound allows 16 times that
+_TRIG32_ERROR = 2.0 ** -16
+# the two evaluations round their steps apart, by a few ulps of |u| <=
+# R_MAX·sigma/_SCALE + 7, and _decide_axis's thresholds lie within 2^-49 of
+# the midpoints: within 2^-40 plus a sliver of the trig term
+_ROUNDING = 2.0 ** -40
+
+
+def _trig32_bound(sigma):
+    """The most a received level-unit amplitude from float32 trig can be
+    off from the float64 one, at per-axis noise deviation sigma."""
+    return rng.R_MAX * sigma / _SCALE * _TRIG32_ERROR + _ROUNDING
+
+
+def _near_midpoint(u, bound):
+    """Where level-unit amplitudes u lie within bound of an even integer,
+    which covers every decision midpoint -6, -4, ..., 6."""
+    # y = u/2 + 3 puts the midpoints on the integers 0..6
+    y = u * 0.5
+    y += 3.0
+    d = np.rint(y)
+    d -= y
+    np.abs(d, out=d)
+    return d <= bound * 0.5
+
+
+def _to_levels(iq, sent, sigma):
+    """Unit noise given as interleaved (I, Q) floats, in place, to the
+    received amplitudes in level units, rounded as qam64_demap(awgn(...))
+    rounds them; sent are the symbols' interleaved parts."""
+    # the parts of _add_noise's complex sum, whose cross terms are exact
+    # zeros; numpy's complex y / _SCALE multiplies each part by
+    # fl(1 / _SCALE), which on a few values near a midpoint decides
+    # otherwise than dividing
+    iq *= sigma
+    iq += sent
+    iq *= 1.0 / _SCALE
+    return iq
+
+
+def _refine(u, at, r, theta, sent, sigma):
+    """Redo symbols ``at`` of u from float64 trig, as awgn computes them."""
+    r, theta = r[at], theta[at]
+    exact = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+    u.reshape(-1, 2)[at] = _to_levels(exact, sent.reshape(-1, 2)[at], sigma)
+
+
+def _received_levels(r, theta, sent, sigma):
+    """Interleaved (I, Q) level-unit amplitudes of the symbols whose parts
+    are sent, plus sigma times the normals of Box-Muller's (r, theta), each
+    deciding as the float64 evaluation in awgn decides.
+
+    The noise is evaluated with float32 trig. A symbol with an amplitude
+    within _trig32_bound of a midpoint is redone in float64; every other
+    one lies on the side of each midpoint its float64 value lies on."""
+    u = np.empty(sent.size)
+    t = theta.astype(np.float32)
+    np.multiply(r, np.cos(t), out=u[0::2])
+    np.multiply(r, np.sin(t, out=t), out=u[1::2])
+    _to_levels(u, sent, sigma)
+    near = _near_midpoint(u, _trig32_bound(sigma))
+    at = np.flatnonzero(near[0::2] | near[1::2])
+    if at.size:
+        _refine(u, at, r, theta, sent, sigma)
+    return u
+
+
 def _awgn_block(blk, seeds, steps, snr_db):
     """The block's body octets as qam64_demap decides them after awgn."""
-    noisy = rng.normals_streams(seeds, blk.counts, steps)
-    # the parts of _add_noise's complex sum, whose cross terms are exact zeros
-    noisy *= _sigma(snr_db)
-    noisy += _SYMBOL_BY_CODE[blk.codes].view(np.float64)
-    if snr_db == -math.inf:
-        # infinite noise: qam64_demap's complex division makes every sample
-        # NaN, which decides level index 0 on both axes
-        noisy.fill(math.nan)
-    return _octets_from_codes(_decide_codes(noisy))[blk.keep]
+    r, theta = rng.polar(rng.splitmix64_streams(seeds, blk.counts, steps))
+    u = _received_levels(r, theta, _SYMBOL_BY_CODE[blk.codes].view(np.float64),
+                         _sigma(snr_db))
+    return _octets_from_codes(_decide_codes(u))[blk.keep]
 
 
-def _decide_codes(iq):
-    """The 6-bit codes qam64_demap decides for finite symbols given as
-    interleaved (I, Q) floats; overwrites iq."""
-    # numpy's complex y / _SCALE multiplies each part by fl(1 / _SCALE),
-    # which on a few values near a midpoint decides otherwise than dividing
-    iq *= 1.0 / _SCALE
-    return _CODE_BY_LEVEL_PAIR[_decide_axis(iq).view(np.uint16)]
+def _decide_codes(u):
+    """The 6-bit codes qam64_demap decides for symbols given as interleaved
+    (I, Q) amplitudes in level units (see _to_levels)."""
+    return _CODE_BY_LEVEL_PAIR[_decide_axis(u).view(np.uint16)]
 
 
 def frames_required(payload_len_octets, grid=FrameGrid()):

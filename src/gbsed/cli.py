@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import scenarios, sweep
-from .channel import AWGN64QAM, BSC, PROTECTED, UNPROTECTED
+from .channel import AWGN64QAM, BSC, PROTECTED, UNPROTECTED, LinkConfig
 from .errors import GbsedError
 from .metrics import compression_ratio, raw_frame_octets
 from .ontology import default_ontology, load_ontology
@@ -51,8 +51,11 @@ def _parse_snr_list(text):
         points.append(math.inf if tok in ("inf", "noiseless") else _number(float, tok))
     if not points:
         raise argparse.ArgumentTypeError("empty SNR list")
-    if any(math.isnan(p) for p in points):
-        raise argparse.ArgumentTypeError("NaN SNR point")
+    for p in points:
+        try:
+            LinkConfig(snr_db=p)  # NaN, and a noise power that is not finite
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
     return tuple(points)
 
 

@@ -61,10 +61,20 @@ class BinaryTensor:
     slices: np.ndarray  # (|R|, N, N) uint8 in {0, 1}
 
 
+# the largest N, d (16-bit header fields) and |R|, K (8-bit fields)
+_MAX_U16 = 0xFFFF
+_MAX_U8 = 0xFF
+
+
 def encode_tensor(graph, ontology):
     """Stack the graph's edges into the self-describing adjacency tensor."""
     n = graph.num_nodes
     num_rel = ontology.num_relations
+    # refuse what serialize would refuse before allocating |R|·N^2 octets
+    if n > _MAX_U16:
+        raise CapacityError(f"n={n} exceeds the 16-bit field")
+    if num_rel > _MAX_U8:
+        raise CapacityError(f"|R|={num_rel} exceeds the 8-bit field")
     slices = np.zeros((num_rel, n, n), dtype=np.uint8)
     for src, rel, dst in graph.edges:
         if not 1 <= rel <= num_rel:
@@ -159,9 +169,9 @@ def serialize(compressed, features, ontology):
         raise ShapeError(f"feature matrix shape {feats.shape} does not match n={n}")
     d = feats.shape[1]
     k = len(compressed.retained)
-    if n > 65535 or d > 65535:
+    if n > _MAX_U16 or d > _MAX_U16:
         raise CapacityError(f"n={n} d={d} exceed 16-bit fields")
-    if compressed.num_relations > 255 or k > 255:
+    if compressed.num_relations > _MAX_U8 or k > _MAX_U8:
         raise CapacityError(f"|R|={compressed.num_relations} K={k} exceed 8-bit fields")
     parts = [
         _HEADER.pack(MAGIC, VERSION, ontology_digest(ontology), n, d,

@@ -4,8 +4,8 @@ Everything random in this package flows from splitmix64 (Steele, Lea &
 Flood constants), so a single 64-bit seed reproduces an entire experiment
 bit-for-bit. The bulk generators are counter-based: output k of the stream
 of seed s is ``mix(s + k·G)``, a pure function of (s, k), so the streams of
-many seeds can be drawn in one call (``*_streams``) and each equals the
-single-seed generator's output for its seed.
+many seeds can be drawn in one call (``splitmix64_streams``) and each
+equals the single-seed generator's output for its seed.
 """
 
 import math
@@ -84,8 +84,9 @@ def _to_unit(raw):
     return (raw >> np.uint64(11)).astype(np.float64) * _TWO_NEG53
 
 
-def _box_muller(raw):
-    """One normal per raw output; raw holds whole (u1, u2) pairs."""
+def polar(raw):
+    """The Box-Muller radius and angle of raw's (u1, u2) pairs, float64:
+    normal 2i is ``r[i]·cos(theta[i])`` and normal 2i + 1 ``r[i]·sin(theta[i])``."""
     # r = sqrt(-2 log u1) with u1 in (0, 1], which keeps log() finite, and
     # theta = 2 pi u2 with u2 in [0, 1), each step rounded as written
     r = (raw[0::2] >> np.uint64(11)).astype(np.float64)
@@ -96,6 +97,16 @@ def _box_muller(raw):
     np.sqrt(r, out=r)
     theta = _to_unit(raw[1::2])
     theta *= 2.0 * math.pi
+    return r, theta
+
+
+# the largest radius polar gives: u1 = 2^-53
+R_MAX = math.sqrt(-2.0 * math.log(_TWO_NEG53))
+
+
+def _box_muller(raw):
+    """One normal per raw output; raw holds whole (u1, u2) pairs."""
+    r, theta = polar(raw)
     out = np.empty(raw.size)
     np.multiply(r, np.cos(theta), out=out[0::2])
     np.multiply(r, np.sin(theta, out=theta), out=out[1::2])
@@ -134,12 +145,3 @@ def splitmix64_streams(seeds, counts, steps):
     z = np.repeat(offsets, counts)
     z += steps[:total]
     return _mix(z)
-
-
-def normals_streams(seeds, counts, steps):
-    """``normals(seeds[i], counts[i])`` for every i, back to back; every
-    count must be even."""
-    counts = np.asarray(counts, dtype=np.int64)
-    if np.any(counts % 2):
-        raise ValueError("normals_streams needs even counts")
-    return _box_muller(splitmix64_streams(seeds, counts, steps))

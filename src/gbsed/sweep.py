@@ -9,10 +9,10 @@ matrix and feature row, and the link is planned once for that buffer
 call, which does only the work that depends on the seeds and the noise
 level, and is scored straight from the received octets with a few numpy
 calls. A frame whose header arrived changed is decoded on its own with
-``decode_frame``, the only path on which a payload can fail to parse. The single-frame path (``encode_frame``, ``transmit``,
-``decode_frame``, ``semantic_fidelity``, ``task_consistency``) gives the
-same numbers frame by frame and is the reference the sweep is tested
-against.
+``decode_frame``, the only path on which a payload can fail to parse.
+The single-frame path (``encode_frame``, ``transmit``, ``decode_frame``,
+``semantic_fidelity``, ``task_consistency``) gives the same numbers frame
+by frame and is the reference the sweep is tested against.
 """
 
 import math

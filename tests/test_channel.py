@@ -141,11 +141,12 @@ def test_demap_matches_rounding_at_ties_and_their_neighbours():
 
 def test_flat_decision_matches_demap_at_ties_and_their_neighbours():
     # send decides on interleaved (I, Q) floats; at +-6 * _SCALE, dividing by
-    # _SCALE and multiplying by its inverse fall on either side of a midpoint
+    # _SCALE and multiplying by its inverse fall on either side of a midpoint.
+    # With no noise (sigma 1, adding zero sent parts) _to_levels only scales
     mids = np.arange(-24, 25) / 2.0 * _SCALE
     amps = np.concatenate([mids, np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf)])
     symbols = np.add.outer(amps, 1j * amps).ravel()
-    codes = channel._decide_codes(symbols.view(np.float64).copy())
+    codes = channel._decide_codes(channel._to_levels(symbols.view(np.float64).copy(), 0.0, 1.0))
     np.testing.assert_array_equal(np.unpackbits(codes[:, None], axis=1)[:, 2:].ravel(),
                                   qam64_demap(symbols))
 
@@ -179,6 +180,85 @@ def test_awgn_ber_monotone_in_snr():
         out = qam64_demap(awgn(symbols, float(snr), 1000 + snr), pad)
         rates.append(np.count_nonzero(out != bits) / bits.size)
     assert all(a >= b for a, b in zip(rates, rates[1:]))
+
+
+# -- float32 trig decision ----------------------------------------------------
+
+def _trig_angles():
+    # 2^20 uniform angles in [0, 2 pi), the multiples of pi/4 below 2 pi with
+    # their neighbours, and the angles just below 2 pi
+    theta = rng.uniforms(17, 1 << 20) * (2.0 * math.pi)
+    marks = np.arange(8) * (math.pi / 4)
+    up, down = [marks], [marks]
+    for _ in range(4):
+        up.append(np.nextafter(up[-1], np.inf))
+        down.append(np.nextafter(down[-1], -np.inf))
+    top = [np.nextafter(2.0 * math.pi, 0.0)]
+    for _ in range(15):
+        top.append(np.nextafter(top[-1], 0.0))
+    angles = np.concatenate([theta, *up, *down[1:], top])
+    return angles[(angles >= 0.0) & (angles < 2.0 * math.pi)]
+
+
+def test_float32_trig_within_sixteenth_of_the_bound():
+    # send decides from cos and sin of fl32(theta); its bound assumes they are
+    # within channel._TRIG32_ERROR of the float64 ones, and 2^-20 pins a
+    # 16-fold margin, so worse float32 trig fails here before it changes bytes
+    assert 2.0 ** -20 * 16 == channel._TRIG32_ERROR
+    theta = _trig_angles()
+    t32 = theta.astype(np.float32)
+    for f in (np.cos, np.sin):
+        assert f(t32).dtype == np.float32
+        assert np.max(np.abs(f(t32).astype(np.float64) - f(theta))) <= 2.0 ** -20
+
+
+def test_polar_radius_at_most_r_max():
+    # the smallest u1, 2^-53, gives the largest radius
+    r, _ = rng.polar(np.array([0, 0, (1 << 64) - 1, 0], dtype=np.uint64))
+    assert r[0] <= rng.R_MAX and r[0] == pytest.approx(rng.R_MAX, rel=1e-15)
+    assert r[1] == 0.0
+
+
+@pytest.mark.parametrize("snr_db", [-40.0, 0.0, 0.5, 20.0, 60.0, 1e308])
+def test_near_midpoint_flags_every_midpoint_and_its_neighbours(snr_db):
+    sigma = channel._sigma(snr_db)
+    bound = channel._trig32_bound(sigma)
+    mids = np.arange(-6.0, 7.0, 2.0)
+    values = [mids, mids + 0.99 * bound, mids - 0.99 * bound]
+    up, down = mids, mids
+    for _ in range(4):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        values += [up, down]
+    assert channel._near_midpoint(np.concatenate(values), bound).all()
+    if bound < 0.5:
+        levels = np.arange(-7.0, 8.0, 2.0)
+        assert not channel._near_midpoint(levels, bound).any()
+
+
+def _interleave(r, c, s):
+    out = np.empty(2 * r.size)
+    out[0::2], out[1::2] = r * c, r * s
+    return out
+
+
+def test_refine_mends_what_float32_trig_decides_wrong():
+    # radii that put midpoint +-2 between the float32 and the float64 I
+    # amplitudes, each far closer to it than the bound
+    sigma = channel._sigma(10.0)
+    theta = rng.uniforms(5, 4096) * (2.0 * math.pi)
+    c32 = np.cos(theta.astype(np.float32)).astype(np.float64)
+    c64 = np.cos(theta)
+    pick = (np.abs(c64) > 0.5) & (np.abs(c32 - c64) > 1e-8)
+    theta, c32, c64 = theta[pick], c32[pick], c64[pick]
+    r = 2.0 / (sigma / _SCALE * np.abs(c32 + c64) / 2.0)
+    assert r.size > 20 and r.max() <= rng.R_MAX
+    sent = np.zeros(2 * r.size)
+    as_float64 = channel._to_levels(_interleave(r, c64, np.sin(theta)), sent, sigma)
+    as_float32 = channel._to_levels(
+        _interleave(r, c32, np.sin(theta.astype(np.float32))), sent, sigma)
+    decided = channel._decide_codes(channel._received_levels(r, theta, sent, sigma))
+    np.testing.assert_array_equal(decided, channel._decide_codes(as_float64))
+    assert np.all(channel._decide_codes(as_float32) != decided)
 
 
 # -- transmit -----------------------------------------------------------------
@@ -244,6 +324,11 @@ def test_transmit_error_count_consistent():
     assert errors == int(np.count_nonzero(sent_bits != got_bits))
 
 
+# the AWGN links on which some symbol of the test's payloads lands near
+# enough a midpoint for send to redo it with float64 trig
+_REFINED = ("awgn_half_db", "awgn_minus_5db")
+
+
 @pytest.mark.parametrize("cfg", [
     LinkConfig(snr_db=4.0),
     LinkConfig(snr_db=4.0, header_protection=UNPROTECTED),
@@ -254,14 +339,17 @@ def test_transmit_error_count_consistent():
     LinkConfig(snr_db=-5.0),
     LinkConfig(snr_db=20.0, header_protection=UNPROTECTED),
     LinkConfig(snr_db=40.0),
-    LinkConfig(snr_db=-math.inf, header_protection=UNPROTECTED),
+    LinkConfig(snr_db=0.5, header_protection=UNPROTECTED),
+    LinkConfig(snr_db=3.0),
+    LinkConfig(snr_db=30.0, header_protection=UNPROTECTED),
     LinkConfig(channel_kind=BSC, bsc_flip_prob=0.5),
     LinkConfig(channel_kind=BSC, bsc_flip_prob=2.0 ** -10, header_protection=UNPROTECTED),
     LinkConfig(channel_kind=BSC, bsc_flip_prob=1 / 3),
 ], ids=["awgn", "awgn_unprotected", "noiseless", "bsc", "bsc_unprotected", "bsc_0",
-        "awgn_minus_5db", "awgn_20db_unprotected", "awgn_40db", "awgn_minus_inf",
-        "bsc_half", "bsc_2_to_minus_10_unprotected", "bsc_third"])
-def test_transmit_frames_matches_transmit(cfg, monkeypatch):
+        "awgn_minus_5db", "awgn_20db_unprotected", "awgn_40db", "awgn_half_db",
+        "awgn_3db", "awgn_30db_unprotected", "bsc_half", "bsc_2_to_minus_10_unprotected",
+        "bsc_third"])
+def test_transmit_frames_matches_transmit(cfg, request, monkeypatch):
     # a plan and one send per seed vector give what transmit gives frame by
     # frame. The lengths cover every 64-QAM pad and every pad to whole
     # groups of 3 octets, payloads inside the header guard, an empty one and
@@ -271,16 +359,30 @@ def test_transmit_frames_matches_transmit(cfg, monkeypatch):
     gen = rng.SplitMix64(8)
     payloads = [bytes(gen.randint(0, 255) for _ in range(n)) for n in lengths]
     buffer = np.frombuffer(b"".join(payloads), dtype=np.uint8)
+    refined = []
+    refine = channel._refine
+    monkeypatch.setattr(channel, "_refine",
+                        lambda u, at, *rest: refined.append(at.size) or refine(u, at, *rest))
     for budget in (1000, 1 << 16):
         monkeypatch.setattr(channel, "_BLOCK_BITS", budget)
         plan = plan_link(buffer, lengths, cfg.channel_kind, cfg.header_protection)
         for point in range(2):
             seeds = [((1 << 64) - 1) ^ point, point, 5, 6, 7, 1 << 63, 9, 10, 11, 12, 13, 14]
             received, errors = send(plan, seeds, cfg)
-            with np.errstate(invalid="ignore"):  # qam64_demap's NaNs at -inf dB
-                expect = [transmit(p, replace(cfg, seed=s)) for p, s in zip(payloads, seeds)]
+            expect = [transmit(p, replace(cfg, seed=s)) for p, s in zip(payloads, seeds)]
             assert received.tobytes() == b"".join(r for r, _ in expect)
             assert errors == sum(e for _, e in expect)
+    if request.node.callspec.id in _REFINED:
+        assert sum(refined) > 0
+
+
+def test_link_config_refuses_infinite_noise_power():
+    # -inf dB, and any SNR whose noise power 10^(-snr/10) overflows a float
+    for snr_db in (-math.inf, -3100.0, -3084.0, -1e300):
+        with pytest.raises(ValueError):
+            LinkConfig(snr_db=snr_db)
+    assert channel._noise_power(-3080.0) == 1e308
+    LinkConfig(snr_db=-3080.0)
 
 
 def test_send_refuses_another_link():

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -289,6 +291,16 @@ def test_capacity_errors(ontology):
     c = codec.CompressedTensor(3, 300, ())
     with pytest.raises(CapacityError):
         codec.serialize(c, np.zeros((3, 4), dtype=np.float32), ontology)
+
+
+def test_encode_tensor_refuses_before_allocating(ontology):
+    # 70,000 nodes would be |R|·4.9 GB of relation slices; the header's
+    # 16-bit N cannot carry them, so encode_tensor refuses before allocating
+    nodes = tuple(SceneNode(i, (0.0,)) for i in range(70_000))
+    with pytest.raises(CapacityError):
+        codec.encode_tensor(SceneGraph(nodes, ((0, 1, 1),)), ontology)
+    with pytest.raises(CapacityError):
+        codec.encode_tensor(_random_graph(1, 3, 1), SimpleNamespace(num_relations=300))
 
 
 def _serialized(g, ontology):

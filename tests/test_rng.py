@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,10 +73,10 @@ def test_streams_concatenate_single_seed_streams(pairs):
         np.testing.assert_array_equal(
             rng.splitmix64_streams(seeds, counts, steps),
             np.concatenate([rng.splitmix64_stream(s, c) for s, c in pairs] or [[]]))
-        assert rng.normals_streams(seeds, even, steps).tobytes() == np.concatenate(
+        # polar on streams of even counts, then float64 trig: each seed's normals
+        r, theta = rng.polar(rng.splitmix64_streams(seeds, even, steps))
+        normals = np.empty(2 * r.size)
+        np.multiply(r, np.cos(theta), out=normals[0::2])
+        np.multiply(r, np.sin(theta), out=normals[1::2])
+        assert normals.tobytes() == np.concatenate(
             [rng.normals(s, c) for s, c in zip(seeds, even)] or [[]]).tobytes()
-
-
-def test_normals_streams_needs_even_counts():
-    with pytest.raises(ValueError):
-        rng.normals_streams([1, 2], [2, 3], rng.golden_steps(5))

@@ -1,9 +1,13 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gbsed
 from gbsed import channel, sweep
 from gbsed.channel import BSC, UNPROTECTED, LinkConfig, frames_required, transmit
 from gbsed.cli import main
@@ -284,10 +288,22 @@ def test_cli_exit_codes(tmp_path, capsys):
     sweep_args = ["sweep", "--scenes", str(_gen(tmp_path)), "--out", str(tmp_path / "r.csv")]
     for value in (["--trials", "0"], ["--trials", "x"], ["--flip-prob", "0.7"],
                   ["--flip-prob", "-0.1"], ["--snr", ""], ["--snr", "abc"],
-                  ["--snr", "nan"]):
+                  ["--snr", "nan"], ["--snr=-inf"], ["--snr=-3100"], ["--snr=0,-inf"]):
         assert main(sweep_args + value) == 2, value  # usage
     assert main(["sweep", "--scenes", str(bad), "--out", str(tmp_path / "r.csv")]) == 3
     capsys.readouterr()
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test-only dependency; importing the package and its CLI
+    # must not pull it in
+    code = ("import sys, gbsed, gbsed.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gbsed.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_help_exits_zero():
