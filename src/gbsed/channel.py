@@ -4,9 +4,10 @@ symmetric channel, and OFDM frame-capacity accounting.
 The noiseless sentinel is ``snr_db = math.inf``. All randomness derives
 from the 64-bit seed in LinkConfig via the splitmix64 stream.
 
-``transmit`` sends one payload. ``plan_link`` lays out many back-to-back
-payloads once, and each ``send`` of the plan then gives every payload, with
-its own seed, what ``transmit`` would give it.
+``plan_link`` lays out many back-to-back payloads once, and each ``send``
+of the plan sends every payload with its own seed; ``transmit`` is a
+one-frame ``send``. It decides every symbol as the float64 primitives
+``qam64_demap(awgn(qam64_map(bits)))`` would.
 """
 
 import math
@@ -107,16 +108,12 @@ def _sigma(snr_db):
     return math.sqrt(_noise_power(snr_db) / 2.0)
 
 
-def _add_noise(symbols, snr_db, z):
-    """symbols plus noise at snr_db from z, two unit normals per symbol."""
-    return symbols + _sigma(snr_db) * (z[0::2] + 1j * z[1::2])
-
-
 def awgn(symbols, snr_db, seed):
     """Add circularly-symmetric complex Gaussian noise at the given SNR."""
     if _noiseless(snr_db):
         return np.array(symbols, copy=True)
-    return _add_noise(symbols, snr_db, rng.normals(seed, 2 * len(symbols)))
+    z = rng.normals(seed, 2 * len(symbols))
+    return symbols + _sigma(snr_db) * (z[0::2] + 1j * z[1::2])
 
 
 def _decide_axis(u):
@@ -162,34 +159,17 @@ def qam64_ber_exact(snr_db):
     return total / (3 * root_m)
 
 
-def _channel_bits(bits, cfg):
-    if bits.size == 0:
-        return bits.copy()
-    if cfg.channel_kind == BSC:
-        if cfg.bsc_flip_prob == 0.0:
-            return bits.copy()
-        flips = rng.uniforms(cfg.seed, bits.size) < cfg.bsc_flip_prob
-        return bits ^ flips.astype(np.uint8)
-    symbols, pad = qam64_map(bits)
-    noisy = awgn(symbols, cfg.snr_db, cfg.seed)
-    return qam64_demap(noisy, pad)
-
-
 def transmit(payload, cfg):
-    """Send payload octets through the configured channel.
+    """Send payload octets through the configured channel: a one-frame
+    ``send`` with seed cfg.seed mod 2^64.
 
     Returns (received_payload, bit_error_count). With protected headers the
     first 21 octets bypass the channel entirely.
     """
     data = np.frombuffer(bytes(payload), dtype=np.uint8)
-    bits = np.unpackbits(data)
-    guard = 0
-    if cfg.header_protection == PROTECTED:
-        guard = min(HEADER_LEN * 8, bits.size)
-    body = _channel_bits(bits[guard:], cfg)
-    received_bits = np.concatenate([bits[:guard], body])
-    errors = int(np.count_nonzero(received_bits != bits))
-    return np.packbits(received_bits).tobytes(), errors
+    plan = plan_link(data, [data.size], cfg.channel_kind, cfg.header_protection)
+    received, errors = send(plan, [cfg.seed % (1 << 64)], cfg)
+    return received.tobytes(), errors
 
 
 # the (I, Q) level indices of a symbol, two int8 read as one uint16 (at most
@@ -296,11 +276,12 @@ def _flip_threshold(p):
 
 def send(plan, seeds, cfg):
     """Send the plan's payloads through the link, payload i with seed
-    seeds[i]; cfg.seed is not used, and cfg's channel kind and header
-    protection must be the plan's.
+    seeds[i] in [0, 2^64); cfg.seed is not used, and cfg's channel kind and
+    header protection must be the plan's; ``transmit`` is a one-frame send.
 
-    Returns (received_buffer, bit_error_count), the same octets and total
-    as ``transmit(payload_i, replace(cfg, seed=seeds[i]))`` for every i.
+    Returns (received_buffer, bit_error_count). On AWGN every body bit is
+    decided as ``qam64_demap(awgn(qam64_map(bits), snr_db, seed))`` decides
+    it; on the BSC it flips where ``rng.uniforms(seed, bits) < p``.
     """
     if (cfg.channel_kind, cfg.header_protection) != (plan.channel_kind,
                                                      plan.header_protection):
@@ -343,12 +324,13 @@ def _trig32_bound(sigma):
 
 
 def _near_midpoint(u, bound):
-    """Where level-unit amplitudes u lie within bound of an even integer,
-    which covers every decision midpoint -6, -4, ..., 6."""
+    """Where level-unit amplitudes u lie within bound of a decision
+    midpoint -6, -4, ..., 6."""
     # y = u/2 + 3 puts the midpoints on the integers 0..6
     y = u * 0.5
     y += 3.0
     d = np.rint(y)
+    np.clip(d, 0.0, 6.0, out=d)
     d -= y
     np.abs(d, out=d)
     return d <= bound * 0.5
@@ -358,7 +340,7 @@ def _to_levels(iq, sent, sigma):
     """Unit noise given as interleaved (I, Q) floats, in place, to the
     received amplitudes in level units, rounded as qam64_demap(awgn(...))
     rounds them; sent are the symbols' interleaved parts."""
-    # the parts of _add_noise's complex sum, whose cross terms are exact
+    # the parts of awgn's complex sum, whose cross terms are exact
     # zeros; numpy's complex y / _SCALE multiplies each part by
     # fl(1 / _SCALE), which on a few values near a midpoint decides
     # otherwise than dividing

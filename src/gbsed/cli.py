@@ -66,21 +66,32 @@ def _positive_int(text):
     return value
 
 
-def _flip_prob(text):
-    value = _number(float, text)
-    if not 0.0 <= value <= 0.5:
-        raise argparse.ArgumentTypeError(f"{value} is outside [0, 0.5]")
-    return value
+def _in_range(lo, hi):
+    def parse(text):
+        value = _number(float, text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"{value} is outside [{lo}, {hi}]")
+        return value
+    return parse
+
+
+def _vehicles_range(text):
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"{text!r} is not min,max")
+    lo, hi = (_number(int, v) for v in parts)
+    if not 1 <= lo <= hi:
+        raise argparse.ArgumentTypeError(f"{text!r} is not 1 <= min <= max")
+    return lo, hi
 
 
 def cmd_gen(args):
     o = _load_ontology_arg(args.ontology)
-    lo, hi = (int(v) for v in args.vehicles.split(","))
     spec = ScenarioSpec(
         seed=args.seed,
         num_sequences=args.sequences,
         frames_per_sequence=args.frames,
-        vehicles_range=(lo, hi),
+        vehicles_range=args.vehicles,
         risky_fraction=args.risky_fraction,
         lane_count=args.lanes,
     )
@@ -178,10 +189,11 @@ def build_parser():
     p = sub.add_parser("gen", help="generate a synthetic scenario corpus")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--sequences", type=int, default=100)
-    p.add_argument("--frames", type=int, default=10)
-    p.add_argument("--vehicles", default="2,8", help="min,max vehicles per sequence")
-    p.add_argument("--risky-fraction", type=float, default=0.3)
-    p.add_argument("--lanes", type=int, default=3)
+    p.add_argument("--frames", type=_positive_int, default=10)
+    p.add_argument("--vehicles", type=_vehicles_range, default="2,8",
+                   help="min,max vehicles per sequence")
+    p.add_argument("--risky-fraction", type=_in_range(0.0, 1.0), default=0.3)
+    p.add_argument("--lanes", type=_positive_int, default=3)
     p.add_argument("--ontology", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
@@ -201,7 +213,7 @@ def build_parser():
     p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--channel", choices=[AWGN64QAM, BSC], default=AWGN64QAM)
-    p.add_argument("--flip-prob", type=_flip_prob, default=0.0)
+    p.add_argument("--flip-prob", type=_in_range(0.0, 0.5), default=0.0)
     p.add_argument("--header-protection", choices=[PROTECTED, UNPROTECTED],
                    default=PROTECTED)
     p.set_defaults(func=cmd_sweep)

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import (
     CapacityError,
-    DecodeError,
     FormatError,
     OntologyMismatch,
     ShapeError,
@@ -35,9 +34,6 @@ MAGIC = b"GBSD"
 VERSION = 1
 HEADER_LEN = 21
 _HEADER = struct.Struct(">4sBQHHBBH")
-
-POLICY_MODE = "mode"
-POLICY_STRICT = "strict"
 
 
 @dataclass(frozen=True)
@@ -93,18 +89,14 @@ def compress(tensor):
     return CompressedTensor(tensor.n, tensor.num_relations, tuple(retained))
 
 
-def _resolve_relation(mat, num_relations, policy):
+def _resolve_relation(mat, num_relations):
     """Recover a matrix's relation id. Returns (rel_id or None, warning or None)."""
     values = mat[mat > 0]
     if values.size == 0:
-        if policy == POLICY_STRICT:
-            raise DecodeError("received matrix has no nonzero entry")
         return None, "matrix dropped: no nonzero entry"
     uniq = np.unique(values)
     if uniq.size == 1 and 1 <= int(uniq[0]) <= num_relations:
         return int(uniq[0]), None
-    if policy == POLICY_STRICT:
-        raise DecodeError(f"matrix nonzero values {uniq.tolist()} are not a single valid id")
     in_range = values[(values >= 1) & (values <= num_relations)]
     if in_range.size == 0:
         return None, f"matrix dropped: no in-range nonzero value among {uniq.tolist()}"
@@ -113,13 +105,12 @@ def _resolve_relation(mat, num_relations, policy):
     return rel, f"matrix repaired to relation {rel} (values {uniq.tolist()})"
 
 
-def decompress(compressed, policy=POLICY_MODE):
+def decompress(compressed):
     """Rebuild the binary adjacency tensor from received matrices.
 
-    Returns (BinaryTensor, warnings). Under the default ``mode`` policy a
-    corrupted matrix is assigned the most frequent in-range nonzero value
-    (ties toward the smallest id) or dropped if none survives; ``strict``
-    raises DecodeError instead.
+    Returns (BinaryTensor, warnings). A corrupted matrix is assigned the
+    most frequent in-range nonzero value (ties toward the smallest id) or
+    dropped if none survives.
     """
     n = compressed.n
     num_rel = compressed.num_relations
@@ -128,7 +119,7 @@ def decompress(compressed, policy=POLICY_MODE):
     warnings = []
     for mat in compressed.retained:
         mat = np.asarray(mat, dtype=np.uint8)
-        rel, warning = _resolve_relation(mat, num_rel, policy)
+        rel, warning = _resolve_relation(mat, num_rel)
         if warning is not None:
             warnings.append(warning)
         if rel is None:

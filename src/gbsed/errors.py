@@ -21,10 +21,6 @@ class OntologyMismatch(GbsedError):
         self.offset = offset
 
 
-class DecodeError(GbsedError):
-    """Received adjacency matrix cannot be resolved under the strict policy."""
-
-
 class ShapeError(GbsedError):
     """Array or list dimensions do not match."""
 

@@ -12,7 +12,8 @@ calls. A frame whose header arrived changed is decoded on its own with
 ``decode_frame``, the only path on which a payload can fail to parse.
 The single-frame path (``encode_frame``, ``transmit``, ``decode_frame``,
 ``semantic_fidelity``, ``task_consistency``) gives the same numbers frame
-by frame and is the reference the sweep is tested against.
+by frame; the tests check the sweep against that loop run over a float64
+reference link built from the channel's primitives.
 """
 
 import math

@@ -26,6 +26,7 @@ from gbsed.channel import (
 )
 from gbsed.ontology import default_ontology
 from gbsed.scenarios import ScenarioSpec, generate
+from reference_link import reference_transmit
 
 _SCALE = 1.0 / math.sqrt(42.0)
 
@@ -231,8 +232,43 @@ def test_near_midpoint_flags_every_midpoint_and_its_neighbours(snr_db):
         values += [up, down]
     assert channel._near_midpoint(np.concatenate(values), bound).all()
     if bound < 0.5:
+        # the levels, and the even integers beyond the outer midpoints
+        # +-6, are no midpoints
         levels = np.arange(-7.0, 8.0, 2.0)
         assert not channel._near_midpoint(levels, bound).any()
+        evens = np.array([-10.0, -8.0, 8.0])
+        far = [evens, evens + 0.99 * bound, evens - 0.99 * bound]
+        up, down = evens, evens
+        for _ in range(4):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            far += [up, down]
+        assert not channel._near_midpoint(np.concatenate(far), bound).any()
+
+
+@pytest.fixture
+def refined(monkeypatch):
+    """How many symbols each call of send's _refine redoes with float64
+    trig, in call order."""
+    sizes = []
+    refine = channel._refine
+    monkeypatch.setattr(channel, "_refine",
+                        lambda u, at, *rest: sizes.append(at.size) or refine(u, at, *rest))
+    return sizes
+
+
+def test_near_midpoint_refines_few_symbols_at_minus_70db(refined):
+    # at -70 dB the bound is about 1.9 level units, but almost every sample
+    # lies far beyond the outer midpoints: few symbols are redone in float64,
+    # and the octets are still the reference link's
+    lengths = [3000] * 20
+    cfg = LinkConfig(snr_db=-70.0, header_protection=UNPROTECTED)
+    plan = plan_link(np.zeros(sum(lengths), dtype=np.uint8), lengths, AWGN64QAM, UNPROTECTED)
+    received, errors = send(plan, np.arange(len(lengths)), cfg)
+    expect = [reference_transmit(bytes(n), replace(cfg, seed=s)) for s, n in enumerate(lengths)]
+    assert received.tobytes() == b"".join(r for r, _ in expect)
+    assert errors == sum(e for _, e in expect)
+    symbols = sum(8 * n // 6 for n in lengths)
+    assert sum(refined) < 0.01 * symbols
 
 
 def _interleave(r, c, s):
@@ -349,31 +385,43 @@ _REFINED = ("awgn_half_db", "awgn_minus_5db")
         "awgn_minus_5db", "awgn_20db_unprotected", "awgn_40db", "awgn_half_db",
         "awgn_3db", "awgn_30db_unprotected", "bsc_half", "bsc_2_to_minus_10_unprotected",
         "bsc_third"])
-def test_transmit_frames_matches_transmit(cfg, request, monkeypatch):
-    # a plan and one send per seed vector give what transmit gives frame by
-    # frame. The lengths cover every 64-QAM pad and every pad to whole
-    # groups of 3 octets, payloads inside the header guard, an empty one and
-    # one longer than the block budget; a 1,000-bit budget splits the batch
-    # into many blocks, the 2^16-bit default into few
+def test_transmit_frames_matches_transmit(cfg, request, monkeypatch, refined):
+    # a plan and one send per seed vector give what the float64 reference
+    # link gives frame by frame. The lengths cover every 64-QAM pad and
+    # every pad to whole groups of 3 octets, payloads inside the header
+    # guard, an empty one and one longer than the block budget; a 1,000-bit
+    # budget splits the batch into many blocks, the 2^16-bit default into few
     lengths = [40, 41, 42, 0, 10, HEADER_LEN, 300, 22, 23, 24, 5000, 25]
     gen = rng.SplitMix64(8)
     payloads = [bytes(gen.randint(0, 255) for _ in range(n)) for n in lengths]
     buffer = np.frombuffer(b"".join(payloads), dtype=np.uint8)
-    refined = []
-    refine = channel._refine
-    monkeypatch.setattr(channel, "_refine",
-                        lambda u, at, *rest: refined.append(at.size) or refine(u, at, *rest))
     for budget in (1000, 1 << 16):
         monkeypatch.setattr(channel, "_BLOCK_BITS", budget)
         plan = plan_link(buffer, lengths, cfg.channel_kind, cfg.header_protection)
         for point in range(2):
             seeds = [((1 << 64) - 1) ^ point, point, 5, 6, 7, 1 << 63, 9, 10, 11, 12, 13, 14]
             received, errors = send(plan, seeds, cfg)
-            expect = [transmit(p, replace(cfg, seed=s)) for p, s in zip(payloads, seeds)]
+            expect = [reference_transmit(p, replace(cfg, seed=s))
+                      for p, s in zip(payloads, seeds)]
             assert received.tobytes() == b"".join(r for r, _ in expect)
             assert errors == sum(e for _, e in expect)
     if request.node.callspec.id in _REFINED:
         assert sum(refined) > 0
+
+
+@pytest.mark.parametrize("cfg", [
+    LinkConfig(snr_db=2.0),
+    LinkConfig(channel_kind=BSC, bsc_flip_prob=0.1),
+], ids=["awgn", "bsc"])
+def test_transmit_reduces_seeds_mod_2_to_64(cfg):
+    # send takes seeds in [0, 2^64); transmit takes any integer seed, as the
+    # reference link's rng streams do, and sends it mod 2^64
+    gen = rng.SplitMix64(3)
+    for n in (0, 10, HEADER_LEN, 22, 5000):
+        payload = bytes(gen.randint(0, 255) for _ in range(n))
+        for seed in (-1, -12345, (1 << 64) - 1, (1 << 64) + 5):
+            link = replace(cfg, seed=seed)
+            assert transmit(payload, link) == reference_transmit(payload, link)
 
 
 def test_link_config_refuses_infinite_noise_power():
@@ -396,8 +444,9 @@ def test_send_refuses_another_link():
                                2.0 ** -60, 1e-300, 5e-324])
 def test_bsc_threshold_on_raw_outputs_is_exact(p):
     # send flips a bit where the raw splitmix64 output is below a threshold,
-    # ceil(p·2^53)·2^11, where transmit compares uniforms' (raw >> 11)·2^-53
-    # with p; at and next to the boundary raws K·2^11 they must agree
+    # ceil(p·2^53)·2^11, where the reference link compares uniforms'
+    # (raw >> 11)·2^-53 with p; at and next to the boundary raws K·2^11 they
+    # must agree
     k = math.ceil(p * 2.0 ** 53)
     raws = np.array([max(v, 0) for v in (k * 2048 - 1, k * 2048, k * 2048 + 2047,
                                          (k - 1) * 2048, (k - 1) * 2048 + 2047, 0,

@@ -6,7 +6,6 @@ import pytest
 from gbsed import codec
 from gbsed.errors import (
     CapacityError,
-    DecodeError,
     FormatError,
     OntologyMismatch,
     ShapeError,
@@ -161,17 +160,6 @@ def test_duplicate_relation_later_wins():
     out, warnings = codec.decompress(codec.CompressedTensor(2, 8, (a, b)))
     assert out.slices[2, 1, 0] == 1 and out.slices[2, 0, 1] == 0
     assert any("duplicate" in w for w in warnings)
-
-
-def test_strict_policy_raises():
-    mat = np.zeros((2, 2), dtype=np.uint8)
-    mat[0, 1] = 3
-    mat[1, 0] = 5
-    with pytest.raises(DecodeError):
-        codec.decompress(codec.CompressedTensor(2, 8, (mat,)), policy=codec.POLICY_STRICT)
-    with pytest.raises(DecodeError):
-        codec.decompress(codec.CompressedTensor(2, 8, (np.zeros((2, 2), dtype=np.uint8),)),
-                         policy=codec.POLICY_STRICT)
 
 
 # -- regenerate ---------------------------------------------------------------

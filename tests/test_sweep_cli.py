@@ -18,6 +18,7 @@ from gbsed.ontology import default_ontology, emit_ontology
 from gbsed.scenarios import ScenarioSpec, generate
 from gbsed.scene_graph import SceneGraph, SceneNode
 from gbsed.task import GraphSequence, task_consistency
+from reference_link import reference_transmit
 
 ONT = default_ontology()
 
@@ -58,10 +59,11 @@ def test_sweep_deterministic(small_corpus):
 
 
 # -- the per-frame reference --------------------------------------------------
-# The sweep computed frame by frame with the single-frame API: every trial
-# goes through transmit, decode_frame and semantic_fidelity, and the
-# received sequences through task_consistency. run_sweep, which batches
-# whole corpus passes, must write the same CSV bytes.
+# The sweep computed frame by frame: every trial goes through the float64
+# reference link (reference_link.py, built from the channel's primitives,
+# not from send), decode_frame and semantic_fidelity, and the received
+# sequences through task_consistency. run_sweep, which batches whole corpus
+# passes, must write the same CSV bytes.
 
 def _fallback_frame():
     return SceneGraph((SceneNode(0, (1.0, 0.0, 0.0, 0.0)),), ())
@@ -82,7 +84,7 @@ def _reference_point(point_index, snr_db, sequences, payloads, cfg):
                                   bsc_flip_prob=cfg.bsc_flip_prob,
                                   seed=cfg.base_seed ^ point_index ^ trial,
                                   header_protection=cfg.header_protection)
-                received, bit_errors = transmit(payload, link)
+                received, bit_errors = reference_transmit(payload, link)
                 bits_total += 8 * len(payload)
                 errors_total += bit_errors
                 decoded = sweep.decode_frame(received, ONT)
@@ -291,6 +293,13 @@ def test_cli_exit_codes(tmp_path, capsys):
                   ["--snr", "nan"], ["--snr=-inf"], ["--snr=-3100"], ["--snr=0,-inf"]):
         assert main(sweep_args + value) == 2, value  # usage
     assert main(["sweep", "--scenes", str(bad), "--out", str(tmp_path / "r.csv")]) == 3
+    gen_args = ["gen", "--sequences", "2", "--out", str(tmp_path / "g.scenes")]
+    for value in (["--vehicles", "x"], ["--vehicles", "2"], ["--vehicles", "8,2"],
+                  ["--vehicles", "0,2"], ["--frames", "0"], ["--lanes", "0"],
+                  ["--risky-fraction", "1.5"], ["--risky-fraction", "-0.1"]):
+        assert main(gen_args + value) == 2, value  # usage
+    assert main(gen_args + ["--vehicles", "1,40"]) == 3  # beyond the lanes' capacity
+    assert main(gen_args + ["--vehicles", "3,3", "--risky-fraction", "1"]) == 0
     capsys.readouterr()
 
 
