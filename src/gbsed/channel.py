@@ -31,17 +31,16 @@ _BLOCK_BITS = 1 << 16
 # per-axis Gray map: 3-bit code -> amplitude level
 # 000 -> -7, 001 -> -5, 011 -> -3, 010 -> -1, 110 -> +1, 111 -> +3, 101 -> +5, 100 -> +7
 _LEVEL_BY_CODE = np.array([-7, -5, -1, -3, 7, 5, 1, 3], dtype=np.float64)
-# level index i (level = 2i-7) -> 3-bit code
-_CODE_BY_LEVEL_INDEX = np.array([0, 1, 3, 2, 6, 7, 5, 4], dtype=np.int64)
 _SCALE = 1.0 / math.sqrt(42.0)  # unit average symbol energy
 
 _SIX = np.arange(64)
 # 6-bit code (I code, then Q code) -> symbol, and its bits -> code
 _SYMBOL_BY_CODE = (_LEVEL_BY_CODE[_SIX >> 3] + 1j * _LEVEL_BY_CODE[_SIX & 7]) * _SCALE
 _BIT_WEIGHTS = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
-# 8 * I level index + Q level index -> 6-bit code
-_CODE_BY_LEVELS = (_CODE_BY_LEVEL_INDEX[_SIX >> 3] << 3
-                   | _CODE_BY_LEVEL_INDEX[_SIX & 7]).astype(np.uint8)
+# level index i (level = 2i-7) has the 3-bit code i ^ (i >> 1), Gray's. For
+# w = 8 * I level index + Q level index, w ^ (w >> 1 & 0b011011) is I's code
+# then Q's: the mask drops the bit of I that the shift moves into Q's field
+_CODE_BY_LEVELS = (_SIX ^ (_SIX >> 1 & 0b011011)).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -172,35 +171,47 @@ def transmit(payload, cfg):
     return received.tobytes(), errors
 
 
-# the (I, Q) level indices of a symbol, two int8 read as one uint16 (at most
-# 7·256 + 7 in either byte order) -> its 6-bit code
-_LEVEL_PAIRS = np.stack([_SIX >> 3, _SIX & 7], axis=1).astype(np.int8).view(np.uint16)
-_CODE_BY_LEVEL_PAIR = np.zeros(1 << 11, dtype=np.uint8)
-_CODE_BY_LEVEL_PAIR[_LEVEL_PAIRS[:, 0]] = _CODE_BY_LEVELS
-_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
-
-
 @dataclass(frozen=True)
 class _Block:
     frames: slice       # the frames it carries
     octets: slice       # their body octets, within the plan's body octets
     counts: np.ndarray  # splitmix64 outputs each frame draws
-    codes: np.ndarray   # AWGN: the sent 6-bit codes, see plan_link
+    levels: np.ndarray  # AWGN: the sent symbols' (I, Q) levels, int8, see plan_link
     keep: np.ndarray    # AWGN: where the body octets sit among the repacked octets
+
+
+class _Scratch:
+    """Buffers for a plan's largest block of n splitmix64 outputs (its bits
+    on the BSC, two per symbol on AWGN), which every send of the plan reuses."""
+
+    def __init__(self, n, awgn_link):
+        self.raw, self.tmp = np.empty((2, n), dtype=np.uint64)
+        self.flags = np.empty(n, dtype=bool)  # BSC flips, AWGN near-midpoint parts
+        if awgn_link:
+            self.r, self.theta = np.empty((2, n // 2))
+            self.t, self.cos = np.empty((2, n // 2), dtype=np.float32)
+            self.sent, self.u, self.d = np.empty((3, n))
+            self.levels = np.empty(n, dtype=np.uint8)
+            self.codes, self.gray = np.empty((2, n // 2), dtype=np.uint8)
+            self.octets = np.empty((n // 8, 3), dtype=np.uint8)
+            self.got, self.diff = np.empty((2, 3 * n // 8), dtype=np.uint8)
 
 
 @dataclass(frozen=True)
 class LinkPlan:
     """What sending a fixed set of back-to-back payloads over one kind of
     link takes that does not depend on the seeds or the noise level; built
-    by ``plan_link``, used by ``send``."""
+    by ``plan_link``, used by ``send``. Each send works in the plan's
+    scratch, so a plan is not meant for concurrent sends."""
     channel_kind: str
     header_protection: str
     buffer: np.ndarray   # the sent payloads, back to back
+    frames: int          # how many
     body_at: np.ndarray  # buffer offsets of the octets that meet the channel
     sent: np.ndarray     # those octets
     blocks: tuple
-    steps: np.ndarray    # rng.golden_steps of the longest block's draws
+    steps: np.ndarray    # rng.golden_steps of the most draws of one frame
+    scratch: _Scratch
 
 
 def plan_link(buffer, lengths, channel_kind, header_protection):
@@ -232,7 +243,7 @@ def plan_link(buffer, lengths, channel_kind, header_protection):
         b = max(a + 1, int(np.searchsorted(ends, ends[a] - 8 * octets[a] + _BLOCK_BITS,
                                           side="right")))
         span = slice(int(first[a]), int(first[b - 1] + octets[b - 1]))
-        codes = keep = None
+        levels = keep = None
         if awgn_link:
             padded = 3 * groups[a:b]
             keep = (np.repeat(np.cumsum(padded) - padded - (first[a:b] - first[a]),
@@ -240,11 +251,14 @@ def plan_link(buffer, lengths, channel_kind, header_protection):
             octet_groups = np.zeros(padded.sum(), dtype=np.uint8)
             octet_groups[keep] = sent[span]
             codes = _codes_from_octets(octet_groups)
-        blocks.append(_Block(slice(a, b), span, counts[a:b], codes, keep))
+            levels = _LEVEL_BY_CODE[np.stack([codes >> 3, codes & 7], axis=1)]
+            levels = levels.astype(np.int8).reshape(-1)
+        blocks.append(_Block(slice(a, b), span, counts[a:b], levels, keep))
         a = b
     most = max((int(blk.counts.sum()) for blk in blocks), default=0)
-    return LinkPlan(channel_kind, header_protection, buffer, body_at, sent, tuple(blocks),
-                    rng.golden_steps(most))
+    return LinkPlan(channel_kind, header_protection, buffer, int(lengths.size), body_at,
+                    sent, tuple(blocks), rng.golden_steps(int(counts.max(initial=0))),
+                    _Scratch(most, awgn_link))
 
 
 def _codes_from_octets(octets):
@@ -258,14 +272,17 @@ def _codes_from_octets(octets):
     return codes.reshape(-1)
 
 
-def _octets_from_codes(codes):
-    """Inverse of _codes_from_octets."""
+def _octets_from_codes(codes, out):
+    """Inverse of _codes_from_octets, into out of shape (codes.size // 4, 3)."""
     c = codes.reshape(-1, 4)
-    octets = np.empty((c.shape[0], 3), dtype=np.uint8)
-    octets[:, 0] = c[:, 0] << 2 | c[:, 1] >> 4
-    octets[:, 1] = c[:, 1] << 4 | c[:, 2] >> 2
-    octets[:, 2] = c[:, 2] << 6 | c[:, 3]
-    return octets.reshape(-1)
+    o0, o1, o2 = out[:, 0], out[:, 1], out[:, 2]
+    np.left_shift(c[:, 0], 2, out=o0)
+    o0 |= np.right_shift(c[:, 1], 4, out=o1)
+    np.left_shift(c[:, 1], 4, out=o1)
+    o1 |= np.right_shift(c[:, 2], 2, out=o2)
+    np.left_shift(c[:, 2], 6, out=o2)
+    o2 |= c[:, 3]
+    return out.reshape(-1)
 
 
 def _flip_threshold(p):
@@ -286,22 +303,27 @@ def send(plan, seeds, cfg):
     if (cfg.channel_kind, cfg.header_protection) != (plan.channel_kind,
                                                      plan.header_protection):
         raise ValueError("the link differs from the one the plan was made for")
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    if seeds.shape != (plan.frames,):
+        raise ValueError(f"{seeds.size} seeds for a plan of {plan.frames} frames")
     received = plan.buffer.copy()
     if (cfg.bsc_flip_prob == 0.0 if cfg.channel_kind == BSC else _noiseless(cfg.snr_db)):
         return received, 0
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    got = np.empty_like(plan.sent)
+    s = plan.scratch
     errors = 0
     for blk in plan.blocks:
         sent = plan.sent[blk.octets]
+        raw = rng.splitmix64_streams(seeds[blk.frames], blk.counts, plan.steps, s.raw, s.tmp)
         if cfg.channel_kind == BSC:
-            raw = rng.splitmix64_streams(seeds[blk.frames], blk.counts, plan.steps)
-            octets = sent ^ np.packbits(raw < _flip_threshold(cfg.bsc_flip_prob))
+            flips = np.less(raw, _flip_threshold(cfg.bsc_flip_prob), out=s.flags[:raw.size])
+            errors += int(np.count_nonzero(flips))
+            got = np.packbits(flips)
+            got ^= sent
         else:
-            octets = _awgn_block(blk, seeds[blk.frames], plan.steps, cfg.snr_db)
-        errors += int(_POPCOUNT[octets ^ sent].sum())
-        got[blk.octets] = octets
-    received[plan.body_at] = got
+            got = _awgn_block(blk, raw, s, cfg.snr_db)
+            diff = np.bitwise_xor(got, sent, out=s.diff[:got.size])
+            errors += int(np.bitwise_count(diff, out=diff).sum())
+        received[plan.body_at[blk.octets]] = got
     return received, errors
 
 
@@ -321,19 +343,6 @@ def _trig32_bound(sigma):
     """The most a received level-unit amplitude from float32 trig can be
     off from the float64 one, at per-axis noise deviation sigma."""
     return rng.R_MAX * sigma / _SCALE * _TRIG32_ERROR + _ROUNDING
-
-
-def _near_midpoint(u, bound):
-    """Where level-unit amplitudes u lie within bound of a decision
-    midpoint -6, -4, ..., 6."""
-    # y = u/2 + 3 puts the midpoints on the integers 0..6
-    y = u * 0.5
-    y += 3.0
-    d = np.rint(y)
-    np.clip(d, 0.0, 6.0, out=d)
-    d -= y
-    np.abs(d, out=d)
-    return d <= bound * 0.5
 
 
 def _to_levels(iq, sent, sigma):
@@ -357,38 +366,66 @@ def _refine(u, at, r, theta, sent, sigma):
     u.reshape(-1, 2)[at] = _to_levels(exact, sent.reshape(-1, 2)[at], sigma)
 
 
-def _received_levels(r, theta, sent, sigma):
-    """Interleaved (I, Q) level-unit amplitudes of the symbols whose parts
-    are sent, plus sigma times the normals of Box-Muller's (r, theta), each
-    deciding as the float64 evaluation in awgn decides.
+def _decide_by_floor(u, bound, s):
+    """The level indices of level-unit amplitudes u by one floor, and where
+    u lies within bound of a midpoint -6, ..., 6, the only places where the
+    floor and _decide_axis may differ; in scratch s, overwriting u."""
+    levels, near, d = s.levels[:u.size], s.flags[:u.size], s.d[:u.size]
+    # y = u/2 + 4, in u, puts the midpoints on the integers 1..7 and level
+    # index i on (i, i + 1)
+    y = np.multiply(u, 0.5, out=u)
+    y += 4.0
+    np.rint(y, out=d)
+    np.clip(d, 1.0, 7.0, out=d)
+    d -= y
+    np.abs(d, out=d)
+    np.less_equal(d, bound * 0.5, out=near)
+    np.clip(y, 0.0, 7.5, out=y)
+    np.copyto(levels, y, casting="unsafe")  # truncation, which is the floor here
+    return levels, near
 
-    The noise is evaluated with float32 trig. A symbol with an amplitude
-    within _trig32_bound of a midpoint is redone in float64; every other
-    one lies on the side of each midpoint its float64 value lies on."""
-    u = np.empty(sent.size)
-    t = theta.astype(np.float32)
-    np.multiply(r, np.cos(t), out=u[0::2])
-    np.multiply(r, np.sin(t, out=t), out=u[1::2])
+
+def _received_codes(r, theta, sent, sigma, s):
+    """The 6-bit codes qam64_demap decides for the symbols with parts sent
+    plus sigma times the normals of Box-Muller's (r, theta), in scratch s:
+    from float32 trig by a floor, and the symbols with an amplitude within
+    _trig32_bound of a midpoint from float64 trig by _decide_axis; every
+    other one lies on the side of each midpoint its float64 value lies on."""
+    n, half = sent.size, sent.size // 2
+    u, t = s.u[:n], s.t[:half]
+    np.copyto(t, theta, casting="same_kind")
+    np.copyto(u[0::2], np.cos(t, out=s.cos[:half]))
+    np.copyto(u[1::2], np.sin(t, out=t))
+    u[0::2] *= r
+    u[1::2] *= r
     _to_levels(u, sent, sigma)
-    near = _near_midpoint(u, _trig32_bound(sigma))
-    at = np.flatnonzero(near[0::2] | near[1::2])
+    levels, near = _decide_by_floor(u, _trig32_bound(sigma), s)
+    # the symbols with either part flagged: a pair of flags read as a uint16
+    at = np.flatnonzero(near.view(np.uint16))
     if at.size:
         _refine(u, at, r, theta, sent, sigma)
-    return u
+        levels.reshape(-1, 2)[at] = _decide_axis(u.reshape(-1, 2)[at])
+    # the code of 8 * I level index + Q level index, as _CODE_BY_LEVELS
+    codes = np.left_shift(levels[0::2], 3, out=s.codes[:half])
+    codes |= levels[1::2]
+    gray = np.right_shift(codes, 1, out=s.gray[:half])
+    gray &= 0b011011
+    codes ^= gray
+    return codes
 
 
-def _awgn_block(blk, seeds, steps, snr_db):
-    """The block's body octets as qam64_demap decides them after awgn."""
-    r, theta = rng.polar(rng.splitmix64_streams(seeds, blk.counts, steps))
-    u = _received_levels(r, theta, _SYMBOL_BY_CODE[blk.codes].view(np.float64),
-                         _sigma(snr_db))
-    return _octets_from_codes(_decide_codes(u))[blk.keep]
-
-
-def _decide_codes(u):
-    """The 6-bit codes qam64_demap decides for symbols given as interleaved
-    (I, Q) amplitudes in level units (see _to_levels)."""
-    return _CODE_BY_LEVEL_PAIR[_decide_axis(u).view(np.uint16)]
+def _awgn_block(blk, raw, s, snr_db):
+    """The block's body octets as qam64_demap decides them after awgn, from
+    its splitmix64 outputs raw, in scratch s."""
+    n = raw.size
+    r, theta = rng.polar(raw, s.r[:n // 2], s.theta[:n // 2])
+    sent = s.sent[:n]
+    np.copyto(sent, blk.levels)
+    sent *= _SCALE  # the parts of _SYMBOL_BY_CODE, bit for bit
+    octets = _octets_from_codes(_received_codes(r, theta, sent, _sigma(snr_db), s),
+                                s.octets[:n // 8])
+    # keep is in range; mode "clip" takes straight into out, "raise" buffers it
+    return np.take(octets, blk.keep, out=s.got[:blk.keep.size], mode="clip")
 
 
 def frames_required(payload_len_octets, grid=FrameGrid()):

@@ -59,11 +59,13 @@ def _parse_snr_list(text):
     return tuple(points)
 
 
-def _positive_int(text):
-    value = _number(int, text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
-    return value
+def _int_at_least(lo):
+    def parse(text):
+        value = _number(int, text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"{value} is not >= {lo}")
+        return value
+    return parse
 
 
 def _in_range(lo, hi):
@@ -188,12 +190,12 @@ def build_parser():
 
     p = sub.add_parser("gen", help="generate a synthetic scenario corpus")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--sequences", type=int, default=100)
-    p.add_argument("--frames", type=_positive_int, default=10)
+    p.add_argument("--sequences", type=_int_at_least(0), default=100)
+    p.add_argument("--frames", type=_int_at_least(1), default=10)
     p.add_argument("--vehicles", type=_vehicles_range, default="2,8",
                    help="min,max vehicles per sequence")
     p.add_argument("--risky-fraction", type=_in_range(0.0, 1.0), default=0.3)
-    p.add_argument("--lanes", type=_positive_int, default=3)
+    p.add_argument("--lanes", type=_int_at_least(1), default=3)
     p.add_argument("--ontology", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
@@ -210,7 +212,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--snr", type=_parse_snr_list, default="0,2,4,6,8,10,12,14,16,18,20",
                    help="comma-separated dB values; inf or noiseless for no noise")
-    p.add_argument("--trials", type=_positive_int, default=1000)
+    p.add_argument("--trials", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--channel", choices=[AWGN64QAM, BSC], default=AWGN64QAM)
     p.add_argument("--flip-prob", type=_in_range(0.0, 0.5), default=0.0)

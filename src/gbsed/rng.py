@@ -66,9 +66,9 @@ def golden_steps(n):
     return np.arange(1, n + 1, dtype=np.uint64) * _U_GOLDEN
 
 
-def _mix(z):
-    """splitmix64's output function, in place on a uint64 array."""
-    t = np.empty_like(z)
+def _mix(z, t):
+    """splitmix64's output function, in place on a uint64 array; t is a
+    uint64 array of z's size that it overwrites."""
     np.right_shift(z, np.uint64(30), out=t)
     z ^= t
     z *= _U_MIX1
@@ -80,22 +80,23 @@ def _mix(z):
     return z
 
 
-def _to_unit(raw):
-    return (raw >> np.uint64(11)).astype(np.float64) * _TWO_NEG53
-
-
-def polar(raw):
-    """The Box-Muller radius and angle of raw's (u1, u2) pairs, float64:
-    normal 2i is ``r[i]·cos(theta[i])`` and normal 2i + 1 ``r[i]·sin(theta[i])``."""
+def polar(raw, r, theta):
+    """The Box-Muller radius and angle of raw's (u1, u2) pairs, written into
+    the float64 arrays r and theta of raw.size // 2 each, which it returns:
+    normal 2i is ``r[i]·cos(theta[i])`` and normal 2i + 1
+    ``r[i]·sin(theta[i])``. raw is overwritten."""
     # r = sqrt(-2 log u1) with u1 in (0, 1], which keeps log() finite, and
-    # theta = 2 pi u2 with u2 in [0, 1), each step rounded as written
-    r = (raw[0::2] >> np.uint64(11)).astype(np.float64)
+    # theta = 2 pi u2 with u2 in [0, 1), each step rounded as written (the
+    # 53-bit integers and their scaling by 2^-53 are exact in float64)
+    np.right_shift(raw, np.uint64(11), out=raw)
+    np.copyto(r, raw[0::2])
     r += 1.0
     r *= _TWO_NEG53
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
-    theta = _to_unit(raw[1::2])
+    np.copyto(theta, raw[1::2])
+    theta *= _TWO_NEG53
     theta *= 2.0 * math.pi
     return r, theta
 
@@ -104,44 +105,42 @@ def polar(raw):
 R_MAX = math.sqrt(-2.0 * math.log(_TWO_NEG53))
 
 
-def _box_muller(raw):
-    """One normal per raw output; raw holds whole (u1, u2) pairs."""
-    r, theta = polar(raw)
-    out = np.empty(raw.size)
-    np.multiply(r, np.cos(theta), out=out[0::2])
-    np.multiply(r, np.sin(theta, out=theta), out=out[1::2])
-    return out
-
-
 def splitmix64_stream(seed, n):
-    return _mix(np.uint64(seed & _MASK64) + golden_steps(n))
+    z = np.uint64(seed & _MASK64) + golden_steps(n)
+    return _mix(z, np.empty_like(z))
 
 
 def uniforms(seed, n):
-    return _to_unit(splitmix64_stream(seed, n))
+    return (splitmix64_stream(seed, n) >> np.uint64(11)).astype(np.float64) * _TWO_NEG53
 
 
 def normals(seed, n):
-    return _box_muller(splitmix64_stream(seed, 2 * ((n + 1) // 2)))[:n]
+    """Box-Muller on the stream's (u1, u2) pairs, one normal per output."""
+    m = (n + 1) // 2
+    r, theta = polar(splitmix64_stream(seed, 2 * m), np.empty(m), np.empty(m))
+    out = np.empty(2 * m)
+    np.multiply(r, np.cos(theta), out=out[0::2])
+    np.multiply(r, np.sin(theta, out=theta), out=out[1::2])
+    return out[:n]
 
 
 # ---------------------------------------------------------------------------
 # many seeds at once: the streams of seeds[i], counts[i] outputs each, back
-# to back. Output j of stream i sits at position g = starts[i] + j - 1 of the
-# batch, so its counter is (seeds[i] - starts[i]·G) + (g + 1)·G mod 2^64:
-# one per-stream offset plus a counter term shared by every stream.
+# to back. Output j of stream i is mix(seeds[i] + j·G), and its counter is
+# the seed plus golden_steps' term j, which every stream shares.
 
 
-def splitmix64_streams(seeds, counts, steps):
-    """``concatenate([splitmix64_stream(s, c) for s, c in zip(seeds, counts)])``.
+def splitmix64_streams(seeds, counts, steps, out, tmp):
+    """``concatenate([splitmix64_stream(s, c) for s, c in zip(seeds, counts)])``,
+    written into out[:sum(counts)], which it returns; tmp is a uint64 array
+    at least as long, which it overwrites.
 
-    ``steps`` is ``golden_steps(n)`` for some n >= sum(counts), which can be
+    ``steps`` is ``golden_steps(n)`` for some n >= max(counts), which can be
     laid out once and shared by every call.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    starts = np.cumsum(counts) - counts
-    total = int(counts.sum())
-    offsets = np.asarray(seeds, dtype=np.uint64) - starts.astype(np.uint64) * _U_GOLDEN
-    z = np.repeat(offsets, counts)
-    z += steps[:total]
-    return _mix(z)
+    at = 0
+    for seed, count in zip(np.asarray(seeds, dtype=np.uint64),
+                           np.asarray(counts, dtype=np.int64).tolist()):
+        np.add(steps[:count], seed, out=out[at:at + count])
+        at += count
+    return _mix(out[:at], tmp[:at])

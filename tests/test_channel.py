@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -140,14 +141,33 @@ def test_demap_matches_rounding_at_ties_and_their_neighbours():
         np.testing.assert_array_equal(qam64_demap(symbols), _demap_by_axis(symbols))
 
 
+def _scratch(n):
+    return channel._Scratch(n, awgn_link=True)
+
+
+def test_planned_levels_scale_to_the_symbol_table_bit_for_bit():
+    # send builds the sent parts as a plan's int8 levels times _SCALE, and
+    # awgn adds its noise to qam64_map's _SYMBOL_BY_CODE: they must agree
+    # to the last bit, here for every 6-bit code in order
+    octets = channel._octets_from_codes(np.arange(64, dtype=np.uint8),
+                                        np.empty((16, 3), dtype=np.uint8))
+    plan = plan_link(octets, [octets.size], AWGN64QAM, UNPROTECTED)
+    (blk,) = plan.blocks
+    assert blk.levels.dtype == np.int8
+    parts = blk.levels.astype(np.float64) * _SCALE
+    assert parts.tobytes() == channel._SYMBOL_BY_CODE.tobytes()
+
+
 def test_flat_decision_matches_demap_at_ties_and_their_neighbours():
     # send decides on interleaved (I, Q) floats; at +-6 * _SCALE, dividing by
     # _SCALE and multiplying by its inverse fall on either side of a midpoint.
-    # With no noise (sigma 1, adding zero sent parts) _to_levels only scales
+    # With no noise (radius 0, sigma 1) the received parts are the sent ones
     mids = np.arange(-24, 25) / 2.0 * _SCALE
     amps = np.concatenate([mids, np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf)])
     symbols = np.add.outer(amps, 1j * amps).ravel()
-    codes = channel._decide_codes(channel._to_levels(symbols.view(np.float64).copy(), 0.0, 1.0))
+    parts = symbols.view(np.float64).copy()
+    zeros = np.zeros(symbols.size)
+    codes = channel._received_codes(zeros, zeros, parts, 1.0, _scratch(parts.size))
     np.testing.assert_array_equal(np.unpackbits(codes[:, None], axis=1)[:, 2:].ravel(),
                                   qam64_demap(symbols))
 
@@ -215,9 +235,15 @@ def test_float32_trig_within_sixteenth_of_the_bound():
 
 def test_polar_radius_at_most_r_max():
     # the smallest u1, 2^-53, gives the largest radius
-    r, _ = rng.polar(np.array([0, 0, (1 << 64) - 1, 0], dtype=np.uint64))
+    r, _ = rng.polar(np.array([0, 0, (1 << 64) - 1, 0], dtype=np.uint64),
+                     np.empty(2), np.empty(2))
     assert r[0] <= rng.R_MAX and r[0] == pytest.approx(rng.R_MAX, rel=1e-15)
     assert r[1] == 0.0
+
+
+def _decide_by_floor(u, bound):
+    levels, near = channel._decide_by_floor(u.copy(), bound, _scratch(u.size))
+    return levels.copy(), near.copy()
 
 
 @pytest.mark.parametrize("snr_db", [-40.0, 0.0, 0.5, 20.0, 60.0, 1e308])
@@ -230,19 +256,28 @@ def test_near_midpoint_flags_every_midpoint_and_its_neighbours(snr_db):
     for _ in range(4):
         up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
         values += [up, down]
-    assert channel._near_midpoint(np.concatenate(values), bound).all()
+    assert _decide_by_floor(np.concatenate(values), bound)[1].all()
+    # from 1.01 bound/2 off each midpoint out to 1 off it, and beyond the
+    # outer levels, the floor decides as _decide_axis
+    offsets = np.geomspace(1.01 * bound / 2, 1.0, 200)
+    beyond = np.array([7.5, 40.0, 1e3])
+    away = np.concatenate([np.add.outer(mids, offsets).ravel(),
+                           np.add.outer(mids, -offsets).ravel(), beyond, -beyond])
+    decided, near = _decide_by_floor(away, bound)
+    np.testing.assert_array_equal(decided, channel._decide_axis(away))
+    assert not near[-6:].any()
     if bound < 0.5:
         # the levels, and the even integers beyond the outer midpoints
         # +-6, are no midpoints
         levels = np.arange(-7.0, 8.0, 2.0)
-        assert not channel._near_midpoint(levels, bound).any()
+        assert not _decide_by_floor(levels, bound)[1].any()
         evens = np.array([-10.0, -8.0, 8.0])
         far = [evens, evens + 0.99 * bound, evens - 0.99 * bound]
         up, down = evens, evens
         for _ in range(4):
             up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
             far += [up, down]
-        assert not channel._near_midpoint(np.concatenate(far), bound).any()
+        assert not _decide_by_floor(np.concatenate(far), bound)[1].any()
 
 
 @pytest.fixture
@@ -277,6 +312,13 @@ def _interleave(r, c, s):
     return out
 
 
+def _decide_codes(u):
+    """The 6-bit codes of interleaved (I, Q) level-unit amplitudes, decided
+    by _decide_axis."""
+    i, q = (channel._decide_axis(part).astype(np.int64) for part in (u[0::2], u[1::2]))
+    return channel._CODE_BY_LEVELS[8 * i + q]
+
+
 def test_refine_mends_what_float32_trig_decides_wrong():
     # radii that put midpoint +-2 between the float32 and the float64 I
     # amplitudes, each far closer to it than the bound
@@ -292,9 +334,9 @@ def test_refine_mends_what_float32_trig_decides_wrong():
     as_float64 = channel._to_levels(_interleave(r, c64, np.sin(theta)), sent, sigma)
     as_float32 = channel._to_levels(
         _interleave(r, c32, np.sin(theta.astype(np.float32))), sent, sigma)
-    decided = channel._decide_codes(channel._received_levels(r, theta, sent, sigma))
-    np.testing.assert_array_equal(decided, channel._decide_codes(as_float64))
-    assert np.all(channel._decide_codes(as_float32) != decided)
+    decided = channel._received_codes(r, theta, sent, sigma, _scratch(sent.size))
+    np.testing.assert_array_equal(decided, _decide_codes(as_float64))
+    assert np.all(_decide_codes(as_float32) != decided)
 
 
 # -- transmit -----------------------------------------------------------------
@@ -438,6 +480,76 @@ def test_send_refuses_another_link():
     for cfg in (LinkConfig(channel_kind=BSC), LinkConfig(header_protection=UNPROTECTED)):
         with pytest.raises(ValueError):
             send(plan, [0], cfg)
+
+
+@pytest.mark.parametrize("cfg", [
+    LinkConfig(snr_db=3.0),
+    LinkConfig(),
+    LinkConfig(channel_kind=BSC, bsc_flip_prob=0.1),
+], ids=["awgn", "noiseless", "bsc"])
+def test_send_refuses_a_seed_vector_not_one_per_frame(cfg):
+    plan = plan_link(np.zeros(90, dtype=np.uint8), [30, 30, 30], cfg.channel_kind, PROTECTED)
+    for seeds in ([0, 1, 2, 3], [0, 1], [[0, 1, 2]]):
+        with pytest.raises(ValueError):
+            send(plan, seeds, cfg)
+    send(plan, [0, 1, 2], cfg)
+
+
+def test_sends_on_one_plan_leak_nothing_between_them(refined):
+    # every send of a plan reuses its scratch: each result is the reference
+    # link's frame by frame whatever was sent before, and a buffer returned
+    # earlier is not touched by later sends
+    lengths = [40, 0, 300, 22, 5000, 25, 234, 41, HEADER_LEN, 3000]
+    gen = rng.SplitMix64(11)
+    payloads = [bytes(gen.randint(0, 255) for _ in range(n)) for n in lengths]
+    buffer = np.frombuffer(b"".join(payloads), dtype=np.uint8)
+    ends = np.cumsum(lengths)
+    for kind, links in (
+            (AWGN64QAM, [LinkConfig(snr_db=0.5), LinkConfig(snr_db=20.0),
+                         LinkConfig(snr_db=0.5)]),
+            (BSC, [LinkConfig(channel_kind=BSC, bsc_flip_prob=0.002),
+                   LinkConfig(channel_kind=BSC, bsc_flip_prob=0.5)])):
+        plan = plan_link(buffer, lengths, kind, PROTECTED)
+        returned = []
+        for k, cfg in enumerate(links):
+            seeds = [(1 << 64) - 1 - 7 * k - f for f in range(len(lengths))]
+            received, errors = send(plan, seeds, cfg)
+            assert type(errors) is int
+            expect = [reference_transmit(p, replace(cfg, seed=s))
+                      for p, s in zip(payloads, seeds)]
+            for f, (octets, _) in enumerate(expect):
+                assert received[ends[f] - lengths[f]:ends[f]].tobytes() == octets, (cfg, f)
+            assert errors == sum(e for _, e in expect)
+            returned.append((received, received.copy()))
+            if k == 0 and kind == AWGN64QAM:
+                assert sum(refined) > 0
+        for received, copy in returned:
+            np.testing.assert_array_equal(received, copy)
+
+
+@pytest.mark.parametrize("cfg", [
+    LinkConfig(snr_db=3.0),
+    LinkConfig(channel_kind=BSC, bsc_flip_prob=0.002),
+], ids=["awgn", "bsc"])
+def test_send_allocates_no_block_sized_buffers(cfg):
+    # after a first send has set the plan's scratch going, a send allocates
+    # its received buffer and small per-block arrays; tracemalloc sees the
+    # buffers numpy allocates
+    body = 234 - HEADER_LEN
+    lengths = [234] * (4 * (channel._BLOCK_BITS // (8 * body)))
+    plan = plan_link(np.zeros(sum(lengths), dtype=np.uint8), lengths, cfg.channel_kind,
+                     PROTECTED)
+    assert len(plan.blocks) == 4
+    draws = 8 * max(int(blk.counts.sum()) for blk in plan.blocks)
+    seeds = np.arange(len(lengths), dtype=np.uint64)
+    send(plan, seeds, cfg)
+    tracemalloc.start()
+    try:
+        send(plan, seeds + 1, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * draws, peak / draws
 
 
 @pytest.mark.parametrize("p", [0.5, 0.25, 2.0 ** -10, 0.1, 1 / 3, 0.002,

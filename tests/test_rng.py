@@ -68,13 +68,18 @@ def test_streams_concatenate_single_seed_streams(pairs):
     seeds = [s for s, _ in pairs]
     counts = [c for _, c in pairs]
     even = [2 * c for c in counts]
+    # into buffers longer than the streams, whose tail stays as it was
+    tmp = np.empty(2 * sum(even) + 5, dtype=np.uint64)
     # with just enough counter terms, and with a longer shared run of them
-    for steps in (rng.golden_steps(sum(even)), rng.golden_steps(2 * sum(even) + 3)):
+    for steps in (rng.golden_steps(max(even, default=0)), rng.golden_steps(2 * sum(even) + 3)):
+        out = np.zeros(tmp.size, dtype=np.uint64)
         np.testing.assert_array_equal(
-            rng.splitmix64_streams(seeds, counts, steps),
+            rng.splitmix64_streams(seeds, counts, steps, out, tmp),
             np.concatenate([rng.splitmix64_stream(s, c) for s, c in pairs] or [[]]))
+        assert not out[sum(counts):].any()
         # polar on streams of even counts, then float64 trig: each seed's normals
-        r, theta = rng.polar(rng.splitmix64_streams(seeds, even, steps))
+        raw = rng.splitmix64_streams(seeds, even, steps, out, tmp)
+        r, theta = rng.polar(raw, np.empty(sum(counts)), np.empty(sum(counts)))
         normals = np.empty(2 * r.size)
         np.multiply(r, np.cos(theta), out=normals[0::2])
         np.multiply(r, np.sin(theta), out=normals[1::2])

@@ -296,10 +296,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     gen_args = ["gen", "--sequences", "2", "--out", str(tmp_path / "g.scenes")]
     for value in (["--vehicles", "x"], ["--vehicles", "2"], ["--vehicles", "8,2"],
                   ["--vehicles", "0,2"], ["--frames", "0"], ["--lanes", "0"],
-                  ["--risky-fraction", "1.5"], ["--risky-fraction", "-0.1"]):
+                  ["--risky-fraction", "1.5"], ["--risky-fraction", "-0.1"],
+                  ["--sequences", "-1"], ["--sequences", "x"]):
         assert main(gen_args + value) == 2, value  # usage
     assert main(gen_args + ["--vehicles", "1,40"]) == 3  # beyond the lanes' capacity
     assert main(gen_args + ["--vehicles", "3,3", "--risky-fraction", "1"]) == 0
+    assert main(gen_args + ["--sequences", "0"]) == 0
     capsys.readouterr()
 
 
