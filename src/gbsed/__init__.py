@@ -28,7 +28,6 @@ from .scene_graph import (
     Homography,
     RelationParams,
     SceneGraph,
-    SceneNode,
     build_scene_graph,
     infer_relations,
     ipm_project,

@@ -182,15 +182,19 @@ class _Block:
 
 class _Scratch:
     """Buffers for a plan's largest block of n splitmix64 outputs (its bits
-    on the BSC, two per symbol on AWGN), which every send of the plan reuses."""
+    on the BSC, two per symbol on AWGN), which every send of the plan reuses.
+    Roles whose lifetimes do not overlap share memory: polar's (r, theta)
+    live in tmp, which _mix is done with, and the amplitudes u in raw,
+    which polar is done with."""
 
     def __init__(self, n, awgn_link):
         self.raw, self.tmp = np.empty((2, n), dtype=np.uint64)
         self.flags = np.empty(n, dtype=bool)  # BSC flips, AWGN near-midpoint parts
         if awgn_link:
-            self.r, self.theta = np.empty((2, n // 2))
+            self.u = self.raw.view(np.float64)
+            self.r, self.theta = self.tmp[:n // 2 * 2].view(np.float64).reshape(2, -1)
             self.t, self.cos = np.empty((2, n // 2), dtype=np.float32)
-            self.sent, self.u, self.d = np.empty((3, n))
+            self.sent, self.d = np.empty((2, n))
             self.levels = np.empty(n, dtype=np.uint8)
             self.codes, self.gray = np.empty((2, n // 2), dtype=np.uint8)
             self.octets = np.empty((n // 8, 3), dtype=np.uint8)

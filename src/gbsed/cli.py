@@ -163,6 +163,10 @@ def cmd_report(args):
         return EXIT_OK
     display = ["snr_db", "ber", "fidelity", "consistency", "accuracy",
                "precision", "recall", "f1", "mcc", "auc"]
+    missing = [c for c in display + ["mean_payload_octets"] if c not in reader.fieldnames]
+    if missing:
+        print(f"error: {args.csv} lacks the columns {', '.join(missing)}", file=sys.stderr)
+        return EXIT_DATA
     body = [[_round(r[c]) for c in display] for r in rows]
     print(_format_table(display, body))
     print()
@@ -235,7 +239,7 @@ def main(argv=None):
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (GbsedError, FileNotFoundError, ValueError) as e:
+    except (GbsedError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except Exception as e:  # invariant violation

@@ -28,7 +28,7 @@ from .errors import (
     TruncationError,
 )
 from .ontology import ontology_digest
-from .scene_graph import SceneGraph, SceneNode
+from .scene_graph import SceneGraph
 
 MAGIC = b"GBSD"
 VERSION = 1
@@ -80,13 +80,10 @@ def encode_tensor(graph, ontology):
 
 
 def compress(tensor):
-    """Drop all-zero relation slices; one linear scan per slice."""
-    retained = []
-    for r in range(tensor.num_relations):
-        mat = tensor.slices[r]
-        if mat.any():
-            retained.append(mat.copy())
-    return CompressedTensor(tensor.n, tensor.num_relations, tuple(retained))
+    """Drop all-zero relation slices, in one reduction over the tensor."""
+    slices = tensor.slices
+    kept = slices[slices.any(axis=(1, 2))]  # a copy, in relation order
+    return CompressedTensor(tensor.n, tensor.num_relations, tuple(kept))
 
 
 def _resolve_relation(mat, num_relations):
@@ -140,12 +137,11 @@ def regenerate(tensor, features, ontology):
         feats = np.asarray(features, dtype=float)
     if feats.ndim != 2 or feats.shape[0] != tensor.n:
         raise ShapeError(f"feature matrix shape {feats.shape} does not match n={tensor.n}")
-    nodes = tuple(SceneNode(i, tuple(feats[i].tolist())) for i in range(tensor.n))
     edges = []
     for r in range(tensor.num_relations):
         src_idx, dst_idx = np.nonzero(tensor.slices[r])
         edges.extend((int(j), r + 1, int(k)) for j, k in zip(src_idx, dst_idx))
-    return SceneGraph(nodes, tuple(sorted(edges)))
+    return SceneGraph(feats, tuple(sorted(edges)))
 
 
 def payload_length(n, d, k):

@@ -54,10 +54,10 @@ class ClassificationMetrics:
     degenerate: bool = False
 
 
-def _node_matches(sent_node, recv_node, ontology, tol):
+def _node_matches(sent_row, recv_row, ontology, tol):
     for attr in ontology.attributes:
-        s = sent_node.features[attr.index]
-        r = recv_node.features[attr.index]
+        s = sent_row[attr.index]
+        r = recv_row[attr.index]
         if attr.kind == "categorical":
             if not (math.isfinite(r) and round(s) == round(r)):
                 return False
@@ -103,9 +103,10 @@ def semantic_fidelity(sent, received, ontology, tol=NodeMatchTolerance(),
     edges_total = len(sent.edges)
     if received is None:
         return FidelityReport(nodes_total, 0, edges_total, 0)
+    recv_rows = received.features.tolist()
     nodes_recovered = 0
-    for i, node in enumerate(sent.nodes):
-        if i < received.num_nodes and _node_matches(node, received.nodes[i], ontology, tol):
+    for i, row in enumerate(sent.features.tolist()):
+        if i < len(recv_rows) and _node_matches(row, recv_rows[i], ontology, tol):
             nodes_recovered += 1
     recv_edges = set(received.edges)
     edges_recovered = sum(1 for e in sent.edges if e in recv_edges)

@@ -19,7 +19,6 @@ from .scene_graph import (
     CLASS_VEHICLE,
     RelationParams,
     SceneGraph,
-    SceneNode,
     graph_from_bev,
 )
 from .task import RISKY, SAFE, GraphSequence
@@ -170,10 +169,8 @@ def scenes_to_text(sequences):
             lines.append(f"seq {s} label {seq.label}")
         for k, frame in enumerate(seq.frames):
             nodes = " ".join(
-                "%d:%d:%.6f:%.6f:%.6f"
-                % (n.index, int(round(n.features[0])), n.features[1],
-                   n.features[2], n.features[3])
-                for n in frame.nodes
+                "%d:%d:%.6f:%.6f:%.6f" % (i, int(round(f[0])), f[1], f[2], f[3])
+                for i, f in enumerate(frame.features.tolist())
             )
             edges = " ".join(f"{a}:{r}:{b}" for a, r, b in frame.edges)
             lines.append(f"seq {s} frame {k} | {nodes} | {edges}")
@@ -195,7 +192,7 @@ def _parse_node(token, lineno):
         x, y, speed = (float(p) for p in parts[2:])
     except ValueError:
         raise ParseError(f"bad node record {token!r}", line_number=lineno) from None
-    return idx, SceneNode(idx, (float(cls), x, y, speed))
+    return idx, (float(cls), x, y, speed)
 
 
 def _parse_edge(token, num_relations, lineno):
@@ -236,22 +233,22 @@ def scenes_from_text(text, ontology):
             frame_k = int(tokens[3])
         except ValueError:
             raise ParseError(f"bad seq/frame ids in {line!r}", line_number=lineno) from None
-        nodes = []
+        rows = []
         for tok in head[1].split():
-            idx, node = _parse_node(tok, lineno)
-            if idx != len(nodes):
+            idx, row = _parse_node(tok, lineno)
+            if idx != len(rows):
                 raise ParseError(f"node index {idx} out of order", line_number=lineno)
-            nodes.append(node)
-        if not nodes:
+            rows.append(row)
+        if not rows:
             raise ParseError("frame with no nodes", line_number=lineno)
         edges = []
         for tok in head[2].split():
             edge = _parse_edge(tok, ontology.num_relations, lineno)
-            if edge[0] >= len(nodes) or edge[2] >= len(nodes) or edge[0] == edge[2]:
+            if edge[0] >= len(rows) or edge[2] >= len(rows) or edge[0] == edge[2]:
                 raise ParseError(f"edge {edge} references invalid nodes",
                                  line_number=lineno)
             edges.append(edge)
-        graph = SceneGraph(tuple(nodes), tuple(sorted(set(edges))))
+        graph = SceneGraph(rows, tuple(sorted(set(edges))))
         seqs.setdefault(seq_id, []).append((frame_k, graph))
     out = []
     for seq_id in sorted(seqs):

@@ -1,9 +1,9 @@
 """Scene-graph data model and construction.
 
 A scene graph is a directed multi-relational graph over road entities:
-nodes carry a feature vector ordered by the ontology's attribute schema,
-edges are (src, relation_id, dst) triplets. Node 0 is the ego vehicle by
-convention.
+an (N, d) feature matrix whose row i is node i's feature vector, ordered
+by the ontology's attribute schema, and (src, relation_id, dst) triplets.
+Node 0 is the ego vehicle by convention.
 """
 
 from dataclasses import dataclass, field
@@ -53,26 +53,29 @@ class Homography:
         return Homography(np.linalg.inv(self.h))
 
 
-@dataclass(frozen=True)
-class SceneNode:
-    index: int
-    features: tuple
-
-    def feature(self, idx):
-        return self.features[idx]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneGraph:
-    nodes: tuple
+    features: np.ndarray  # (N, d) float64, row i is node i; C-contiguous, read-only
     edges: tuple  # sorted (src, rel, dst) triplets
+
+    def __post_init__(self):
+        feats = np.array(self.features, dtype=np.float64, order="C")
+        if feats.ndim != 2:
+            raise ShapeError(f"features of shape {feats.shape} are not an (N, d) matrix")
+        feats.flags.writeable = False
+        object.__setattr__(self, "features", feats)
+
+    # a generated __eq__ would compare the matrices' truth values, which
+    # raises; NaN features equal NaN so that a graph equals itself
+    def __eq__(self, other):
+        if not isinstance(other, SceneGraph):
+            return NotImplemented
+        return (self.edges == other.edges
+                and np.array_equal(self.features, other.features, equal_nan=True))
 
     @property
     def num_nodes(self):
-        return len(self.nodes)
-
-    def feature_matrix(self):
-        return np.array([n.features for n in self.nodes], dtype=float)
+        return len(self.features)
 
 
 @dataclass(frozen=True)
@@ -97,8 +100,9 @@ def ipm_project(bbox, homography):
     return (x / w, y / w)
 
 
-def infer_relations(nodes, ontology, params=RelationParams()):
-    """Evaluate the geometric relation predicates over every ordered node pair.
+def infer_relations(features, ontology, params=RelationParams()):
+    """Evaluate the geometric relation predicates over every ordered node
+    pair of an (N, d) feature matrix.
 
     Coordinates are bird's-eye view: x lateral (right-positive), y
     longitudinal (forward-positive). All thresholds inclusive. Returns
@@ -112,13 +116,14 @@ def infer_relations(nodes, ontology, params=RelationParams()):
     half_w = params.lane_width / 2.0
 
     edges = set()
-    n = len(nodes)
+    rows = features.tolist()
+    n = len(rows)
     for i in range(n):
-        x_i, y_i = nodes[i].features[xi], nodes[i].features[yi]
+        x_i, y_i = rows[i][xi], rows[i][yi]
         for j in range(n):
             if i == j:
                 continue
-            x_j, y_j = nodes[j].features[xi], nodes[j].features[yi]
+            x_j, y_j = rows[j][xi], rows[j][yi]
             dx = x_j - x_i
             dy = y_j - y_i
             dist = (dx * dx + dy * dy) ** 0.5
@@ -134,10 +139,10 @@ def infer_relations(nodes, ontology, params=RelationParams()):
                 edges.add((j, rid["in_front_of"], i))
             if dy < 0 and abs(dx) <= half_w and -dy <= params.l_front:
                 edges.add((j, rid["behind"], i))
-            cls_j = int(round(nodes[j].features[ci]))
+            cls_j = int(round(rows[j][ci]))
             if cls_j in params.lane_classes and abs(x_i - x_j) <= half_w:
                 edges.add((i, rid["is_in"], j))
-            if dist <= params.d_near and nodes[j].features[si] > nodes[i].features[si] + params.v_margin:
+            if dist <= params.d_near and rows[j][si] > rows[i][si] + params.v_margin:
                 edges.add((j, rid["approaching"], i))
     return tuple(sorted(edges))
 
@@ -145,28 +150,19 @@ def infer_relations(nodes, ontology, params=RelationParams()):
 def graph_from_bev(records, ontology, params=RelationParams()):
     """Build a SceneGraph from (class_id, bev_x, bev_y, speed) records.
 
-    Record 0 is the ego. Feature vectors follow the ontology attribute
+    Record 0 is the ego. Feature columns follow the ontology attribute
     order; attributes outside the known four are zero-filled.
     """
     if not records:
         raise ShapeError("at least the ego record is required")
-    nodes = []
-    for idx, (cls, x, y, speed) in enumerate(records):
-        feats = []
-        for attr in ontology.attributes:
-            if attr.name == "class":
-                feats.append(float(int(cls)))
-            elif attr.name == "bev_x":
-                feats.append(float(x))
-            elif attr.name == "bev_y":
-                feats.append(float(y))
-            elif attr.name == "speed":
-                feats.append(float(speed))
-            else:
-                feats.append(0.0)
-        nodes.append(SceneNode(idx, tuple(feats)))
-    nodes = tuple(nodes)
-    return SceneGraph(nodes, infer_relations(nodes, ontology, params))
+    known = ("class", "bev_x", "bev_y", "speed")
+    values = np.array([(int(cls), x, y, speed) for cls, x, y, speed in records],
+                      dtype=np.float64)
+    features = np.zeros((len(records), ontology.num_attributes))
+    for k, attr in enumerate(ontology.attributes):
+        if attr.name in known:
+            features[:, k] = values[:, known.index(attr.name)]
+    return SceneGraph(features, infer_relations(features, ontology, params))
 
 
 def build_scene_graph(objects, homography, ontology, params=RelationParams()):

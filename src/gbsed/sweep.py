@@ -74,7 +74,7 @@ def encode_frame(graph, ontology):
     """Scene graph -> wire payload octets."""
     tensor = codec.encode_tensor(graph, ontology)
     compressed = codec.compress(tensor)
-    return codec.serialize(compressed, graph.feature_matrix(), ontology)
+    return codec.serialize(compressed, graph.features, ontology)
 
 
 def decode_frame(payload, ontology):
@@ -164,8 +164,8 @@ def _lay_out(sequences, ontology, risk_params):
         node_row=node_row,
         node_cell=node_row * n[node_frame],
         node_value=np.repeat(np.cumsum(n * d) - n * d, n) + node_row * d[node_frame],
-        sent_features=np.array([[node.features[a.index] for a in ontology.attributes]
-                                for f in frames for node in f.nodes], dtype=np.float64),
+        sent_features=np.concatenate([f.features for f in frames])[
+            :, [a.index for a in ontology.attributes]],
         edge_frame=edges[:, 0],
         edge_rel=edges[:, 1],
         edge_cell=edges[:, 2],

@@ -41,7 +41,7 @@ def frame_near_ego(frame, ontology, params=RiskParams()):
     for src, rel, dst in frame.edges:
         if rel == near_id and dst == 0:
             any_near = True
-            raw_cls = frame.nodes[src].features[class_idx]
+            raw_cls = float(frame.features[src, class_idx])
             # corrupted features may be non-finite; treat as unknown class
             cls = int(round(raw_cls)) if math.isfinite(raw_cls) else -1
             if cls in params.vehicle_classes:

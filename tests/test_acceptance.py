@@ -61,8 +61,8 @@ def test_criterion_1_round_trip_identity(corpus_frames):
         if back is None or back.edges != frame.edges:
             failures += 1
             continue
-        if not np.array_equal(back.feature_matrix(),
-                              frame.feature_matrix().astype(np.float32)):
+        if not np.array_equal(back.features,
+                              frame.features.astype(np.float32)):
             failures += 1
             continue
         if semantic_fidelity(frame, back, ONT).fidelity != 1.0:

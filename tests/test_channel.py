@@ -552,6 +552,22 @@ def test_send_allocates_no_block_sized_buffers(cfg):
     assert peak < 2 * draws, peak / draws
 
 
+@pytest.mark.parametrize("n", [100_001, 100_000])
+def test_awgn_scratch_shares_memory_between_roles(n):
+    # u lives in raw and polar's (r, theta) in tmp, whose lifetimes do not
+    # overlap: about 40 bytes per draw, 56 if every role had its own memory
+    tracemalloc.start()
+    try:
+        s = channel._Scratch(n, True)
+        allocated = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert allocated <= 41 * n, allocated / n
+    assert s.u.size == n and s.r.size == s.theta.size == n // 2
+    assert np.shares_memory(s.u, s.raw) and not np.shares_memory(s.r, s.theta)
+    assert np.shares_memory(s.r, s.tmp) and np.shares_memory(s.theta, s.tmp)
+
+
 @pytest.mark.parametrize("p", [0.5, 0.25, 2.0 ** -10, 0.1, 1 / 3, 0.002,
                                2.0 ** -60, 1e-300, 5e-324])
 def test_bsc_threshold_on_raw_outputs_is_exact(p):

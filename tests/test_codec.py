@@ -13,22 +13,20 @@ from gbsed.errors import (
 )
 from gbsed.ontology import load_ontology
 from gbsed.rng import SplitMix64
-from gbsed.scene_graph import SceneGraph, SceneNode
+from gbsed.scene_graph import SceneGraph
 
 
 def _random_graph(seed, n, num_rel, edge_prob=0.2, d=4):
     gen = SplitMix64(seed)
-    nodes = tuple(
-        SceneNode(i, tuple(round(gen.uniform(-20, 20) * 64) / 64 for _ in range(d)))
-        for i in range(n)
-    )
+    features = [[round(gen.uniform(-20, 20) * 64) / 64 for _ in range(d)]
+                for _ in range(n)]
     edges = sorted(
         (i, r, j)
         for i in range(n) for j in range(n) if i != j
         for r in range(1, num_rel + 1)
         if gen.random() < edge_prob
     )
-    return SceneGraph(nodes, tuple(edges))
+    return SceneGraph(features, tuple(edges))
 
 
 def _tiny_ontology():
@@ -39,7 +37,7 @@ def _tiny_ontology():
 # -- encode_tensor ------------------------------------------------------------
 
 def test_encode_edgeless(ontology):
-    g = SceneGraph(tuple(SceneNode(i, (0.0,) * 4) for i in range(3)), ())
+    g = SceneGraph(np.zeros((3, 4)), ())
     t = codec.encode_tensor(g, ontology)
     assert t.slices.shape == (8, 3, 3)
     assert not t.slices.any()
@@ -47,8 +45,7 @@ def test_encode_edgeless(ontology):
 
 def test_encode_direct_transcription():
     o = _tiny_ontology()
-    g = SceneGraph((SceneNode(0, (0.0,)), SceneNode(1, (1.0,))),
-                   ((0, 1, 1), (1, 2, 0)))
+    g = SceneGraph([[0.0], [1.0]], ((0, 1, 1), (1, 2, 0)))
     t = codec.encode_tensor(g, o)
     assert t.slices[0][0][1] == 1 and t.slices[1][1][0] == 2
     assert int(t.slices.sum()) == 3
@@ -65,7 +62,7 @@ def test_encode_coordinate_bijection(ontology):
 
 
 def test_encode_bad_relation_id(ontology):
-    g = SceneGraph((SceneNode(0, (0.0,) * 4), SceneNode(1, (0.0,) * 4)), ((0, 9, 1),))
+    g = SceneGraph(np.zeros((2, 4)), ((0, 9, 1),))
     with pytest.raises(OntologyMismatch):
         codec.encode_tensor(g, ontology)
 
@@ -93,6 +90,15 @@ def test_compress_selects_active_relations():
     assert [int(m.max()) for m in c.retained] == [1, 3, 7]
     # slice-count reduction 5/8 = 62.5%
     assert 1 - len(c.retained) / 8 == pytest.approx(0.625)
+
+
+def test_compress_retained_independent_of_tensor():
+    slices = np.zeros((4, 2, 2), dtype=np.uint8)
+    slices[2, 1, 0] = 3
+    slices[0, 0, 1] = 1
+    c = codec.compress(codec.AdjacencyTensor(2, 4, slices))
+    slices[:] = 0
+    assert [m.tolist() for m in c.retained] == [[[0, 1], [0, 0]], [[0, 0], [3, 0]]]
 
 
 def test_compress_matches_distinct_relation_oracle(ontology):
@@ -203,7 +209,7 @@ def test_payload_size_formula(ontology):
     for seed in range(20):
         g = _random_graph(seed + 900, 6, 8)
         c = codec.compress(codec.encode_tensor(g, ontology))
-        payload = codec.serialize(c, g.feature_matrix(), ontology)
+        payload = codec.serialize(c, g.features, ontology)
         assert len(payload) == codec.payload_length(6, 4, len(c.retained))
 
 
@@ -219,9 +225,9 @@ def test_serialize_injective_over_corpus(ontology, corpus_frames):
     seen = set()
     for frame in corpus_frames:
         c = codec.compress(codec.encode_tensor(frame, ontology))
-        seen.add(codec.serialize(c, frame.feature_matrix(), ontology))
+        seen.add(codec.serialize(c, frame.features, ontology))
     distinct_inputs = {
-        (frame.edges, tuple(map(tuple, frame.feature_matrix().astype(np.float32).tolist())))
+        (frame.edges, tuple(map(tuple, frame.features.astype(np.float32).tolist())))
         for frame in corpus_frames
     }
     assert len(seen) == len(distinct_inputs)
@@ -284,16 +290,15 @@ def test_capacity_errors(ontology):
 def test_encode_tensor_refuses_before_allocating(ontology):
     # 70,000 nodes would be |R|·4.9 GB of relation slices; the header's
     # 16-bit N cannot carry them, so encode_tensor refuses before allocating
-    nodes = tuple(SceneNode(i, (0.0,)) for i in range(70_000))
     with pytest.raises(CapacityError):
-        codec.encode_tensor(SceneGraph(nodes, ((0, 1, 1),)), ontology)
+        codec.encode_tensor(SceneGraph(np.zeros((70_000, 1)), ((0, 1, 1),)), ontology)
     with pytest.raises(CapacityError):
         codec.encode_tensor(_random_graph(1, 3, 1), SimpleNamespace(num_relations=300))
 
 
 def _serialized(g, ontology):
     c = codec.compress(codec.encode_tensor(g, ontology))
-    return codec.serialize(c, g.feature_matrix(), ontology)
+    return codec.serialize(c, g.features, ontology)
 
 
 def test_full_pipeline_round_trip(ontology):
@@ -305,5 +310,5 @@ def test_full_pipeline_round_trip(ontology):
         out = codec.regenerate(tensor, feats, ontology)
         assert warnings == []
         assert out.edges == g.edges
-        np.testing.assert_array_equal(out.feature_matrix(),
-                                      g.feature_matrix().astype(np.float32))
+        np.testing.assert_array_equal(out.features,
+                                      g.features.astype(np.float32))

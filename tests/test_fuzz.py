@@ -37,7 +37,7 @@ def test_parser_total_over_mutated_valid_payloads(corpus_frames):
     for trial in range(2000):
         frame = frames[trial % len(frames)]
         c = codec.compress(codec.encode_tensor(frame, ONT))
-        payload = bytearray(codec.serialize(c, frame.feature_matrix(), ONT))
+        payload = bytearray(codec.serialize(c, frame.features, ONT))
         for _ in range(gen.randint(1, 8)):
             payload[gen.randint(0, len(payload) - 1)] ^= 1 << gen.randint(0, 7)
         try:
@@ -69,7 +69,7 @@ def test_scenes_parser_total(text):
 def test_truncation_of_valid_payload_always_typed(corpus_frames):
     frame = corpus_frames[0]
     c = codec.compress(codec.encode_tensor(frame, ONT))
-    payload = codec.serialize(c, frame.feature_matrix(), ONT)
+    payload = codec.serialize(c, frame.features, ONT)
     for cut in range(len(payload)):
         try:
             codec.parse(payload[:cut], ONT)

@@ -21,12 +21,11 @@ from gbsed.metrics import (
 )
 from gbsed.ontology import load_ontology
 from gbsed.rng import SplitMix64
-from gbsed.scene_graph import SceneGraph, SceneNode
+from gbsed.scene_graph import SceneGraph
 
 
 def _graph(features, edges):
-    nodes = tuple(SceneNode(i, tuple(f)) for i, f in enumerate(features))
-    return SceneGraph(nodes, tuple(sorted(edges)))
+    return SceneGraph(features, tuple(sorted(edges)))
 
 
 # -- semantic fidelity --------------------------------------------------------

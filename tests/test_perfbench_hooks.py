@@ -19,3 +19,14 @@ def test_every_perfbench_probe_resolves():
                if not hasattr(importlib.import_module(p.module), p.attr)]
     assert missing == []
     assert hasattr(rng, "USING_NUMBA")
+
+
+def test_perfbench_corpus_survives_its_scenes_round_trip(tmp_path):
+    # perfbench counts a run correct only if the corpus read back from its
+    # .scenes file equals the generated one
+    path = os.path.join(os.path.dirname(_TRACER), "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.NAMES:
+        assert workloads.build_inputs(name, 3, tmp_path)[2] is True, name

@@ -50,13 +50,13 @@ def test_edges_equal_relation_inference(default_corpus):
     params = RelationParams()
     for seq in default_corpus[:10]:
         for frame in seq.frames:
-            assert frame.edges == infer_relations(frame.nodes, ONT, params)
+            assert frame.edges == infer_relations(frame.features, ONT, params)
 
 
 def test_ego_at_origin(default_corpus):
     for seq in default_corpus[:10]:
         for frame in seq.frames:
-            assert frame.nodes[0].features[1:3] == (0.0, 0.0)
+            assert frame.features[0, 1:3].tolist() == [0.0, 0.0]
 
 
 def test_vehicle_count_range(default_corpus):
@@ -156,4 +156,4 @@ def test_features_survive_text_precision(default_corpus):
     back = scenes_from_text(text, ONT)
     for orig, parsed in zip(default_corpus[:5], back):
         for f_orig, f_back in zip(orig.frames, parsed.frames):
-            assert f_orig.nodes == f_back.nodes
+            assert f_orig.features.tolist() == f_back.features.tolist()

@@ -5,13 +5,14 @@ import pytest
 
 from gbsed.errors import HorizonError, ShapeError
 from gbsed.rng import SplitMix64
+from gbsed.scenarios import ScenarioSpec, generate, scenes_from_text, scenes_to_text
 from gbsed.scene_graph import (
     CLASS_LANE,
     CLASS_VEHICLE,
     DetectedObject,
     Homography,
     RelationParams,
-    SceneNode,
+    SceneGraph,
     build_scene_graph,
     graph_from_bev,
     infer_relations,
@@ -199,7 +200,7 @@ def test_build_scene_graph_from_detections(ontology):
             DetectedObject(CLASS_VEHICLE, (630, 690, 650, 715), 10.0)]
     g = build_scene_graph(objs, Homography.identity(), ontology)
     assert g.num_nodes == 2
-    assert g.nodes[0].features == (float(CLASS_VEHICLE), 640.0, 720.0, 10.0)
+    assert g.features[0].tolist() == [float(CLASS_VEHICLE), 640.0, 720.0, 10.0]
 
 
 def test_build_deterministic(ontology):
@@ -209,9 +210,9 @@ def test_build_deterministic(ontology):
     assert a == b
 
 
-def test_feature_matrix_layout(ontology):
+def test_features_layout(ontology):
     g = graph_from_bev([(CLASS_VEHICLE, 1.5, -2.0, 10), (CLASS_LANE, 0, 0, 0)], ontology)
-    f = g.feature_matrix()
+    f = g.features
     assert f.shape == (2, 4)
     np.testing.assert_array_equal(f[0], [CLASS_VEHICLE, 1.5, -2.0, 10.0])
 
@@ -222,3 +223,46 @@ def test_horizon_error_names_object(ontology):
             DetectedObject(CLASS_VEHICLE, (90, -10, 110, 0))]
     with pytest.raises(HorizonError, match="object 1"):
         build_scene_graph(objs, h, ontology)
+
+
+# -- value semantics ----------------------------------------------------------
+
+def test_graphs_equal_across_a_scenes_round_trip(ontology):
+    sent = generate(ScenarioSpec(seed=7, num_sequences=4), ontology)
+    back = scenes_from_text(scenes_to_text(sent), ontology)
+    assert back == sent
+    assert all(a == b for s, r in zip(sent, back) for a, b in zip(s.frames, r.frames))
+
+
+def test_graphs_differ_in_one_feature_or_one_edge():
+    g = SceneGraph([(0.0, 0.0, 0.0, 10.0), (0.0, 1.0, 5.0, 10.0)], ((1, 1, 0),))
+    assert g == SceneGraph(g.features.copy(), ((1, 1, 0),))
+    assert g != SceneGraph(g.features + [[0, 0, 0, 0], [0, 0, 0, 2.0 ** -20]], g.edges)
+    assert g != SceneGraph(g.features, ((0, 1, 1),))
+    assert g != SceneGraph(g.features, ((0, 1, 1), (1, 1, 0)))
+    assert g != SceneGraph(g.features[:1], ())
+    assert g != (g.features, g.edges)
+
+
+def test_graph_with_a_nan_feature_equals_itself():
+    g = SceneGraph([(math.nan, 0.0, 5.0, 10.0)], ())
+    assert g == g
+    assert g == SceneGraph([(math.nan, 0.0, 5.0, 10.0)], ())
+
+
+def test_features_must_be_a_matrix():
+    with pytest.raises(ShapeError):
+        SceneGraph(np.zeros(4), ())
+    with pytest.raises(ShapeError):
+        SceneGraph(np.zeros((1, 2, 2)), ())
+
+
+def test_features_are_read_only_float64_and_owned(ontology):
+    rows = np.array([[0.0, 1.0, 2.0, 3.0]], dtype=np.float32)
+    g = SceneGraph(rows, ())
+    assert g.features.dtype == np.float64 and g.features.flags.c_contiguous
+    with pytest.raises(ValueError):
+        g.features[0, 0] = 1.0
+    rows[0, 0] = 9.0
+    assert g.features[0, 0] == 0.0
+    assert not graph_from_bev([(CLASS_VEHICLE, 0, 0, 10)], ontology).features.flags.writeable

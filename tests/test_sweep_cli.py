@@ -16,7 +16,7 @@ from gbsed.errors import GbsedError
 from gbsed.metrics import auc, classification_metrics, semantic_fidelity
 from gbsed.ontology import default_ontology, emit_ontology
 from gbsed.scenarios import ScenarioSpec, generate
-from gbsed.scene_graph import SceneGraph, SceneNode
+from gbsed.scene_graph import SceneGraph
 from gbsed.task import GraphSequence, task_consistency
 from reference_link import reference_transmit
 
@@ -66,7 +66,7 @@ def test_sweep_deterministic(small_corpus):
 # passes, must write the same CSV bytes.
 
 def _fallback_frame():
-    return SceneGraph((SceneNode(0, (1.0, 0.0, 0.0, 0.0)),), ())
+    return SceneGraph([(1.0, 0.0, 0.0, 0.0)], ())
 
 
 def _reference_point(point_index, snr_db, sequences, payloads, cfg):
@@ -302,7 +302,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(gen_args + ["--vehicles", "1,40"]) == 3  # beyond the lanes' capacity
     assert main(gen_args + ["--vehicles", "3,3", "--risky-fraction", "1"]) == 0
     assert main(gen_args + ["--sequences", "0"]) == 0
+    # a path that is a directory is a data error
+    assert main(["encode", "--scenes", str(tmp_path), "--out", str(tmp_path / "o")]) == 3
+    assert main(["gen", "--out", str(tmp_path)]) == 3
     capsys.readouterr()
+    # a CSV with rows but without a column the report shows
+    csv_path = tmp_path / "short.csv"
+    csv_path.write_text("snr_db,ber\n0.0,0.1\n")
+    assert main(["report", "--csv", str(csv_path)]) == 3
+    err = capsys.readouterr().err
+    assert "fidelity" in err and "mean_payload_octets" in err and "snr_db" not in err
+    csv_path.write_text("snr_db,ber\n")
+    assert main(["report", "--csv", str(csv_path)]) == 0
+    assert capsys.readouterr().out == "no rows\n"
 
 
 def test_import_does_not_load_scipy():

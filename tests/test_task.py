@@ -3,7 +3,7 @@ import pytest
 from gbsed.errors import DegenerateInput, ShapeError
 from gbsed.metrics import auc
 from gbsed.ontology import default_ontology
-from gbsed.scene_graph import CLASS_LANE, CLASS_VEHICLE, SceneGraph, SceneNode
+from gbsed.scene_graph import CLASS_LANE, CLASS_VEHICLE, SceneGraph
 from gbsed.task import (
     RISKY,
     SAFE,
@@ -19,11 +19,11 @@ ONT = default_ontology()
 
 def _frame(near_class=None):
     """Two-node frame; if near_class is set, node 1 is is_near the ego."""
-    nodes = (SceneNode(0, (float(CLASS_VEHICLE), 0.0, 0.0, 10.0)),
-             SceneNode(1, (float(near_class if near_class is not None else CLASS_VEHICLE),
-                           0.0, 50.0, 10.0)))
+    features = ((float(CLASS_VEHICLE), 0.0, 0.0, 10.0),
+                (float(near_class if near_class is not None else CLASS_VEHICLE),
+                 0.0, 50.0, 10.0))
     edges = ((1, 1, 0),) if near_class is not None else ()
-    return SceneGraph(nodes, edges)
+    return SceneGraph(features, edges)
 
 
 def _seq(pattern, label=None):
@@ -76,10 +76,7 @@ def test_attribute_noise_without_edge_change_is_invisible():
     base = _seq(".vv")
     noisy_frames = []
     for frame in base.frames:
-        nodes = tuple(SceneNode(n.index, (n.features[0], n.features[1] + 3.0,
-                                          n.features[2] - 1.5, n.features[3] + 0.7))
-                      for n in frame.nodes)
-        noisy_frames.append(SceneGraph(nodes, frame.edges))
+        noisy_frames.append(SceneGraph(frame.features + (0.0, 3.0, -1.5, 0.7), frame.edges))
     assert assess_risk(GraphSequence(tuple(noisy_frames)), ONT) == \
         assess_risk(base, ONT)
 
@@ -87,14 +84,14 @@ def test_attribute_noise_without_edge_change_is_invisible():
 def test_deleting_near_edges_never_creates_risk():
     seq = _seq("vvvv")
     assert assess_risk(seq, ONT).decision == RISKY
-    stripped = GraphSequence(tuple(SceneGraph(f.nodes, ()) for f in seq.frames))
+    stripped = GraphSequence(tuple(SceneGraph(f.features, ()) for f in seq.frames))
     assert assess_risk(stripped, ONT).decision == SAFE
 
 
 def test_non_finite_class_treated_as_unknown():
-    nodes = (SceneNode(0, (0.0, 0.0, 0.0, 10.0)),
-             SceneNode(1, (float("nan"), 0.0, 5.0, 10.0)))
-    frame = SceneGraph(nodes, ((1, 1, 0),))
+    features = ((0.0, 0.0, 0.0, 10.0),
+                (float("nan"), 0.0, 5.0, 10.0))
+    frame = SceneGraph(features, ((1, 1, 0),))
     v = assess_risk(GraphSequence((frame, frame)), ONT)
     assert v.decision == SAFE and v.score == 1.0
 
