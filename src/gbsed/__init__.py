@@ -1,9 +1,6 @@
 """gbsed: graph-based semantic scene-graph codec and noisy-link simulator."""
 
 from .codec import (
-    AdjacencyTensor,
-    BinaryTensor,
-    CompressedTensor,
     compress,
     decompress,
     encode_tensor,

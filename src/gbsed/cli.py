@@ -167,6 +167,9 @@ def cmd_report(args):
     if missing:
         print(f"error: {args.csv} lacks the columns {', '.join(missing)}", file=sys.stderr)
         return EXIT_DATA
+    for i, r in enumerate(rows, start=1):
+        if None in r.values():  # csv.DictReader's filler for a missing cell
+            raise ValueError(f"{args.csv} row {i} has fewer cells than the header")
     body = [[_round(r[c]) for c in display] for r in rows]
     print(_format_table(display, body))
     print()

@@ -68,21 +68,27 @@ class SweepConfig:
             raise ValueError("snr_points is empty")
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
+        for snr_db in self.snr_points:
+            self._link(snr_db)  # raises ValueError for a bad point or link
+
+    def _link(self, snr_db):
+        return LinkConfig(snr_db=snr_db, channel_kind=self.channel_kind,
+                          bsc_flip_prob=self.bsc_flip_prob,
+                          header_protection=self.header_protection)
 
 
 def encode_frame(graph, ontology):
     """Scene graph -> wire payload octets."""
-    tensor = codec.encode_tensor(graph, ontology)
-    compressed = codec.compress(tensor)
-    return codec.serialize(compressed, graph.features, ontology)
+    retained = codec.compress(codec.encode_tensor(graph, ontology))
+    return codec.serialize(retained, graph.features, ontology)
 
 
 def decode_frame(payload, ontology):
     """Wire payload -> scene graph, or None if the payload fails to parse."""
     try:
-        compressed, feats = codec.parse(payload, ontology)
-        tensor, _ = codec.decompress(compressed)
-        return codec.regenerate(tensor, feats, ontology)
+        retained, feats = codec.parse(payload, ontology)
+        tensor, _ = codec.decompress(retained, ontology.num_relations)
+        return codec.regenerate(tensor, feats)
     except GbsedError:
         return None
 
@@ -231,9 +237,7 @@ def _score_pass(lay, received, ontology, risk_params):
 
 
 def _run_point(point_index, snr_db, lay, plan, ontology, cfg, risk_params, sizes):
-    link = LinkConfig(snr_db=snr_db, channel_kind=cfg.channel_kind,
-                      bsc_flip_prob=cfg.bsc_flip_prob,
-                      header_protection=cfg.header_protection)
+    link = cfg._link(snr_db)
     num_frames = len(lay.frames)
     passes = -(-cfg.trials_per_point // num_frames)
     point_seed = np.uint64((cfg.base_seed ^ point_index) & _MASK64)

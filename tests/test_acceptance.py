@@ -84,8 +84,7 @@ def test_criterion_2_compression_exactness():
         diag = np.arange(n)
         mask[:, diag, diag] = False
         slices = (mask * np.arange(1, 9, dtype=np.uint8)[:, None, None]).astype(np.uint8)
-        tensor = codec.AdjacencyTensor(n, 8, slices)
-        retained_ids = [int(m.max()) for m in codec.compress(tensor).retained]
+        retained_ids = [int(m.max()) for m in codec.compress(slices)]
         oracle = [r + 1 for r in range(8) if bool(np.any(slices[r] > 0))]
         if retained_ids != oracle:
             mismatches += 1
@@ -96,7 +95,7 @@ def test_criterion_2_compression_exactness():
 def test_criterion_3_relation_level_compression_rate(corpus_frames):
     reductions = []
     for frame in corpus_frames:
-        k = len(codec.compress(codec.encode_tensor(frame, ONT)).retained)
+        k = len(codec.compress(codec.encode_tensor(frame, ONT)))
         reductions.append(1.0 - k / ONT.num_relations)
     mean = 100.0 * float(np.mean(reductions))
     _verdict(3, 62.0 <= mean <= 72.0,
@@ -276,11 +275,10 @@ def test_criterion_9_wire_robustness():
         for bit in range(8 * n * n):
             corrupted = mat.copy().reshape(-1)
             corrupted[bit // 8] ^= 1 << (7 - bit % 8)
-            out, _ = codec.decompress(
-                codec.CompressedTensor(n, 8, (corrupted.reshape(n, n),)))
+            out, _ = codec.decompress(corrupted.reshape(1, n, n), 8)
             total += 1
             # recovered iff the original relation's slice is the one populated
-            placed = {r + 1 for r in range(8) if out.slices[r].any()}
+            placed = {r + 1 for r in range(8) if out[r].any()}
             if placed <= {rel} and (placed or not mat.any()):
                 recovered += 1
     rate = recovered / total

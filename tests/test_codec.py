@@ -39,26 +39,26 @@ def _tiny_ontology():
 def test_encode_edgeless(ontology):
     g = SceneGraph(np.zeros((3, 4)), ())
     t = codec.encode_tensor(g, ontology)
-    assert t.slices.shape == (8, 3, 3)
-    assert not t.slices.any()
+    assert t.shape == (8, 3, 3) and t.dtype == np.uint8
+    assert not t.any()
 
 
 def test_encode_direct_transcription():
     o = _tiny_ontology()
     g = SceneGraph([[0.0], [1.0]], ((0, 1, 1), (1, 2, 0)))
     t = codec.encode_tensor(g, o)
-    assert t.slices[0][0][1] == 1 and t.slices[1][1][0] == 2
-    assert int(t.slices.sum()) == 3
+    assert t[0][0][1] == 1 and t[1][1][0] == 2
+    assert int(t.sum()) == 3
 
 
 def test_encode_coordinate_bijection(ontology):
     g = _random_graph(11, 7, 8)
     t = codec.encode_tensor(g, ontology)
     coords = {(i, r + 1, j) for r in range(8)
-              for i, j in zip(*np.nonzero(t.slices[r]))}
+              for i, j in zip(*np.nonzero(t[r]))}
     assert coords == set(g.edges)
     for r in range(8):  # self-describing: slice r holds only {0, r+1}
-        assert set(np.unique(t.slices[r])) <= {0, r + 1}
+        assert set(np.unique(t[r])) <= {0, r + 1}
 
 
 def test_encode_bad_relation_id(ontology):
@@ -70,49 +70,48 @@ def test_encode_bad_relation_id(ontology):
 # -- compress -----------------------------------------------------------------
 
 def test_compress_all_zero(ontology):
-    t = codec.AdjacencyTensor(4, 8, np.zeros((8, 4, 4), dtype=np.uint8))
-    assert codec.compress(t).retained == ()
+    retained = codec.compress(np.zeros((8, 4, 4), dtype=np.uint8))
+    assert retained.shape == (0, 4, 4)
 
 
 def test_compress_identity_case(ontology):
     slices = np.zeros((8, 2, 2), dtype=np.uint8)
     for r in range(8):
         slices[r, 0, 1] = r + 1
-    t = codec.AdjacencyTensor(2, 8, slices)
-    assert len(codec.compress(t).retained) == 8
+    assert len(codec.compress(slices)) == 8
 
 
 def test_compress_selects_active_relations():
     slices = np.zeros((8, 3, 3), dtype=np.uint8)
     for r in (1, 3, 7):
         slices[r - 1, 0, 1] = r
-    c = codec.compress(codec.AdjacencyTensor(3, 8, slices))
-    assert [int(m.max()) for m in c.retained] == [1, 3, 7]
+    c = codec.compress(slices)
+    assert [int(m.max()) for m in c] == [1, 3, 7]
     # slice-count reduction 5/8 = 62.5%
-    assert 1 - len(c.retained) / 8 == pytest.approx(0.625)
+    assert 1 - len(c) / 8 == pytest.approx(0.625)
 
 
 def test_compress_retained_independent_of_tensor():
     slices = np.zeros((4, 2, 2), dtype=np.uint8)
     slices[2, 1, 0] = 3
     slices[0, 0, 1] = 1
-    c = codec.compress(codec.AdjacencyTensor(2, 4, slices))
+    c = codec.compress(slices)
     slices[:] = 0
-    assert [m.tolist() for m in c.retained] == [[[0, 1], [0, 0]], [[0, 0], [3, 0]]]
+    assert c.tolist() == [[[0, 1], [0, 0]], [[0, 0], [3, 0]]]
 
 
 def test_compress_matches_distinct_relation_oracle(ontology):
     for seed in range(50):
         g = _random_graph(seed, 6, 8)
         c = codec.compress(codec.encode_tensor(g, ontology))
-        assert len(c.retained) == len({r for _, r, _ in g.edges})
+        assert len(c) == len({r for _, r, _ in g.edges})
 
 
 # -- decompress ---------------------------------------------------------------
 
 def test_decompress_empty():
-    t, warnings = codec.decompress(codec.CompressedTensor(4, 5, ()))
-    assert t.slices.shape == (5, 4, 4) and not t.slices.any()
+    t, warnings = codec.decompress(np.zeros((0, 4, 4), dtype=np.uint8), 5)
+    assert t.shape == (5, 4, 4) and not t.any()
     assert warnings == []
 
 
@@ -120,8 +119,8 @@ def test_decompress_inverts_compress(ontology):
     for seed in range(20):
         g = _random_graph(seed + 500, 5, 8)
         tensor = codec.encode_tensor(g, ontology)
-        out, warnings = codec.decompress(codec.compress(tensor))
-        np.testing.assert_array_equal(out.slices, (tensor.slices > 0).astype(np.uint8))
+        out, warnings = codec.decompress(codec.compress(tensor), 8)
+        np.testing.assert_array_equal(out, (tensor > 0).astype(np.uint8))
         assert warnings == []
 
 
@@ -129,33 +128,33 @@ def test_mode_repair_out_of_range_discarded():
     mat = np.zeros((3, 3), dtype=np.uint8)
     mat[0, 1] = mat[0, 2] = mat[1, 0] = 3
     mat[2, 2] = 200
-    out, warnings = codec.decompress(codec.CompressedTensor(3, 8, (mat,)))
+    out, warnings = codec.decompress(mat[None], 8)
     assert len(warnings) == 1
     expect = np.zeros((8, 3, 3), dtype=np.uint8)
     expect[2, 0, 1] = expect[2, 0, 2] = expect[2, 1, 0] = 1
-    np.testing.assert_array_equal(out.slices, expect)  # 200 never placed
+    np.testing.assert_array_equal(out, expect)  # 200 never placed
 
 
 def test_mode_repair_tie_toward_smallest_id():
     mat = np.zeros((2, 2), dtype=np.uint8)
     mat[0, 1] = 5
     mat[1, 0] = 2
-    out, warnings = codec.decompress(codec.CompressedTensor(2, 8, (mat,)))
-    assert out.slices[1].any() and not out.slices[4].any()
+    out, warnings = codec.decompress(mat[None], 8)
+    assert out[1].any() and not out[4].any()
     assert len(warnings) == 1
 
 
 def test_mode_repair_drop_when_nothing_in_range():
     mat = np.full((2, 2), 200, dtype=np.uint8)
-    out, warnings = codec.decompress(codec.CompressedTensor(2, 8, (mat,)))
-    assert not out.slices.any()
+    out, warnings = codec.decompress(mat[None], 8)
+    assert not out.any()
     assert "dropped" in warnings[0]
 
 
 def test_empty_matrix_dropped_with_warning():
     mat = np.zeros((2, 2), dtype=np.uint8)
-    out, warnings = codec.decompress(codec.CompressedTensor(2, 8, (mat,)))
-    assert not out.slices.any() and len(warnings) == 1
+    out, warnings = codec.decompress(mat[None], 8)
+    assert not out.any() and len(warnings) == 1
 
 
 def test_duplicate_relation_later_wins():
@@ -163,16 +162,15 @@ def test_duplicate_relation_later_wins():
     a[0, 1] = 3
     b = np.zeros((2, 2), dtype=np.uint8)
     b[1, 0] = 3
-    out, warnings = codec.decompress(codec.CompressedTensor(2, 8, (a, b)))
-    assert out.slices[2, 1, 0] == 1 and out.slices[2, 0, 1] == 0
+    out, warnings = codec.decompress(np.stack([a, b]), 8)
+    assert out[2, 1, 0] == 1 and out[2, 0, 1] == 0
     assert any("duplicate" in w for w in warnings)
 
 
 # -- regenerate ---------------------------------------------------------------
 
-def test_regenerate_zero_tensor(ontology):
-    t = codec.BinaryTensor(2, 8, np.zeros((8, 2, 2), dtype=np.uint8))
-    g = codec.regenerate(t, np.zeros((2, 4)), ontology)
+def test_regenerate_zero_tensor():
+    g = codec.regenerate(np.zeros((8, 2, 2), dtype=np.uint8), np.zeros((2, 4)))
     assert g.num_nodes == 2 and g.edges == ()
 
 
@@ -180,15 +178,14 @@ def test_regenerate_single_triplet():
     o = _tiny_ontology()
     slices = np.zeros((2, 2, 2), dtype=np.uint8)
     slices[1, 0, 1] = 1
-    g = codec.regenerate(codec.BinaryTensor(2, 2, slices), np.zeros((2, 1)), o)
+    g = codec.regenerate(slices, np.zeros((2, 1)))
     assert g.edges == ((0, 2, 1),)
     assert o.relation_name(2) == "to_left_of"
 
 
-def test_regenerate_shape_mismatch(ontology):
-    t = codec.BinaryTensor(3, 8, np.zeros((8, 3, 3), dtype=np.uint8))
+def test_regenerate_shape_mismatch():
     with pytest.raises(ShapeError):
-        codec.regenerate(t, np.zeros((2, 4)), ontology)
+        codec.regenerate(np.zeros((8, 3, 3), dtype=np.uint8), np.zeros((2, 4)))
 
 
 # -- serialize / parse --------------------------------------------------------
@@ -197,11 +194,10 @@ def test_payload_size_example():
     o = _tiny_ontology()
     mat = np.zeros((2, 2), dtype=np.uint8)
     mat[0, 1] = 1
-    c = codec.CompressedTensor(2, 2, (mat,))
-    payload = codec.serialize(c, np.zeros((2, 1), dtype=np.float32), o)
+    payload = codec.serialize(mat[None], np.zeros((2, 1), dtype=np.float32), o)
     assert len(payload) == 33 == codec.payload_length(2, 1, 1)
     back, feats = codec.parse(payload, o)
-    np.testing.assert_array_equal(back.retained[0], mat)
+    np.testing.assert_array_equal(back, mat[None])
     assert feats.shape == (2, 1)
 
 
@@ -210,15 +206,15 @@ def test_payload_size_formula(ontology):
         g = _random_graph(seed + 900, 6, 8)
         c = codec.compress(codec.encode_tensor(g, ontology))
         payload = codec.serialize(c, g.features, ontology)
-        assert len(payload) == codec.payload_length(6, 4, len(c.retained))
+        assert len(payload) == codec.payload_length(6, 4, len(c))
 
 
 def test_empty_retained_payload(ontology):
-    c = codec.CompressedTensor(3, 8, ())
+    c = np.zeros((0, 3, 3), dtype=np.uint8)
     payload = codec.serialize(c, np.zeros((3, 4), dtype=np.float32), ontology)
     assert len(payload) == codec.payload_length(3, 4, 0)
     back, _ = codec.parse(payload, ontology)
-    assert back.retained == ()
+    assert back.shape == (0, 3, 3)
 
 
 def test_serialize_injective_over_corpus(ontology, corpus_frames):
@@ -281,10 +277,33 @@ def test_parse_nonzero_flags(ontology):
     assert e.value.offset == 19
 
 
-def test_capacity_errors(ontology):
-    c = codec.CompressedTensor(3, 300, ())
+def test_parse_counts_other_than_the_ontology(ontology):
+    # d and |R| must equal the ontology's attribute and relation counts
+    for at, offset in ((16, 15), (17, 17)):
+        payload = bytearray(_serialized(_random_graph(7, 3, 8), ontology))
+        payload[at] ^= 1
+        with pytest.raises(FormatError) as e:
+            codec.parse(bytes(payload), ontology)
+        assert e.value.offset == offset
+
+
+def test_serialize_shape_errors(ontology):
+    # so that every payload serialize writes parses, it refuses features of
+    # another width than the ontology's and matrices that are not (K, N, N)
+    mats = np.zeros((1, 3, 3), dtype=np.uint8)
+    for feats in (np.zeros((3, 5)), np.zeros((2, 4)), np.zeros(12)):
+        with pytest.raises(ShapeError):
+            codec.serialize(mats, feats, ontology)
+    for bad in (mats[0], np.zeros((1, 3, 2), dtype=np.uint8)):
+        with pytest.raises(ShapeError):
+            codec.serialize(bad, np.zeros((3, 4)), ontology)
+
+
+def test_capacity_errors():
+    c = np.zeros((0, 3, 3), dtype=np.uint8)
+    wide = SimpleNamespace(num_relations=300, num_attributes=4)
     with pytest.raises(CapacityError):
-        codec.serialize(c, np.zeros((3, 4), dtype=np.float32), ontology)
+        codec.serialize(c, np.zeros((3, 4), dtype=np.float32), wide)
 
 
 def test_encode_tensor_refuses_before_allocating(ontology):
@@ -306,8 +325,8 @@ def test_full_pipeline_round_trip(ontology):
         g = _random_graph(seed + 2000, 8, 8)
         payload = _serialized(g, ontology)
         back, feats = codec.parse(payload, ontology)
-        tensor, warnings = codec.decompress(back)
-        out = codec.regenerate(tensor, feats, ontology)
+        tensor, warnings = codec.decompress(back, ontology.num_relations)
+        out = codec.regenerate(tensor, feats)
         assert warnings == []
         assert out.edges == g.edges
         np.testing.assert_array_equal(out.features,

@@ -42,8 +42,8 @@ def test_parser_total_over_mutated_valid_payloads(corpus_frames):
             payload[gen.randint(0, len(payload) - 1)] ^= 1 << gen.randint(0, 7)
         try:
             compressed, feats = codec.parse(bytes(payload), ONT)
-            tensor, _ = codec.decompress(compressed)
-            codec.regenerate(tensor, feats, ONT)
+            tensor, _ = codec.decompress(compressed, ONT.num_relations)
+            codec.regenerate(tensor, feats)
         except GbsedError:
             pass
 

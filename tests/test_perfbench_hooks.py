@@ -1,19 +1,28 @@
 import importlib
 import importlib.util
 import os
+from collections import Counter
 
-from gbsed import rng
+import numpy as np
 
-_TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "perfbench", "tracer.py")
+from gbsed import codec, rng
+
+_PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "perfbench")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(_PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_perfbench_probe_resolves():
     # perfbench's tracer wraps these module attributes and its worker reads
     # rng.USING_NUMBA; deleting one of them breaks the benchmark
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load("tracer")
     assert tracer.PROBES
     missing = [f"{p.module}.{p.attr}" for p in tracer.PROBES
                if not hasattr(importlib.import_module(p.module), p.attr)]
@@ -21,12 +30,24 @@ def test_every_perfbench_probe_resolves():
     assert hasattr(rng, "USING_NUMBA")
 
 
+def test_perfbench_counts_decompress_warnings():
+    # the tracer counts repaired, dropped and duplicate matrices from the
+    # warnings decompress returns, by their prefix
+    count = _load("tracer").ON_RETURN["codec.decompress"]
+    repaired = np.array([[[0, 5], [2, 0]]], dtype=np.uint8)
+    dropped = np.zeros((1, 2, 2), dtype=np.uint8)
+    duplicate = np.array([[[0, 3], [0, 0]], [[0, 0], [3, 0]]], dtype=np.uint8)
+    for retained, key in ((repaired, "repaired"), (dropped, "dropped"),
+                          (duplicate, "duplicate")):
+        counts = Counter()
+        args = (retained, 8)
+        count(counts, args, {}, codec.decompress(*args))
+        assert counts == {f"codec.decompress.{key}": 1}, key
+
+
 def test_perfbench_corpus_survives_its_scenes_round_trip(tmp_path):
     # perfbench counts a run correct only if the corpus read back from its
     # .scenes file equals the generated one
-    path = os.path.join(os.path.dirname(_TRACER), "workloads.py")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _load("workloads")
     for name in workloads.NAMES:
         assert workloads.build_inputs(name, 3, tmp_path)[2] is True, name

@@ -5,19 +5,20 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gbsed
-from gbsed import channel, sweep
+from gbsed import channel, codec, sweep
 from gbsed.channel import BSC, UNPROTECTED, LinkConfig, frames_required, transmit
 from gbsed.cli import main
 from gbsed.codec import HEADER_LEN
-from gbsed.errors import GbsedError
+from gbsed.errors import FormatError, GbsedError
 from gbsed.metrics import auc, classification_metrics, semantic_fidelity
 from gbsed.ontology import default_ontology, emit_ontology
 from gbsed.scenarios import ScenarioSpec, generate
 from gbsed.scene_graph import SceneGraph
-from gbsed.task import GraphSequence, task_consistency
+from gbsed.task import GraphSequence, RiskParams, task_consistency
 from reference_link import reference_transmit
 
 ONT = default_ontology()
@@ -40,6 +41,29 @@ def test_encode_decode_frame_round_trip(small_corpus):
 def test_decode_frame_garbage_is_none():
     assert sweep.decode_frame(b"garbage", ONT) is None
     assert sweep.decode_frame(b"", ONT) is None
+
+
+# two header bit flips that keep the length 21 + K·N² + 4·N·d: the feature
+# width must still match the ontology's, or the frame parses and is
+# scored with too few or misaligned feature columns
+@pytest.mark.parametrize("n, edges, d_flip, k_flip", [
+    (4, ((0, 1, 1), (1, 2, 0)), 4, 4),              # d 4 -> 0, K 2 -> 6
+    (8, ((0, 1, 1), (2, 3, 4), (5, 6, 7)), 2, 1),   # d 4 -> 6, K 3 -> 2
+])
+def test_header_of_another_feature_width_is_unparseable(n, edges, d_flip, k_flip):
+    frame = SceneGraph(np.arange(4.0 * n).reshape(n, 4), edges)
+    payload = bytearray(sweep.encode_frame(frame, ONT))
+    payload[16] ^= d_flip  # low octet of d
+    payload[18] ^= k_flip  # K
+    payload = bytes(payload)
+    with pytest.raises(FormatError) as e:
+        codec.parse(payload, ONT)
+    assert e.value.offset == 15
+    assert sweep.decode_frame(payload, ONT) is None
+    lay = sweep._lay_out([GraphSequence((frame,))], ONT, RiskParams())
+    received = np.frombuffer(payload, dtype=np.uint8)
+    fidelity, near_ego = sweep._score_pass(lay, received, ONT, RiskParams())
+    assert fidelity.tolist() == [0.0] and near_ego == [(False, ())]
 
 
 def test_noiseless_sweep_row(small_corpus):
@@ -211,6 +235,12 @@ def test_sweep_config_validation():
         sweep.SweepConfig(trials_per_point=0)
     with pytest.raises(ValueError):
         sweep.run_sweep([], ONT, sweep.SweepConfig())
+    # every point's link is checked when the config is built
+    for bad in (dict(channel_kind="foo"), dict(header_protection="foo"),
+                dict(bsc_flip_prob=0.7), dict(snr_points=(0.0, math.nan)),
+                dict(snr_points=(-math.inf,))):
+        with pytest.raises(ValueError):
+            sweep.SweepConfig(**bad)
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -312,6 +342,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["report", "--csv", str(csv_path)]) == 3
     err = capsys.readouterr().err
     assert "fidelity" in err and "mean_payload_octets" in err and "snr_db" not in err
+    # a row with fewer cells than the header
+    csv_path.write_text(",".join(sweep.CSV_COLUMNS) + "\n0.0,0.1\n")
+    assert main(["report", "--csv", str(csv_path)]) == 3
+    assert "row 1 " in capsys.readouterr().err
     csv_path.write_text("snr_db,ber\n")
     assert main(["report", "--csv", str(csv_path)]) == 0
     assert capsys.readouterr().out == "no rows\n"
