@@ -8,7 +8,7 @@ from .codec import (
     regenerate,
     serialize,
 )
-from .channel import FrameGrid, LinkConfig, frames_required, transmit
+from .channel import LinkConfig, frames_required, transmit
 from .metrics import (
     ConfusionCounts,
     FidelityReport,
@@ -23,13 +23,12 @@ from .scenarios import ScenarioSpec, generate, read_scenes, write_scenes
 from .scene_graph import (
     DetectedObject,
     Homography,
-    RelationParams,
     SceneGraph,
     build_scene_graph,
     infer_relations,
     ipm_project,
 )
 from .sweep import SweepConfig, encode_frame, decode_frame, run_sweep
-from .task import GraphSequence, RiskParams, RiskVerdict, assess_risk, task_consistency
+from .task import GraphSequence, RiskVerdict, assess_risk, task_consistency
 
 __version__ = "0.1.0"

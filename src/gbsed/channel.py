@@ -24,6 +24,9 @@ BSC = "bsc"
 PROTECTED = "protected"
 UNPROTECTED = "unprotected"
 
+# one OFDM frame: subcarriers x symbols x bits per 64-QAM symbol, one stream
+OFDM_FRAME_BITS = 132 * 14 * 6
+
 # a link plan sends whole frames in blocks of at most this many body bits
 # (a larger frame is a block of its own), which bounds the memory of a send
 _BLOCK_BITS = 1 << 16
@@ -62,18 +65,6 @@ class LinkConfig:
             raise ValueError("snr_db is NaN")
         if math.isinf(_noise_power(self.snr_db)):
             raise ValueError(f"snr_db {self.snr_db} gives an infinite noise power")
-
-
-@dataclass(frozen=True)
-class FrameGrid:
-    subcarriers: int = 132
-    symbols_per_frame: int = 14
-    bits_per_symbol: int = 6
-    streams: int = 1
-
-    @property
-    def bits_per_frame(self):
-        return self.subcarriers * self.symbols_per_frame * self.bits_per_symbol * self.streams
 
 
 def qam64_map(bits):
@@ -432,8 +423,8 @@ def _awgn_block(blk, raw, s, snr_db):
     return np.take(octets, blk.keep, out=s.got[:blk.keep.size], mode="clip")
 
 
-def frames_required(payload_len_octets, grid=FrameGrid()):
+def frames_required(payload_len_octets):
     """OFDM frames needed for a payload on a fully loaded uncoded grid."""
     if payload_len_octets <= 0:
         raise ValueError("payload length must be positive")
-    return -(-8 * payload_len_octets // grid.bits_per_frame)
+    return -(-8 * payload_len_octets // OFDM_FRAME_BITS)

@@ -6,6 +6,7 @@ violation.
 
 import argparse
 import csv
+import dataclasses
 import math
 import os
 import sys
@@ -16,6 +17,7 @@ from .errors import GbsedError
 from .metrics import compression_ratio, raw_frame_octets
 from .ontology import default_ontology, load_ontology
 from .scenarios import ScenarioSpec
+from .sweep import DEFAULT_SNR_POINTS, SweepConfig
 
 RAW_FRAME = raw_frame_octets(1280, 720)
 
@@ -29,7 +31,9 @@ def _load_ontology_arg(path):
     if path is None:
         return default_ontology()
     with open(path, encoding="utf-8") as fh:
-        return load_ontology(fh.read())
+        ontology = load_ontology(fh.read())
+    scenarios.check_ontology(ontology)
+    return ontology
 
 
 # argparse types: what they raise is a usage error
@@ -87,17 +91,14 @@ def _vehicles_range(text):
     return lo, hi
 
 
+def config_from_args(cls, args):
+    """The ScenarioSpec or SweepConfig whose fields the parsed options name."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
+
+
 def cmd_gen(args):
     o = _load_ontology_arg(args.ontology)
-    spec = ScenarioSpec(
-        seed=args.seed,
-        num_sequences=args.sequences,
-        frames_per_sequence=args.frames,
-        vehicles_range=args.vehicles,
-        risky_fraction=args.risky_fraction,
-        lane_count=args.lanes,
-    )
-    seqs = scenarios.generate(spec, o)
+    seqs = scenarios.generate(config_from_args(ScenarioSpec, args), o)
     scenarios.write_scenes(seqs, args.out)
     frames = sum(len(s.frames) for s in seqs)
     print(f"wrote {len(seqs)} sequences ({frames} frames) to {args.out}")
@@ -131,15 +132,7 @@ def cmd_encode(args):
 def cmd_sweep(args):
     o = _load_ontology_arg(args.ontology)
     seqs = scenarios.read_scenes(args.scenes, o)
-    cfg = sweep.SweepConfig(
-        snr_points=args.snr,
-        trials_per_point=args.trials,
-        base_seed=args.seed,
-        channel_kind=args.channel,
-        bsc_flip_prob=args.flip_prob,
-        header_protection=args.header_protection,
-    )
-    rows = sweep.run_sweep(seqs, o, cfg)
+    rows = sweep.run_sweep(seqs, o, config_from_args(SweepConfig, args))
     text = sweep.rows_to_csv(rows)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -196,13 +189,17 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic scenario corpus")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--sequences", type=_int_at_least(0), default=100)
-    p.add_argument("--frames", type=_int_at_least(1), default=10)
-    p.add_argument("--vehicles", type=_vehicles_range, default="2,8",
-                   help="min,max vehicles per sequence")
-    p.add_argument("--risky-fraction", type=_in_range(0.0, 1.0), default=0.3)
-    p.add_argument("--lanes", type=_int_at_least(1), default=3)
+    p.add_argument("--seed", type=int, default=ScenarioSpec.seed)
+    p.add_argument("--sequences", dest="num_sequences", type=_int_at_least(0),
+                   default=ScenarioSpec.num_sequences)
+    p.add_argument("--frames", dest="frames_per_sequence", type=_int_at_least(1),
+                   default=ScenarioSpec.frames_per_sequence)
+    p.add_argument("--vehicles", dest="vehicles_range", type=_vehicles_range,
+                   default=ScenarioSpec.vehicles_range, help="min,max vehicles per sequence")
+    p.add_argument("--risky-fraction", type=_in_range(0.0, 1.0),
+                   default=ScenarioSpec.risky_fraction)
+    p.add_argument("--lanes", dest="lane_count", type=_int_at_least(1),
+                   default=ScenarioSpec.lane_count)
     p.add_argument("--ontology", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
@@ -217,14 +214,18 @@ def build_parser():
     p.add_argument("--scenes", required=True)
     p.add_argument("--ontology", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--snr", type=_parse_snr_list, default="0,2,4,6,8,10,12,14,16,18,20",
+    p.add_argument("--snr", dest="snr_points", type=_parse_snr_list,
+                   default=DEFAULT_SNR_POINTS,
                    help="comma-separated dB values; inf or noiseless for no noise")
-    p.add_argument("--trials", type=_int_at_least(1), default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--channel", choices=[AWGN64QAM, BSC], default=AWGN64QAM)
-    p.add_argument("--flip-prob", type=_in_range(0.0, 0.5), default=0.0)
+    p.add_argument("--trials", dest="trials_per_point", type=_int_at_least(1),
+                   default=SweepConfig.trials_per_point)
+    p.add_argument("--seed", dest="base_seed", type=int, default=SweepConfig.base_seed)
+    p.add_argument("--channel", dest="channel_kind", choices=[AWGN64QAM, BSC],
+                   default=SweepConfig.channel_kind)
+    p.add_argument("--flip-prob", dest="bsc_flip_prob", type=_in_range(0.0, 0.5),
+                   default=SweepConfig.bsc_flip_prob)
     p.add_argument("--header-protection", choices=[PROTECTED, UNPROTECTED],
-                   default=PROTECTED)
+                   default=SweepConfig.header_protection)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="render a sweep CSV as aligned tables")

@@ -11,10 +11,9 @@ from .errors import DegenerateInput, OntologyMismatch
 from .ontology import ontology_digest
 
 
-@dataclass(frozen=True)
-class NodeMatchTolerance:
-    position: float = 0.1   # meters
-    speed: float = 0.1      # m/s
+# a received continuous attribute matches within these
+POSITION_TOLERANCE = 0.1  # meters
+SPEED_TOLERANCE = 0.1     # m/s
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,7 @@ class ClassificationMetrics:
     degenerate: bool = False
 
 
-def _node_matches(sent_row, recv_row, ontology, tol):
+def _node_matches(sent_row, recv_row, ontology):
     for attr in ontology.attributes:
         s = sent_row[attr.index]
         r = recv_row[attr.index]
@@ -62,13 +61,13 @@ def _node_matches(sent_row, recv_row, ontology, tol):
             if not (math.isfinite(r) and round(s) == round(r)):
                 return False
         else:
-            limit = tol.speed if attr.kind == "speed-mps" else tol.position
+            limit = SPEED_TOLERANCE if attr.kind == "speed-mps" else POSITION_TOLERANCE
             if not (math.isfinite(r) and abs(s - r) <= limit):
                 return False
     return True
 
 
-def nodes_match(sent, received, ontology, tol=NodeMatchTolerance()):
+def nodes_match(sent, received, ontology):
     """Array form of semantic_fidelity's node test, one node per row.
 
     ``sent`` and ``received`` hold feature values with one column per
@@ -82,13 +81,12 @@ def nodes_match(sent, received, ontology, tol=NodeMatchTolerance()):
             if attr.kind == "categorical":
                 ok &= np.isfinite(r) & (np.rint(s) == np.rint(r))
             else:
-                limit = tol.speed if attr.kind == "speed-mps" else tol.position
+                limit = SPEED_TOLERANCE if attr.kind == "speed-mps" else POSITION_TOLERANCE
                 ok &= np.isfinite(r) & (np.abs(s - r) <= limit)
     return ok
 
 
-def semantic_fidelity(sent, received, ontology, tol=NodeMatchTolerance(),
-                      received_ontology=None):
+def semantic_fidelity(sent, received, ontology, received_ontology=None):
     """Fraction of transmitted semantic entities (nodes + triplets)
     recovered at the receiver.
 
@@ -106,7 +104,7 @@ def semantic_fidelity(sent, received, ontology, tol=NodeMatchTolerance(),
     recv_rows = received.features.tolist()
     nodes_recovered = 0
     for i, row in enumerate(sent.features.tolist()):
-        if i < len(recv_rows) and _node_matches(row, recv_rows[i], ontology, tol):
+        if i < len(recv_rows) and _node_matches(row, recv_rows[i], ontology):
             nodes_recovered += 1
     recv_edges = set(received.edges)
     edges_recovered = sum(1 for e in sent.edges if e in recv_edges)

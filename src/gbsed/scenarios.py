@@ -15,19 +15,15 @@ from dataclasses import dataclass
 
 from .errors import ParseError, SpecError
 from .rng import SplitMix64
-from .scene_graph import (
-    CLASS_VEHICLE,
-    RelationParams,
-    SceneGraph,
-    graph_from_bev,
-)
-from .task import RISKY, SAFE, GraphSequence
+from .scene_graph import (ATTRIBUTES, CLASS_VEHICLE, D_NEAR, D_VERY, L_FRONT, L_SIDE,
+                          LANE_WIDTH, RELATIONS, SceneGraph, graph_from_bev)
+from .task import CONSECUTIVE_FRAMES, RISKY, SAFE, GraphSequence
 
 _DT = 0.5            # seconds per frame
 _EGO_SPEED = 10.0    # m/s
 _SLOT_BASE = 40.0    # first isolated longitudinal slot
 _SLOT_STEP = 40.0    # spacing keeps isolated vehicles out of every predicate band
-_SAFE_MARGIN = 1.2   # safe sequences stay outside d_near * margin
+_SAFE_MARGIN = 1.2   # safe sequences stay outside D_NEAR * margin
 # companion placement rates, calibrated so the default corpus averages
 # about one third of the relation slices active per frame
 _P_SIDE_COMPANION = 0.15
@@ -53,7 +49,7 @@ def _lane_positions(lane_count, width):
     return [(k - offset) * width for k in range(lane_count)]
 
 
-def _validate(spec, params):
+def _validate(spec):
     lo, hi = spec.vehicles_range
     if not (1 <= lo <= hi):
         raise SpecError(f"vehicles_range {spec.vehicles_range} is empty or nonpositive")
@@ -69,14 +65,14 @@ def _validate(spec, params):
         raise SpecError(f"{hi} vehicles exceed lane capacity {capacity}")
 
 
-def _safe_trajectories(gen, count, lanes, params, frames):
-    """Vehicle trajectories guaranteed outside margin*d_near of the ego.
+def _safe_trajectories(gen, count, lanes, frames):
+    """Vehicle trajectories guaranteed outside margin*D_NEAR of the ego.
 
     Returns a list of per-vehicle (lane_x, y0, rel_v). Isolated vehicles go
     to widely separated slots; a fraction are placed as companions of the
     previous vehicle to light up the side/front relation pairs.
     """
-    min_dist = _SAFE_MARGIN * params.d_near + 0.5
+    min_dist = _SAFE_MARGIN * D_NEAR + 0.5
     span = frames * _DT
     out = []
     slot = 0
@@ -89,13 +85,13 @@ def _safe_trajectories(gen, count, lanes, params, frames):
             base_lane = lanes.index(prev[0])
             step = 1 if base_lane + 1 < len(lanes) else -1
             lane_x = lanes[base_lane + step]
-            gap = gen.uniform(10.5, params.l_side - 2.0)
+            gap = gen.uniform(10.5, L_SIDE - 2.0)
             y0 = prev[1] + (gap if prev[1] > 0 else -gap)
             rel_v = prev[2]
         elif prev is not None and u < _P_SIDE_COMPANION + _P_LANE_COMPANION:
             # same lane, within the front/behind band
             lane_x = prev[0]
-            gap = gen.uniform(13.0, params.l_front - 2.0)
+            gap = gen.uniform(13.0, L_FRONT - 2.0)
             y0 = prev[1] + (gap if prev[1] > 0 else -gap)
             rel_v = prev[2]
         else:
@@ -111,31 +107,31 @@ def _safe_trajectories(gen, count, lanes, params, frames):
     return out
 
 
-def _threat_trajectory(gen, params, frames, window):
-    """Same-lane vehicle closing on the ego, inside d_very for >= window frames."""
-    floor = gen.uniform(1.5, params.d_very - 0.5)
-    t_cross = gen.randint(1, max(1, frames - window))
-    y0 = gen.uniform(params.d_near + 2.0, 25.0)
+def _threat_trajectory(gen, frames):
+    """Same-lane vehicle closing on the ego, inside D_VERY for at least
+    the risk rule's CONSECUTIVE_FRAMES."""
+    floor = gen.uniform(1.5, D_VERY - 0.5)
+    t_cross = gen.randint(1, max(1, frames - CONSECUTIVE_FRAMES))
+    y0 = gen.uniform(D_NEAR + 2.0, 25.0)
     rate = (y0 - floor) / t_cross  # meters per frame
     return y0, floor, rate
 
 
-def generate(spec, ontology, params=RelationParams()):
+def generate(spec, ontology):
     """Generate the scenario corpus; fully determined by spec.seed."""
-    _validate(spec, params)
-    lanes = _lane_positions(spec.lane_count, params.lane_width)
-    window = 2  # risk rule's consecutive-frame default
+    _validate(spec)
+    lanes = _lane_positions(spec.lane_count, LANE_WIDTH)
     sequences = []
     for s in range(spec.num_sequences):
         gen = SplitMix64(spec.seed ^ s)
         n_veh = gen.randint(*spec.vehicles_range)
         risky = gen.random() < spec.risky_fraction
         frames_count = spec.frames_per_sequence
-        if risky and frames_count <= window:
-            risky = False  # window cannot fire
-        threat = _threat_trajectory(gen, params, frames_count, window) if risky else None
+        if risky and frames_count <= CONSECUTIVE_FRAMES:
+            risky = False  # the risk rule cannot fire
+        threat = _threat_trajectory(gen, frames_count) if risky else None
         n_safe = n_veh - (1 if risky else 0)
-        safe_traj = _safe_trajectories(gen, n_safe, lanes, params, frames_count)
+        safe_traj = _safe_trajectories(gen, n_safe, lanes, frames_count)
         frames = []
         for t in range(frames_count):
             records = [(CLASS_VEHICLE, 0.0, 0.0, _EGO_SPEED)]
@@ -148,7 +144,7 @@ def generate(spec, ontology, params=RelationParams()):
                 y = y0 + rel_v * t * _DT
                 records.append((CLASS_VEHICLE, _quantize(lane_x), _quantize(y),
                                 _quantize(_EGO_SPEED + rel_v)))
-            frames.append(graph_from_bev(records, ontology, params))
+            frames.append(graph_from_bev(records, ontology))
         sequences.append(GraphSequence(tuple(frames), RISKY if risky else SAFE))
     return sequences
 
@@ -175,6 +171,18 @@ def scenes_to_text(sequences):
             edges = " ".join(f"{a}:{r}:{b}" for a, r, b in frame.edges)
             lines.append(f"seq {s} frame {k} | {nodes} | {edges}")
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def check_ontology(ontology):
+    """Refuse an ontology whose attributes are not the four .scenes node
+    columns in order, or that lacks a relation infer_relations emits."""
+    names = tuple(a.name for a in ontology.attributes)
+    if names != ATTRIBUTES:
+        raise ParseError(f"scenes format carries exactly the node attributes "
+                         f"{' '.join(ATTRIBUTES)}, not {' '.join(names)}")
+    missing = set(RELATIONS) - {r.name for r in ontology.relations}
+    if missing:
+        raise ParseError(f"ontology lacks the relations {' '.join(sorted(missing))}")
 
 
 def read_scenes(path, ontology):
@@ -211,8 +219,7 @@ def _parse_edge(token, num_relations, lineno):
 
 def scenes_from_text(text, ontology):
     """Parse the .scenes grammar back into GraphSequence objects."""
-    if ontology.num_attributes != 4:
-        raise ParseError("scenes format carries exactly 4 node attributes")
+    check_ontology(ontology)
     seqs = {}     # id -> list of (frame_k, SceneGraph)
     labels = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -6,7 +6,7 @@ by the ontology's attribute schema, and (src, relation_id, dst) triplets.
 Node 0 is the ego vehicle by convention.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,6 +15,20 @@ from .errors import HorizonError, ShapeError
 # class vocabulary used by the generator and the risk rule
 CLASS_VEHICLE = 0
 CLASS_LANE = 2
+
+# relation predicate thresholds, meters and m/s (inclusive)
+D_NEAR = 10.0      # is_near, approaching
+D_VERY = 4.0       # very_near
+LANE_WIDTH = 3.5   # lateral band of the same lane: half a width either side
+L_SIDE = 20.0      # longitudinal reach of to_left_of / to_right_of
+L_FRONT = 30.0     # longitudinal reach of in_front_of / behind
+V_MARGIN = 0.5     # approaching: faster than the other node by more than this
+
+# the attributes of graph_from_bev's records, in record order, and the
+# relations infer_relations emits, by ontology name
+ATTRIBUTES = ("class", "bev_x", "bev_y", "speed")
+RELATIONS = ("is_near", "very_near", "to_left_of", "to_right_of", "in_front_of",
+             "behind", "is_in", "approaching")
 
 
 @dataclass(frozen=True)
@@ -78,17 +92,6 @@ class SceneGraph:
         return len(self.features)
 
 
-@dataclass(frozen=True)
-class RelationParams:
-    d_near: float = 10.0
-    d_very: float = 4.0
-    lane_width: float = 3.5
-    l_side: float = 20.0
-    l_front: float = 30.0
-    v_margin: float = 0.5
-    lane_classes: frozenset = field(default_factory=lambda: frozenset({CLASS_LANE}))
-
-
 def ipm_project(bbox, homography):
     """Project a bounding box's bottom-center pixel to ground-plane meters."""
     u1, v1, u2, v2 = bbox
@@ -100,7 +103,7 @@ def ipm_project(bbox, homography):
     return (x / w, y / w)
 
 
-def infer_relations(features, ontology, params=RelationParams()):
+def infer_relations(features, ontology):
     """Evaluate the geometric relation predicates over every ordered node
     pair of an (N, d) feature matrix.
 
@@ -113,7 +116,7 @@ def infer_relations(features, ontology, params=RelationParams()):
     yi = ontology.attribute_index("bev_y")
     ci = ontology.attribute_index("class")
     si = ontology.attribute_index("speed")
-    half_w = params.lane_width / 2.0
+    half_w = LANE_WIDTH / 2.0
 
     edges = set()
     rows = features.tolist()
@@ -127,27 +130,27 @@ def infer_relations(features, ontology, params=RelationParams()):
             dx = x_j - x_i
             dy = y_j - y_i
             dist = (dx * dx + dy * dy) ** 0.5
-            if dist <= params.d_near:
+            if dist <= D_NEAR:
                 edges.add((i, rid["is_near"], j))
-            if dist <= params.d_very:
+            if dist <= D_VERY:
                 edges.add((i, rid["very_near"], j))
-            if dx <= -half_w and abs(dy) <= params.l_side:
+            if dx <= -half_w and abs(dy) <= L_SIDE:
                 edges.add((j, rid["to_left_of"], i))
-            if dx >= half_w and abs(dy) <= params.l_side:
+            if dx >= half_w and abs(dy) <= L_SIDE:
                 edges.add((j, rid["to_right_of"], i))
-            if dy > 0 and abs(dx) <= half_w and dy <= params.l_front:
+            if dy > 0 and abs(dx) <= half_w and dy <= L_FRONT:
                 edges.add((j, rid["in_front_of"], i))
-            if dy < 0 and abs(dx) <= half_w and -dy <= params.l_front:
+            if dy < 0 and abs(dx) <= half_w and -dy <= L_FRONT:
                 edges.add((j, rid["behind"], i))
             cls_j = int(round(rows[j][ci]))
-            if cls_j in params.lane_classes and abs(x_i - x_j) <= half_w:
+            if cls_j == CLASS_LANE and abs(x_i - x_j) <= half_w:
                 edges.add((i, rid["is_in"], j))
-            if dist <= params.d_near and rows[j][si] > rows[i][si] + params.v_margin:
+            if dist <= D_NEAR and rows[j][si] > rows[i][si] + V_MARGIN:
                 edges.add((j, rid["approaching"], i))
     return tuple(sorted(edges))
 
 
-def graph_from_bev(records, ontology, params=RelationParams()):
+def graph_from_bev(records, ontology):
     """Build a SceneGraph from (class_id, bev_x, bev_y, speed) records.
 
     Record 0 is the ego. Feature columns follow the ontology attribute
@@ -155,17 +158,16 @@ def graph_from_bev(records, ontology, params=RelationParams()):
     """
     if not records:
         raise ShapeError("at least the ego record is required")
-    known = ("class", "bev_x", "bev_y", "speed")
     values = np.array([(int(cls), x, y, speed) for cls, x, y, speed in records],
                       dtype=np.float64)
     features = np.zeros((len(records), ontology.num_attributes))
     for k, attr in enumerate(ontology.attributes):
-        if attr.name in known:
-            features[:, k] = values[:, known.index(attr.name)]
-    return SceneGraph(features, infer_relations(features, ontology, params))
+        if attr.name in ATTRIBUTES:
+            features[:, k] = values[:, ATTRIBUTES.index(attr.name)]
+    return SceneGraph(features, infer_relations(features, ontology))
 
 
-def build_scene_graph(objects, homography, ontology, params=RelationParams()):
+def build_scene_graph(objects, homography, ontology):
     """IPM-project detected objects and build the relational scene graph."""
     if not objects:
         raise ShapeError("object list is empty; the ego must be present")
@@ -176,4 +178,4 @@ def build_scene_graph(objects, homography, ontology, params=RelationParams()):
         except HorizonError as e:
             raise HorizonError(f"object {k}: {e}") from e
         records.append((obj.class_id, x, y, obj.speed))
-    return graph_from_bev(records, ontology, params)
+    return graph_from_bev(records, ontology)

@@ -17,7 +17,7 @@ reference link built from the channel's primitives.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from . import codec
 from .channel import (
     AWGN64QAM,
     PROTECTED,
-    FrameGrid,
     LinkConfig,
     frames_required,
     plan_link,
@@ -34,8 +33,8 @@ from .channel import (
 )
 from .errors import GbsedError
 from .metrics import classification_metrics, auc as auc_metric, nodes_match, semantic_fidelity
+from .scene_graph import CLASS_VEHICLE
 from .task import (
-    RiskParams,
     assess_risk,
     frame_near_ego,
     task_consistency,  # noqa: F401  (single-frame path)
@@ -61,7 +60,6 @@ class SweepConfig:
     channel_kind: str = AWGN64QAM
     bsc_flip_prob: float = 0.0
     header_protection: str = PROTECTED
-    grid: FrameGrid = field(default_factory=FrameGrid)
 
     def __post_init__(self):
         if not self.snr_points:
@@ -122,15 +120,14 @@ class _Pass:
     node_frame: np.ndarray      # node -> frame
     node_row: np.ndarray        # node -> its index in its frame
     node_cell: np.ndarray       # node j -> cell (j, 0): the edge j -> ego
-    node_value: np.ndarray      # node -> its first value among the feature values
-    sent_features: np.ndarray   # (nodes, attributes) sent feature values
+    sent_features: np.ndarray   # (nodes, attributes) sent feature values, node order
     edge_frame: np.ndarray      # triplet -> frame
     edge_rel: np.ndarray        # triplet -> relation id
     edge_cell: np.ndarray       # triplet (j, r, k) -> cell (j, k)
     entities: np.ndarray        # nodes + triplets of every frame
 
 
-def _lay_out(sequences, ontology, risk_params):
+def _lay_out(sequences, ontology):
     frames = tuple(f for seq in sequences for f in seq.frames)
     payloads = [encode_frame(f, ontology) for f in frames]
     bounds = np.cumsum([0] + [len(seq.frames) for seq in sequences]).tolist()
@@ -141,11 +138,10 @@ def _lay_out(sequences, ontology, risk_params):
     k = np.array([len({rel for _, rel, _ in f.edges}) for f in frames], dtype=np.int64)
     matrix_len = k * n * n
     feature_lo = starts + codec.HEADER_LEN + matrix_len
-    d = (starts + lengths - feature_lo) // (4 * n)
     matrix_octets = np.zeros(lengths.sum(), dtype=bool)
     matrix_octets[_ranges(starts + codec.HEADER_LEN, matrix_len)] = True
     feature_octets = np.zeros(lengths.sum(), dtype=bool)
-    feature_octets[_ranges(feature_lo, 4 * n * d)] = True
+    feature_octets[_ranges(feature_lo, starts + lengths - feature_lo)] = True
     frame_ids = np.arange(len(frames))
     matrix_frame = np.repeat(frame_ids, k)
     node_frame = np.repeat(frame_ids, n)
@@ -156,7 +152,7 @@ def _lay_out(sequences, ontology, risk_params):
     return _Pass(
         frames=frames,
         sequences=tuple(zip(bounds[:-1], bounds[1:])),
-        verdicts=tuple(assess_risk(seq, ontology, risk_params) for seq in sequences),
+        verdicts=tuple(assess_risk(seq, ontology) for seq in sequences),
         buffer=np.frombuffer(b"".join(payloads), dtype=np.uint8),
         lengths=lengths,
         starts=starts,
@@ -169,9 +165,7 @@ def _lay_out(sequences, ontology, risk_params):
         node_frame=node_frame,
         node_row=node_row,
         node_cell=node_row * n[node_frame],
-        node_value=np.repeat(np.cumsum(n * d) - n * d, n) + node_row * d[node_frame],
-        sent_features=np.concatenate([f.features for f in frames])[
-            :, [a.index for a in ontology.attributes]],
+        sent_features=np.concatenate([f.features for f in frames]),
         edge_frame=edges[:, 0],
         edge_rel=edges[:, 1],
         edge_cell=edges[:, 2],
@@ -179,7 +173,7 @@ def _lay_out(sequences, ontology, risk_params):
     )
 
 
-def _score_pass(lay, received, ontology, risk_params):
+def _score_pass(lay, received, ontology):
     """Fidelity and frame_near_ego pair of every frame of one received pass."""
     num_frames = len(lay.frames)
     num_rel = ontology.num_relations
@@ -207,17 +201,16 @@ def _score_pass(lay, received, ontology, risk_params):
     edge_hits = np.bincount(
         lay.edge_frame[has_edge(lay.edge_frame, lay.edge_rel, lay.edge_cell)],
         minlength=num_frames)
-    values = received[lay.feature_octets].view(">f4")
-    with np.errstate(invalid="ignore"):
-        recv_features = values[lay.node_value[:, None]
-                               + np.arange(ontology.num_attributes)].astype(np.float64)
+    values = received[lay.feature_octets].view(">f4").reshape(-1, ontology.num_attributes)
+    with np.errstate(invalid="ignore"):  # a received signalling NaN
+        recv_features = values.astype(np.float64)
     node_hits = np.bincount(lay.node_frame[nodes_match(lay.sent_features, recv_features,
                                                        ontology)], minlength=num_frames)
     fidelity = (node_hits + edge_hits) / lay.entities
 
     near = has_edge(lay.node_frame, ontology.relation_id("is_near"), lay.node_cell)
     cls = recv_features[:, ontology.attribute_index("class")]
-    vehicle = near & np.isfinite(cls) & np.isin(np.rint(cls), list(risk_params.vehicle_classes))
+    vehicle = near & np.isfinite(cls) & (np.rint(cls) == CLASS_VEHICLE)
     vehicles = {}
     for node in np.flatnonzero(vehicle).tolist():
         vehicles.setdefault(int(lay.node_frame[node]), set()).add(int(lay.node_row[node]))
@@ -231,12 +224,12 @@ def _score_pass(lay, received, ontology, risk_params):
         lo = lay.starts[f]
         graph = decode_frame(received[lo:lo + lay.lengths[f]].tobytes(), ontology)
         fidelity[f] = semantic_fidelity(lay.frames[f], graph, ontology).fidelity
-        near_ego[f] = (frame_near_ego(graph, ontology, risk_params) if graph is not None
+        near_ego[f] = (frame_near_ego(graph, ontology) if graph is not None
                        else (False, ()))
     return fidelity, near_ego
 
 
-def _run_point(point_index, snr_db, lay, plan, ontology, cfg, risk_params, sizes):
+def _run_point(point_index, snr_db, lay, plan, ontology, cfg, sizes):
     link = cfg._link(snr_db)
     num_frames = len(lay.frames)
     passes = -(-cfg.trials_per_point // num_frames)
@@ -249,10 +242,10 @@ def _run_point(point_index, snr_db, lay, plan, ontology, cfg, risk_params, sizes
         seeds = point_seed ^ np.arange(p * num_frames, (p + 1) * num_frames, dtype=np.uint64)
         received, errors = send(plan, seeds, link)
         errors_total += errors
-        fidelity, near_ego = _score_pass(lay, received, ontology, risk_params)
+        fidelity, near_ego = _score_pass(lay, received, ontology)
         for v in fidelity.tolist():  # frame by frame: the sum's rounding is part of the output
             fidelity_sum += v
-        preds += [verdict_from_near(near_ego[a:b], risk_params) for a, b in lay.sequences]
+        preds += [verdict_from_near(near_ego[a:b]) for a, b in lay.sequences]
     counts, consistency, scored = verdict_consistency(lay.verdicts * passes, preds)
     cls = classification_metrics(counts)
     try:
@@ -275,7 +268,7 @@ def _run_point(point_index, snr_db, lay, plan, ontology, cfg, risk_params, sizes
     }
 
 
-def run_sweep(sequences, ontology, cfg, risk_params=RiskParams()):
+def run_sweep(sequences, ontology, cfg):
     """One result row per SNR point; deterministic given cfg.base_seed.
 
     trials_per_point is rounded up to a whole number of corpus passes so
@@ -283,14 +276,14 @@ def run_sweep(sequences, ontology, cfg, risk_params=RiskParams()):
     """
     if not sequences:
         raise ValueError("empty corpus")
-    lay = _lay_out(sequences, ontology, risk_params)
+    lay = _lay_out(sequences, ontology)
     plan = plan_link(lay.buffer, lay.lengths, cfg.channel_kind, cfg.header_protection)
     lengths = lay.lengths.tolist()
     sizes = {
         "mean_payload_octets": sum(lengths) / len(lengths),
-        "frames_per_payload": sum(frames_required(x, cfg.grid) for x in lengths) / len(lengths),
+        "frames_per_payload": sum(frames_required(x) for x in lengths) / len(lengths),
     }
-    return [_run_point(i, s, lay, plan, ontology, cfg, risk_params, sizes)
+    return [_run_point(i, s, lay, plan, ontology, cfg, sizes)
             for i, s in enumerate(cfg.snr_points)]
 
 

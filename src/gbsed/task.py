@@ -3,7 +3,7 @@ and task-consistency evaluation between transmitted and received sequences.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DegenerateInput, ShapeError
@@ -13,6 +13,9 @@ from .scene_graph import CLASS_VEHICLE
 RISKY = "risky"
 SAFE = "safe"
 
+# m: a sequence is risky once one vehicle stays is_near the ego this many frames
+CONSECUTIVE_FRAMES = 2
+
 
 @dataclass(frozen=True)
 class GraphSequence:
@@ -21,18 +24,12 @@ class GraphSequence:
 
 
 @dataclass(frozen=True)
-class RiskParams:
-    consecutive_frames: int = 2
-    vehicle_classes: frozenset = field(default_factory=lambda: frozenset({CLASS_VEHICLE}))
-
-
-@dataclass(frozen=True)
 class RiskVerdict:
     decision: str
     score: float
 
 
-def frame_near_ego(frame, ontology, params=RiskParams()):
+def frame_near_ego(frame, ontology):
     """(any is_near-to-ego, vehicle-class node indices is_near the ego)."""
     near_id = ontology.relation_id("is_near")
     class_idx = ontology.attribute_index("class")
@@ -44,22 +41,21 @@ def frame_near_ego(frame, ontology, params=RiskParams()):
             raw_cls = float(frame.features[src, class_idx])
             # corrupted features may be non-finite; treat as unknown class
             cls = int(round(raw_cls)) if math.isfinite(raw_cls) else -1
-            if cls in params.vehicle_classes:
+            if cls == CLASS_VEHICLE:
                 vehicles.add(src)
     return any_near, vehicles
 
 
-def assess_risk(sequence, ontology, params=RiskParams()):
+def assess_risk(sequence, ontology):
     """Risky iff the same vehicle-class node stays is_near the ego for m
     consecutive frames; score is the fraction of frames with an
     is_near-to-ego triplet."""
     if not sequence.frames:
         raise DegenerateInput("empty graph sequence")
-    return verdict_from_near([frame_near_ego(f, ontology, params) for f in sequence.frames],
-                             params)
+    return verdict_from_near([frame_near_ego(f, ontology) for f in sequence.frames])
 
 
-def verdict_from_near(near, params=RiskParams()):
+def verdict_from_near(near):
     """assess_risk's verdict from each frame's frame_near_ego pair."""
     near_frames = 0
     runs = {}  # node index -> current consecutive-frame streak
@@ -68,13 +64,13 @@ def verdict_from_near(near, params=RiskParams()):
         if any_near:
             near_frames += 1
         runs = {v: runs.get(v, 0) + 1 for v in vehicles}
-        if runs and max(runs.values()) >= params.consecutive_frames:
+        if runs and max(runs.values()) >= CONSECUTIVE_FRAMES:
             risky = True
     decision = RISKY if risky else SAFE
     return RiskVerdict(decision, near_frames / len(near))
 
 
-def task_consistency(sent_seqs, received_seqs, ontology, params=RiskParams()):
+def task_consistency(sent_seqs, received_seqs, ontology):
     """Compare risk verdicts before and after transmission.
 
     Treats the sent verdict as ground truth and the received verdict as the
@@ -85,8 +81,8 @@ def task_consistency(sent_seqs, received_seqs, ontology, params=RiskParams()):
         raise ShapeError(f"{len(sent_seqs)} sent vs {len(received_seqs)} received sequences")
     truths, preds = [], []
     for sent, received in zip(sent_seqs, received_seqs):
-        truths.append(assess_risk(sent, ontology, params))
-        preds.append(assess_risk(received, ontology, params))
+        truths.append(assess_risk(sent, ontology))
+        preds.append(assess_risk(received, ontology))
     return verdict_consistency(truths, preds)
 
 

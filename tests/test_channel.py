@@ -14,7 +14,7 @@ from gbsed.channel import (
     BSC,
     PROTECTED,
     UNPROTECTED,
-    FrameGrid,
+    OFDM_FRAME_BITS,
     LinkConfig,
     awgn,
     frames_required,
@@ -669,11 +669,9 @@ def test_link_config_validation():
 # -- frame accounting ---------------------------------------------------------
 
 def test_frames_required_examples():
-    grid = FrameGrid()
-    assert grid.bits_per_frame == 11088
-    assert frames_required(1386, grid) == 1
-    assert frames_required(1387, grid) == 2
-    assert frames_required(2772, FrameGrid(streams=2)) == 1
+    assert OFDM_FRAME_BITS == 11088
+    assert frames_required(1386) == 1
+    assert frames_required(1387) == 2
 
 
 def test_frames_required_positive_only():

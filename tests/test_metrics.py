@@ -9,7 +9,6 @@ from scipy.stats import rankdata
 from gbsed.errors import DegenerateInput, OntologyMismatch
 from gbsed.metrics import (
     ConfusionCounts,
-    NodeMatchTolerance,
     auc,
     average_ranks,
     classification_metrics,
@@ -80,13 +79,6 @@ def test_non_finite_received_feature(ontology):
     sent = _graph([(0, 1.0, 2.0, 10.0)], [])
     received = _graph([(0, float("nan"), 2.0, 10.0)], [])
     assert semantic_fidelity(sent, received, ontology).nodes_recovered == 0
-
-
-def test_custom_tolerance(ontology):
-    sent = _graph([(0, 1.0, 2.0, 10.0)], [])
-    received = _graph([(0, 1.5, 2.0, 10.0)], [])
-    tol = NodeMatchTolerance(position=1.0, speed=0.1)
-    assert semantic_fidelity(sent, received, ontology, tol).nodes_recovered == 1
 
 
 def test_fidelity_monotone_under_edge_deletion(ontology):

@@ -4,7 +4,7 @@ import pytest
 
 from gbsed.errors import ParseError, SpecError
 from gbsed.ontology import default_ontology, load_ontology
-from gbsed.scene_graph import RelationParams, infer_relations
+from gbsed.scene_graph import infer_relations
 from gbsed.scenarios import (
     ScenarioSpec,
     generate,
@@ -47,10 +47,9 @@ def test_risky_fraction_extremes():
 
 
 def test_edges_equal_relation_inference(default_corpus):
-    params = RelationParams()
     for seq in default_corpus[:10]:
         for frame in seq.frames:
-            assert frame.edges == infer_relations(frame.features, ONT, params)
+            assert frame.edges == infer_relations(frame.features, ONT)
 
 
 def test_ego_at_origin(default_corpus):

@@ -11,7 +11,6 @@ from gbsed.scene_graph import (
     CLASS_VEHICLE,
     DetectedObject,
     Homography,
-    RelationParams,
     SceneGraph,
     build_scene_graph,
     graph_from_bev,
@@ -23,11 +22,14 @@ from gbsed.scene_graph import (
 # -- independent re-implementation of every relation predicate, used as the
 #    oracle against infer_relations ------------------------------------------
 
-def oracle_relations(records, params):
+def oracle_relations(records):
     """records: list of (class, x, y, speed); returns sorted triplet set."""
     rid = {"is_near": 1, "very_near": 2, "to_left_of": 3, "to_right_of": 4,
            "in_front_of": 5, "behind": 6, "is_in": 7, "approaching": 8}
-    half = params.lane_width / 2.0
+    # literal thresholds, not scene_graph's constants, so that the oracle
+    # checks their values: D_NEAR 10, D_VERY 4, LANE_WIDTH 3.5, L_SIDE 20,
+    # L_FRONT 30, V_MARGIN 0.5 and CLASS_LANE 2
+    half = 3.5 / 2.0
     out = set()
     n = len(records)
     for i in range(n):
@@ -38,23 +40,23 @@ def oracle_relations(records, params):
             cj, xj, yj, vj = records[j]
             dx, dy = xj - xi, yj - yi
             d = math.hypot(dx, dy)
-            if d <= params.d_near:
+            if d <= 10.0:
                 out.add((i, rid["is_near"], j))
-                if vj > vi + params.v_margin:
+                if vj > vi + 0.5:
                     out.add((j, rid["approaching"], i))
-            if d <= params.d_very:
+            if d <= 4.0:
                 out.add((i, rid["very_near"], j))
-            if abs(dy) <= params.l_side:
+            if abs(dy) <= 20.0:
                 if dx <= -half:
                     out.add((j, rid["to_left_of"], i))
                 if dx >= half:
                     out.add((j, rid["to_right_of"], i))
             if abs(dx) <= half:
-                if 0 < dy <= params.l_front:
+                if 0 < dy <= 30.0:
                     out.add((j, rid["in_front_of"], i))
-                if 0 < -dy <= params.l_front:
+                if 0 < -dy <= 30.0:
                     out.add((j, rid["behind"], i))
-            if round(cj) in params.lane_classes and abs(xi - xj) <= half:
+            if round(cj) == 2 and abs(xi - xj) <= half:
                 out.add((i, rid["is_in"], j))
     return tuple(sorted(out))
 
@@ -154,19 +156,17 @@ def test_approaching_needs_speed_margin(ontology):
 
 
 def test_oracle_equivalence_random_scenes(ontology):
-    params = RelationParams()
     for seed in range(40):
         records = _random_records(seed, 12)
-        g = graph_from_bev(records, ontology, params)
-        assert g.edges == oracle_relations(records, params), f"seed {seed}"
+        g = graph_from_bev(records, ontology)
+        assert g.edges == oracle_relations(records), f"seed {seed}"
 
 
 def test_translation_invariance(ontology):
-    params = RelationParams()
     records = _random_records(7, 10, with_lanes=False)
     shifted = [(c, x + 123.25, y - 55.5, v) for c, x, y, v in records]
-    base = graph_from_bev(records, ontology, params).edges
-    moved = graph_from_bev(shifted, ontology, params).edges
+    base = graph_from_bev(records, ontology).edges
+    moved = graph_from_bev(shifted, ontology).edges
     assert base == moved
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -11,14 +12,14 @@ import pytest
 import gbsed
 from gbsed import channel, codec, sweep
 from gbsed.channel import BSC, UNPROTECTED, LinkConfig, frames_required, transmit
-from gbsed.cli import main
+from gbsed.cli import build_parser, config_from_args, main
 from gbsed.codec import HEADER_LEN
 from gbsed.errors import FormatError, GbsedError
 from gbsed.metrics import auc, classification_metrics, semantic_fidelity
 from gbsed.ontology import default_ontology, emit_ontology
 from gbsed.scenarios import ScenarioSpec, generate
 from gbsed.scene_graph import SceneGraph
-from gbsed.task import GraphSequence, RiskParams, task_consistency
+from gbsed.task import GraphSequence, task_consistency
 from reference_link import reference_transmit
 
 ONT = default_ontology()
@@ -60,9 +61,9 @@ def test_header_of_another_feature_width_is_unparseable(n, edges, d_flip, k_flip
         codec.parse(payload, ONT)
     assert e.value.offset == 15
     assert sweep.decode_frame(payload, ONT) is None
-    lay = sweep._lay_out([GraphSequence((frame,))], ONT, RiskParams())
+    lay = sweep._lay_out([GraphSequence((frame,))], ONT)
     received = np.frombuffer(payload, dtype=np.uint8)
-    fidelity, near_ego = sweep._score_pass(lay, received, ONT, RiskParams())
+    fidelity, near_ego = sweep._score_pass(lay, received, ONT)
     assert fidelity.tolist() == [0.0] and near_ego == [(False, ())]
 
 
@@ -137,7 +138,7 @@ def _reference_point(point_index, snr_db, sequences, payloads, cfg):
         "mcc": cls.mcc,
         "auc": auc_val,
         "mean_payload_octets": sum(len(p) for p in payloads) / len(payloads),
-        "frames_per_payload": sum(frames_required(len(p), cfg.grid)
+        "frames_per_payload": sum(frames_required(len(p))
                                   for p in payloads) / len(payloads),
     }
 
@@ -335,7 +336,26 @@ def test_cli_exit_codes(tmp_path, capsys):
     # a path that is a directory is a data error
     assert main(["encode", "--scenes", str(tmp_path), "--out", str(tmp_path / "o")]) == 3
     assert main(["gen", "--out", str(tmp_path)]) == 3
+    # ontologies whose attributes are not the .scenes columns in order, or
+    # that lack a relation the relation rules emit
+    default = emit_ontology(ONT)
+    unusable = {
+        "swapped": default.replace("attribute 0 class", "attribute 1 class")
+                          .replace("attribute 1 bev_x", "attribute 0 bev_x"),
+        "renamed": default.replace("attribute 3 speed", "attribute 3 heading"),
+        "relation": default.replace("relation 1 is_near", "relation 1 close_to"),
+        "five": default + "attribute 4 heading length-meters\n",
+    }
+    scenes = str(_gen(tmp_path))
     capsys.readouterr()
+    for name, text in unusable.items():
+        path = tmp_path / f"{name}.ontology"
+        path.write_text(text)
+        for args in (["gen", "--out", str(tmp_path / f"{name}.scenes")],
+                     ["encode", "--scenes", scenes, "--out", str(tmp_path / "p")],
+                     ["sweep", "--scenes", scenes, "--out", str(tmp_path / "r.csv")]):
+            assert main(args + ["--ontology", str(path)]) == 3, (name, args[0])
+            assert capsys.readouterr().err.startswith("error: "), (name, args[0])
     # a CSV with rows but without a column the report shows
     csv_path = tmp_path / "short.csv"
     csv_path.write_text("snr_db,ber\n0.0,0.1\n")
@@ -349,6 +369,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     csv_path.write_text("snr_db,ber\n")
     assert main(["report", "--csv", str(csv_path)]) == 0
     assert capsys.readouterr().out == "no rows\n"
+
+
+def test_cli_defaults_are_the_config_defaults():
+    parser = build_parser()
+    gen = parser.parse_args(["gen", "--out", "x"])
+    for f in dataclasses.fields(ScenarioSpec):
+        assert getattr(gen, f.name) == getattr(ScenarioSpec(), f.name), f.name
+    run = parser.parse_args(["sweep", "--scenes", "x", "--out", "y"])
+    for f in dataclasses.fields(sweep.SweepConfig):
+        assert getattr(run, f.name) == getattr(sweep.SweepConfig(), f.name), f.name
+    assert config_from_args(ScenarioSpec, gen) == ScenarioSpec()
+    assert config_from_args(sweep.SweepConfig, run) == sweep.SweepConfig()
 
 
 def test_import_does_not_load_scipy():

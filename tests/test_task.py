@@ -8,7 +8,6 @@ from gbsed.task import (
     RISKY,
     SAFE,
     GraphSequence,
-    RiskParams,
     RiskVerdict,
     assess_risk,
     task_consistency,
@@ -59,12 +58,6 @@ def test_single_frame_cannot_fire_window():
 def test_lane_class_near_counts_for_score_not_decision():
     v = assess_risk(_seq("llll"), ONT)
     assert v.decision == SAFE and v.score == 1.0
-
-
-def test_window_parameter():
-    params = RiskParams(consecutive_frames=3)
-    assert assess_risk(_seq("vv..."), ONT, params).decision == SAFE
-    assert assess_risk(_seq("vvv.."), ONT, params).decision == RISKY
 
 
 def test_empty_sequence_rejected():
