@@ -20,14 +20,7 @@ from .metrics import (
 )
 from .ontology import RelationOntology, default_ontology, load_ontology, ontology_digest
 from .scenarios import ScenarioSpec, generate, read_scenes, write_scenes
-from .scene_graph import (
-    DetectedObject,
-    Homography,
-    SceneGraph,
-    build_scene_graph,
-    infer_relations,
-    ipm_project,
-)
+from .scene_graph import SceneGraph, infer_relations
 from .sweep import SweepConfig, encode_frame, decode_frame, run_sweep
 from .task import GraphSequence, RiskVerdict, assess_risk, task_consistency
 

@@ -31,9 +31,7 @@ def _load_ontology_arg(path):
     if path is None:
         return default_ontology()
     with open(path, encoding="utf-8") as fh:
-        ontology = load_ontology(fh.read())
-    scenarios.check_ontology(ontology)
-    return ontology
+        return load_ontology(fh.read())
 
 
 # argparse types: what they raise is a usage error

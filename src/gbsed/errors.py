@@ -9,10 +9,6 @@ class SchemaError(GbsedError):
     """Ontology document violates the configuration grammar or invariants."""
 
 
-class HorizonError(GbsedError):
-    """IPM projection point lies at or beyond the vanishing line."""
-
-
 class OntologyMismatch(GbsedError):
     """Transmitter and receiver disagree on the shared ontology."""
 

@@ -120,6 +120,7 @@ def _threat_trajectory(gen, frames):
 def generate(spec, ontology):
     """Generate the scenario corpus; fully determined by spec.seed."""
     _validate(spec)
+    check_ontology(ontology)
     lanes = _lane_positions(spec.lane_count, LANE_WIDTH)
     sequences = []
     for s in range(spec.num_sequences):
@@ -175,14 +176,16 @@ def scenes_to_text(sequences):
 
 def check_ontology(ontology):
     """Refuse an ontology whose attributes are not the four .scenes node
-    columns in order, or that lacks a relation infer_relations emits."""
+    columns in order, or whose relations 1..8 are not the relations
+    infer_relations emits, in that order. Relations 9 and up are free."""
     names = tuple(a.name for a in ontology.attributes)
     if names != ATTRIBUTES:
         raise ParseError(f"scenes format carries exactly the node attributes "
                          f"{' '.join(ATTRIBUTES)}, not {' '.join(names)}")
-    missing = set(RELATIONS) - {r.name for r in ontology.relations}
-    if missing:
-        raise ParseError(f"ontology lacks the relations {' '.join(sorted(missing))}")
+    names = tuple(r.name for r in ontology.relations[:len(RELATIONS)])
+    if names != RELATIONS:
+        raise ParseError(f"scenes edges carry the relations {' '.join(RELATIONS)} "
+                         f"as ids 1..{len(RELATIONS)}, not {' '.join(names)}")
 
 
 def read_scenes(path, ontology):
@@ -229,9 +232,15 @@ def scenes_from_text(text, ontology):
         head = line.split("|")
         tokens = head[0].split()
         if len(tokens) == 4 and tokens[0] == "seq" and tokens[2] == "label":
-            if len(head) != 1 or tokens[3] not in (RISKY, SAFE):
+            try:
+                seq_id = int(tokens[1])
+            except ValueError:
+                seq_id = None
+            if len(head) != 1 or tokens[3] not in (RISKY, SAFE) or seq_id is None:
                 raise ParseError(f"bad label line {line!r}", line_number=lineno)
-            labels[int(tokens[1])] = tokens[3]
+            if seq_id in labels:
+                raise ParseError(f"second label for sequence {seq_id}", line_number=lineno)
+            labels[seq_id] = tokens[3]
             continue
         if len(head) != 3 or len(tokens) != 4 or tokens[0] != "seq" or tokens[2] != "frame":
             raise ParseError(f"unrecognized line {line!r}", line_number=lineno)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HorizonError, ShapeError
+from .errors import ShapeError
 
 # class vocabulary used by the generator and the risk rule
 CLASS_VEHICLE = 0
@@ -25,46 +25,10 @@ L_FRONT = 30.0     # longitudinal reach of in_front_of / behind
 V_MARGIN = 0.5     # approaching: faster than the other node by more than this
 
 # the attributes of graph_from_bev's records, in record order, and the
-# relations infer_relations emits, by ontology name
+# relations infer_relations emits, in id order from 1
 ATTRIBUTES = ("class", "bev_x", "bev_y", "speed")
 RELATIONS = ("is_near", "very_near", "to_left_of", "to_right_of", "in_front_of",
              "behind", "is_in", "approaching")
-
-
-@dataclass(frozen=True)
-class DetectedObject:
-    class_id: int
-    bbox: tuple  # (u1, v1, u2, v2) pixel coordinates
-    speed: float = 0.0
-
-    def __post_init__(self):
-        u1, v1, u2, v2 = self.bbox
-        if not (u1 < u2 and v1 < v2):
-            raise ShapeError(f"degenerate bbox {self.bbox}")
-
-
-class Homography:
-    """3x3 invertible projective map from image plane to ground plane."""
-
-    def __init__(self, h):
-        m = np.asarray(h, dtype=float).reshape(3, 3)
-        if abs(np.linalg.det(m)) <= 1e-12:
-            raise ShapeError("homography is singular")
-        self.h = m
-
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(3))
-
-    @classmethod
-    def from_text(cls, text):
-        vals = [float(tok) for tok in text.split()]
-        if len(vals) != 9:
-            raise ShapeError(f"expected 9 values, got {len(vals)}")
-        return cls(vals)
-
-    def inverse(self):
-        return Homography(np.linalg.inv(self.h))
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,17 +54,6 @@ class SceneGraph:
     @property
     def num_nodes(self):
         return len(self.features)
-
-
-def ipm_project(bbox, homography):
-    """Project a bounding box's bottom-center pixel to ground-plane meters."""
-    u1, v1, u2, v2 = bbox
-    u = (u1 + u2) / 2.0
-    v = v2
-    x, y, w = homography.h @ (u, v, 1.0)
-    if abs(w) < 1e-9:
-        raise HorizonError(f"bottom-center ({u}, {v}) maps to w={w}")
-    return (x / w, y / w)
 
 
 def infer_relations(features, ontology):
@@ -153,29 +106,11 @@ def infer_relations(features, ontology):
 def graph_from_bev(records, ontology):
     """Build a SceneGraph from (class_id, bev_x, bev_y, speed) records.
 
-    Record 0 is the ego. Feature columns follow the ontology attribute
-    order; attributes outside the known four are zero-filled.
+    Record 0 is the ego. The records' columns are the feature columns: the
+    ontology is one that ``scenarios.check_ontology`` accepts.
     """
     if not records:
         raise ShapeError("at least the ego record is required")
-    values = np.array([(int(cls), x, y, speed) for cls, x, y, speed in records],
-                      dtype=np.float64)
-    features = np.zeros((len(records), ontology.num_attributes))
-    for k, attr in enumerate(ontology.attributes):
-        if attr.name in ATTRIBUTES:
-            features[:, k] = values[:, ATTRIBUTES.index(attr.name)]
+    features = np.array([(int(cls), x, y, speed) for cls, x, y, speed in records],
+                        dtype=np.float64)
     return SceneGraph(features, infer_relations(features, ontology))
-
-
-def build_scene_graph(objects, homography, ontology):
-    """IPM-project detected objects and build the relational scene graph."""
-    if not objects:
-        raise ShapeError("object list is empty; the ego must be present")
-    records = []
-    for k, obj in enumerate(objects):
-        try:
-            x, y = ipm_project(obj.bbox, homography)
-        except HorizonError as e:
-            raise HorizonError(f"object {k}: {e}") from e
-        records.append((obj.class_id, x, y, obj.speed))
-    return graph_from_bev(records, ontology)

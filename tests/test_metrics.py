@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from gbsed.errors import DegenerateInput, OntologyMismatch
+from gbsed.errors import DegenerateInput
 from gbsed.metrics import (
     ConfusionCounts,
     auc,
@@ -18,7 +18,6 @@ from gbsed.metrics import (
     raw_frame_octets,
     semantic_fidelity,
 )
-from gbsed.ontology import load_ontology
 from gbsed.rng import SplitMix64
 from gbsed.scene_graph import SceneGraph
 
@@ -90,13 +89,6 @@ def test_fidelity_monotone_under_edge_deletion(ontology):
         f = semantic_fidelity(sent, _graph(feats, edges[:k]), ontology).fidelity
         assert f <= last
         last = f
-
-
-def test_ontology_mismatch_guard(ontology):
-    other = load_ontology("relation 1 x\nattribute 0 class categorical\n")
-    g = _graph([(0, 0, 0, 10)], [])
-    with pytest.raises(OntologyMismatch):
-        semantic_fidelity(g, g, ontology, received_ontology=other)
 
 
 # -- compression ratio --------------------------------------------------------

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from gbsed.errors import ParseError, SpecError
-from gbsed.ontology import default_ontology, load_ontology
+from gbsed.ontology import default_ontology, emit_ontology, load_ontology
 from gbsed.scene_graph import infer_relations
 from gbsed.scenarios import (
     ScenarioSpec,
@@ -119,6 +119,8 @@ def test_label_lines_parsed():
     ("seq 0 frame 0 | |", 1),                      # frame with no nodes
     ("seq 0 frame 0", 1),                          # truncated line
     ("seq 0 label maybe", 1),                      # unknown label
+    ("seq x label safe", 1),                       # bad label sequence id
+    ("seq 0 label safe\nseq 0 label risky", 2),    # second label for a sequence
     ("seq zero frame 0 | 0:0:0:0:0 |", 1),         # bad ids
     ("nonsense", 1),
 ])
@@ -147,6 +149,16 @@ def test_wrong_attribute_count_ontology_rejected():
     tiny = load_ontology("relation 1 is_near\nattribute 0 class categorical\n")
     with pytest.raises(ParseError):
         scenes_from_text("seq 0 frame 0 | 0:0:0:0:0 |\n", tiny)
+
+
+def test_generate_refuses_the_ontologies_reading_refuses():
+    tiny = load_ontology("relation 1 is_near\nattribute 0 class categorical\n")
+    renumbered = load_ontology(
+        emit_ontology(ONT).replace("relation 1 is_near", "relation 1 very_near")
+                          .replace("relation 2 very_near", "relation 2 is_near"))
+    for bad in (tiny, renumbered):
+        with pytest.raises(ParseError):
+            generate(ScenarioSpec(num_sequences=1), bad)
 
 
 def test_features_survive_text_precision(default_corpus):

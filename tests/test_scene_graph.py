@@ -3,19 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from gbsed.errors import HorizonError, ShapeError
+from gbsed.errors import ShapeError
 from gbsed.rng import SplitMix64
 from gbsed.scenarios import ScenarioSpec, generate, scenes_from_text, scenes_to_text
 from gbsed.scene_graph import (
     CLASS_LANE,
     CLASS_VEHICLE,
-    DetectedObject,
-    Homography,
     SceneGraph,
-    build_scene_graph,
     graph_from_bev,
-    infer_relations,
-    ipm_project,
 )
 
 
@@ -69,53 +64,6 @@ def _random_records(seed, n, with_lanes=True):
         records.append((cls, gen.uniform(-15, 15), gen.uniform(-40, 40),
                         gen.uniform(0, 20)))
     return records
-
-
-# -- IPM projection -----------------------------------------------------------
-
-def test_ipm_identity():
-    assert ipm_project((10, 20, 30, 40), Homography.identity()) == (20.0, 40.0)
-
-
-def test_ipm_scaling():
-    h = Homography(np.diag([2.0, 2.0, 1.0]))
-    assert ipm_project((10, 20, 30, 40), h) == (40.0, 80.0)
-
-
-def test_ipm_horizon_error():
-    # bottom-center (100, 0) -> w = 0.01*100 - 1 = 0
-    h = Homography([[1, 0, 0], [0, 1, 0], [0.01, 0.5, -1]])
-    with pytest.raises(HorizonError):
-        ipm_project((90, -10, 110, 0), h)
-
-
-def test_ipm_inverse_round_trip():
-    gen = SplitMix64(17)
-    h = Homography([[1.2, 0.1, -3.0], [0.0, 0.9, 5.0], [0.001, 0.002, 1.0]])
-    hinv = h.inverse()
-    for _ in range(50):
-        u, v = gen.uniform(0, 1280), gen.uniform(400, 720)
-        x, y = ipm_project((u - 1, v - 1, u + 1, v), h)
-        back = hinv.h @ (x, y, 1.0)
-        assert abs(back[0] / back[2] - u) < 1e-6
-        assert abs(back[1] / back[2] - v) < 1e-6
-
-
-def test_singular_homography_rejected():
-    with pytest.raises(ShapeError):
-        Homography(np.zeros((3, 3)))
-
-
-def test_homography_from_text():
-    h = Homography.from_text("1 0 0  0 1 0  0 0 1")
-    np.testing.assert_array_equal(h.h, np.eye(3))
-    with pytest.raises(ShapeError):
-        Homography.from_text("1 2 3")
-
-
-def test_degenerate_bbox_rejected():
-    with pytest.raises(ShapeError):
-        DetectedObject(0, (5, 5, 5, 10))
 
 
 # -- relation inference -------------------------------------------------------
@@ -195,14 +143,6 @@ def test_empty_records_rejected(ontology):
         graph_from_bev([], ontology)
 
 
-def test_build_scene_graph_from_detections(ontology):
-    objs = [DetectedObject(CLASS_VEHICLE, (630, 700, 650, 720), 10.0),
-            DetectedObject(CLASS_VEHICLE, (630, 690, 650, 715), 10.0)]
-    g = build_scene_graph(objs, Homography.identity(), ontology)
-    assert g.num_nodes == 2
-    assert g.features[0].tolist() == [float(CLASS_VEHICLE), 640.0, 720.0, 10.0]
-
-
 def test_build_deterministic(ontology):
     records = _random_records(31, 8)
     a = graph_from_bev(records, ontology)
@@ -215,14 +155,6 @@ def test_features_layout(ontology):
     f = g.features
     assert f.shape == (2, 4)
     np.testing.assert_array_equal(f[0], [CLASS_VEHICLE, 1.5, -2.0, 10.0])
-
-
-def test_horizon_error_names_object(ontology):
-    h = Homography([[1, 0, 0], [0, 1, 0], [0.01, 0.5, -1]])
-    objs = [DetectedObject(CLASS_VEHICLE, (0, 0, 10, 10)),
-            DetectedObject(CLASS_VEHICLE, (90, -10, 110, 0))]
-    with pytest.raises(HorizonError, match="object 1"):
-        build_scene_graph(objs, h, ontology)
 
 
 # -- value semantics ----------------------------------------------------------

@@ -337,13 +337,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["encode", "--scenes", str(tmp_path), "--out", str(tmp_path / "o")]) == 3
     assert main(["gen", "--out", str(tmp_path)]) == 3
     # ontologies whose attributes are not the .scenes columns in order, or
-    # that lack a relation the relation rules emit
+    # whose relations 1..8 are not the relation rules' relations in order
     default = emit_ontology(ONT)
     unusable = {
         "swapped": default.replace("attribute 0 class", "attribute 1 class")
                           .replace("attribute 1 bev_x", "attribute 0 bev_x"),
         "renamed": default.replace("attribute 3 speed", "attribute 3 heading"),
         "relation": default.replace("relation 1 is_near", "relation 1 close_to"),
+        "renumbered": default.replace("relation 1 is_near", "relation 1 very_near")
+                             .replace("relation 2 very_near", "relation 2 is_near"),
         "five": default + "attribute 4 heading length-meters\n",
     }
     scenes = str(_gen(tmp_path))
@@ -369,6 +371,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     csv_path.write_text("snr_db,ber\n")
     assert main(["report", "--csv", str(csv_path)]) == 0
     assert capsys.readouterr().out == "no rows\n"
+
+
+def test_cli_accepts_relations_after_the_eight(tmp_path):
+    path = tmp_path / "nine.ontology"
+    path.write_text(emit_ontology(ONT) + "relation 9 overtaking\n")
+    scenes = tmp_path / "nine.scenes"
+    for args in (["gen", "--seed", "5", "--sequences", "6", "--frames", "4",
+                  "--out", str(scenes)],
+                 ["encode", "--scenes", str(scenes), "--out", str(tmp_path / "p")],
+                 ["sweep", "--scenes", str(scenes), "--snr", "10", "--trials", "5",
+                  "--out", str(tmp_path / "r.csv")]):
+        assert main(args + ["--ontology", str(path)]) == 0, args[0]
+    assert scenes.read_bytes() == _gen(tmp_path).read_bytes()
 
 
 def test_cli_defaults_are_the_config_defaults():
