@@ -7,7 +7,9 @@ from the 64-bit seed in LinkConfig via the splitmix64 stream.
 ``plan_link`` lays out many back-to-back payloads once, and each ``send``
 of the plan sends every payload with its own seed; ``transmit`` is a
 one-frame ``send``. It decides every symbol as the float64 primitives
-``qam64_demap(awgn(qam64_map(bits)))`` would.
+``qam64_demap(awgn(qam64_map(bits)))`` would: on AWGN a float32 filter
+decides each block, and one float64 pass per send redoes the symbols it
+flags as near a midpoint.
 """
 
 import math
@@ -167,29 +169,28 @@ class _Block:
     frames: slice       # the frames it carries
     octets: slice       # their body octets, within the plan's body octets
     counts: np.ndarray  # splitmix64 outputs each frame draws
-    levels: np.ndarray  # AWGN: the sent symbols' (I, Q) levels, int8, see plan_link
-    keep: np.ndarray    # AWGN: where the body octets sit among the repacked octets
+    symbols: slice      # AWGN: their symbols, within the plan's symbols
 
 
 class _Scratch:
-    """Buffers for a plan's largest block of n splitmix64 outputs (its bits
-    on the BSC, two per symbol on AWGN), which every send of the plan reuses.
-    Roles whose lifetimes do not overlap share memory: polar's (r, theta)
-    live in tmp, which _mix is done with, and the amplitudes u in raw,
-    which polar is done with."""
+    """Buffers that every send of a plan reuses: for its largest block of n
+    splitmix64 outputs (its bits on the BSC, two per symbol on AWGN), and on
+    AWGN for all of its symbols. The float32 filter works in tmp, which _mix
+    is done with, so raw keeps a block's outputs until the flagged pairs are
+    taken; the repacked octets become the bit differences."""
 
-    def __init__(self, n, awgn_link):
+    def __init__(self, n, symbols=None):
         self.raw, self.tmp = np.empty((2, n), dtype=np.uint64)
-        self.flags = np.empty(n, dtype=bool)  # BSC flips, AWGN near-midpoint parts
-        if awgn_link:
-            self.u = self.raw.view(np.float64)
-            self.r, self.theta = self.tmp[:n // 2 * 2].view(np.float64).reshape(2, -1)
-            self.t, self.cos = np.empty((2, n // 2), dtype=np.float32)
-            self.sent, self.d = np.empty((2, n))
-            self.levels = np.empty(n, dtype=np.uint8)
-            self.codes, self.gray = np.empty((2, n // 2), dtype=np.uint8)
-            self.octets = np.empty((n // 8, 3), dtype=np.uint8)
-            self.got, self.diff = np.empty((2, 3 * n // 8), dtype=np.uint8)
+        self.flags = np.empty(n, dtype=bool)  # BSC flips, AWGN parts far from a midpoint
+        if symbols is not None:
+            m = n // 2
+            # I and Q amplitudes, radius, spare; the last two become distances
+            self.f32 = self.tmp.view(np.float32)[:4 * m].reshape(4, m)
+            self.inside = np.empty(m, dtype=bool)
+            self.levels = np.empty((2, m), dtype=np.uint8)
+            self.codes = np.empty(symbols, dtype=np.uint8)
+            self.octets = np.empty((symbols // 4, 3), dtype=np.uint8)
+            self.got = np.empty(3 * symbols // 4, dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -207,6 +208,8 @@ class LinkPlan:
     blocks: tuple
     steps: np.ndarray    # rng.golden_steps of the most draws of one frame
     scratch: _Scratch
+    indices: np.ndarray  # AWGN: (2, symbols) I and Q level indices (level 2i - 7), uint8
+    keep: np.ndarray     # AWGN: where the body octets sit among the repacked octets
 
 
 def plan_link(buffer, lengths, channel_kind, header_protection):
@@ -230,6 +233,15 @@ def plan_link(buffer, lengths, channel_kind, header_protection):
     # two splitmix64 outputs per symbol, one per bit
     counts = 8 * groups if awgn_link else 8 * octets
     sent = buffer[body_at]
+    symbols = np.concatenate([[0], np.cumsum(4 * groups)])  # where frames' symbols start
+    indices = keep = None
+    if awgn_link:
+        padded = 3 * groups
+        keep = np.repeat(np.cumsum(padded) - padded - first, octets) + np.arange(sent.size)
+        octet_groups = np.zeros(padded.sum(), dtype=np.uint8)
+        octet_groups[keep] = sent
+        codes = _codes_from_octets(octet_groups)
+        indices = ((_LEVEL_BY_CODE + 7) / 2).astype(np.uint8)[np.stack([codes >> 3, codes & 7])]
     blocks = []
     ends = np.cumsum(8 * octets)
     a = 0
@@ -238,22 +250,13 @@ def plan_link(buffer, lengths, channel_kind, header_protection):
         b = max(a + 1, int(np.searchsorted(ends, ends[a] - 8 * octets[a] + _BLOCK_BITS,
                                           side="right")))
         span = slice(int(first[a]), int(first[b - 1] + octets[b - 1]))
-        levels = keep = None
-        if awgn_link:
-            padded = 3 * groups[a:b]
-            keep = (np.repeat(np.cumsum(padded) - padded - (first[a:b] - first[a]),
-                              octets[a:b]) + np.arange(span.stop - span.start))
-            octet_groups = np.zeros(padded.sum(), dtype=np.uint8)
-            octet_groups[keep] = sent[span]
-            codes = _codes_from_octets(octet_groups)
-            levels = _LEVEL_BY_CODE[np.stack([codes >> 3, codes & 7], axis=1)]
-            levels = levels.astype(np.int8).reshape(-1)
-        blocks.append(_Block(slice(a, b), span, counts[a:b], levels, keep))
+        blocks.append(_Block(slice(a, b), span, counts[a:b],
+                             slice(int(symbols[a]), int(symbols[b]))))
         a = b
     most = max((int(blk.counts.sum()) for blk in blocks), default=0)
     return LinkPlan(channel_kind, header_protection, buffer, int(lengths.size), body_at,
                     sent, tuple(blocks), rng.golden_steps(int(counts.max(initial=0))),
-                    _Scratch(most, awgn_link))
+                    _Scratch(most, int(symbols[-1]) if awgn_link else None), indices, keep)
 
 
 def _codes_from_octets(octets):
@@ -305,39 +308,107 @@ def send(plan, seeds, cfg):
     if (cfg.bsc_flip_prob == 0.0 if cfg.channel_kind == BSC else _noiseless(cfg.snr_db)):
         return received, 0
     s = plan.scratch
+    if cfg.channel_kind == AWGN64QAM:
+        got = _awgn_octets(plan, seeds, _sigma(cfg.snr_db))
+        diff = np.bitwise_xor(got, plan.sent, out=s.octets.reshape(-1)[:got.size])
+        received[plan.body_at] = got
+        return received, int(np.bitwise_count(diff, out=diff).sum())
     errors = 0
     for blk in plan.blocks:
-        sent = plan.sent[blk.octets]
         raw = rng.splitmix64_streams(seeds[blk.frames], blk.counts, plan.steps, s.raw, s.tmp)
-        if cfg.channel_kind == BSC:
-            flips = np.less(raw, _flip_threshold(cfg.bsc_flip_prob), out=s.flags[:raw.size])
-            errors += int(np.count_nonzero(flips))
-            got = np.packbits(flips)
-            got ^= sent
-        else:
-            got = _awgn_block(blk, raw, s, cfg.snr_db)
-            diff = np.bitwise_xor(got, sent, out=s.diff[:got.size])
-            errors += int(np.bitwise_count(diff, out=diff).sum())
+        flips = np.less(raw, _flip_threshold(cfg.bsc_flip_prob), out=s.flags[:raw.size])
+        errors += int(np.count_nonzero(flips))
+        got = np.packbits(flips)
+        got ^= plan.sent[blk.octets]
         received[plan.body_at[blk.octets]] = got
     return received, errors
 
 
-# numpy's float32 cos and sin are vectorized and its float64 ones are not.
-# For theta in [0, 2 pi), |fl32(theta) - theta| <= 2^-22 and the float32
-# functions are good to a few float32 ulps, so cos and sin of fl32(theta)
-# are within 2^-20 of the float64 ones of theta (the tests pin this); the
-# bound allows 16 times that
+# The float32 filter reads the high 32-bit words hi1 and hi2 of a symbol's
+# two outputs (word _HI in a uint32 view). For hi1 in [_EDGE, 2^32 - _EDGE)
+# its radius and its cos and sin are within 2^-15 and 2^-20 of polar's in
+# float64 (the tests pin both; it flags every other symbol); the bound
+# allows 16 times each, and 4 times its own rounding (README derives it)
+_HI = 1 if np.little_endian else 0
+_EDGE = 1 << 12
+_RADIUS32_ERROR = 2.0 ** -11
 _TRIG32_ERROR = 2.0 ** -16
-# the two evaluations round their steps apart, by a few ulps of |u| <=
-# R_MAX·sigma/_SCALE + 7, and _decide_axis's thresholds lie within 2^-49 of
-# the midpoints: within 2^-40 plus a sliver of the trig term
-_ROUNDING = 2.0 ** -40
+_ROUNDING = 2.0 ** -18
 
 
-def _trig32_bound(sigma):
-    """The most a received level-unit amplitude from float32 trig can be
-    off from the float64 one, at per-axis noise deviation sigma."""
-    return rng.R_MAX * sigma / _SCALE * _TRIG32_ERROR + _ROUNDING
+def _filter_bound(sigma):
+    """The most a received level-unit amplitude from the float32 filter
+    can be off from the float64 one, at per-axis noise deviation sigma."""
+    return sigma / _SCALE * (rng.R_MAX * _TRIG32_ERROR + _RADIUS32_ERROR) + _ROUNDING
+
+
+def _polar32(raw, r, theta):
+    """The float32 Box-Muller radius sqrt(-2 ln((hi1 + 1/2)·2^-32)) and angle
+    hi2·2 pi·2^-32, hi2 read as signed, of raw's (u1, u2) pairs, into r and
+    theta of raw.size // 2 each."""
+    words = raw.view(np.uint32).reshape(-1, 4)
+    np.copyto(r, words[:, _HI], casting="unsafe")
+    r += 0.5
+    r *= 2.0 ** -32
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    np.copyto(theta, words.view(np.int32)[:, 2 + _HI], casting="unsafe")
+    theta *= np.float32(2.0 * math.pi * 2.0 ** -32)
+    return r, theta
+
+
+def _decide32(y, half_bound, s):
+    """The level indices of (2, m) float32 amplitudes y = (level-unit
+    amplitude + 8) / 2 (midpoints on 1..7, level index i on (i, i + 1)) by
+    one floor, and where y lies farther than half_bound from every midpoint
+    (NaN does not): there the floor decides as _decide_axis does on the
+    float64 amplitude. In scratch s, overwriting y."""
+    m = y.shape[1]
+    d, far, levels = s.f32[2:, :m], s.flags[:2 * m].reshape(2, m), s.levels[:, :m]
+    np.rint(y, out=d)
+    np.clip(d, 1.0, 7.0, out=d)
+    d -= y
+    np.abs(d, out=d)
+    np.greater(d, half_bound, out=far)
+    np.clip(y, 0.0, 7.5, out=y)
+    np.copyto(levels, y, casting="unsafe")  # truncation, which is the floor here
+    return levels, far
+
+
+def _filter(raw, indices, sigma, s, codes):
+    """The 6-bit codes of a block's symbols, from their splitmix64 outputs
+    raw and their sent level indices, decided in float32 into codes;
+    returns the symbols it flags: with hi1 within _EDGE of 0 or 2^32, or a
+    part within half the bound of a midpoint."""
+    m = raw.size // 2
+    y, r = s.f32[:2, :m], s.f32[2, :m]
+    # hi1 + _EDGE wraps the values within _EDGE of 2^32 below 2 _EDGE
+    hi1 = np.add(raw.view(np.uint32)[_HI::4], _EDGE, out=s.f32[3, :m].view(np.uint32))
+    inside = np.greater_equal(hi1, 2 * _EDGE, out=s.inside[:m])
+    _polar32(raw, r, y[1])
+    np.cos(y[1], out=y[0])
+    np.sin(y[1], out=y[1])
+    r *= np.float32(sigma / (2.0 * _SCALE))
+    y *= r
+    y += indices
+    y += 0.5
+    levels, far = _decide32(y, _filter_bound(sigma) / 2.0, s)
+    far[0] &= far[1]
+    far[0] &= inside
+    # the code of 8 * I level index + Q level index, as _CODE_BY_LEVELS
+    np.left_shift(levels[0], 3, out=codes)
+    codes |= levels[1]
+    gray = np.right_shift(codes, 1, out=levels[1])
+    gray &= 0b011011
+    codes ^= gray
+    return np.flatnonzero(np.logical_not(far[0], out=far[0]))
+
+
+def _sent_parts(indices):
+    """The interleaved (I, Q) parts of the symbols with the given (2, k)
+    level indices, as qam64_map's _SYMBOL_BY_CODE holds them."""
+    return (indices.T * 2.0 - 7.0) * _SCALE
 
 
 def _to_levels(iq, sent, sigma):
@@ -354,73 +425,35 @@ def _to_levels(iq, sent, sigma):
     return iq
 
 
-def _refine(u, at, r, theta, sent, sigma):
-    """Redo symbols ``at`` of u from float64 trig, as awgn computes them."""
-    r, theta = r[at], theta[at]
-    exact = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
-    u.reshape(-1, 2)[at] = _to_levels(exact, sent.reshape(-1, 2)[at], sigma)
+def _refine(pairs, at, indices, sigma, codes):
+    """Redo symbols ``at`` of a send in float64 from their splitmix64 output
+    pairs, with the operations awgn and qam64_demap use, into codes."""
+    r, theta = rng.polar(pairs.reshape(-1), np.empty(at.size), np.empty(at.size))
+    u = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+    levels = _decide_axis(_to_levels(u, _sent_parts(indices[:, at]), sigma))
+    codes[at] = _CODE_BY_LEVELS[8 * levels[:, 0] + levels[:, 1]]
 
 
-def _decide_by_floor(u, bound, s):
-    """The level indices of level-unit amplitudes u by one floor, and where
-    u lies within bound of a midpoint -6, ..., 6, the only places where the
-    floor and _decide_axis may differ; in scratch s, overwriting u."""
-    levels, near, d = s.levels[:u.size], s.flags[:u.size], s.d[:u.size]
-    # y = u/2 + 4, in u, puts the midpoints on the integers 1..7 and level
-    # index i on (i, i + 1)
-    y = np.multiply(u, 0.5, out=u)
-    y += 4.0
-    np.rint(y, out=d)
-    np.clip(d, 1.0, 7.0, out=d)
-    d -= y
-    np.abs(d, out=d)
-    np.less_equal(d, bound * 0.5, out=near)
-    np.clip(y, 0.0, 7.5, out=y)
-    np.copyto(levels, y, casting="unsafe")  # truncation, which is the floor here
-    return levels, near
-
-
-def _received_codes(r, theta, sent, sigma, s):
-    """The 6-bit codes qam64_demap decides for the symbols with parts sent
-    plus sigma times the normals of Box-Muller's (r, theta), in scratch s:
-    from float32 trig by a floor, and the symbols with an amplitude within
-    _trig32_bound of a midpoint from float64 trig by _decide_axis; every
-    other one lies on the side of each midpoint its float64 value lies on."""
-    n, half = sent.size, sent.size // 2
-    u, t = s.u[:n], s.t[:half]
-    np.copyto(t, theta, casting="same_kind")
-    np.copyto(u[0::2], np.cos(t, out=s.cos[:half]))
-    np.copyto(u[1::2], np.sin(t, out=t))
-    u[0::2] *= r
-    u[1::2] *= r
-    _to_levels(u, sent, sigma)
-    levels, near = _decide_by_floor(u, _trig32_bound(sigma), s)
-    # the symbols with either part flagged: a pair of flags read as a uint16
-    at = np.flatnonzero(near.view(np.uint16))
-    if at.size:
-        _refine(u, at, r, theta, sent, sigma)
-        levels.reshape(-1, 2)[at] = _decide_axis(u.reshape(-1, 2)[at])
-    # the code of 8 * I level index + Q level index, as _CODE_BY_LEVELS
-    codes = np.left_shift(levels[0::2], 3, out=s.codes[:half])
-    codes |= levels[1::2]
-    gray = np.right_shift(codes, 1, out=s.gray[:half])
-    gray &= 0b011011
-    codes ^= gray
-    return codes
-
-
-def _awgn_block(blk, raw, s, snr_db):
-    """The block's body octets as qam64_demap decides them after awgn, from
-    its splitmix64 outputs raw, in scratch s."""
-    n = raw.size
-    r, theta = rng.polar(raw, s.r[:n // 2], s.theta[:n // 2])
-    sent = s.sent[:n]
-    np.copyto(sent, blk.levels)
-    sent *= _SCALE  # the parts of _SYMBOL_BY_CODE, bit for bit
-    octets = _octets_from_codes(_received_codes(r, theta, sent, _sigma(snr_db), s),
-                                s.octets[:n // 8])
+def _awgn_octets(plan, seeds, sigma):
+    """The plan's body octets as qam64_demap decides them after awgn: every
+    block through the float32 filter, then the symbols it flags in one
+    float64 pass, in the plan's scratch."""
+    s = plan.scratch
+    pairs, flagged = [], []
+    # past about -735 dB the float32 amplitudes overflow; inf decides as
+    # the float64 amplitude does, and NaN is flagged
+    with np.errstate(over="ignore", invalid="ignore"):
+        for blk in plan.blocks:
+            raw = rng.splitmix64_streams(seeds[blk.frames], blk.counts, plan.steps, s.raw, s.tmp)
+            at = _filter(raw, plan.indices[:, blk.symbols], sigma, s, s.codes[blk.symbols])
+            if at.size:
+                pairs.append(raw.reshape(-1, 2)[at])
+                flagged.append(at + blk.symbols.start)
+    if flagged:
+        _refine(np.concatenate(pairs), np.concatenate(flagged), plan.indices, sigma, s.codes)
+    octets = _octets_from_codes(s.codes, s.octets)
     # keep is in range; mode "clip" takes straight into out, "raise" buffers it
-    return np.take(octets, blk.keep, out=s.got[:blk.keep.size], mode="clip")
+    return np.take(octets, plan.keep, out=s.got[:plan.keep.size], mode="clip")
 
 
 def frames_required(payload_len_octets):

@@ -225,6 +225,7 @@ def scenes_from_text(text, ontology):
     check_ontology(ontology)
     seqs = {}     # id -> list of (frame_k, SceneGraph)
     labels = {}
+    first_line = {}  # id -> the first line that names it; the ids must be 0..S-1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -241,6 +242,7 @@ def scenes_from_text(text, ontology):
             if seq_id in labels:
                 raise ParseError(f"second label for sequence {seq_id}", line_number=lineno)
             labels[seq_id] = tokens[3]
+            first_line.setdefault(seq_id, lineno)
             continue
         if len(head) != 3 or len(tokens) != 4 or tokens[0] != "seq" or tokens[2] != "frame":
             raise ParseError(f"unrecognized line {line!r}", line_number=lineno)
@@ -266,8 +268,13 @@ def scenes_from_text(text, ontology):
             edges.append(edge)
         graph = SceneGraph(rows, tuple(sorted(set(edges))))
         seqs.setdefault(seq_id, []).append((frame_k, graph))
+        first_line.setdefault(seq_id, lineno)
+    stray = sorted((n, i) for i, n in first_line.items() if not 0 <= i < len(seqs))
+    if stray:
+        raise ParseError(f"sequence {stray[0][1]} is not one of the frame sequences "
+                         f"0..{len(seqs) - 1}", line_number=stray[0][0])
     out = []
-    for seq_id in sorted(seqs):
+    for seq_id in range(len(seqs)):
         frames = [g for _, g in sorted(seqs[seq_id], key=lambda p: p[0])]
         expected = list(range(len(frames)))
         got = sorted(k for k, _ in seqs[seq_id])

@@ -243,8 +243,8 @@ def _run_point(point_index, snr_db, lay, plan, ontology, cfg, sizes):
         received, errors = send(plan, seeds, link)
         errors_total += errors
         fidelity, near_ego = _score_pass(lay, received, ontology)
-        for v in fidelity.tolist():  # frame by frame: the sum's rounding is part of the output
-            fidelity_sum += v
+        # frame by frame, left to right: the sum's rounding is part of the output
+        fidelity_sum = float(np.add.accumulate(np.concatenate([[fidelity_sum], fidelity]))[-1])
         preds += [verdict_from_near(near_ego[a:b]) for a, b in lay.sequences]
     counts, consistency, scored = verdict_consistency(lay.verdicts * passes, preds)
     cls = classification_metrics(counts)

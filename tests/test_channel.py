@@ -141,35 +141,30 @@ def test_demap_matches_rounding_at_ties_and_their_neighbours():
         np.testing.assert_array_equal(qam64_demap(symbols), _demap_by_axis(symbols))
 
 
-def _scratch(n):
-    return channel._Scratch(n, awgn_link=True)
-
-
 def test_planned_levels_scale_to_the_symbol_table_bit_for_bit():
-    # send builds the sent parts as a plan's int8 levels times _SCALE, and
-    # awgn adds its noise to qam64_map's _SYMBOL_BY_CODE: they must agree
-    # to the last bit, here for every 6-bit code in order
+    # the float64 pass builds the sent parts from a plan's level indices,
+    # and awgn adds its noise to qam64_map's _SYMBOL_BY_CODE: they must
+    # agree to the last bit, here for every 6-bit code in order
     octets = channel._octets_from_codes(np.arange(64, dtype=np.uint8),
                                         np.empty((16, 3), dtype=np.uint8))
     plan = plan_link(octets, [octets.size], AWGN64QAM, UNPROTECTED)
-    (blk,) = plan.blocks
-    assert blk.levels.dtype == np.int8
-    parts = blk.levels.astype(np.float64) * _SCALE
+    assert plan.indices.dtype == np.uint8 and plan.indices.shape == (2, 64)
+    parts = channel._sent_parts(plan.indices)
     assert parts.tobytes() == channel._SYMBOL_BY_CODE.tobytes()
 
 
 def test_flat_decision_matches_demap_at_ties_and_their_neighbours():
-    # send decides on interleaved (I, Q) floats; at +-6 * _SCALE, dividing by
-    # _SCALE and multiplying by its inverse fall on either side of a midpoint.
-    # With no noise (radius 0, sigma 1) the received parts are the sent ones
+    # the float64 pass decides on interleaved (I, Q) floats; at +-6 * _SCALE,
+    # dividing by _SCALE and multiplying by its inverse fall on either side
+    # of a midpoint. With no noise (unit noise 0, sigma 1) the received parts
+    # are the sent ones
     mids = np.arange(-24, 25) / 2.0 * _SCALE
     amps = np.concatenate([mids, np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf)])
     symbols = np.add.outer(amps, 1j * amps).ravel()
-    parts = symbols.view(np.float64).copy()
-    zeros = np.zeros(symbols.size)
-    codes = channel._received_codes(zeros, zeros, parts, 1.0, _scratch(parts.size))
-    np.testing.assert_array_equal(np.unpackbits(codes[:, None], axis=1)[:, 2:].ravel(),
-                                  qam64_demap(symbols))
+    parts = symbols.view(np.float64).reshape(-1, 2)
+    np.testing.assert_array_equal(_decide_codes(channel._to_levels(np.zeros(parts.shape),
+                                                                   parts, 1.0)),
+                                  _codes_of_bits(qam64_demap(symbols)))
 
 
 # -- AWGN ---------------------------------------------------------------------
@@ -203,34 +198,91 @@ def test_awgn_ber_monotone_in_snr():
     assert all(a >= b for a, b in zip(rates, rates[1:]))
 
 
-# -- float32 trig decision ----------------------------------------------------
+# -- float32 filter and float64 pass -----------------------------------------
 
-def _trig_angles():
-    # 2^20 uniform angles in [0, 2 pi), the multiples of pi/4 below 2 pi with
-    # their neighbours, and the angles just below 2 pi
-    theta = rng.uniforms(17, 1 << 20) * (2.0 * math.pi)
-    marks = np.arange(8) * (math.pi / 4)
-    up, down = [marks], [marks]
-    for _ in range(4):
-        up.append(np.nextafter(up[-1], np.inf))
-        down.append(np.nextafter(down[-1], -np.inf))
-    top = [np.nextafter(2.0 * math.pi, 0.0)]
-    for _ in range(15):
-        top.append(np.nextafter(top[-1], 0.0))
-    angles = np.concatenate([theta, *up, *down[1:], top])
-    return angles[(angles >= 0.0) & (angles < 2.0 * math.pi)]
+def _codes_of_bits(bits):
+    """qam64_demap's bits as 6-bit codes, I's code then Q's."""
+    return (bits.reshape(-1, 6) @ (1 << np.arange(5, -1, -1))).astype(np.uint8)
+
+
+def _decide_codes(u):
+    """The 6-bit codes of (k, 2) (I, Q) level-unit amplitudes, decided by
+    _decide_axis."""
+    levels = channel._decide_axis(u).astype(np.int64)
+    return channel._CODE_BY_LEVELS[8 * levels[:, 0] + levels[:, 1]]
+
+
+def _pairs(u1, u2):
+    """(u1, u2) splitmix64 output pairs, flat, as send draws them."""
+    u1, u2 = np.broadcast_arrays(np.asarray(u1, dtype=np.uint64),
+                                 np.asarray(u2, dtype=np.uint64))
+    return np.stack([u1, u2], axis=1).reshape(-1)
+
+
+def _polar32(raw):
+    m = raw.size // 2
+    return channel._polar32(raw, np.empty(m, dtype=np.float32), np.empty(m, dtype=np.float32))
+
+
+def _polar64(raw):
+    m = raw.size // 2
+    return rng.polar(raw.copy(), np.empty(m), np.empty(m))
+
+
+def _filter(raw, indices, snr_db):
+    """The float32 filter's codes and flagged symbols for pairs raw whose
+    sent levels have the given (2, m) level indices."""
+    m = raw.size // 2
+    codes = np.empty(m, dtype=np.uint8)
+    at = channel._filter(raw, np.asarray(indices, dtype=np.uint8), channel._sigma(snr_db),
+                         channel._Scratch(raw.size, m), codes)
+    return codes, at
 
 
 def test_float32_trig_within_sixteenth_of_the_bound():
-    # send decides from cos and sin of fl32(theta); its bound assumes they are
-    # within channel._TRIG32_ERROR of the float64 ones, and 2^-20 pins a
-    # 16-fold margin, so worse float32 trig fails here before it changes bytes
+    # the filter decides from cos and sin of its float32 angle of u2's high
+    # word; its bound assumes they are within channel._TRIG32_ERROR of the
+    # float64 ones of polar's angle, and 2^-20 pins a 16-fold margin, so
+    # worse float32 trig fails here before it changes bytes. The angles:
+    # 2^20 uniform ones, the multiples of pi/4 (u2 = k 2^61) with their
+    # neighbours in u2's high and low words, and those next to 0 and 2 pi
     assert 2.0 ** -20 * 16 == channel._TRIG32_ERROR
-    theta = _trig_angles()
-    t32 = theta.astype(np.float32)
+    near = np.add.outer(np.arange(9, dtype=np.uint64) << np.uint64(61),
+                        np.concatenate([np.arange(-64, 65), np.arange(-64, 65) << 32,
+                                        [(1 << 32) - 1, -(1 << 32) - 1]]).astype(np.uint64))
+    u2 = np.concatenate([rng.splitmix64_stream(17, 1 << 20), near.ravel()])
+    raw = _pairs(1 << 63, u2)
+    _, theta = _polar64(raw)
+    _, t32 = _polar32(raw)
     for f in (np.cos, np.sin):
         assert f(t32).dtype == np.float32
         assert np.max(np.abs(f(t32).astype(np.float64) - f(theta))) <= 2.0 ** -20
+
+
+def test_float32_radius_within_sixteenth_of_the_bound():
+    # the filter's radius from u1's high word hi1 lies within
+    # channel._RADIUS32_ERROR / 16 of polar's for every hi1 in [2^12,
+    # 2^32 - 2^12): sampled draws, the first hi1 values and the last, with
+    # the low words that put u1 at either end of its high word's range.
+    # Beyond the last, u1 near 1, float32 rounds u1 to 2^-24 and the error
+    # outgrows the bound: the filter flags those symbols
+    assert 2.0 ** -15 * 16 == channel._RADIUS32_ERROR and channel._EDGE == 1 << 12
+    edge, top = channel._EDGE, (1 << 32) - channel._EDGE
+    sampled = rng.splitmix64_stream(19, 1 << 20)
+    hi = sampled >> np.uint64(32)
+    sampled = sampled[(hi >= edge) & (hi < top)]
+    first = np.arange(edge, edge + 65, dtype=np.uint64)
+    last = np.arange(top - 4096, top, dtype=np.uint64)
+    crafted = np.add.outer(np.concatenate([first, last]) << np.uint64(32),
+                           np.array([0, 12345, (1 << 32) - 1], dtype=np.uint64))
+    raw = _pairs(np.concatenate([sampled, crafted.ravel()]), 0)
+    r, _ = _polar64(raw)
+    r32, _ = _polar32(raw)
+    assert r32.dtype == np.float32
+    assert np.max(np.abs(r32.astype(np.float64) - r)) <= 2.0 ** -15
+    beyond = _pairs(np.arange(top, 1 << 32, dtype=np.uint64) << np.uint64(32), 0)
+    assert np.max(np.abs(_polar32(beyond)[0].astype(np.float64) - _polar64(beyond)[0])) \
+        > 2.0 ** -15
 
 
 def test_polar_radius_at_most_r_max():
@@ -241,58 +293,86 @@ def test_polar_radius_at_most_r_max():
     assert r[1] == 0.0
 
 
-def _decide_by_floor(u, bound):
-    levels, near = channel._decide_by_floor(u.copy(), bound, _scratch(u.size))
-    return levels.copy(), near.copy()
+@pytest.mark.parametrize("snr_db", [0.0, 20.0, 60.0])
+def test_filter_flags_symbols_with_u1_within_2_to_minus_20_of_0_or_1(snr_db):
+    # hi1 below 2^12 or from 2^32 - 2^12 up: flagged whatever the angle
+    edge = channel._EDGE
+    hi1 = np.concatenate([np.arange(edge), np.arange((1 << 32) - edge, 1 << 32)])
+    u1 = (hi1.astype(np.uint64) << np.uint64(32)) | rng.splitmix64_stream(3, hi1.size) \
+        >> np.uint64(32)
+    raw = _pairs(u1, rng.splitmix64_stream(4, hi1.size))
+    indices = np.full((2, hi1.size), 3, dtype=np.uint8)
+    _, at = _filter(raw, indices, snr_db)
+    np.testing.assert_array_equal(at, np.arange(hi1.size))
+    # and a step inside the edges, at 60 dB nothing is near a midpoint
+    inside = np.array([edge, (1 << 32) - edge - 1], dtype=np.uint64) << np.uint64(32)
+    _, at = _filter(_pairs(inside, 1 << 61), np.full((2, 2), 3, dtype=np.uint8), 60.0)
+    assert at.size == 0
+
+
+def _decide32(y, bound):
+    """The filter's level indices of float32 amplitudes y (midpoints on
+    1..7) and which of them it flags, at level-unit bound."""
+    y = np.asarray(y, dtype=np.float32)
+    s = channel._Scratch(2 * y.size, y.size)
+    with np.errstate(invalid="ignore"):  # NaN's level is garbage, and redone
+        levels, far = channel._decide32(np.stack([y, y]), bound / 2.0, s)
+    return levels[0].copy(), ~far[0]
+
+
+def _within(points, offset):
+    """The float32 values nearest points + offset that lie no farther from
+    the points than |offset|."""
+    v = np.float32(points + offset)
+    return np.where(np.abs(v.astype(np.float64) - points) > abs(offset),
+                    np.nextafter(v, points), v)
 
 
 @pytest.mark.parametrize("snr_db", [-40.0, 0.0, 0.5, 20.0, 60.0, 1e308])
 def test_near_midpoint_flags_every_midpoint_and_its_neighbours(snr_db):
-    sigma = channel._sigma(snr_db)
-    bound = channel._trig32_bound(sigma)
-    mids = np.arange(-6.0, 7.0, 2.0)
-    values = [mids, mids + 0.99 * bound, mids - 0.99 * bound]
+    bound = channel._filter_bound(channel._sigma(snr_db))
+    half = bound / 2.0
+    mids = np.arange(1.0, 8.0, dtype=np.float32)
+    values = [mids, _within(mids, 0.99 * half), _within(mids, -0.99 * half), [np.nan]]
     up, down = mids, mids
     for _ in range(4):
-        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        up, down = np.nextafter(up, np.float32(np.inf)), np.nextafter(down, np.float32(-np.inf))
         values += [up, down]
-    assert _decide_by_floor(np.concatenate(values), bound)[1].all()
-    # from 1.01 bound/2 off each midpoint out to 1 off it, and beyond the
-    # outer levels, the floor decides as _decide_axis
-    offsets = np.geomspace(1.01 * bound / 2, 1.0, 200)
-    beyond = np.array([7.5, 40.0, 1e3])
+    assert _decide32(np.concatenate(values), bound)[1].all()
+    # from 1.01 bound/2 off each midpoint out to half a level unit off it,
+    # beyond the outer levels and at the infinities, the floor decides as
+    # _decide_axis does on the level-unit amplitude 2 y - 8
+    offsets = np.geomspace(1.01 * half, 0.5, 200)
+    beyond = np.array([7.75, 24.0, 504.0, np.inf])
     away = np.concatenate([np.add.outer(mids, offsets).ravel(),
-                           np.add.outer(mids, -offsets).ravel(), beyond, -beyond])
-    decided, near = _decide_by_floor(away, bound)
-    np.testing.assert_array_equal(decided, channel._decide_axis(away))
-    assert not near[-6:].any()
+                           np.add.outer(mids, -offsets).ravel(), beyond, 8.0 - beyond])
+    away = away.astype(np.float32)
+    decided, near = _decide32(away, bound)
+    np.testing.assert_array_equal(decided, channel._decide_axis(2.0 * away.astype(np.float64)
+                                                                - 8.0))
+    assert not near[-8:].any()
     if bound < 0.5:
-        # the levels, and the even integers beyond the outer midpoints
-        # +-6, are no midpoints
-        levels = np.arange(-7.0, 8.0, 2.0)
-        assert not _decide_by_floor(levels, bound)[1].any()
-        evens = np.array([-10.0, -8.0, 8.0])
-        far = [evens, evens + 0.99 * bound, evens - 0.99 * bound]
-        up, down = evens, evens
-        for _ in range(4):
-            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
-            far += [up, down]
-        assert not _decide_by_floor(np.concatenate(far), bound)[1].any()
+        # the level centres, and the integers 0 and 8 and -1 just beyond the
+        # outer midpoints, are no midpoints
+        assert not _decide32(np.arange(8) + 0.5, bound)[1].any()
+        ends = np.array([-1.0, 0.0, 8.0], dtype=np.float32)
+        far = [ends, _within(ends, 0.99 * half), _within(ends, -0.99 * half)]
+        assert not _decide32(np.concatenate(far), bound)[1].any()
 
 
 @pytest.fixture
 def refined(monkeypatch):
-    """How many symbols each call of send's _refine redoes with float64
-    trig, in call order."""
+    """How many symbols each call of send's float64 pass redoes, in call
+    order."""
     sizes = []
     refine = channel._refine
     monkeypatch.setattr(channel, "_refine",
-                        lambda u, at, *rest: sizes.append(at.size) or refine(u, at, *rest))
+                        lambda pairs, at, *rest: sizes.append(at.size) or refine(pairs, at, *rest))
     return sizes
 
 
 def test_near_midpoint_refines_few_symbols_at_minus_70db(refined):
-    # at -70 dB the bound is about 1.9 level units, but almost every sample
+    # at -70 dB the bound is about 9 level units, but almost every sample
     # lies far beyond the outer midpoints: few symbols are redone in float64,
     # and the octets are still the reference link's
     lengths = [3000] * 20
@@ -303,40 +383,36 @@ def test_near_midpoint_refines_few_symbols_at_minus_70db(refined):
     assert received.tobytes() == b"".join(r for r, _ in expect)
     assert errors == sum(e for _, e in expect)
     symbols = sum(8 * n // 6 for n in lengths)
-    assert sum(refined) < 0.01 * symbols
-
-
-def _interleave(r, c, s):
-    out = np.empty(2 * r.size)
-    out[0::2], out[1::2] = r * c, r * s
-    return out
-
-
-def _decide_codes(u):
-    """The 6-bit codes of interleaved (I, Q) level-unit amplitudes, decided
-    by _decide_axis."""
-    i, q = (channel._decide_axis(part).astype(np.int64) for part in (u[0::2], u[1::2]))
-    return channel._CODE_BY_LEVELS[8 * i + q]
+    assert len(refined) == 1 and sum(refined) < 0.01 * symbols
 
 
 def test_refine_mends_what_float32_trig_decides_wrong():
-    # radii that put midpoint +-2 between the float32 and the float64 I
-    # amplitudes, each far closer to it than the bound
-    sigma = channel._sigma(10.0)
-    theta = rng.uniforms(5, 4096) * (2.0 * math.pi)
-    c32 = np.cos(theta.astype(np.float32)).astype(np.float64)
-    c64 = np.cos(theta)
-    pick = (np.abs(c64) > 0.5) & (np.abs(c32 - c64) > 1e-8)
-    theta, c32, c64 = theta[pick], c32[pick], c64[pick]
-    r = 2.0 / (sigma / _SCALE * np.abs(c32 + c64) / 2.0)
-    assert r.size > 20 and r.max() <= rng.R_MAX
-    sent = np.zeros(2 * r.size)
-    as_float64 = channel._to_levels(_interleave(r, c64, np.sin(theta)), sent, sigma)
-    as_float32 = channel._to_levels(
-        _interleave(r, c32, np.sin(theta.astype(np.float32))), sent, sigma)
-    decided = channel._received_codes(r, theta, sent, sigma, _scratch(sent.size))
-    np.testing.assert_array_equal(decided, _decide_codes(as_float64))
-    assert np.all(_decide_codes(as_float32) != decided)
+    # radii that put midpoint 4 (level 0) between the float32 and the
+    # float64 I amplitudes of a symbol sent on level index 3, each far
+    # closer to it than the bound: the filter flags them, and the float64
+    # pass decides them as the float64 link does
+    snr_db = 10.0
+    sigma = channel._sigma(snr_db)
+    u2 = rng.splitmix64_stream(5, 1 << 14)
+    u2 = u2[np.cos(_polar64(_pairs(0, u2))[1]) > 0.5]
+    theta = _polar64(_pairs(0, u2))[1]
+    # u1 whose radius puts the float64 I amplitude on the midpoint
+    r = _SCALE / (sigma * np.cos(theta))
+    # and its neighbours two steps of u1 either way
+    k = (np.floor(np.exp(-r * r / 2.0) * 2.0 ** 53) - 3.0).astype(np.uint64)
+    raw = np.concatenate([_pairs((k + np.uint64(j)) << np.uint64(11), u2) for j in range(5)])
+    m = raw.size // 2
+    indices = np.full((2, m), 3, dtype=np.uint8)
+    codes, at = _filter(raw, indices, snr_db)
+    rad, ang = _polar64(raw)
+    sent = channel._sent_parts(indices)
+    received = sent[:, 0] + 1j * sent[:, 1] + sigma * (rad * np.cos(ang) + 1j * rad * np.sin(ang))
+    expect = _codes_of_bits(qam64_demap(received))
+    wrong = np.flatnonzero(codes != expect)
+    assert wrong.size > 20
+    assert np.isin(wrong, at).all()
+    channel._refine(raw.reshape(-1, 2)[at], at, indices, sigma, codes)
+    np.testing.assert_array_equal(codes, expect)
 
 
 # -- transmit -----------------------------------------------------------------
@@ -402,9 +478,12 @@ def test_transmit_error_count_consistent():
     assert errors == int(np.count_nonzero(sent_bits != got_bits))
 
 
-# the AWGN links on which some symbol of the test's payloads lands near
-# enough a midpoint for send to redo it with float64 trig
-_REFINED = ("awgn_half_db", "awgn_minus_5db")
+# the AWGN links on which some symbol of every send of the test's payloads
+# lands near enough a midpoint for send to redo it in float64. Past about
+# -735 dB the float32 amplitudes overflow to infinities, which decide as
+# the float64 ones do; at -3080 dB every symbol is redone
+_REFINED = ("awgn", "awgn_unprotected", "awgn_minus_5db", "awgn_20db_unprotected",
+            "awgn_half_db", "awgn_3db", "awgn_minus_750db", "awgn_minus_3080db_unprotected")
 
 
 @pytest.mark.parametrize("cfg", [
@@ -423,10 +502,13 @@ _REFINED = ("awgn_half_db", "awgn_minus_5db")
     LinkConfig(channel_kind=BSC, bsc_flip_prob=0.5),
     LinkConfig(channel_kind=BSC, bsc_flip_prob=2.0 ** -10, header_protection=UNPROTECTED),
     LinkConfig(channel_kind=BSC, bsc_flip_prob=1 / 3),
+    LinkConfig(snr_db=-750.0),
+    LinkConfig(snr_db=-770.0),
+    LinkConfig(snr_db=-3080.0, header_protection=UNPROTECTED),
 ], ids=["awgn", "awgn_unprotected", "noiseless", "bsc", "bsc_unprotected", "bsc_0",
         "awgn_minus_5db", "awgn_20db_unprotected", "awgn_40db", "awgn_half_db",
         "awgn_3db", "awgn_30db_unprotected", "bsc_half", "bsc_2_to_minus_10_unprotected",
-        "bsc_third"])
+        "bsc_third", "awgn_minus_750db", "awgn_minus_770db", "awgn_minus_3080db_unprotected"])
 def test_transmit_frames_matches_transmit(cfg, request, monkeypatch, refined):
     # a plan and one send per seed vector give what the float64 reference
     # link gives frame by frame. The lengths cover every 64-QAM pad and
@@ -442,13 +524,14 @@ def test_transmit_frames_matches_transmit(cfg, request, monkeypatch, refined):
         plan = plan_link(buffer, lengths, cfg.channel_kind, cfg.header_protection)
         for point in range(2):
             seeds = [((1 << 64) - 1) ^ point, point, 5, 6, 7, 1 << 63, 9, 10, 11, 12, 13, 14]
+            calls = len(refined)
             received, errors = send(plan, seeds, cfg)
+            # the float64 pass runs once per send, over every block's flags
+            assert len(refined) - calls == (request.node.callspec.id in _REFINED)
             expect = [reference_transmit(p, replace(cfg, seed=s))
                       for p, s in zip(payloads, seeds)]
             assert received.tobytes() == b"".join(r for r, _ in expect)
             assert errors == sum(e for _, e in expect)
-    if request.node.callspec.id in _REFINED:
-        assert sum(refined) > 0
 
 
 @pytest.mark.parametrize("cfg", [
@@ -554,18 +637,18 @@ def test_send_allocates_no_block_sized_buffers(cfg):
 
 @pytest.mark.parametrize("n", [100_001, 100_000])
 def test_awgn_scratch_shares_memory_between_roles(n):
-    # u lives in raw and polar's (r, theta) in tmp, whose lifetimes do not
-    # overlap: about 40 bytes per draw, 56 if every role had its own memory
+    # the float32 filter's rows live in tmp, which _mix is done with: with
+    # the send-wide codes, octets and received octets of a one-block plan,
+    # under 20 bytes per draw
     tracemalloc.start()
     try:
-        s = channel._Scratch(n, True)
+        s = channel._Scratch(n, n // 2)
         allocated = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert allocated <= 41 * n, allocated / n
-    assert s.u.size == n and s.r.size == s.theta.size == n // 2
-    assert np.shares_memory(s.u, s.raw) and not np.shares_memory(s.r, s.theta)
-    assert np.shares_memory(s.r, s.tmp) and np.shares_memory(s.theta, s.tmp)
+    assert allocated <= 20 * n, allocated / n
+    assert s.f32.shape == (4, n // 2) and s.codes.size == n // 2
+    assert np.shares_memory(s.f32, s.tmp) and not np.shares_memory(s.f32, s.raw)
 
 
 @pytest.mark.parametrize("p", [0.5, 0.25, 2.0 ** -10, 0.1, 1 / 3, 0.002,

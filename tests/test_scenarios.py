@@ -122,6 +122,11 @@ def test_label_lines_parsed():
     ("seq x label safe", 1),                       # bad label sequence id
     ("seq 0 label safe\nseq 0 label risky", 2),    # second label for a sequence
     ("seq zero frame 0 | 0:0:0:0:0 |", 1),         # bad ids
+    ("seq 5 label risky\nseq 0 frame 0 | 0:0:0:0:0 |", 1),   # label of no frame sequence
+    ("seq 0 frame 0 | 0:0:0:0:0 |\nseq 0 label safe\nseq 2 label safe", 3),
+    ("seq 7 frame 0 | 0:0:0:0:0 |\nseq 3 frame 0 | 0:0:0:0:0 |", 1),  # ids not 0..S-1
+    ("seq 0 frame 0 | 0:0:0:0:0 |\nseq 2 frame 0 | 0:0:0:0:0 |", 2),
+    ("seq -1 frame 0 | 0:0:0:0:0 |", 1),
     ("nonsense", 1),
 ])
 def test_malformed_lines(bad, lineno):

@@ -83,6 +83,24 @@ def test_sweep_deterministic(small_corpus):
     assert a == b
 
 
+def test_fidelity_sums_frame_by_frame_left_to_right(small_corpus, monkeypatch):
+    # the sweep adds every frame's fidelity to a running total in frame
+    # order, pass after pass, as a loop over the frames would; np.sum's
+    # pairwise rounding gives other bits for these values, and so other CSV
+    # bytes
+    values = 1.0 / np.arange(3.0, 53.0)
+    score = sweep._score_pass
+    monkeypatch.setattr(sweep, "_score_pass",
+                        lambda *args: (values.copy(), score(*args)[1]))
+    cfg = sweep.SweepConfig(snr_points=(6.0,), trials_per_point=100, base_seed=3)
+    (row,) = sweep.run_sweep(small_corpus, ONT, cfg)
+    total = 0.0
+    for v in values.tolist() * 2:
+        total += v
+    assert row["fidelity"] == total / 100
+    assert np.sum(np.concatenate([values, values])) != total
+
+
 # -- the per-frame reference --------------------------------------------------
 # The sweep computed frame by frame: every trial goes through the float64
 # reference link (reference_link.py, built from the channel's primitives,
