@@ -181,7 +181,7 @@ class _Scratch:
 
     def __init__(self, n, symbols=None):
         self.raw, self.tmp = np.empty((2, n), dtype=np.uint64)
-        self.flags = np.empty(n, dtype=bool)  # BSC flips, AWGN parts far from a midpoint
+        self.flags = np.empty(n, dtype=bool)  # BSC flips; AWGN finite r, then far parts
         if symbols is not None:
             m = n // 2
             # I and Q amplitudes, radius, spare; the last two become distances
@@ -379,8 +379,8 @@ def _decide32(y, half_bound, s):
 def _filter(raw, indices, sigma, s, codes):
     """The 6-bit codes of a block's symbols, from their splitmix64 outputs
     raw and their sent level indices, decided in float32 into codes;
-    returns the symbols it flags: with hi1 within _EDGE of 0 or 2^32, or a
-    part within half the bound of a midpoint."""
+    returns the symbols it flags: with hi1 within _EDGE of 0 or 2^32, an
+    infinite amplitude, or a part within half the bound of a midpoint."""
     m = raw.size // 2
     y, r = s.f32[:2, :m], s.f32[2, :m]
     # hi1 + _EDGE wraps the values within _EDGE of 2^32 below 2 _EDGE
@@ -390,6 +390,8 @@ def _filter(raw, indices, sigma, s, codes):
     np.cos(y[1], out=y[0])
     np.sin(y[1], out=y[1])
     r *= np.float32(sigma / (2.0 * _SCALE))
+    # flag an r that overflows (past about -749 dB): y would keep only the trig's sign
+    inside &= np.less(r, np.inf, out=s.flags[:m])
     y *= r
     y += indices
     y += 0.5
@@ -440,8 +442,6 @@ def _awgn_octets(plan, seeds, sigma):
     float64 pass, in the plan's scratch."""
     s = plan.scratch
     pairs, flagged = [], []
-    # past about -735 dB the float32 amplitudes overflow; inf decides as
-    # the float64 amplitude does, and NaN is flagged
     with np.errstate(over="ignore", invalid="ignore"):
         for blk in plan.blocks:
             raw = rng.splitmix64_streams(seeds[blk.frames], blk.counts, plan.steps, s.raw, s.tmp)

@@ -415,6 +415,37 @@ def test_refine_mends_what_float32_trig_decides_wrong():
     np.testing.assert_array_equal(codes, expect)
 
 
+def test_send_redoes_symbols_whose_float32_amplitude_overflows(monkeypatch):
+    # at -770 dB fl32(sigma / 2s) is infinite, so every float32 amplitude
+    # is. u2's high word 2^30 - 1 rounds to 2^30 in float32: the float32
+    # angle lies just past pi/2 and its cosine is negative, while the
+    # float64 cosine is positive. Decided by its sign, the infinite I
+    # amplitude would give level index 0 where the float64 link gives 7;
+    # the filter flags it, and send gives the reference link's octets
+    seed, u1, u2 = 7, 1 << 63, ((1 << 30) - 1) << 32
+    # the first symbol of seed's stream draws outputs 0 and 1, the mix of
+    # counters seed + G and seed + 2 G
+    crafted = {(seed + k * rng._GOLDEN) & rng._MASK64: u for k, u in ((1, u1), (2, u2))}
+    mix = rng._mix
+
+    def mix_crafted(z, t):
+        at = [(np.flatnonzero(z == np.uint64(c)), u) for c, u in crafted.items()]
+        mix(z, t)
+        for i, u in at:
+            z[i] = u
+        return z
+
+    monkeypatch.setattr(rng, "_mix", mix_crafted)
+    # the first symbol is sent on level index 3 on both axes
+    payload = bytes([int(channel._CODE_BY_LEVELS[8 * 3 + 3]) << 2]) + bytes(29)
+    cfg = LinkConfig(snr_db=-770.0, seed=seed, header_protection=UNPROTECTED)
+    expect = reference_transmit(payload, cfg)
+    first = np.unpackbits(np.frombuffer(expect[0][:1], dtype=np.uint8))[:6]
+    assert _codes_of_bits(first)[0] == channel._CODE_BY_LEVELS[8 * 7 + 7]
+    received, errors = transmit(payload, cfg)
+    assert (received, errors) == expect
+
+
 # -- transmit -----------------------------------------------------------------
 
 def test_transmit_noiseless_identity():
@@ -480,10 +511,11 @@ def test_transmit_error_count_consistent():
 
 # the AWGN links on which some symbol of every send of the test's payloads
 # lands near enough a midpoint for send to redo it in float64. Past about
-# -735 dB the float32 amplitudes overflow to infinities, which decide as
-# the float64 ones do; at -3080 dB every symbol is redone
+# -749 dB the float32 amplitudes can overflow to infinities, which the
+# filter flags; at -770 and -3080 dB every symbol is redone
 _REFINED = ("awgn", "awgn_unprotected", "awgn_minus_5db", "awgn_20db_unprotected",
-            "awgn_half_db", "awgn_3db", "awgn_minus_750db", "awgn_minus_3080db_unprotected")
+            "awgn_half_db", "awgn_3db", "awgn_minus_750db", "awgn_minus_770db",
+            "awgn_minus_3080db_unprotected")
 
 
 @pytest.mark.parametrize("cfg", [
