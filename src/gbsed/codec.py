@@ -39,6 +39,10 @@ _HEADER = struct.Struct(">4sBQHHBBH")
 _MAX_U16 = 0xFFFF
 _MAX_U8 = 0xFF
 
+# header octets of the fields parse accepts in one value only: magic,
+# version, digest, d, |R| and flags
+_FIXED_OCTETS = np.r_[0:13, 15:18, 19:21]
+
 
 def encode_tensor(graph, ontology):
     """Stack the edges into the (|R|, N, N) uint8 tensor; slice r-1 holds {0, r}."""
@@ -126,6 +130,8 @@ def serialize(retained, features, ontology):
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ShapeError(f"retained matrices of shape {mats.shape} are not (K, N, N)")
     k, n = mats.shape[:2]
+    if n == 0:
+        raise ShapeError("a frame needs at least one node")
     d = ontology.num_attributes
     feats = np.asarray(features, dtype=np.float32)
     if feats.shape != (n, d):
@@ -137,6 +143,20 @@ def serialize(retained, features, ontology):
         raise CapacityError(f"|R|={num_rel} K={k} exceed 8-bit fields")
     header = _HEADER.pack(MAGIC, VERSION, ontology_digest(ontology), n, d, num_rel, k, 0)
     return b"".join((header, mats.tobytes(), feats.astype(">f4").tobytes()))
+
+
+def headers_parse(headers, sent, lengths):
+    """Whether parse accepts each payload, from its header alone.
+
+    ``headers`` and ``sent`` are (frames, HEADER_LEN) uint8 arrays: row i of
+    ``sent`` is a header that serialize wrote, and row i of ``headers`` is
+    the header of a ``lengths[i]``-octet payload under the same ontology.
+    """
+    n = headers[:, 13].astype(np.int64) << 8 | headers[:, 14]
+    d = headers[:, 15].astype(np.int64) << 8 | headers[:, 16]
+    k = headers[:, 18]
+    return ((headers[:, _FIXED_OCTETS] == sent[:, _FIXED_OCTETS]).all(axis=1) & (n != 0)
+            & (k <= headers[:, 17]) & (payload_length(n, d, k) == lengths))
 
 
 def parse(payload, ontology):

@@ -8,8 +8,11 @@ matrix and feature row, and the link is planned once for that buffer
 (``plan_link``). Each pass then goes through the link in one ``send``
 call, which does only the work that depends on the seeds and the noise
 level, and is scored straight from the received octets with a few numpy
-calls. A frame whose header arrived changed is decoded on its own with
-``decode_frame``, the only path on which a payload can fail to parse.
+calls. A frame whose header arrived changed scores as a fallback (a bare
+ego: fidelity 0, nothing near) unless ``codec.headers_parse`` finds that
+it parses; only those frames are decoded on their own with
+``decode_frame``. Every sequence's risk verdict, sent and received, comes
+from one array rule, ``risk_verdicts``.
 The single-frame path (``encode_frame``, ``transmit``, ``decode_frame``,
 ``semantic_fidelity``, ``task_consistency``) gives the same numbers frame
 by frame; the tests check the sweep against that loop run over a float64
@@ -31,15 +34,14 @@ from .channel import (
     send,
     transmit,  # noqa: F401  (single-frame path, kept beside encode/decode_frame)
 )
-from .errors import GbsedError
+from .errors import DegenerateInput, GbsedError
 from .metrics import classification_metrics, auc as auc_metric, nodes_match, semantic_fidelity
-from .scene_graph import CLASS_VEHICLE
 from .task import (
-    assess_risk,
-    frame_near_ego,
+    near_ego,
+    near_ego_nodes,
+    risk_verdicts,
     task_consistency,  # noqa: F401  (single-frame path)
     verdict_consistency,
-    verdict_from_near,
 )
 
 CSV_COLUMNS = (
@@ -107,12 +109,13 @@ class _Pass:
     (j, k) of an N-node frame is ``j * N + k``.
     """
     frames: tuple               # sent scene graphs
-    sequences: tuple            # (first frame, end frame) of every sequence
-    verdicts: tuple             # sent risk verdict of every sequence
+    frame_seq: np.ndarray       # frame -> its sequence
+    risky: np.ndarray           # sent risk verdict of every sequence
     buffer: np.ndarray          # every payload, back to back
     lengths: np.ndarray         # payload octets per frame
     starts: np.ndarray          # buffer offset of every payload
     header_at: np.ndarray       # (frames, HEADER_LEN) buffer offsets of the headers
+    headers: np.ndarray         # (frames, HEADER_LEN) sent header octets
     matrix_octets: np.ndarray   # buffer mask of the retained-matrix octets
     feature_octets: np.ndarray  # buffer mask of the feature octets
     matrix_start: np.ndarray    # matrix -> its first octet among the matrix octets
@@ -129,8 +132,10 @@ class _Pass:
 
 def _lay_out(sequences, ontology):
     frames = tuple(f for seq in sequences for f in seq.frames)
+    seq_len = [len(seq.frames) for seq in sequences]
+    if 0 in seq_len:
+        raise DegenerateInput("empty graph sequence")
     payloads = [encode_frame(f, ontology) for f in frames]
-    bounds = np.cumsum([0] + [len(seq.frames) for seq in sequences]).tolist()
     lengths = np.array([len(p) for p in payloads], dtype=np.int64)
     starts = np.cumsum(lengths) - lengths
     n = np.array([f.num_nodes for f in frames], dtype=np.int64)
@@ -143,20 +148,24 @@ def _lay_out(sequences, ontology):
     feature_octets = np.zeros(lengths.sum(), dtype=bool)
     feature_octets[_ranges(feature_lo, starts + lengths - feature_lo)] = True
     frame_ids = np.arange(len(frames))
+    frame_seq = np.repeat(np.arange(len(sequences)), seq_len)
     matrix_frame = np.repeat(frame_ids, k)
     node_frame = np.repeat(frame_ids, n)
     node_row = _ranges(np.zeros_like(n), n)
     edges = np.array([(f, rel, j * frames[f].num_nodes + dst)
                       for f in range(len(frames)) for j, rel, dst in frames[f].edges],
                      dtype=np.int64).reshape(-1, 3)
+    buffer = np.frombuffer(b"".join(payloads), dtype=np.uint8)
+    header_at = starts[:, None] + np.arange(codec.HEADER_LEN)
     return _Pass(
         frames=frames,
-        sequences=tuple(zip(bounds[:-1], bounds[1:])),
-        verdicts=tuple(assess_risk(seq, ontology) for seq in sequences),
-        buffer=np.frombuffer(b"".join(payloads), dtype=np.uint8),
+        frame_seq=frame_seq,
+        risky=risk_verdicts(frame_seq, *near_ego(frames, ontology))[0],
+        buffer=buffer,
         lengths=lengths,
         starts=starts,
-        header_at=starts[:, None] + np.arange(codec.HEADER_LEN),
+        header_at=header_at,
+        headers=buffer[header_at],
         matrix_octets=matrix_octets,
         feature_octets=feature_octets,
         matrix_start=(np.repeat(np.cumsum(matrix_len) - matrix_len, k)
@@ -174,7 +183,8 @@ def _lay_out(sequences, ontology):
 
 
 def _score_pass(lay, received, ontology):
-    """Fidelity and frame_near_ego pair of every frame of one received pass."""
+    """Fidelity of every frame of one received pass, and risk_verdicts'
+    per-frame arrays: any_near and the (frame, row) pairs of near vehicles."""
     num_frames = len(lay.frames)
     num_rel = ontology.num_relations
     octets = received[lay.matrix_octets]
@@ -208,25 +218,29 @@ def _score_pass(lay, received, ontology):
                                                        ontology)], minlength=num_frames)
     fidelity = (node_hits + edge_hits) / lay.entities
 
-    near = has_edge(lay.node_frame, ontology.relation_id("is_near"), lay.node_cell)
-    cls = recv_features[:, ontology.attribute_index("class")]
-    vehicle = near & np.isfinite(cls) & (np.rint(cls) == CLASS_VEHICLE)
-    vehicles = {}
-    for node in np.flatnonzero(vehicle).tolist():
-        vehicles.setdefault(int(lay.node_frame[node]), set()).add(int(lay.node_row[node]))
-    any_near = np.bincount(lay.node_frame[near], minlength=num_frames) > 0
-    near_ego = [(a, vehicles.get(f, ())) for f, a in enumerate(any_near.tolist())]
-
-    # a changed header can fail to parse: those frames are decoded one by one,
-    # and an unparseable frame stands in as a bare ego with nothing near
-    changed = (received[lay.header_at] != lay.buffer[lay.header_at]).any(axis=1)
-    for f in np.flatnonzero(changed).tolist():
+    # a frame whose header arrived changed is scored on its own: one that
+    # cannot parse stands in as a bare ego with nothing near, one that can
+    # is decoded with decode_frame
+    header = received[lay.header_at]
+    changed = (header != lay.headers).any(axis=1)
+    near = (has_edge(lay.node_frame, ontology.relation_id("is_near"), lay.node_cell)
+            & ~changed[lay.node_frame])
+    any_near, near_frame, near_row = near_ego_nodes(near, recv_features, lay.node_frame,
+                                                    lay.node_row, num_frames, ontology)
+    fidelity[changed] = 0.0
+    decoded = np.flatnonzero(changed)
+    decoded = decoded[codec.headers_parse(header[decoded], lay.headers[decoded],
+                                          lay.lengths[decoded])]
+    near_frame, near_row = [near_frame], [near_row]
+    for f in decoded.tolist():
         lo = lay.starts[f]
         graph = decode_frame(received[lo:lo + lay.lengths[f]].tobytes(), ontology)
         fidelity[f] = semantic_fidelity(lay.frames[f], graph, ontology).fidelity
-        near_ego[f] = (frame_near_ego(graph, ontology) if graph is not None
-                       else (False, ()))
-    return fidelity, near_ego
+        if graph is not None:
+            (any_near[f],), _, rows = near_ego([graph], ontology)
+            near_frame.append(np.full(rows.size, f))
+            near_row.append(rows)
+    return fidelity, any_near, np.concatenate(near_frame), np.concatenate(near_row)
 
 
 def _run_point(point_index, snr_db, lay, plan, ontology, cfg, sizes):
@@ -236,17 +250,20 @@ def _run_point(point_index, snr_db, lay, plan, ontology, cfg, sizes):
     point_seed = np.uint64((cfg.base_seed ^ point_index) & _MASK64)
     errors_total = 0
     fidelity_sum = 0.0
-    preds = []
+    pred_risky, pred_score = [], []
     for p in range(passes):
         # trial t sends frame t mod F with seed base_seed ^ point_index ^ t
         seeds = point_seed ^ np.arange(p * num_frames, (p + 1) * num_frames, dtype=np.uint64)
         received, errors = send(plan, seeds, link)
         errors_total += errors
-        fidelity, near_ego = _score_pass(lay, received, ontology)
+        fidelity, *near = _score_pass(lay, received, ontology)
         # frame by frame, left to right: the sum's rounding is part of the output
         fidelity_sum = float(np.add.accumulate(np.concatenate([[fidelity_sum], fidelity]))[-1])
-        preds += [verdict_from_near(near_ego[a:b]) for a, b in lay.sequences]
-    counts, consistency, scored = verdict_consistency(lay.verdicts * passes, preds)
+        risky, score = risk_verdicts(lay.frame_seq, *near)
+        pred_risky.append(risky)
+        pred_score.append(score)
+    counts, consistency, scored = verdict_consistency(
+        np.tile(lay.risky, passes), np.concatenate(pred_risky), np.concatenate(pred_score))
     cls = classification_metrics(counts)
     try:
         auc_val = auc_metric(scored)

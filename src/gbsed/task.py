@@ -2,9 +2,10 @@
 and task-consistency evaluation between transmitted and received sequences.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .errors import DegenerateInput, ShapeError
 from .metrics import ConfusionCounts
@@ -29,21 +30,27 @@ class RiskVerdict:
     score: float
 
 
-def frame_near_ego(frame, ontology):
-    """(any is_near-to-ego, vehicle-class node indices is_near the ego)."""
+def near_ego_nodes(near, features, node_frame, node_row, num_frames, ontology):
+    """risk_verdicts' per-frame arrays from a mask of the nodes is_near the
+    ego, with the features, the frame and the row in its frame of every
+    node: any_near and the (frame, row) pairs of the vehicle-class ones."""
+    cls = features[:, ontology.attribute_index("class")]
+    vehicle = near & (np.rint(cls) == CLASS_VEHICLE)  # a non-finite class is no vehicle
+    any_near = np.bincount(node_frame[near], minlength=num_frames) > 0
+    return any_near, node_frame[vehicle], node_row[vehicle]
+
+
+def near_ego(frames, ontology):
+    """near_ego_nodes' arrays for a list of scene graphs."""
+    n = np.array([f.num_nodes for f in frames], dtype=np.int64)
+    first = np.cumsum(n) - n
+    node_frame = np.repeat(np.arange(len(frames)), n)
     near_id = ontology.relation_id("is_near")
-    class_idx = ontology.attribute_index("class")
-    any_near = False
-    vehicles = set()
-    for src, rel, dst in frame.edges:
-        if rel == near_id and dst == 0:
-            any_near = True
-            raw_cls = float(frame.features[src, class_idx])
-            # corrupted features may be non-finite; treat as unknown class
-            cls = int(round(raw_cls)) if math.isfinite(raw_cls) else -1
-            if cls == CLASS_VEHICLE:
-                vehicles.add(src)
-    return any_near, vehicles
+    near = np.zeros(n.sum(), dtype=bool)
+    near[[first[i] + src for i, f in enumerate(frames)
+          for src, rel, dst in f.edges if rel == near_id and dst == 0]] = True
+    return near_ego_nodes(near, np.concatenate([f.features for f in frames]), node_frame,
+                          np.arange(n.sum()) - first[node_frame], len(frames), ontology)
 
 
 def assess_risk(sequence, ontology):
@@ -52,22 +59,35 @@ def assess_risk(sequence, ontology):
     is_near-to-ego triplet."""
     if not sequence.frames:
         raise DegenerateInput("empty graph sequence")
-    return verdict_from_near([frame_near_ego(f, ontology) for f in sequence.frames])
+    risky, score = risk_verdicts(np.zeros(len(sequence.frames), dtype=np.int64),
+                                 *near_ego(sequence.frames, ontology))
+    return RiskVerdict(RISKY if risky[0] else SAFE, float(score[0]))
 
 
-def verdict_from_near(near):
-    """assess_risk's verdict from each frame's frame_near_ego pair."""
-    near_frames = 0
-    runs = {}  # node index -> current consecutive-frame streak
-    risky = False
-    for any_near, vehicles in near:
-        if any_near:
-            near_frames += 1
-        runs = {v: runs.get(v, 0) + 1 for v in vehicles}
-        if runs and max(runs.values()) >= CONSECUTIVE_FRAMES:
-            risky = True
-    decision = RISKY if risky else SAFE
-    return RiskVerdict(decision, near_frames / len(near))
+def risk_verdicts(frame_seq, any_near, near_frame, near_row):
+    """assess_risk's rule over many sequences at once.
+
+    ``frame_seq`` is the sequence of every frame: 0, 1, ... in frame order,
+    each sequence a run of consecutive frames. ``any_near`` marks the frames
+    with an is_near-to-ego triplet, and (``near_frame``, ``near_row``) are
+    the (frame, node row) pairs, each once, of the vehicle-class nodes
+    is_near the ego. Returns the risky flag and the score of every sequence
+    as a bool and a float64 array.
+    """
+    lengths = np.bincount(frame_seq)
+    score = np.bincount(frame_seq[any_near], minlength=lengths.size) / lengths
+    seq = frame_seq[near_frame]
+    order = np.lexsort((near_frame, near_row, seq))
+    seq, row, frame = seq[order], near_row[order], near_frame[order]
+    # a vehicle's run reaches m frames where the pair m - 1 places back in
+    # this order is the same vehicle of the same sequence, m - 1 frames back
+    back = CONSECUTIVE_FRAMES - 1
+    last = max(seq.size - back, 0)
+    reached = ((seq[back:] == seq[:last]) & (row[back:] == row[:last])
+               & (frame[back:] - frame[:last] == back))
+    risky = np.zeros(lengths.size, dtype=bool)
+    risky[seq[back:][reached]] = True
+    return risky, score
 
 
 def task_consistency(sent_seqs, received_seqs, ontology):
@@ -79,31 +99,21 @@ def task_consistency(sent_seqs, received_seqs, ontology):
     """
     if len(sent_seqs) != len(received_seqs):
         raise ShapeError(f"{len(sent_seqs)} sent vs {len(received_seqs)} received sequences")
-    truths, preds = [], []
-    for sent, received in zip(sent_seqs, received_seqs):
-        truths.append(assess_risk(sent, ontology))
-        preds.append(assess_risk(received, ontology))
-    return verdict_consistency(truths, preds)
+    truths = [assess_risk(s, ontology).decision == RISKY for s in sent_seqs]
+    preds = [assess_risk(r, ontology) for r in received_seqs]
+    return verdict_consistency(np.array(truths, dtype=bool),
+                               np.array([p.decision == RISKY for p in preds], dtype=bool),
+                               np.array([p.score for p in preds], dtype=np.float64))
 
 
-def verdict_consistency(truths, preds):
-    """task_consistency's result from paired sent and received verdicts."""
-    tp = fp = tn = fn = 0
-    agree = 0
-    scored = []
-    for truth, pred in zip(truths, preds):
-        if truth.decision == pred.decision:
-            agree += 1
-        if truth.decision == RISKY:
-            if pred.decision == RISKY:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if pred.decision == RISKY:
-                fp += 1
-            else:
-                tn += 1
-        scored.append((pred.score, 1 if truth.decision == RISKY else 0))
+def verdict_consistency(truth, pred, score):
+    """task_consistency's result from paired sent and received verdicts:
+    the sent and received risky flags and the received scores, as arrays
+    over the sequences."""
+    tp = int(np.count_nonzero(truth & pred))
+    fp = int(np.count_nonzero(~truth & pred))
+    fn = int(np.count_nonzero(truth & ~pred))
+    tn = truth.size - tp - fp - fn
     counts = ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
-    return counts, agree / len(truths) if truths else 1.0, scored
+    scored = list(zip(score.tolist(), truth.astype(int).tolist()))
+    return counts, (tp + tn) / truth.size if truth.size else 1.0, scored

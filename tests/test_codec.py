@@ -7,6 +7,7 @@ from gbsed import codec
 from gbsed.errors import (
     CapacityError,
     FormatError,
+    GbsedError,
     OntologyMismatch,
     ShapeError,
     TruncationError,
@@ -297,6 +298,55 @@ def test_serialize_shape_errors(ontology):
     for bad in (mats[0], np.zeros((1, 3, 2), dtype=np.uint8)):
         with pytest.raises(ShapeError):
             codec.serialize(bad, np.zeros((3, 4)), ontology)
+    # parse refuses node count 0
+    with pytest.raises(ShapeError):
+        codec.serialize(np.zeros((0, 0, 0), dtype=np.uint8), np.zeros((0, 4)), ontology)
+
+
+def _parses(payload, ontology):
+    try:
+        codec.parse(payload, ontology)
+    except GbsedError:
+        return False
+    return True
+
+
+def test_headers_parse_agrees_with_parse(ontology):
+    gen = np.random.default_rng(13)
+    # 8 nodes, no edges: 149 octets, as are 4 nodes and 4 matrices
+    eight = SceneGraph(np.ones((8, 4)), ())
+    for graph in (eight, _random_graph(7, 3, 8), _random_graph(8, 1, 8)):
+        payload = _serialized(graph, ontology)
+        sent = np.frombuffer(payload[:codec.HEADER_LEN], dtype=np.uint8)
+        headers = []
+        for at in range(codec.HEADER_LEN):
+            for value in range(256):
+                if value != sent[at]:
+                    headers.append(sent.copy())
+                    headers[-1][at] = value
+        for _ in range(3000):
+            h = sent.copy()
+            at = gen.choice(codec.HEADER_LEN, size=gen.integers(2, 5), replace=False)
+            h[at] = gen.integers(0, 256, at.size)
+            headers.append(h)
+            # N and K small enough that the length may fit, sometimes with
+            # one more octet changed
+            h = sent.copy()
+            h[13:15] = 0, gen.integers(0, 17)
+            h[18] = gen.integers(0, 12)
+            if gen.random() < 0.3:
+                h[gen.integers(codec.HEADER_LEN)] = gen.integers(0, 256)
+            headers.append(h)
+        headers = np.array(headers)
+        expect = [_parses(h.tobytes() + payload[codec.HEADER_LEN:], ontology) for h in headers]
+        got = codec.headers_parse(headers, np.broadcast_to(sent, headers.shape),
+                                  np.full(len(headers), len(payload)))
+        assert got.tolist() == expect
+        assert any(expect) and not all(expect)
+    sent = np.frombuffer(_serialized(eight, ontology)[:codec.HEADER_LEN], dtype=np.uint8)
+    crafted = sent.copy()
+    crafted[14], crafted[18] = 4, 4  # N 8 -> 4, K 0 -> 4
+    assert codec.headers_parse(crafted[None], sent[None], np.array([149])).tolist() == [True]
 
 
 def test_capacity_errors():

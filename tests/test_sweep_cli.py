@@ -14,12 +14,12 @@ from gbsed import channel, codec, sweep
 from gbsed.channel import BSC, UNPROTECTED, LinkConfig, frames_required, transmit
 from gbsed.cli import build_parser, config_from_args, main
 from gbsed.codec import HEADER_LEN
-from gbsed.errors import FormatError, GbsedError
+from gbsed.errors import FormatError, GbsedError, ShapeError
 from gbsed.metrics import auc, classification_metrics, semantic_fidelity
 from gbsed.ontology import default_ontology, emit_ontology
 from gbsed.scenarios import ScenarioSpec, generate
 from gbsed.scene_graph import SceneGraph
-from gbsed.task import GraphSequence, task_consistency
+from gbsed.task import GraphSequence, near_ego, task_consistency
 from reference_link import reference_transmit
 
 ONT = default_ontology()
@@ -63,8 +63,47 @@ def test_header_of_another_feature_width_is_unparseable(n, edges, d_flip, k_flip
     assert sweep.decode_frame(payload, ONT) is None
     lay = sweep._lay_out([GraphSequence((frame,))], ONT)
     received = np.frombuffer(payload, dtype=np.uint8)
-    fidelity, near_ego = sweep._score_pass(lay, received, ONT)
-    assert fidelity.tolist() == [0.0] and near_ego == [(False, ())]
+    fidelity, any_near, near_frame, near_row = sweep._score_pass(lay, received, ONT)
+    assert fidelity.tolist() == [0.0] and any_near.tolist() == [False]
+    assert near_frame.size == near_row.size == 0
+
+
+def test_changed_header_that_parses_is_decoded_frame_by_frame():
+    # 8 nodes and no matrix arrive as 4 nodes and 4 matrices: 149 octets
+    # either way, so the frame parses. Its matrices are read from the
+    # features of rows 0-3 and its features from rows 4-7. The first octet
+    # of row 0's bev_x and bev_y (0x01000000 = 2**-125) makes an is_near
+    # matrix with nodes 1 and 2 near the ego; received node 1 is sent row 5,
+    # a vehicle. Received nodes 0 and 3, sent rows 4 and 7, copy rows 0 and
+    # 3: 2 of 8 entities are recovered.
+    tiny = 2.0 ** -125
+    features = np.zeros((8, 4))
+    features[0] = features[4] = (0.0, tiny, tiny, 0.0)
+    features[5] = (0.0, 40.0, 40.0, 1.0)
+    features[6] = (2.0, 40.0, 40.0, 1.0)
+    frame = SceneGraph(features, ())
+    payload = bytearray(sweep.encode_frame(frame, ONT))
+    payload[14], payload[18] = 4, 4  # N 8 -> 4, K 0 -> 4
+    graph = sweep.decode_frame(bytes(payload), ONT)
+    assert graph.num_nodes == 4 and graph.edges == ((1, 1, 0), (2, 1, 0))
+    lay = sweep._lay_out([GraphSequence((frame,))], ONT)
+    fidelity, any_near, near_frame, near_row = sweep._score_pass(
+        lay, np.frombuffer(bytes(payload), dtype=np.uint8), ONT)
+    assert fidelity.tolist() == [semantic_fidelity(frame, graph, ONT).fidelity] == [2 / 8]
+    assert [a.tolist() for a in near_ego([graph], ONT)] == [[True], [0], [1]]
+    assert any_near.tolist() == [True]
+    assert near_frame.tolist() == [0] and near_row.tolist() == [1]
+
+
+def test_frame_without_nodes_is_refused():
+    # parse refuses node count 0, so encode_frame does too; the sweep would
+    # otherwise score 0 of 0 entities
+    empty = SceneGraph(np.zeros((0, 4)), ())
+    with pytest.raises(ShapeError):
+        sweep.encode_frame(empty, ONT)
+    cfg = sweep.SweepConfig(snr_points=(math.inf,), trials_per_point=1)
+    with pytest.raises(GbsedError):
+        sweep.run_sweep([GraphSequence((empty,))], ONT, cfg)
 
 
 def test_noiseless_sweep_row(small_corpus):
@@ -91,7 +130,7 @@ def test_fidelity_sums_frame_by_frame_left_to_right(small_corpus, monkeypatch):
     values = 1.0 / np.arange(3.0, 53.0)
     score = sweep._score_pass
     monkeypatch.setattr(sweep, "_score_pass",
-                        lambda *args: (values.copy(), score(*args)[1]))
+                        lambda *args: (values.copy(), *score(*args)[1:]))
     cfg = sweep.SweepConfig(snr_points=(6.0,), trials_per_point=100, base_seed=3)
     (row,) = sweep.run_sweep(small_corpus, ONT, cfg)
     total = 0.0

@@ -1,5 +1,11 @@
-import pytest
+import math
 
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from gbsed import sweep, task
 from gbsed.errors import DegenerateInput, ShapeError
 from gbsed.metrics import auc
 from gbsed.ontology import default_ontology
@@ -10,6 +16,7 @@ from gbsed.task import (
     GraphSequence,
     RiskVerdict,
     assess_risk,
+    risk_verdicts,
     task_consistency,
 )
 
@@ -134,3 +141,87 @@ def test_consistency_recount_oracle():
 def test_consistency_length_mismatch():
     with pytest.raises(ShapeError):
         task_consistency([_seq("v")], [], ONT)
+
+
+# -- the array rule against the loop ------------------------------------------
+
+def _reference_near_ego(frame):
+    """(any is_near-to-ego, vehicle-class node indices is_near the ego)."""
+    any_near = False
+    vehicles = set()
+    for src, rel, dst in frame.edges:
+        if rel == ONT.relation_id("is_near") and dst == 0:
+            any_near = True
+            raw_cls = float(frame.features[src, ONT.attribute_index("class")])
+            # corrupted features may be non-finite; treat as unknown class
+            cls = int(round(raw_cls)) if math.isfinite(raw_cls) else -1
+            if cls == CLASS_VEHICLE:
+                vehicles.add(src)
+    return any_near, vehicles
+
+
+def _reference_verdict(frames):
+    """The risk rule as a loop over the frames: a vehicle node's streak
+    grows while it stays near the ego and is gone in the first frame it is
+    not."""
+    near_frames = 0
+    runs = {}  # node index -> current consecutive-frame streak
+    risky = False
+    for any_near, vehicles in map(_reference_near_ego, frames):
+        if any_near:
+            near_frames += 1
+        runs = {v: runs.get(v, 0) + 1 for v in vehicles}
+        if runs and max(runs.values()) >= task.CONSECUTIVE_FRAMES:
+            risky = True
+    return RiskVerdict(RISKY if risky else SAFE, near_frames / len(frames))
+
+
+_TO_EGO = (None, ONT.relation_id("is_near"), ONT.relation_id("very_near"))
+_CLASSES = (float(CLASS_VEHICLE), float(CLASS_LANE), 0.4, -0.4, 1.0,
+            math.nan, math.inf, -math.inf)
+# a frame: one (class, relation to the ego or None) per node, node 0 the ego
+_frames = st.lists(st.lists(st.tuples(st.sampled_from(_CLASSES), st.sampled_from(_TO_EGO)),
+                            min_size=1, max_size=4),
+                   min_size=1, max_size=6)
+_V, _N = (float(CLASS_VEHICLE), None), (float(CLASS_VEHICLE), _TO_EGO[1])
+
+
+def _near_frame(nodes):
+    features = [(cls, 0.0, 0.0, 0.0) for cls, _ in nodes]
+    edges = tuple((j, rel, 0) for j, (_, rel) in enumerate(nodes) if rel is not None)
+    return SceneGraph(features, edges)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_frames, min_size=1, max_size=5))
+# node 1 near in the last frame of one sequence and the first of the next
+@example([[[_V, _V], [_V, _N]], [[_V, _N], [_V, _V]]])
+@example([[[_V, _N], [_V, _N], [_V, _N]], [[_V, _N]]])
+# a node of non-finite class is near, but it is no vehicle
+@example([[[_V, (math.nan, _TO_EGO[1])]] * 3, [[_V, (math.inf, _TO_EGO[1])]] * 3])
+def test_risk_verdicts_match_the_loop(m, sequences):
+    seqs = [GraphSequence(tuple(_near_frame(nodes) for nodes in frames))
+            for frames in sequences]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(task, "CONSECUTIVE_FRAMES", m)
+        expect = [_reference_verdict(s.frames) for s in seqs]
+        assert [assess_risk(s, ONT) for s in seqs] == expect
+        # the sweep's sent verdicts, and its received ones over a noiseless link
+        lay = sweep._lay_out(seqs, ONT)
+        assert lay.risky.tolist() == [v.decision == RISKY for v in expect]
+        _, *near = sweep._score_pass(lay, lay.buffer.copy(), ONT)
+        risky, score = risk_verdicts(lay.frame_seq, *near)
+        assert risky.tolist() == [v.decision == RISKY for v in expect]
+        assert score.tolist() == [v.score for v in expect]
+
+
+def test_risk_verdicts_keep_runs_inside_their_sequence():
+    # vehicle row 1 is near in frames 1 and 2, the last of sequence 0 and
+    # the first of sequence 1; row 2 is near in frames 2 and 4
+    frame_seq = np.array([0, 0, 1, 1, 1])
+    any_near = np.array([False, True, True, False, True])
+    risky, score = risk_verdicts(frame_seq, any_near, np.array([1, 2, 2, 4]),
+                                 np.array([1, 1, 2, 2]))
+    assert risky.tolist() == [False, False]
+    assert score.tolist() == [1 / 2, 2 / 3]
