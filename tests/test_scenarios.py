@@ -27,6 +27,19 @@ def test_default_corpus_golden_hash(default_corpus):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256
 
 
+# frozen digest of a dense corpus (perfbench's awgn_dense shape at seed 5:
+# 20 sequences of 25-31 nodes on 5 lanes), where most node pairs and most
+# pairs near a predicate threshold are
+DENSE_SHA256 = "041e136643c0ae6f5d7be37a1bee977fa2109a6872e41986375c1fd67a0935fa"
+
+
+def test_dense_corpus_golden_hash():
+    corpus = generate(ScenarioSpec(seed=5, num_sequences=20, vehicles_range=(24, 30),
+                                   lane_count=5), ONT)
+    text = scenes_to_text(corpus)
+    assert hashlib.sha256(text.encode()).hexdigest() == DENSE_SHA256
+
+
 def test_generation_deterministic(default_corpus):
     again = generate(ScenarioSpec(seed=42), ONT)
     assert scenes_to_text(again) == scenes_to_text(default_corpus)
