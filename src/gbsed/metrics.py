@@ -169,14 +169,14 @@ def average_ranks(values):
     return ranks
 
 
-def auc(scored_labels):
+def auc(scores, labels):
     """Rank-based (Mann-Whitney) area under the ROC curve.
 
-    ``scored_labels`` is a sequence of (score, label) with binary labels;
-    ties count one half.
+    ``scores`` and ``labels`` are equal-length arrays, the labels binary
+    (0/1 or bool); ties count one half.
     """
-    scores = np.array([s for s, _ in scored_labels], dtype=float)
-    labels = np.array([int(l) for _, l in scored_labels])
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:

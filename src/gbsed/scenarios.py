@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import ParseError, SpecError
 from .rng import SplitMix64
 from .scene_graph import (ATTRIBUTES, CLASS_VEHICLE, D_NEAR, D_VERY, L_FRONT, L_SIDE,
-                          LANE_WIDTH, RELATIONS, SceneGraph, graph_from_bev)
+                          LANE_WIDTH, RELATIONS, SceneGraph, graphs_from_bev)
 from .task import CONSECUTIVE_FRAMES, RISKY, SAFE, GraphSequence
 
 _DT = 0.5            # seconds per frame
@@ -121,8 +121,17 @@ def generate(spec, ontology):
     """Generate the scenario corpus; fully determined by spec.seed."""
     _validate(spec)
     check_ontology(ontology)
+    labels = []
+    graphs = graphs_from_bev(_frames(spec, labels), ontology)
+    per = spec.frames_per_sequence
+    return [GraphSequence(tuple(graphs[s * per:(s + 1) * per]), label)
+            for s, label in enumerate(labels)]
+
+
+def _frames(spec, labels):
+    """Every frame's records, in corpus order; appends each sequence's label
+    to ``labels`` as it starts."""
     lanes = _lane_positions(spec.lane_count, LANE_WIDTH)
-    sequences = []
     for s in range(spec.num_sequences):
         gen = SplitMix64(spec.seed ^ s)
         n_veh = gen.randint(*spec.vehicles_range)
@@ -130,10 +139,10 @@ def generate(spec, ontology):
         frames_count = spec.frames_per_sequence
         if risky and frames_count <= CONSECUTIVE_FRAMES:
             risky = False  # the risk rule cannot fire
+        labels.append(RISKY if risky else SAFE)
         threat = _threat_trajectory(gen, frames_count) if risky else None
         n_safe = n_veh - (1 if risky else 0)
         safe_traj = _safe_trajectories(gen, n_safe, lanes, frames_count)
-        frames = []
         for t in range(frames_count):
             records = [(CLASS_VEHICLE, 0.0, 0.0, _EGO_SPEED)]
             if threat is not None:
@@ -145,9 +154,7 @@ def generate(spec, ontology):
                 y = y0 + rel_v * t * _DT
                 records.append((CLASS_VEHICLE, _quantize(lane_x), _quantize(y),
                                 _quantize(_EGO_SPEED + rel_v)))
-            frames.append(graph_from_bev(records, ontology))
-        sequences.append(GraphSequence(tuple(frames), RISKY if risky else SAFE))
-    return sequences
+            yield records
 
 
 # ---------------------------------------------------------------------------

@@ -56,61 +56,111 @@ class SceneGraph:
         return len(self.features)
 
 
-def infer_relations(features, ontology):
+# the most ordered node pairs, self pairs included, that graphs_from_bev
+# hands one infer_relations call; a frame with more is a batch of its own
+_PAIR_BUDGET = 1 << 14
+
+
+def infer_relations(features, ontology, sizes=None):
     """Evaluate the geometric relation predicates over every ordered node
-    pair of an (N, d) feature matrix.
+    pair of each frame of a batch.
+
+    ``features`` stacks the frames' (n, d) feature matrices in order and
+    ``sizes`` holds their node counts; returns one tuple of (src, rel, dst)
+    triplets per frame, sorted, with node indices local to the frame.
+    Without ``sizes`` the matrix is one frame and its tuple is returned.
 
     Coordinates are bird's-eye view: x lateral (right-positive), y
-    longitudinal (forward-positive). All thresholds inclusive. Returns
-    triplets sorted by (src, rel, dst).
-    """
-    rid = {r.name: r.id for r in ontology.relations}
-    xi = ontology.attribute_index("bev_x")
-    yi = ontology.attribute_index("bev_y")
-    ci = ontology.attribute_index("class")
-    si = ontology.attribute_index("speed")
-    half_w = LANE_WIDTH / 2.0
+    longitudinal (forward-positive). All thresholds inclusive. A node whose
+    class is not finite is no lane. The frames of one node count are
+    evaluated together as (frames, src, relation, dst) boolean arrays, so
+    ``np.nonzero`` yields each frame's triplets in order.
 
-    edges = set()
-    rows = features.tolist()
-    n = len(rows)
-    for i in range(n):
-        x_i, y_i = rows[i][xi], rows[i][yi]
-        for j in range(n):
-            if i == j:
-                continue
-            x_j, y_j = rows[j][xi], rows[j][yi]
-            dx = x_j - x_i
-            dy = y_j - y_i
-            dist = (dx * dx + dy * dy) ** 0.5
-            if dist <= D_NEAR:
-                edges.add((i, rid["is_near"], j))
-            if dist <= D_VERY:
-                edges.add((i, rid["very_near"], j))
-            if dx <= -half_w and abs(dy) <= L_SIDE:
-                edges.add((j, rid["to_left_of"], i))
-            if dx >= half_w and abs(dy) <= L_SIDE:
-                edges.add((j, rid["to_right_of"], i))
-            if dy > 0 and abs(dx) <= half_w and dy <= L_FRONT:
-                edges.add((j, rid["in_front_of"], i))
-            if dy < 0 and abs(dx) <= half_w and -dy <= L_FRONT:
-                edges.add((j, rid["behind"], i))
-            cls_j = int(round(rows[j][ci]))
-            if cls_j == CLASS_LANE and abs(x_i - x_j) <= half_w:
-                edges.add((i, rid["is_in"], j))
-            if dist <= D_NEAR and rows[j][si] > rows[i][si] + V_MARGIN:
-                edges.add((j, rid["approaching"], i))
-    return tuple(sorted(edges))
+    Distances are ``np.sqrt``, which may differ by one ulp from a loop's
+    ``** 0.5`` (libm ``pow``). Generated features are multiples of 1/64,
+    so their squared distances are exact multiples of 2^-12: one that is
+    not 100 or 16 lies far more than an ulp of a root away from D_NEAR or
+    D_VERY, and 100 and 16 have exact roots, so both decide alike.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    one = sizes is None
+    sizes = np.array([len(features)] if one else sizes, dtype=np.int64)
+    if sizes.sum() != len(features):
+        raise ShapeError(f"frames of {sizes.sum()} nodes in all do not stack "
+                         f"into {len(features)} feature rows")
+    ids = np.array([ontology.relation_id(r) for r in RELATIONS])
+    order = np.argsort(ids)  # the predicates' slots in relation-id order
+    ids = ids[order]
+    cols = [ontology.attribute_index(a) for a in ATTRIBUTES]
+    starts = np.cumsum(sizes) - sizes
+    edges = [()] * sizes.size
+    for n in sorted(set(sizes.tolist()) - {0, 1}):  # np.unique imports numpy.ma
+        frames = np.flatnonzero(sizes == n)
+        block = features[starts[frames, None] + np.arange(n)]  # (frames, n, d)
+        found = _predicates(*(block[..., c] for c in cols))[:, :, order]
+        f, src, rel, dst = np.nonzero(found)
+        triplets = list(zip(src.tolist(), ids[rel].tolist(), dst.tolist()))
+        ends = np.cumsum(np.bincount(f, minlength=frames.size)).tolist()
+        for k, a, b in zip(frames.tolist(), [0] + ends, ends):
+            edges[k] = tuple(triplets[a:b])
+    return edges[0] if one else edges
+
+
+def _predicates(cls, x, y, speed):
+    """(frames, n, 8, n) flags of (src, relation, dst), the relations in
+    RELATIONS order, from (frames, n) node columns."""
+    half_w = LANE_WIDTH / 2.0
+    # non-finite features fail every comparison, as Python floats do
+    with np.errstate(invalid="ignore", over="ignore"):
+        dx = x[:, :, None] - x[:, None, :]  # src minus dst
+        dy = y[:, :, None] - y[:, None, :]
+        dist = np.sqrt(dx * dx + dy * dy)
+    side = np.abs(dy) <= L_SIDE
+    lane = np.abs(dx) <= half_w
+    found = np.empty(dx.shape[:2] + (len(RELATIONS),) + dx.shape[2:], dtype=bool)
+    found[:, :, 0] = dist <= D_NEAR
+    found[:, :, 1] = dist <= D_VERY
+    found[:, :, 2] = (dx <= -half_w) & side
+    found[:, :, 3] = (dx >= half_w) & side
+    found[:, :, 4] = (dy > 0) & lane & (dy <= L_FRONT)
+    found[:, :, 5] = (dy < 0) & lane & (-dy <= L_FRONT)
+    found[:, :, 6] = lane & (np.rint(cls) == CLASS_LANE)[:, None, :]
+    found[:, :, 7] = found[:, :, 0] & (speed[:, :, None] > speed[:, None, :] + V_MARGIN)
+    diagonal = np.arange(dx.shape[1])
+    found[:, diagonal, :, diagonal] = False
+    return found
+
+
+def graphs_from_bev(frames, ontology):
+    """Build one SceneGraph per frame of an iterable of frames of (class_id,
+    bev_x, bev_y, speed) records. The frames are read as they come, and
+    each batch of them under the pair budget has its relations inferred in
+    one ``infer_relations`` call.
+
+    Record 0 of a frame is its ego. The records' columns are the feature
+    columns: the ontology is one that ``scenarios.check_ontology`` accepts.
+    """
+    graphs, batch, pairs = [], [], 0
+    for records in frames:
+        if not records:
+            raise ShapeError("at least the ego record is required")
+        if batch and pairs + len(records) ** 2 > _PAIR_BUDGET:
+            graphs += _graphs(batch, ontology)
+            batch, pairs = [], 0
+        batch.append(records)
+        pairs += len(records) ** 2
+    return graphs + _graphs(batch, ontology)
+
+
+def _graphs(batch, ontology):
+    sizes = [len(records) for records in batch]
+    features = np.array([(int(cls), x, y, speed) for records in batch
+                         for cls, x, y, speed in records], dtype=np.float64)
+    ends = np.cumsum(sizes).tolist()
+    return [SceneGraph(features[a:b], edges) for a, b, edges
+            in zip([0] + ends, ends, infer_relations(features, ontology, sizes))]
 
 
 def graph_from_bev(records, ontology):
-    """Build a SceneGraph from (class_id, bev_x, bev_y, speed) records.
-
-    Record 0 is the ego. The records' columns are the feature columns: the
-    ontology is one that ``scenarios.check_ontology`` accepts.
-    """
-    if not records:
-        raise ShapeError("at least the ego record is required")
-    features = np.array([(int(cls), x, y, speed) for cls, x, y, speed in records],
-                        dtype=np.float64)
-    return SceneGraph(features, infer_relations(features, ontology))
+    """``graphs_from_bev`` of one frame."""
+    return graphs_from_bev([records], ontology)[0]

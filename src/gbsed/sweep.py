@@ -262,11 +262,11 @@ def _run_point(point_index, snr_db, lay, plan, ontology, cfg, sizes):
         risky, score = risk_verdicts(lay.frame_seq, *near)
         pred_risky.append(risky)
         pred_score.append(score)
-    counts, consistency, scored = verdict_consistency(
+    counts, consistency, scores, labels = verdict_consistency(
         np.tile(lay.risky, passes), np.concatenate(pred_risky), np.concatenate(pred_score))
     cls = classification_metrics(counts)
     try:
-        auc_val = auc_metric(scored)
+        auc_val = auc_metric(scores, labels)
     except GbsedError:
         auc_val = float("nan")
     bits_total = 8 * int(lay.lengths.sum()) * passes

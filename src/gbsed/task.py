@@ -94,8 +94,9 @@ def task_consistency(sent_seqs, received_seqs, ontology):
     """Compare risk verdicts before and after transmission.
 
     Treats the sent verdict as ground truth and the received verdict as the
-    prediction. Returns (ConfusionCounts, consistency_rate, scored_labels)
-    where scored_labels feeds metrics.auc (received score vs sent decision).
+    prediction. Returns (ConfusionCounts, consistency_rate, scores, labels)
+    where the received scores and the sent risky flags, arrays over the
+    sequences, feed metrics.auc.
     """
     if len(sent_seqs) != len(received_seqs):
         raise ShapeError(f"{len(sent_seqs)} sent vs {len(received_seqs)} received sequences")
@@ -109,11 +110,11 @@ def task_consistency(sent_seqs, received_seqs, ontology):
 def verdict_consistency(truth, pred, score):
     """task_consistency's result from paired sent and received verdicts:
     the sent and received risky flags and the received scores, as arrays
-    over the sequences."""
+    over the sequences. The scores and the sent flags come back as the
+    arrays metrics.auc takes."""
     tp = int(np.count_nonzero(truth & pred))
     fp = int(np.count_nonzero(~truth & pred))
     fn = int(np.count_nonzero(truth & ~pred))
     tn = truth.size - tp - fp - fn
     counts = ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
-    scored = list(zip(score.tolist(), truth.astype(int).tolist()))
-    return counts, (tp + tn) / truth.size if truth.size else 1.0, scored
+    return counts, (tp + tn) / truth.size if truth.size else 1.0, score, truth

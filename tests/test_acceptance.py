@@ -227,7 +227,8 @@ def test_criterion_7_metric_formulas():
         neg = [s for s, l in scored if l == 0]
         wins = sum(1.0 if p > q else 0.5 if p == q else 0.0 for p in pos for q in neg)
         oracle = wins / (len(pos) * len(neg))
-        worst_auc = max(worst_auc, abs(auc_metric(scored) - oracle))
+        scores, labels = zip(*scored)
+        worst_auc = max(worst_auc, abs(auc_metric(scores, labels) - oracle))
 
     ok = f1_ok and worst_mcc <= 1e-9 and worst_auc <= 1e-9
     _verdict(7, ok, f"F1 {f1:.4f} (target 0.833±0.001), max |MCC err| "

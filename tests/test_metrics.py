@@ -175,6 +175,12 @@ def test_f1_between_min_and_max(p, r):
 
 # -- AUC ----------------------------------------------------------------------
 
+def _columns(scored):
+    """(score, label) pairs as the score and label arrays auc takes."""
+    return (np.array([s for s, _ in scored], dtype=float),
+            np.array([l for _, l in scored], dtype=int))
+
+
 def _auc_oracle(scored):
     pos = [s for s, l in scored if l == 1]
     neg = [s for s, l in scored if l == 0]
@@ -184,16 +190,16 @@ def _auc_oracle(scored):
 
 def test_auc_perfect_separation():
     scored = [(0.9, 1), (0.8, 1), (0.2, 0), (0.1, 0)]
-    assert auc(scored) == 1.0
+    assert auc(*_columns(scored)) == 1.0
 
 
 def test_auc_all_ties():
-    assert auc([(0.5, 1), (0.5, 0), (0.5, 1), (0.5, 0)]) == 0.5
+    assert auc(*_columns([(0.5, 1), (0.5, 0), (0.5, 1), (0.5, 0)])) == 0.5
 
 
 def test_auc_single_class_rejected():
     with pytest.raises(DegenerateInput):
-        auc([(0.5, 1), (0.7, 1)])
+        auc(*_columns([(0.5, 1), (0.7, 1)]))
 
 
 def test_auc_against_pair_oracle():
@@ -201,7 +207,7 @@ def test_auc_against_pair_oracle():
     scored = [(round(gen.random(), 2), gen.randint(0, 1)) for _ in range(50)]
     if not any(l == 0 for _, l in scored) or not any(l == 1 for _, l in scored):
         scored += [(0.5, 0), (0.5, 1)]
-    assert auc(scored) == pytest.approx(_auc_oracle(scored), abs=1e-12)
+    assert auc(*_columns(scored)) == pytest.approx(_auc_oracle(scored), abs=1e-12)
 
 
 def test_auc_label_symmetry():
@@ -209,7 +215,7 @@ def test_auc_label_symmetry():
     scored = [(gen.random(), gen.randint(0, 1)) for _ in range(40)]
     scored += [(0.5, 0), (0.5, 1)]
     negated = [(-s, l) for s, l in scored]
-    assert auc(scored) == pytest.approx(1.0 - auc(negated), abs=1e-12)
+    assert auc(*_columns(scored)) == pytest.approx(1.0 - auc(*_columns(negated)), abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -227,4 +233,4 @@ def test_average_ranks_edge_cases_match_scipy():
 
 
 def test_auc_nan_score_gives_nan():
-    assert math.isnan(auc([(0.2, 0), (math.nan, 1), (0.9, 1)]))
+    assert math.isnan(auc(*_columns([(0.2, 0), (math.nan, 1), (0.9, 1)])))

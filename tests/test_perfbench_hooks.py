@@ -5,7 +5,8 @@ from collections import Counter
 
 import numpy as np
 
-from gbsed import codec, rng
+from gbsed import codec, rng, scenarios, scene_graph
+from gbsed.ontology import default_ontology
 
 _PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "perfbench")
@@ -28,6 +29,29 @@ def test_every_perfbench_probe_resolves():
                if not hasattr(importlib.import_module(p.module), p.attr)]
     assert missing == []
     assert hasattr(rng, "USING_NUMBA")
+
+
+def test_generate_infers_through_the_probed_name(monkeypatch):
+    # perfbench times corpus generation's relation inference by wrapping the
+    # module attribute scene_graph.infer_relations: generate must call it,
+    # a batch of frames per call under the pair budget, in corpus order
+    spec = scenarios.ScenarioSpec(seed=4, num_sequences=6, vehicles_range=(2, 12))
+    ontology = default_ontology()
+    plain = scenarios.generate(spec, ontology)
+    original = scene_graph.infer_relations
+    batches = []
+
+    def spy(features, ontology, sizes=None):
+        batches.append(list(sizes))
+        return original(features, ontology, sizes)
+
+    monkeypatch.setattr(scene_graph, "infer_relations", spy)
+    monkeypatch.setattr(scene_graph, "_PAIR_BUDGET", 400)
+    assert scenarios.generate(spec, ontology) == plain
+    assert len(batches) > 1
+    assert [n for sizes in batches for n in sizes] == [
+        f.num_nodes for seq in plain for f in seq.frames]
+    assert all(sum(n * n for n in sizes) <= 400 or len(sizes) == 1 for sizes in batches)
 
 
 def test_perfbench_counts_decompress_warnings():

@@ -4,6 +4,7 @@ import pytest
 
 from gbsed.errors import ParseError, SpecError
 from gbsed.ontology import default_ontology, emit_ontology, load_ontology
+from gbsed import scene_graph
 from gbsed.scene_graph import infer_relations
 from gbsed.scenarios import (
     ScenarioSpec,
@@ -38,6 +39,16 @@ def test_dense_corpus_golden_hash():
                                    lane_count=5), ONT)
     text = scenes_to_text(corpus)
     assert hashlib.sha256(text.encode()).hexdigest() == DENSE_SHA256
+
+
+def test_every_batch_size_generates_the_same_corpus(monkeypatch):
+    # a pair budget of 1 makes every frame a batch of its own
+    spec = ScenarioSpec(seed=9, num_sequences=12, vehicles_range=(1, 14))
+    batched = generate(spec, ONT)
+    monkeypatch.setattr(scene_graph, "_PAIR_BUDGET", 1)
+    one_by_one = generate(spec, ONT)
+    assert one_by_one == batched
+    assert scenes_to_text(one_by_one) == scenes_to_text(batched)
 
 
 def test_generation_deterministic(default_corpus):

@@ -9,8 +9,16 @@ from gbsed.scenarios import ScenarioSpec, generate, scenes_from_text, scenes_to_
 from gbsed.scene_graph import (
     CLASS_LANE,
     CLASS_VEHICLE,
+    D_NEAR,
+    D_VERY,
+    L_FRONT,
+    L_SIDE,
+    LANE_WIDTH,
+    V_MARGIN,
     SceneGraph,
     graph_from_bev,
+    graphs_from_bev,
+    infer_relations,
 )
 
 
@@ -54,6 +62,48 @@ def oracle_relations(records):
             if round(cj) == 2 and abs(xi - xj) <= half:
                 out.add((i, rid["is_in"], j))
     return tuple(sorted(out))
+
+
+def reference_relations(features, ontology):
+    """The per-pair loop that infer_relations replaced: its ``** 0.5`` is
+    libm pow, and its class is ``int(round(...))``."""
+    rid = {r.name: r.id for r in ontology.relations}
+    xi = ontology.attribute_index("bev_x")
+    yi = ontology.attribute_index("bev_y")
+    ci = ontology.attribute_index("class")
+    si = ontology.attribute_index("speed")
+    half_w = LANE_WIDTH / 2.0
+
+    edges = set()
+    rows = np.asarray(features, dtype=np.float64).tolist()
+    n = len(rows)
+    for i in range(n):
+        x_i, y_i = rows[i][xi], rows[i][yi]
+        for j in range(n):
+            if i == j:
+                continue
+            x_j, y_j = rows[j][xi], rows[j][yi]
+            dx = x_j - x_i
+            dy = y_j - y_i
+            dist = (dx * dx + dy * dy) ** 0.5
+            if dist <= D_NEAR:
+                edges.add((i, rid["is_near"], j))
+            if dist <= D_VERY:
+                edges.add((i, rid["very_near"], j))
+            if dx <= -half_w and abs(dy) <= L_SIDE:
+                edges.add((j, rid["to_left_of"], i))
+            if dx >= half_w and abs(dy) <= L_SIDE:
+                edges.add((j, rid["to_right_of"], i))
+            if dy > 0 and abs(dx) <= half_w and dy <= L_FRONT:
+                edges.add((j, rid["in_front_of"], i))
+            if dy < 0 and abs(dx) <= half_w and -dy <= L_FRONT:
+                edges.add((j, rid["behind"], i))
+            cls_j = int(round(rows[j][ci]))
+            if cls_j == CLASS_LANE and abs(x_i - x_j) <= half_w:
+                edges.add((i, rid["is_in"], j))
+            if dist <= D_NEAR and rows[j][si] > rows[i][si] + V_MARGIN:
+                edges.add((j, rid["approaching"], i))
+    return tuple(sorted(edges))
 
 
 def _random_records(seed, n, with_lanes=True):
@@ -108,6 +158,80 @@ def test_oracle_equivalence_random_scenes(ontology):
         records = _random_records(seed, 12)
         g = graph_from_bev(records, ontology)
         assert g.edges == oracle_relations(records), f"seed {seed}"
+
+
+def test_infer_relations_match_the_loop(ontology):
+    for seed in range(40):
+        features = np.array(_random_records(seed + 200, 1 + seed % 14), dtype=np.float64)
+        assert infer_relations(features, ontology) == reference_relations(features, ontology)
+    dense = generate(ScenarioSpec(seed=5, num_sequences=3, vehicles_range=(24, 30),
+                                  lane_count=5), ontology)
+    for seq in generate(ScenarioSpec(seed=11, num_sequences=20), ontology) + dense:
+        for frame in seq.frames:
+            assert frame.edges == reference_relations(frame.features, ontology)
+
+
+_Q = 1.0 / 64.0  # the generator's quantum: features are multiples of it
+
+
+def _around(v):
+    """v and its neighbours one quantum either side."""
+    return (v - _Q, v, v + _Q)
+
+
+def test_predicates_at_their_thresholds(ontology):
+    # a second node placed on and one quantum either side of every
+    # threshold, relative to an ego at the origin with speed 10
+    half = LANE_WIDTH / 2.0
+    xs = {0.0, 3.0, -3.0, 6.0, -8.0, *_around(half), *_around(-half)}
+    ys = {0.0, 5.0, -5.0, 8.0, -6.0, 25.0, *_around(D_NEAR), *_around(-D_NEAR),
+          *_around(D_VERY), *_around(-D_VERY), *_around(L_SIDE), *_around(-L_SIDE),
+          *_around(L_FRONT), *_around(-L_FRONT)}
+    speeds = {10.0, *_around(10.0 + V_MARGIN), *_around(10.0 - V_MARGIN)}
+    frames = [[(CLASS_VEHICLE, 0.0, 0.0, 10.0), (cls, x, y, v)]
+              for cls in (CLASS_VEHICLE, CLASS_LANE) for x in sorted(xs)
+              for y in sorted(ys) for v in sorted(speeds)]
+    # D_NEAR on a diagonal too: (6, 8) is 10 m away
+    frames += [[(CLASS_VEHICLE, 0.0, 0.0, 10.0), (CLASS_VEHICLE, x, y, 11.0)]
+               for x, y in ((6.0, 8.0), (-6.0, -8.0), (6.0, 8.0 + _Q), (6.0 - _Q, -8.0))]
+    seen = set()
+    for records, graph in zip(frames, graphs_from_bev(frames, ontology)):
+        assert graph.edges == oracle_relations(records), records
+        seen.update(rel for _, rel, _ in graph.edges)
+    assert seen == set(range(1, 9))  # every predicate fired on some placement
+
+
+def test_a_batch_of_mixed_sizes_matches_frame_by_frame(ontology):
+    frames = [_random_records(61, 12), _random_records(62, 1), _random_records(63, 2),
+              _random_records(64, 12), _random_records(65, 12), _random_records(66, 1)]
+    features = [np.array(records, dtype=np.float64) for records in frames]
+    batch = infer_relations(np.concatenate(features), ontology, [len(f) for f in features])
+    assert batch == [infer_relations(f, ontology) for f in features]
+    assert batch == [oracle_relations(records) for records in frames]
+    assert [g.edges for g in graphs_from_bev(frames, ontology)] == batch
+    assert infer_relations(np.zeros((0, 4)), ontology, []) == []
+
+
+@pytest.mark.parametrize("cls", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_class_is_no_lane(ontology, cls):
+    # a lane at 1 m lateral would give (0, is_in, 1); a node of no finite
+    # class decides like a vehicle
+    features = np.array([(CLASS_VEHICLE, 0, 0, 10), (cls, 1.0, 0, 0),
+                         (CLASS_LANE, -1.0, 3, 0)], dtype=np.float64)
+    as_vehicle = features.copy()
+    as_vehicle[1, 0] = CLASS_VEHICLE
+    edges = infer_relations(features, ontology)
+    assert edges == infer_relations(as_vehicle, ontology)
+    assert edges == reference_relations(as_vehicle, ontology)
+    assert (0, ontology.relation_id("is_in"), 2) in edges
+
+
+def test_non_finite_coordinates_decide_as_the_loop(ontology):
+    # inf - inf and overflowing squares fail every comparison, silently
+    features = np.array([(CLASS_VEHICLE, 0, 0, 10), (CLASS_VEHICLE, math.inf, 5, 10),
+                         (CLASS_LANE, math.inf, -5, 0), (CLASS_VEHICLE, 1e200, math.nan, 1),
+                         (CLASS_VEHICLE, -1e200, 2, 12)], dtype=np.float64)
+    assert infer_relations(features, ontology) == reference_relations(features, ontology)
 
 
 def test_translation_invariance(ontology):

@@ -177,10 +177,10 @@ def _reference_point(point_index, snr_db, sequences, payloads, cfg):
                 trial += 1
             recv_all.append(GraphSequence(tuple(recv_frames)))
             sent_all.append(seq)
-    counts, consistency, scored = task_consistency(sent_all, recv_all, ONT)
+    counts, consistency, scores, labels = task_consistency(sent_all, recv_all, ONT)
     cls = classification_metrics(counts)
     try:
-        auc_val = auc(scored)
+        auc_val = auc(scores, labels)
     except GbsedError:
         auc_val = float("nan")
     return {

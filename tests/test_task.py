@@ -98,7 +98,7 @@ def test_non_finite_class_treated_as_unknown():
 
 def test_consistency_identity():
     seqs = [_seq(".vv.."), _seq("....."), _seq("vvv..")]
-    counts, rate, scored = task_consistency(seqs, seqs, ONT)
+    counts, rate, _, _ = task_consistency(seqs, seqs, ONT)
     assert rate == 1.0
     assert counts.fp == counts.fn == 0
     assert counts.tp == 2 and counts.tn == 1
@@ -108,7 +108,7 @@ def test_consistency_counts_flips():
     sent = [_seq(".vv..")] * 50 + [_seq(".....")] * 50
     received = list(sent)
     received[0] = _seq(".....")   # risky -> safe: one fn
-    counts, rate, _ = task_consistency(sent, received, ONT)
+    counts, rate, _, _ = task_consistency(sent, received, ONT)
     assert rate == pytest.approx(0.99)
     assert counts.fn == 1 and counts.fp == 0
 
@@ -121,7 +121,7 @@ def test_consistency_recount_oracle():
     for _ in range(200):
         sent.append(_seq("".join(gen.choice(alphabet) for _ in range(6))))
         received.append(_seq("".join(gen.choice(alphabet) for _ in range(6))))
-    counts, rate, scored = task_consistency(sent, received, ONT)
+    counts, rate, scores, labels = task_consistency(sent, received, ONT)
     tp = fp = tn = fn = 0
     agree = 0
     for s, r in zip(sent, received):
@@ -134,8 +134,8 @@ def test_consistency_recount_oracle():
         tn += (not t) and not p
     assert (counts.tp, counts.fp, counts.tn, counts.fn) == (tp, fp, tn, fn)
     assert rate == pytest.approx(agree / 200)
-    # the scored list feeds AUC directly
-    assert 0.0 <= auc(scored) <= 1.0
+    # the score and label arrays feed AUC directly
+    assert 0.0 <= auc(scores, labels) <= 1.0
 
 
 def test_consistency_length_mismatch():
