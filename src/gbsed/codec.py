@@ -3,8 +3,9 @@
 Encoding stacks one self-describing NxN matrix per relation (entries are 0
 or the relation id) into a (|R|, N, N) uint8 array. Compression keeps the
 (K, N, N) nonzero slices; decompression recovers each received matrix's
-relation id from its nonzero entries and rebuilds a binary (|R|, N, N)
-tensor; regeneration turns it plus the feature matrix into a scene graph.
+relation id from its nonzero entries (``relation_ids``, the sweep's too) and
+rebuilds a binary (|R|, N, N) tensor; regeneration turns it plus the
+feature matrix into a scene graph.
 
 Wire layout (big-endian, 21-octet header):
 
@@ -66,45 +67,62 @@ def compress(tensor):
     return tensor[tensor.any(axis=(1, 2))]
 
 
-def _resolve_relation(mat, num_relations):
-    """Recover a matrix's relation id. Returns (rel_id or None, warning or None)."""
-    values = mat[mat > 0]
-    if values.size == 0:
-        return None, "matrix dropped: no nonzero entry"
-    uniq = np.unique(values)
-    if uniq.size == 1 and 1 <= int(uniq[0]) <= num_relations:
-        return int(uniq[0]), None
-    in_range = values[(values >= 1) & (values <= num_relations)]
-    if in_range.size == 0:
-        return None, f"matrix dropped: no in-range nonzero value among {uniq.tolist()}"
-    counts = np.bincount(in_range.astype(np.int64), minlength=num_relations + 1)
-    rel = int(np.flatnonzero(counts == counts.max())[0])  # ties toward smallest id
-    return rel, f"matrix repaired to relation {rel} (values {uniq.tolist()})"
+def in_range(values, num_relations):
+    """Where received cell values are relation ids 1..|R|: the cells that
+    vote on a matrix's id and that the decoded matrix keeps as edges."""
+    return (values >= 1) & (values <= num_relations)
+
+
+def relation_ids(octets, matrix_start, matrix_frame, num_frames, num_relations):
+    """Decode the relation id of every received matrix, and pick the matrix
+    each (frame, relation) decodes from.
+
+    ``octets`` holds the matrices' cells back to back, matrix m from
+    ``matrix_start[m]`` (ascending) on, and ``matrix_frame[m]`` is its
+    frame in 0..num_frames-1. A matrix's id is its most frequent in-range
+    value, ties toward the smallest id, and 0 (dropped) when no value is in
+    range. Returns the ids and ``chosen``: ``chosen[f * (|R| + 1) + r]`` is
+    the last matrix of frame f with id r, or -1.
+    """
+    width = num_relations + 1
+    at = np.flatnonzero(in_range(octets, num_relations))
+    matrix = np.searchsorted(matrix_start, at, side="right") - 1
+    # column 0 counts nothing, so a row without in-range values argmaxes to 0
+    hist = np.bincount(matrix * width + octets[at], minlength=matrix_frame.size * width)
+    rel = hist.reshape(matrix_frame.size, width).argmax(axis=1)
+    resolved = np.flatnonzero(rel)
+    chosen = np.full(num_frames * width, -1, dtype=np.int64)
+    np.maximum.at(chosen, matrix_frame[resolved] * width + rel[resolved], resolved)
+    return rel, chosen
 
 
 def decompress(retained, num_relations):
     """Rebuild the binary adjacency tensor from the (K, N, N) received matrices.
 
     Returns the (|R|, N, N) uint8 tensor in {0, 1} and a list of warnings.
-    A corrupted matrix is assigned the most frequent in-range nonzero value
-    (ties toward the smallest id) or dropped if none survives.
+    Each matrix takes the id ``relation_ids`` decodes (of equal ids the last
+    is kept); its in-range cells, residue of another id included, are the
+    relation's edges, and out-of-range cells are corruption artifacts.
     """
-    n = retained.shape[1]
+    k, n = retained.shape[:2]
+    rel, chosen = relation_ids(retained.reshape(-1), np.arange(k) * (n * n),
+                               np.zeros(k, dtype=np.int64), 1, num_relations)
+    chosen = chosen[1:]
+    kept = chosen >= 0
     tensor = np.zeros((num_relations, n, n), dtype=np.uint8)
-    occupied = set()
+    tensor[kept] = in_range(retained[chosen[kept]], num_relations)
+    rel = rel.tolist()
     warnings = []
-    for mat in retained:
-        rel, warning = _resolve_relation(mat, num_relations)
-        if warning is not None:
-            warnings.append(warning)
-        if rel is None:
-            continue
-        if rel in occupied:
-            warnings.append(f"duplicate matrix for relation {rel}; later one kept")
-        occupied.add(rel)
-        # out-of-range entries are corruption artifacts and are discarded;
-        # in-range residue of another id survives as an edge of this relation
-        tensor[rel - 1] = (mat >= 1) & (mat <= num_relations)
+    for m, (mat, r) in enumerate(zip(retained, rel)):
+        values = np.flatnonzero(np.bincount(mat[mat > 0])).tolist()
+        if not values:
+            warnings.append("matrix dropped: no nonzero entry")
+        elif not r:
+            warnings.append(f"matrix dropped: no in-range nonzero value among {values}")
+        elif values != [r]:
+            warnings.append(f"matrix repaired to relation {r} (values {values})")
+        if r and r in rel[:m]:
+            warnings.append(f"duplicate matrix for relation {r}; later one kept")
     return tensor, warnings
 
 

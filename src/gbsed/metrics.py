@@ -53,25 +53,13 @@ class ClassificationMetrics:
     degenerate: bool = False
 
 
-def _node_matches(sent_row, recv_row, ontology):
-    for attr in ontology.attributes:
-        s = sent_row[attr.index]
-        r = recv_row[attr.index]
-        if attr.kind == "categorical":
-            if not (math.isfinite(r) and round(s) == round(r)):
-                return False
-        else:
-            limit = SPEED_TOLERANCE if attr.kind == "speed-mps" else POSITION_TOLERANCE
-            if not (math.isfinite(r) and abs(s - r) <= limit):
-                return False
-    return True
-
-
 def nodes_match(sent, received, ontology):
-    """Array form of semantic_fidelity's node test, one node per row.
+    """semantic_fidelity's node test, one node per row.
 
     ``sent`` and ``received`` hold feature values with one column per
-    attribute index; True where every attribute of the row matches.
+    attribute index; True where every attribute of the row matches: a
+    categorical value rounds to the sent one, a continuous one lies within
+    its tolerance, and a non-finite value, sent or received, never matches.
     """
     ok = np.ones(len(sent), dtype=bool)
     with np.errstate(invalid="ignore"):
@@ -98,11 +86,9 @@ def semantic_fidelity(sent, received, ontology):
     edges_total = len(sent.edges)
     if received is None:
         return FidelityReport(nodes_total, 0, edges_total, 0)
-    recv_rows = received.features.tolist()
-    nodes_recovered = 0
-    for i, row in enumerate(sent.features.tolist()):
-        if i < len(recv_rows) and _node_matches(row, recv_rows[i], ontology):
-            nodes_recovered += 1
+    m = min(nodes_total, received.num_nodes)
+    nodes_recovered = int(np.count_nonzero(
+        nodes_match(sent.features[:m], received.features[:m], ontology)))
     recv_edges = set(received.edges)
     edges_recovered = sum(1 for e in sent.edges if e in recv_edges)
     return FidelityReport(nodes_total, nodes_recovered, edges_total, edges_recovered)

@@ -206,11 +206,11 @@ def _parse_node(token, lineno):
         raise ParseError(f"bad node record {token!r}", line_number=lineno)
     try:
         idx = int(parts[0])
-        cls = int(parts[1])
+        cls = float(int(parts[1]))
         x, y, speed = (float(p) for p in parts[2:])
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: a class beyond float range
         raise ParseError(f"bad node record {token!r}", line_number=lineno) from None
-    return idx, (float(cls), x, y, speed)
+    return idx, (cls, x, y, speed)
 
 
 def _parse_edge(token, num_relations, lineno):

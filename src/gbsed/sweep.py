@@ -11,8 +11,11 @@ level, and is scored straight from the received octets with a few numpy
 calls. A frame whose header arrived changed scores as a fallback (a bare
 ego: fidelity 0, nothing near) unless ``codec.headers_parse`` finds that
 it parses; only those frames are decoded on their own with
-``decode_frame``. Every sequence's risk verdict, sent and received, comes
-from one array rule, ``risk_verdicts``.
+``decode_frame``. Each decision has one array rule that both paths call:
+``codec.relation_ids`` decodes every matrix's relation id (``decompress``
+calls it for one frame), ``metrics.nodes_match`` tests every node
+(``semantic_fidelity`` calls it for one frame), and ``risk_verdicts``
+decides every sequence's risk verdict, sent and received.
 The single-frame path (``encode_frame``, ``transmit``, ``decode_frame``,
 ``semantic_fidelity``, ``task_consistency``) gives the same numbers frame
 by frame; the tests check the sweep against that loop run over a float64
@@ -188,24 +191,15 @@ def _score_pass(lay, received, ontology):
     num_frames = len(lay.frames)
     num_rel = ontology.num_relations
     octets = received[lay.matrix_octets]
-    # decompress's relation id: the most frequent in-range value, ties to the
-    # smallest id; a matrix with no in-range value is dropped
-    at = np.flatnonzero((octets >= 1) & (octets <= num_rel))
-    matrix = np.searchsorted(lay.matrix_start, at, side="right") - 1
-    hist = np.bincount(matrix * num_rel + octets[at] - 1,
-                       minlength=lay.matrix_frame.size * num_rel).reshape(-1, num_rel)
-    rel = hist.argmax(axis=1) + 1
-    resolved = np.flatnonzero(hist.max(axis=1, initial=0) > 0)
-    # the matrix each (frame, relation) decodes from: of duplicates, the last
-    chosen = np.full(num_frames * (num_rel + 1), -1, dtype=np.int64)
-    np.maximum.at(chosen, lay.matrix_frame[resolved] * (num_rel + 1) + rel[resolved], resolved)
+    _, chosen = codec.relation_ids(octets, lay.matrix_start, lay.matrix_frame, num_frames,
+                                   num_rel)
 
     def has_edge(frame, rel_id, cell):
         # decompress keeps a cell of the chosen matrix iff its value is in range
         m = chosen[frame * (num_rel + 1) + rel_id]
         found = m >= 0
-        v = octets[lay.matrix_start[m[found]] + cell[found]]
-        found[found] = (v >= 1) & (v <= num_rel)
+        found[found] = codec.in_range(octets[lay.matrix_start[m[found]] + cell[found]],
+                                      num_rel)
         return found
 
     edge_hits = np.bincount(

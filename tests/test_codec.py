@@ -168,6 +168,96 @@ def test_duplicate_relation_later_wins():
     assert any("duplicate" in w for w in warnings)
 
 
+def _reference_resolve(mat, num_relations):
+    """The per-matrix loop decompress ran before relation_ids: (id or None, warning)."""
+    values = mat[mat > 0]
+    if values.size == 0:
+        return None, "matrix dropped: no nonzero entry"
+    uniq = np.unique(values)
+    if uniq.size == 1 and 1 <= int(uniq[0]) <= num_relations:
+        return int(uniq[0]), None
+    in_range = values[(values >= 1) & (values <= num_relations)]
+    if in_range.size == 0:
+        return None, f"matrix dropped: no in-range nonzero value among {uniq.tolist()}"
+    counts = np.bincount(in_range.astype(np.int64), minlength=num_relations + 1)
+    rel = int(np.flatnonzero(counts == counts.max())[0])  # ties toward smallest id
+    return rel, f"matrix repaired to relation {rel} (values {uniq.tolist()})"
+
+
+def _reference_decompress(retained, num_relations):
+    n = retained.shape[1]
+    tensor = np.zeros((num_relations, n, n), dtype=np.uint8)
+    occupied = set()
+    warnings = []
+    for mat in retained:
+        rel, warning = _reference_resolve(mat, num_relations)
+        if warning is not None:
+            warnings.append(warning)
+        if rel is None:
+            continue
+        if rel in occupied:
+            warnings.append(f"duplicate matrix for relation {rel}; later one kept")
+        occupied.add(rel)
+        tensor[rel - 1] = (mat >= 1) & (mat <= num_relations)
+    return tensor, warnings
+
+
+def _random_stack(gen, num_relations):
+    """(K, N, N) received matrices: zeros, in-range ids, out-of-range values,
+    some clean, some with forced ties and some sharing an id."""
+    k, n = int(gen.integers(0, 7)), int(gen.integers(1, 6))
+    stack = np.zeros((k, n, n), dtype=np.uint8)
+    for mat in stack.reshape(k, n * n):
+        style = gen.integers(5)
+        if style == 0:    # left all zero
+            continue
+        ids = gen.integers(1, num_relations + 1, size=2)
+        if style == 1:    # one id, clean
+            mat[gen.choice(mat.size, gen.integers(1, mat.size + 1), replace=False)] = ids[0]
+        elif style == 2 and mat.size >= 2:  # a tie between two ids
+            at = gen.choice(mat.size, 2 * (mat.size // 2), replace=False)
+            mat[at[::2]], mat[at[1::2]] = ids
+        elif style == 3:  # out-of-range values only
+            mat[gen.integers(mat.size)] = gen.integers(num_relations + 1, 256)
+        else:             # anything
+            mat[:] = gen.choice([0, 0, 0, *ids, num_relations + 1, 255], size=mat.size)
+    if k >= 2 and gen.random() < 0.5:  # a duplicate of an earlier matrix's id
+        stack[k - 1] = np.where(stack[k - 1] > 0, stack[0].max(), 0)
+    return stack
+
+
+def test_relation_rule_matches_the_per_matrix_loop():
+    gen = np.random.default_rng(29)
+    all_warnings = []
+    for num_relations in (1, 3, 8):
+        stacks = [_random_stack(gen, num_relations) for _ in range(400)]
+        for retained in stacks:
+            tensor, warnings = codec.decompress(retained, num_relations)
+            expect_tensor, expect_warnings = _reference_decompress(retained, num_relations)
+            np.testing.assert_array_equal(tensor, expect_tensor)
+            assert warnings == expect_warnings
+            all_warnings += warnings
+        # the same stacks as frames of one pass: every frame's ids and kept matrices
+        frame_ids = [s for s in stacks if s.shape[1] == 3]
+        octets = np.concatenate([s.reshape(-1) for s in frame_ids])
+        k = np.array([len(s) for s in frame_ids])
+        rel, chosen = codec.relation_ids(octets, np.arange(k.sum()) * 9,
+                                         np.repeat(np.arange(len(frame_ids)), k),
+                                         len(frame_ids), num_relations)
+        expect_rel = [_reference_resolve(m, num_relations)[0] or 0
+                      for s in frame_ids for m in s]
+        assert rel.tolist() == expect_rel
+        width = num_relations + 1
+        expect_chosen = np.full(len(frame_ids) * width, -1)
+        for m, (f, r) in enumerate(zip(np.repeat(np.arange(len(frame_ids)), k), expect_rel)):
+            if r:
+                expect_chosen[f * width + r] = m
+        assert chosen.tolist() == expect_chosen.tolist()
+    for kind in ("matrix repaired", "matrix dropped: no nonzero", "matrix dropped: no in-range",
+                 "duplicate matrix"):
+        assert any(w.startswith(kind) for w in all_warnings), kind
+
+
 # -- regenerate ---------------------------------------------------------------
 
 def test_regenerate_zero_tensor():

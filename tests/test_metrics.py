@@ -8,6 +8,8 @@ from scipy.stats import rankdata
 
 from gbsed.errors import DegenerateInput
 from gbsed.metrics import (
+    POSITION_TOLERANCE,
+    SPEED_TOLERANCE,
     ConfusionCounts,
     auc,
     average_ranks,
@@ -48,6 +50,22 @@ def test_parse_failure_is_zero(ontology):
     assert r.fidelity == 0.0 and r.nodes_recovered == 0
 
 
+def _reference_node_matches(sent_row, recv_row, ontology):
+    """The per-node loop semantic_fidelity ran before it called nodes_match,
+    except that a non-finite sent class is lost where ``round`` raised."""
+    for attr in ontology.attributes:
+        s = sent_row[attr.index]
+        r = recv_row[attr.index]
+        if attr.kind == "categorical":
+            if not (math.isfinite(s) and math.isfinite(r) and round(s) == round(r)):
+                return False
+        else:
+            limit = SPEED_TOLERANCE if attr.kind == "speed-mps" else POSITION_TOLERANCE
+            if not (math.isfinite(r) and abs(s - r) <= limit):
+                return False
+    return True
+
+
 def test_nodes_match_agrees_with_semantic_fidelity(ontology):
     sent = (0.0, 1.0, 2.0, 10.0)
     received = [sent, (0.5, 1.0, 2.0, 10.0), (-0.5, 1.0, 2.0, 10.0),
@@ -55,11 +73,37 @@ def test_nodes_match_agrees_with_semantic_fidelity(ontology):
                 (0.0, 1.0, 2.0, 10.0 + 2 ** -20), (math.nan, 1.0, 2.0, 10.0),
                 (0.0, math.inf, 2.0, 10.0), (0.0, 1.0, -math.inf, 10.0),
                 (0.0, 1.0, 2.0, math.nan), (-1e300, 1.0, 2.0, 10.0)]
-    expect = [semantic_fidelity(_graph([sent], []), _graph([r], []), ontology)
-              .nodes_recovered == 1 for r in received]
-    got = nodes_match(np.array([sent] * len(received)), np.array(received), ontology)
+    pairs = [(sent, r) for r in received]
+    for cls in (math.nan, math.inf, -math.inf):  # a non-finite sent class
+        bad = (cls, 1.0, 2.0, 10.0)
+        pairs += [(bad, sent), (bad, bad)]
+    expect = [_reference_node_matches(s, r, ontology) for s, r in pairs]
+    got = nodes_match(np.array([s for s, _ in pairs]), np.array([r for _, r in pairs]),
+                      ontology)
     assert got.tolist() == expect
+    assert [semantic_fidelity(_graph([s], []), _graph([r], []), ontology).nodes_recovered == 1
+            for s, r in pairs] == expect
     assert any(expect) and not all(expect)
+
+
+def test_non_finite_sent_class_is_lost(ontology):
+    # against a finite received class, round() raised ValueError (NaN) or
+    # OverflowError (inf) on such a class
+    received = _graph([(0.0, 0.0, 0.0, 10.0), (2.0, 1.0, 2.0, 10.0)], [(0, 1, 1)])
+    for cls in (math.nan, math.inf, -math.inf):
+        sent = _graph([(0.0, 0.0, 0.0, 10.0), (cls, 1.0, 2.0, 10.0)], [(0, 1, 1)])
+        for recv in (received, sent):
+            report = semantic_fidelity(sent, recv, ontology)
+            assert (report.nodes_recovered, report.edges_recovered) == (1, 1)
+            assert report.fidelity == 2 / 3
+
+
+def test_fidelity_compares_the_shared_rows(ontology):
+    # nodes correspond by index; the longer graph's extra rows are lost
+    rows = [(0.0, float(i), 0.0, 10.0) for i in range(4)]
+    shorter = _graph(rows[:2], [])
+    assert semantic_fidelity(_graph(rows, []), shorter, ontology).nodes_recovered == 2
+    assert semantic_fidelity(shorter, _graph(rows, []), ontology).nodes_recovered == 2
 
 
 def test_node_tolerances(ontology):

@@ -139,6 +139,7 @@ def test_label_lines_parsed():
     ("seq 0 frame 0 | 1:0:0:0:0 |", 1),            # node index out of order
     ("seq 0 frame 0 | 0:0:0:0 |", 1),              # short node record
     ("seq 0 frame 0 | 0:0:x:0:0 |", 1),            # non-numeric field
+    (f"seq 0 frame 0 | 0:{'9' * 400}:0:0:0 |", 1),  # class beyond float range
     ("seq 0 frame 0 ||", 1),                       # wrong field count
     ("seq 0 frame 0 | |", 1),                      # frame with no nodes
     ("seq 0 frame 0", 1),                          # truncated line

@@ -95,6 +95,24 @@ def test_changed_header_that_parses_is_decoded_frame_by_frame():
     assert near_frame.tolist() == [0] and near_row.tolist() == [1]
 
 
+def test_decompress_and_the_sweep_share_the_relation_rule(small_corpus, monkeypatch):
+    # a change of the relation rule (such as minimum-distance decoding) made
+    # in codec.relation_ids reaches both decoders
+    callers = []
+    original = codec.relation_ids
+
+    def spy(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(*args)
+
+    monkeypatch.setattr(codec, "relation_ids", spy)
+    frame = small_corpus[0].frames[0]
+    assert sweep.decode_frame(sweep.encode_frame(frame, ONT), ONT) == frame
+    sweep.run_sweep(small_corpus, ONT, sweep.SweepConfig(snr_points=(10.0,),
+                                                         trials_per_point=1))
+    assert callers == ["decompress", "_score_pass"]
+
+
 def test_frame_without_nodes_is_refused():
     # parse refuses node count 0, so encode_frame does too; the sweep would
     # otherwise score 0 of 0 entities
@@ -381,6 +399,10 @@ def test_cli_exit_codes(tmp_path, capsys):
                   ["--snr", "nan"], ["--snr=-inf"], ["--snr=-3100"], ["--snr=0,-inf"]):
         assert main(sweep_args + value) == 2, value  # usage
     assert main(["sweep", "--scenes", str(bad), "--out", str(tmp_path / "r.csv")]) == 3
+    huge = tmp_path / "huge.scenes"  # a class beyond float range
+    huge.write_text(f"seq 0 frame 0 | 0:{'9' * 400}:0.0:0.0:10.0 |\n")
+    assert main(["encode", "--scenes", str(huge), "--out", str(tmp_path / "o")]) == 3
+    assert main(["sweep", "--scenes", str(huge), "--out", str(tmp_path / "r.csv")]) == 3
     gen_args = ["gen", "--sequences", "2", "--out", str(tmp_path / "g.scenes")]
     for value in (["--vehicles", "x"], ["--vehicles", "2"], ["--vehicles", "8,2"],
                   ["--vehicles", "0,2"], ["--frames", "0"], ["--lanes", "0"],
@@ -465,6 +487,27 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_decoding_a_repaired_matrix_does_not_load_numpy_ma():
+    # np.unique imports numpy.ma (13 ms, 1.5 MB) on its first call; the
+    # relation rule decodes without it
+    code = ("import sys\n"
+            "from gbsed import codec, sweep\n"
+            "from gbsed.ontology import default_ontology\n"
+            "from gbsed.scene_graph import SceneGraph\n"
+            "ont = default_ontology()\n"
+            "graph = SceneGraph([[0.0] * 4] * 3, ((0, 3, 1), (1, 3, 0), (1, 3, 2)))\n"
+            "payload = bytearray(sweep.encode_frame(graph, ont))\n"
+            "payload[codec.HEADER_LEN] = 5  # cell (0, 0): ids 3 and 5 mixed\n"
+            "print(sweep.decode_frame(bytes(payload), ont).edges)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gbsed.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split("\n")[:2] == [
+        "((0, 3, 0), (0, 3, 1), (1, 3, 0), (1, 3, 2))", "False"]
 
 
 def test_cli_help_exits_zero():
