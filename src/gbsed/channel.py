@@ -29,9 +29,9 @@ UNPROTECTED = "unprotected"
 # one OFDM frame: subcarriers x symbols x bits per 64-QAM symbol, one stream
 OFDM_FRAME_BITS = 132 * 14 * 6
 
-# a link plan sends whole frames in blocks of at most this many body bits
-# (a larger frame is a block of its own), which bounds the memory of a send
-_BLOCK_BITS = 1 << 16
+# a link plan sends whole frames in blocks of at most this many splitmix64
+# outputs, which size its scratch (a larger frame is a block of its own)
+_BLOCK_DRAWS = 1 << 16
 
 # per-axis Gray map: 3-bit code -> amplitude level
 # 000 -> -7, 001 -> -5, 011 -> -3, 010 -> -1, 110 -> +1, 111 -> +3, 101 -> +5, 100 -> +7
@@ -174,10 +174,11 @@ class _Block:
 
 class _Scratch:
     """Buffers that every send of a plan reuses: for its largest block of n
-    splitmix64 outputs (its bits on the BSC, two per symbol on AWGN), and on
-    AWGN for all of its symbols. The float32 filter works in tmp, which _mix
-    is done with, so raw keeps a block's outputs until the flagged pairs are
-    taken; the repacked octets become the bit differences."""
+    splitmix64 outputs (its bits on the BSC, two per symbol on AWGN), 17
+    bytes an output (18.5 on AWGN), and on AWGN 2.5 bytes a plan symbol.
+    The float32 filter works in tmp, which _mix is done with, so raw keeps
+    a block's outputs until the flagged pairs are taken; the repacked
+    octets become the bit differences."""
 
     def __init__(self, n, symbols=None):
         self.raw, self.tmp = np.empty((2, n), dtype=np.uint64)
@@ -243,11 +244,11 @@ def plan_link(buffer, lengths, channel_kind, header_protection):
         codes = _codes_from_octets(octet_groups)
         indices = ((_LEVEL_BY_CODE + 7) / 2).astype(np.uint8)[np.stack([codes >> 3, codes & 7])]
     blocks = []
-    ends = np.cumsum(8 * octets)
+    ends = np.cumsum(counts)
     a = 0
     while a < lengths.size:
         # the longest run of frames within the block budget, at least one
-        b = max(a + 1, int(np.searchsorted(ends, ends[a] - 8 * octets[a] + _BLOCK_BITS,
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - counts[a] + _BLOCK_DRAWS,
                                           side="right")))
         span = slice(int(first[a]), int(first[b - 1] + octets[b - 1]))
         blocks.append(_Block(slice(a, b), span, counts[a:b],

@@ -545,14 +545,15 @@ def test_transmit_frames_matches_transmit(cfg, request, monkeypatch, refined):
     # a plan and one send per seed vector give what the float64 reference
     # link gives frame by frame. The lengths cover every 64-QAM pad and
     # every pad to whole groups of 3 octets, payloads inside the header
-    # guard, an empty one and one longer than the block budget; a 1,000-bit
-    # budget splits the batch into many blocks, the 2^16-bit default into few
+    # guard and an empty one. A budget of 1,000 splitmix64 outputs splits
+    # the batch into many blocks, one frame larger than a block among them;
+    # the 2^16 default sends it as one block
     lengths = [40, 41, 42, 0, 10, HEADER_LEN, 300, 22, 23, 24, 5000, 25]
     gen = rng.SplitMix64(8)
     payloads = [bytes(gen.randint(0, 255) for _ in range(n)) for n in lengths]
     buffer = np.frombuffer(b"".join(payloads), dtype=np.uint8)
     for budget in (1000, 1 << 16):
-        monkeypatch.setattr(channel, "_BLOCK_BITS", budget)
+        monkeypatch.setattr(channel, "_BLOCK_DRAWS", budget)
         plan = plan_link(buffer, lengths, cfg.channel_kind, cfg.header_protection)
         for point in range(2):
             seeds = [((1 << 64) - 1) ^ point, point, 5, 6, 7, 1 << 63, 9, 10, 11, 12, 13, 14]
@@ -642,6 +643,58 @@ def test_sends_on_one_plan_leak_nothing_between_them(refined):
             np.testing.assert_array_equal(received, copy)
 
 
+def _body_bit_blocks(lengths, guard, budget):
+    """The frames of each block under the rule that counted body bits: the
+    longest run of whole frames of at most budget body bits, at least one."""
+    bits = [8 * max(n - guard, 0) for n in lengths]
+    blocks, a = [], 0
+    while a < len(lengths):
+        b, total = a + 1, bits[a]
+        while b < len(lengths) and total + bits[b] <= budget:
+            total += bits[b]
+            b += 1
+        blocks.append(slice(a, b))
+        a = b
+    return blocks
+
+
+@pytest.mark.parametrize("protection", [PROTECTED, UNPROTECTED])
+@pytest.mark.parametrize("kind", [AWGN64QAM, BSC])
+def test_plan_blocks_are_maximal_runs_within_the_draw_budget(kind, protection,
+                                                             monkeypatch):
+    # empty frames, frames within the header guard, small ones, and one
+    # larger than the budget on either link (80,000 outputs on AWGN)
+    gen = rng.SplitMix64(29)
+    lengths = [[0, gen.randint(1, HEADER_LEN), gen.randint(1, 700)][gen.randint(0, 2)]
+               for _ in range(300)]
+    lengths[137] = 30_000 + HEADER_LEN
+    guard = HEADER_LEN if protection == PROTECTED else 0
+    body = np.maximum(np.array(lengths) - guard, 0)
+    draws = 8 * body if kind == BSC else 8 * -(-body // 3)
+    buffer = np.zeros(sum(lengths), dtype=np.uint8)
+    for budget in (1000, 1 << 16):
+        monkeypatch.setattr(channel, "_BLOCK_DRAWS", budget)
+        plan = plan_link(buffer, lengths, kind, protection)
+        frames = [blk.frames for blk in plan.blocks]
+        # the blocks tile the frames, and their body octets, in order
+        assert [f.start for f in frames] == [0] + [f.stop for f in frames[:-1]]
+        assert frames[-1].stop == len(lengths)
+        assert [blk.octets.start for blk in plan.blocks] == [
+            int(body[:f.start].sum()) for f in frames]
+        for blk in plan.blocks:
+            np.testing.assert_array_equal(blk.counts, draws[blk.frames])
+            held = int(blk.counts.sum())
+            assert held <= budget or blk.counts.size == 1
+            # the next frame would overflow the block
+            if blk.frames.stop < len(lengths):
+                assert held + draws[blk.frames.stop] > budget
+        assert plan.scratch.raw.size == max(int(blk.counts.sum()) for blk in plan.blocks)
+        assert any(blk.counts.sum() > budget for blk in plan.blocks)
+        if kind == BSC:
+            # one output per body bit: the blocks of the body-bit rule
+            assert frames == _body_bit_blocks(lengths, guard, budget)
+
+
 @pytest.mark.parametrize("cfg", [
     LinkConfig(snr_db=3.0),
     LinkConfig(channel_kind=BSC, bsc_flip_prob=0.002),
@@ -649,11 +702,13 @@ def test_sends_on_one_plan_leak_nothing_between_them(refined):
 def test_send_allocates_no_block_sized_buffers(cfg):
     # after a first send has set the plan's scratch going, a send allocates
     # its received buffer and small per-block arrays; tracemalloc sees the
-    # buffers numpy allocates
-    body = 234 - HEADER_LEN
-    lengths = [234] * (4 * (channel._BLOCK_BITS // (8 * body)))
+    # buffers numpy allocates. A 234-octet frame draws 568 splitmix64
+    # outputs on AWGN (71 groups of 3 body octets) and 1,704 on the BSC
+    per_frame = {AWGN64QAM: 568, BSC: 1704}[cfg.channel_kind]
+    lengths = [234] * (4 * (channel._BLOCK_DRAWS // per_frame))
     plan = plan_link(np.zeros(sum(lengths), dtype=np.uint8), lengths, cfg.channel_kind,
                      PROTECTED)
+    assert plan.blocks[0].counts[0] == per_frame
     assert len(plan.blocks) == 4
     draws = 8 * max(int(blk.counts.sum()) for blk in plan.blocks)
     seeds = np.arange(len(lengths), dtype=np.uint64)

@@ -225,7 +225,7 @@ def _reference_sweep(sequences, cfg):
 
 
 def _dense_corpus():
-    # 45-49 nodes: every frame's body is longer than the channel's block
+    # 45-49 nodes: on AWGN every frame draws 27,704-34,320 splitmix64 outputs
     return generate(ScenarioSpec(seed=5, num_sequences=2, frames_per_sequence=3,
                                  vehicles_range=(40, 48), lane_count=5), ONT)
 
@@ -251,6 +251,10 @@ EQUIVALENCE_CASES = {
 }
 
 
+# a block budget below every dense frame's draws: each is a block of its own
+_DENSE_BLOCK_DRAWS = 1 << 14
+
+
 @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
 def test_sweep_matches_per_frame_reference(small_corpus, case):
     cfg, dense = EQUIVALENCE_CASES[case]
@@ -259,14 +263,31 @@ def test_sweep_matches_per_frame_reference(small_corpus, case):
     assert sweep.rows_to_csv(sweep.run_sweep(corpus, ONT, cfg)) == expect
 
 
-def test_equivalence_cases_cover_pads_and_blocks(small_corpus):
+def test_sweep_matches_per_frame_reference_with_frames_longer_than_a_block(small_corpus,
+                                                                          monkeypatch):
+    monkeypatch.setattr(channel, "_BLOCK_DRAWS", _DENSE_BLOCK_DRAWS)
+    test_sweep_matches_per_frame_reference(small_corpus, "dense")
+
+
+def test_equivalence_cases_cover_pads_and_blocks(small_corpus, monkeypatch):
     def body_bits(corpus):
         return [8 * (len(sweep.encode_frame(f, ONT)) - HEADER_LEN)
                 for seq in corpus for f in seq.frames]
 
+    def dense_blocks():
+        payloads = [sweep.encode_frame(f, ONT) for seq in _dense_corpus() for f in seq.frames]
+        buffer = np.frombuffer(b"".join(payloads), dtype=np.uint8)
+        cfg = EQUIVALENCE_CASES["dense"][0]
+        return channel.plan_link(buffer, [len(p) for p in payloads], cfg.channel_kind,
+                                 cfg.header_protection).blocks
+
     # 64-QAM closes each body with 0, 2 or 4 zero bits
     assert {-b % 6 for b in body_bits(small_corpus)} == {0, 2, 4}
-    assert min(body_bits(_dense_corpus())) > channel._BLOCK_BITS
+    # the dense case sends blocks of several frames at the default budget,
+    # and every frame as a block larger than the budget below it
+    assert max(blk.counts.size for blk in dense_blocks()) > 1
+    monkeypatch.setattr(channel, "_BLOCK_DRAWS", _DENSE_BLOCK_DRAWS)
+    assert min(int(blk.counts.sum()) for blk in dense_blocks()) > _DENSE_BLOCK_DRAWS
     # on the BSC at p = 0.2 most headers arrive changed: the per-frame path runs
     cfg = EQUIVALENCE_CASES["bsc_02_unprotected"][0]
     payloads = [sweep.encode_frame(f, ONT) for seq in small_corpus for f in seq.frames]
