@@ -2,13 +2,16 @@
 through the configured channel at each SNR point, decode, and evaluate
 fidelity plus downstream risk-task metrics.
 
-An SNR point is computed one corpus pass at a time. The pass is encoded
-once per sweep into one octet buffer with the offsets of every header,
-matrix and feature row, and the link is planned once for that buffer
-(``plan_link``). Each pass then goes through the link in one ``send``
+A sweep receives the corpus pass once per SNR point and pass. The pass is
+encoded once per sweep into one octet buffer, and the link is planned
+once for that buffer (``plan_link``). Each reception is one ``send``
 call, which does only the work that depends on the seeds and the noise
-level, and is scored straight from the received octets with a few numpy
-calls. A frame whose header arrived changed scores as a fallback (a bare
+level, and fills one row of a batch of receptions. A batch holds at most
+``_SCORE_OCTETS`` received octets and at least one reception, and it is
+scored straight from the received octets with a few numpy calls, over
+offsets of every header, matrix and feature row laid out once per sweep
+for the batch; each SNR point keeps its own sums, verdicts and error
+count. A frame whose header arrived changed scores as a fallback (a bare
 ego: fidelity 0, nothing near) unless ``codec.headers_parse`` finds that
 it parses; only those frames are decoded on their own with
 ``decode_frame``. Each decision has one array rule that both paths call:
@@ -103,25 +106,35 @@ def _ranges(starts, counts):
             + np.arange(counts.sum(), dtype=np.int64))
 
 
+# a sweep's receptions are scored in batches of at most this many received
+# octets, and of at least one reception
+_SCORE_OCTETS = 1 << 17
+
+
 @dataclass(frozen=True)
 class _Pass:
-    """One corpus pass, encoded once and laid out as flat arrays.
+    """One corpus pass, encoded once and laid out as flat arrays for a
+    batch of ``rows`` receptions of it, one a row.
 
-    Frames are numbered in corpus order; retained matrices, nodes and sent
-    triplets are numbered across the pass in frame order. A matrix cell
-    (j, k) of an N-node frame is ``j * N + k``.
+    Frames are numbered in corpus order, and frame f of row j is frame
+    j·F + f of the batch; sequences, retained matrices, nodes and sent
+    triplets are numbered across the batch in frame order. A batch offset
+    is one into the batch read as one flat array. A matrix cell (j, k) of
+    an N-node frame is ``j * N + k``.
     """
-    frames: tuple               # sent scene graphs
+    frames: tuple               # sent scene graphs of the pass
+    risky: np.ndarray           # sent risk verdict of every sequence of the pass
+    buffer: np.ndarray          # every payload of the pass, back to back
+    passes: int                 # receptions of the pass per SNR point
+    rows: int                   # most receptions a batch holds
     frame_seq: np.ndarray       # frame -> its sequence
-    risky: np.ndarray           # sent risk verdict of every sequence
-    buffer: np.ndarray          # every payload, back to back
     lengths: np.ndarray         # payload octets per frame
-    starts: np.ndarray          # buffer offset of every payload
-    header_at: np.ndarray       # (frames, HEADER_LEN) buffer offsets of the headers
+    starts: np.ndarray          # batch offset of every payload
+    matrix_octets: np.ndarray   # batch mask of the retained-matrix octets
+    feature_octets: np.ndarray  # batch mask of the feature octets
+    header_at: np.ndarray       # (frames, HEADER_LEN) batch offsets of the headers
     headers: np.ndarray         # (frames, HEADER_LEN) sent header octets
-    matrix_octets: np.ndarray   # buffer mask of the retained-matrix octets
-    feature_octets: np.ndarray  # buffer mask of the feature octets
-    matrix_start: np.ndarray    # matrix -> its first octet among the matrix octets
+    matrix_start: np.ndarray    # matrix -> its first octet among the batch's matrix octets
     matrix_frame: np.ndarray    # matrix -> frame
     node_frame: np.ndarray      # node -> frame
     node_row: np.ndarray        # node -> its index in its frame
@@ -133,141 +146,144 @@ class _Pass:
     entities: np.ndarray        # nodes + triplets of every frame
 
 
-def _lay_out(sequences, ontology):
+def _lay_out(sequences, ontology, points=1, trials=1):
+    """Lay out the corpus pass for a sweep of ``points`` SNR points of
+    ``trials`` trials each: as many of its receptions in a batch as fit in
+    ``_SCORE_OCTETS``, and at least one."""
     frames = tuple(f for seq in sequences for f in seq.frames)
     seq_len = [len(seq.frames) for seq in sequences]
     if 0 in seq_len:
         raise DegenerateInput("empty graph sequence")
     payloads = [encode_frame(f, ontology) for f in frames]
-    lengths = np.array([len(p) for p in payloads], dtype=np.int64)
-    starts = np.cumsum(lengths) - lengths
-    n = np.array([f.num_nodes for f in frames], dtype=np.int64)
+    buffer = np.frombuffer(b"".join(payloads), dtype=np.uint8)
+    passes = -(-trials // len(frames))
+    rows = min(points * passes, max(1, _SCORE_OCTETS // buffer.size))
+
+    # the batch is rows copies of the pass, back to back
+    def per_frame(values):
+        return np.tile(np.array(values, dtype=np.int64), rows)
+
+    lengths = per_frame([len(p) for p in payloads])
+    n = per_frame([f.num_nodes for f in frames])
     # compress keeps one matrix per relation that has an edge
-    k = np.array([len({rel for _, rel, _ in f.edges}) for f in frames], dtype=np.int64)
+    k = per_frame([len({rel for _, rel, _ in f.edges}) for f in frames])
+    m = per_frame([len(f.edges) for f in frames])
+    starts = np.cumsum(lengths) - lengths
     matrix_len = k * n * n
-    feature_lo = starts + codec.HEADER_LEN + matrix_len
-    matrix_octets = np.zeros(lengths.sum(), dtype=bool)
-    matrix_octets[_ranges(starts + codec.HEADER_LEN, matrix_len)] = True
-    feature_octets = np.zeros(lengths.sum(), dtype=bool)
-    feature_octets[_ranges(feature_lo, starts + lengths - feature_lo)] = True
-    frame_ids = np.arange(len(frames))
-    frame_seq = np.repeat(np.arange(len(sequences)), seq_len)
-    matrix_frame = np.repeat(frame_ids, k)
+    # a payload is its header, its matrix octets and its feature octets
+    parts = np.stack([np.full_like(n, codec.HEADER_LEN), matrix_len,
+                      lengths - codec.HEADER_LEN - matrix_len], axis=1).reshape(-1)
+    header_at = starts[:, None] + np.arange(codec.HEADER_LEN)
+    frame_seq = np.repeat(np.arange(rows * len(sequences)), np.tile(seq_len, rows))
+    frame_ids = np.arange(rows * len(frames))
     node_frame = np.repeat(frame_ids, n)
     node_row = _ranges(np.zeros_like(n), n)
-    edges = np.array([(f, rel, j * frames[f].num_nodes + dst)
-                      for f in range(len(frames)) for j, rel, dst in frames[f].edges],
-                     dtype=np.int64).reshape(-1, 3)
-    buffer = np.frombuffer(b"".join(payloads), dtype=np.uint8)
-    header_at = starts[:, None] + np.arange(codec.HEADER_LEN)
+    edges = np.array([(rel, j * f.num_nodes + dst) for f in frames for j, rel, dst in f.edges],
+                     dtype=np.int64).reshape(-1, 2)
     return _Pass(
         frames=frames,
-        frame_seq=frame_seq,
-        risky=risk_verdicts(frame_seq, *near_ego(frames, ontology))[0],
+        risky=risk_verdicts(frame_seq[:len(frames)], *near_ego(frames, ontology))[0],
         buffer=buffer,
+        passes=passes,
+        rows=rows,
+        frame_seq=frame_seq,
         lengths=lengths,
         starts=starts,
+        matrix_octets=np.repeat(np.tile([False, True, False], n.size), parts),
+        feature_octets=np.repeat(np.tile([False, False, True], n.size), parts),
         header_at=header_at,
-        headers=buffer[header_at],
-        matrix_octets=matrix_octets,
-        feature_octets=feature_octets,
+        headers=np.tile(buffer[header_at[:len(frames)]], (rows, 1)),
         matrix_start=(np.repeat(np.cumsum(matrix_len) - matrix_len, k)
                       + _ranges(np.zeros_like(k), k) * np.repeat(n * n, k)),
-        matrix_frame=matrix_frame,
+        matrix_frame=np.repeat(frame_ids, k),
         node_frame=node_frame,
         node_row=node_row,
         node_cell=node_row * n[node_frame],
-        sent_features=np.concatenate([f.features for f in frames]),
-        edge_frame=edges[:, 0],
-        edge_rel=edges[:, 1],
-        edge_cell=edges[:, 2],
-        entities=n + np.bincount(edges[:, 0], minlength=len(frames)),
+        sent_features=np.tile(np.concatenate([f.features for f in frames]), (rows, 1)),
+        edge_frame=np.repeat(frame_ids, m),
+        edge_rel=np.tile(edges[:, 0], rows),
+        edge_cell=np.tile(edges[:, 1], rows),
+        entities=n + m,
     )
 
 
 def _score_pass(lay, received, ontology):
-    """Fidelity of every frame of one received pass, and risk_verdicts'
-    per-frame arrays: any_near and the (frame, row) pairs of near vehicles."""
-    num_frames = len(lay.frames)
+    """Fidelity of every frame of a batch of received passes, a
+    (receptions, buffer octets) array with at most ``lay.rows`` rows, and
+    risk_verdicts' per-frame arrays: any_near and the (frame, row) pairs of
+    near vehicles. Frame f of row j is frame j·F + f."""
+    rows = len(received)
+
+    def head(a):
+        # a's entries for the first rows rows of a batch
+        return a[:len(a) // lay.rows * rows]
+
+    num_frames = rows * len(lay.frames)
     num_rel = ontology.num_relations
-    octets = received[lay.matrix_octets]
-    _, chosen = codec.relation_ids(octets, lay.matrix_start, lay.matrix_frame, num_frames,
+    flat = received.reshape(-1)
+    matrix_start, node_frame = head(lay.matrix_start), head(lay.node_frame)
+    octets = flat[head(lay.matrix_octets)]
+    _, chosen = codec.relation_ids(octets, matrix_start, head(lay.matrix_frame), num_frames,
                                    num_rel)
 
     def has_edge(frame, rel_id, cell):
         # decompress keeps a cell of the chosen matrix iff its value is in range
         m = chosen[frame * (num_rel + 1) + rel_id]
         found = m >= 0
-        found[found] = codec.in_range(octets[lay.matrix_start[m[found]] + cell[found]],
-                                      num_rel)
+        found[found] = codec.in_range(octets[matrix_start[m[found]] + cell[found]], num_rel)
         return found
 
+    edge_frame = head(lay.edge_frame)
     edge_hits = np.bincount(
-        lay.edge_frame[has_edge(lay.edge_frame, lay.edge_rel, lay.edge_cell)],
+        edge_frame[has_edge(edge_frame, head(lay.edge_rel), head(lay.edge_cell))],
         minlength=num_frames)
-    values = received[lay.feature_octets].view(">f4").reshape(-1, ontology.num_attributes)
+    values = flat[head(lay.feature_octets)].view(">f4").reshape(-1, ontology.num_attributes)
     with np.errstate(invalid="ignore"):  # a received signalling NaN
         recv_features = values.astype(np.float64)
-    node_hits = np.bincount(lay.node_frame[nodes_match(lay.sent_features, recv_features,
-                                                       ontology)], minlength=num_frames)
-    fidelity = (node_hits + edge_hits) / lay.entities
+    node_hits = np.bincount(node_frame[nodes_match(head(lay.sent_features), recv_features,
+                                                   ontology)], minlength=num_frames)
+    fidelity = (node_hits + edge_hits) / head(lay.entities)
 
     # a frame whose header arrived changed is scored on its own: one that
     # cannot parse stands in as a bare ego with nothing near, one that can
     # is decoded with decode_frame
-    header = received[lay.header_at]
-    changed = (header != lay.headers).any(axis=1)
-    near = (has_edge(lay.node_frame, ontology.relation_id("is_near"), lay.node_cell)
-            & ~changed[lay.node_frame])
-    any_near, near_frame, near_row = near_ego_nodes(near, recv_features, lay.node_frame,
-                                                    lay.node_row, num_frames, ontology)
+    header, sent = flat[head(lay.header_at)], head(lay.headers)
+    changed = (header != sent).any(axis=1)
+    near = (has_edge(node_frame, ontology.relation_id("is_near"), head(lay.node_cell))
+            & ~changed[node_frame])
+    any_near, near_frame, near_row = near_ego_nodes(near, recv_features, node_frame,
+                                                    head(lay.node_row), num_frames, ontology)
     fidelity[changed] = 0.0
     decoded = np.flatnonzero(changed)
-    decoded = decoded[codec.headers_parse(header[decoded], lay.headers[decoded],
+    decoded = decoded[codec.headers_parse(header[decoded], sent[decoded],
                                           lay.lengths[decoded])]
     near_frame, near_row = [near_frame], [near_row]
     for f in decoded.tolist():
         lo = lay.starts[f]
-        graph = decode_frame(received[lo:lo + lay.lengths[f]].tobytes(), ontology)
-        fidelity[f] = semantic_fidelity(lay.frames[f], graph, ontology).fidelity
+        graph = decode_frame(flat[lo:lo + lay.lengths[f]].tobytes(), ontology)
+        fidelity[f] = semantic_fidelity(lay.frames[f % len(lay.frames)], graph,
+                                        ontology).fidelity
         if graph is not None:
-            (any_near[f],), _, rows = near_ego([graph], ontology)
-            near_frame.append(np.full(rows.size, f))
-            near_row.append(rows)
+            (any_near[f],), _, vehicles = near_ego([graph], ontology)
+            near_frame.append(np.full(vehicles.size, f))
+            near_row.append(vehicles)
     return fidelity, any_near, np.concatenate(near_frame), np.concatenate(near_row)
 
 
-def _run_point(point_index, snr_db, lay, plan, ontology, cfg, sizes):
-    link = cfg._link(snr_db)
-    num_frames = len(lay.frames)
-    passes = -(-cfg.trials_per_point // num_frames)
-    point_seed = np.uint64((cfg.base_seed ^ point_index) & _MASK64)
-    errors_total = 0
-    fidelity_sum = 0.0
-    pred_risky, pred_score = [], []
-    for p in range(passes):
-        # trial t sends frame t mod F with seed base_seed ^ point_index ^ t
-        seeds = point_seed ^ np.arange(p * num_frames, (p + 1) * num_frames, dtype=np.uint64)
-        received, errors = send(plan, seeds, link)
-        errors_total += errors
-        fidelity, *near = _score_pass(lay, received, ontology)
-        # frame by frame, left to right: the sum's rounding is part of the output
-        fidelity_sum = float(np.add.accumulate(np.concatenate([[fidelity_sum], fidelity]))[-1])
-        risky, score = risk_verdicts(lay.frame_seq, *near)
-        pred_risky.append(risky)
-        pred_score.append(score)
+def _point_row(snr_db, ber, fidelity, truth, pred_risky, pred_score, sizes):
+    """The result row of one SNR point, from its sent verdicts and its
+    passes' received verdicts and scores, one array a pass in pass order."""
     counts, consistency, scores, labels = verdict_consistency(
-        np.tile(lay.risky, passes), np.concatenate(pred_risky), np.concatenate(pred_score))
+        truth, np.concatenate(pred_risky), np.concatenate(pred_score))
     cls = classification_metrics(counts)
     try:
         auc_val = auc_metric(scores, labels)
     except GbsedError:
         auc_val = float("nan")
-    bits_total = 8 * int(lay.lengths.sum()) * passes
     return {
         "snr_db": snr_db,
-        "ber": errors_total / bits_total if bits_total else 0.0,
-        "fidelity": fidelity_sum / (num_frames * passes),
+        "ber": ber,
+        "fidelity": fidelity,
         "consistency": consistency,
         "accuracy": cls.accuracy,
         "precision": cls.precision,
@@ -287,15 +303,47 @@ def run_sweep(sequences, ontology, cfg):
     """
     if not sequences:
         raise ValueError("empty corpus")
-    lay = _lay_out(sequences, ontology)
-    plan = plan_link(lay.buffer, lay.lengths, cfg.channel_kind, cfg.header_protection)
-    lengths = lay.lengths.tolist()
+    points = len(cfg.snr_points)
+    lay = _lay_out(sequences, ontology, points, cfg.trials_per_point)
+    num_frames = len(lay.frames)
+    lengths = lay.lengths[:num_frames]
+    plan = plan_link(lay.buffer, lengths, cfg.channel_kind, cfg.header_protection)
+    links = [cfg._link(s) for s in cfg.snr_points]
+    # reception (i, p) is pass p of SNR point i; trial t of point i sends
+    # frame t mod F with seed base_seed ^ i ^ t
+    receptions = [(i, p) for i in range(points) for p in range(lay.passes)]
+    errors = [0] * points
+    fidelity_sum = [0.0] * points
+    pred_risky, pred_score = ([[] for _ in range(points)] for _ in range(2))
+    batch = np.empty((lay.rows, lay.buffer.size), dtype=np.uint8)
+    for lo in range(0, len(receptions), lay.rows):
+        todo = receptions[lo:lo + lay.rows]
+        for j, (i, p) in enumerate(todo):
+            seeds = (np.uint64((cfg.base_seed ^ i) & _MASK64)
+                     ^ np.arange(p * num_frames, (p + 1) * num_frames, dtype=np.uint64))
+            batch[j], e = send(plan, seeds, links[i])
+            errors[i] += e
+        rows = len(todo)
+        fid, *near = _score_pass(lay, batch[:rows], ontology)
+        risky, score = risk_verdicts(lay.frame_seq[:rows * num_frames], *near)
+        for (i, _), f, r, s in zip(todo, fid.reshape(rows, -1), risky.reshape(rows, -1),
+                                   score.reshape(rows, -1)):
+            # frame by frame, left to right, pass after pass: the sum's
+            # rounding is part of the output
+            running = np.add.accumulate(np.concatenate([[fidelity_sum[i]], f]))
+            fidelity_sum[i] = float(running[-1])
+            pred_risky[i].append(r)
+            pred_score[i].append(s)
     sizes = {
-        "mean_payload_octets": sum(lengths) / len(lengths),
-        "frames_per_payload": sum(frames_required(x) for x in lengths) / len(lengths),
+        "mean_payload_octets": int(lengths.sum()) / num_frames,
+        "frames_per_payload": sum(frames_required(x) for x in lengths.tolist()) / num_frames,
     }
-    return [_run_point(i, s, lay, plan, ontology, cfg, sizes)
-            for i, s in enumerate(cfg.snr_points)]
+    truth = np.tile(lay.risky, lay.passes)
+    bits = 8 * int(lengths.sum()) * lay.passes
+    return [_point_row(snr_db, errors[i] / bits if bits else 0.0,
+                       fidelity_sum[i] / (num_frames * lay.passes), truth, pred_risky[i],
+                       pred_score[i], sizes)
+            for i, snr_db in enumerate(cfg.snr_points)]
 
 
 def rows_to_csv(rows):

@@ -63,7 +63,7 @@ def test_header_of_another_feature_width_is_unparseable(n, edges, d_flip, k_flip
     assert sweep.decode_frame(payload, ONT) is None
     lay = sweep._lay_out([GraphSequence((frame,))], ONT)
     received = np.frombuffer(payload, dtype=np.uint8)
-    fidelity, any_near, near_frame, near_row = sweep._score_pass(lay, received, ONT)
+    fidelity, any_near, near_frame, near_row = sweep._score_pass(lay, received[None], ONT)
     assert fidelity.tolist() == [0.0] and any_near.tolist() == [False]
     assert near_frame.size == near_row.size == 0
 
@@ -86,13 +86,23 @@ def test_changed_header_that_parses_is_decoded_frame_by_frame():
     payload[14], payload[18] = 4, 4  # N 8 -> 4, K 0 -> 4
     graph = sweep.decode_frame(bytes(payload), ONT)
     assert graph.num_nodes == 4 and graph.edges == ((1, 1, 0), (2, 1, 0))
+    received = np.frombuffer(bytes(payload), dtype=np.uint8)
     lay = sweep._lay_out([GraphSequence((frame,))], ONT)
-    fidelity, any_near, near_frame, near_row = sweep._score_pass(
-        lay, np.frombuffer(bytes(payload), dtype=np.uint8), ONT)
+    fidelity, any_near, near_frame, near_row = sweep._score_pass(lay, received[None], ONT)
     assert fidelity.tolist() == [semantic_fidelity(frame, graph, ONT).fidelity] == [2 / 8]
     assert [a.tolist() for a in near_ego([graph], ONT)] == [[True], [0], [1]]
     assert any_near.tolist() == [True]
     assert near_frame.tolist() == [0] and near_row.tolist() == [1]
+    # a batch of two receptions, row 0 intact and row 1 the changed one:
+    # what row 1 decodes lands on its frame, frame 1, not on frame 0
+    lay = sweep._lay_out([GraphSequence((frame,))], ONT, trials=2)
+    assert lay.rows == 2
+    intact = np.frombuffer(sweep.encode_frame(frame, ONT), dtype=np.uint8)
+    fidelity, any_near, near_frame, near_row = sweep._score_pass(
+        lay, np.stack([intact, received]), ONT)
+    assert fidelity.tolist() == [1.0, 2 / 8]
+    assert any_near.tolist() == [False, True]
+    assert near_frame.tolist() == [1] and near_row.tolist() == [1]
 
 
 def test_decompress_and_the_sweep_share_the_relation_rule(small_corpus, monkeypatch):
@@ -147,8 +157,10 @@ def test_fidelity_sums_frame_by_frame_left_to_right(small_corpus, monkeypatch):
     # bytes
     values = 1.0 / np.arange(3.0, 53.0)
     score = sweep._score_pass
+    # the values again for every reception of a batch, one a row
     monkeypatch.setattr(sweep, "_score_pass",
-                        lambda *args: (values.copy(), *score(*args)[1:]))
+                        lambda lay, received, ontology: (np.tile(values, len(received)),
+                                                         *score(lay, received, ontology)[1:]))
     cfg = sweep.SweepConfig(snr_points=(6.0,), trials_per_point=100, base_seed=3)
     (row,) = sweep.run_sweep(small_corpus, ONT, cfg)
     total = 0.0
@@ -156,6 +168,66 @@ def test_fidelity_sums_frame_by_frame_left_to_right(small_corpus, monkeypatch):
         total += v
     assert row["fidelity"] == total / 100
     assert np.sum(np.concatenate([values, values])) != total
+
+
+# -- batches of receptions ----------------------------------------------------
+# run_sweep scores its receptions, one (SNR point, pass) a row, in batches
+# of at most _SCORE_OCTETS received octets
+
+BATCH_CASES = {
+    "awgn": sweep.SweepConfig(snr_points=(0.0, 6.0, 12.0, 18.0), trials_per_point=90,
+                              base_seed=6),
+    "awgn_unprotected": sweep.SweepConfig(snr_points=(0.0, 4.0, 8.0, 12.0), trials_per_point=90,
+                                          base_seed=7, header_protection=UNPROTECTED),
+    "bsc_unprotected": sweep.SweepConfig(snr_points=(0.0, 2.0, 4.0, 6.0), trials_per_point=90,
+                                         base_seed=8, channel_kind=BSC, bsc_flip_prob=0.01,
+                                         header_protection=UNPROTECTED),
+}
+
+
+def _pass_octets(sequences):
+    return sum(len(sweep.encode_frame(f, ONT)) for seq in sequences for f in seq.frames)
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batching_does_not_change_a_byte(small_corpus, case, monkeypatch):
+    # 4 points of 2 passes each: batches of one reception, of all eight,
+    # and of three, where the passes of points 1 and 2 fall into different
+    # batches and the last batch has two rows
+    cfg = BATCH_CASES[case]
+    rows, text = [], []
+    for budget in (1, sweep._SCORE_OCTETS, 3 * _pass_octets(small_corpus)):
+        monkeypatch.setattr(sweep, "_SCORE_OCTETS", budget)
+        rows.append(sweep._lay_out(small_corpus, ONT, 4, cfg.trials_per_point).rows)
+        text.append(sweep.rows_to_csv(sweep.run_sweep(small_corpus, ONT, cfg)))
+    assert rows == [1, 8, 3]
+    assert text[0] == text[1] == text[2]
+
+
+def test_a_sweep_scores_its_receptions_in_batches(default_corpus, small_corpus, monkeypatch):
+    rows = []
+    score = sweep._score_pass
+
+    def spy(lay, received, ontology):
+        rows.append(len(received))
+        return score(lay, received, ontology)
+
+    monkeypatch.setattr(sweep, "_score_pass", spy)
+    # the last 100-frame slice of the default corpus, as perfbench sweeps
+    # it: a pass of about 22 KB, so a batch holds 6 of the 11 points' passes
+    chunk = default_corpus[90:]
+    assert 5 * _pass_octets(chunk) < sweep._SCORE_OCTETS < 7 * _pass_octets(chunk)
+    sweep.run_sweep(chunk, ONT, sweep.SweepConfig(trials_per_point=100))
+    assert rows == [6, 5]
+    # a pass above the budget: one reception a call, until two fit
+    cfg = sweep.SweepConfig(snr_points=(0.0, 10.0), trials_per_point=100)
+    for budget, calls in ((_pass_octets(small_corpus) - 1, [1] * 4),
+                          (2 * _pass_octets(small_corpus) - 1, [1] * 4),
+                          (2 * _pass_octets(small_corpus), [2] * 2)):
+        rows.clear()
+        monkeypatch.setattr(sweep, "_SCORE_OCTETS", budget)
+        sweep.run_sweep(small_corpus, ONT, cfg)
+        assert rows == calls
 
 
 # -- the per-frame reference --------------------------------------------------

@@ -210,7 +210,7 @@ def test_risk_verdicts_match_the_loop(m, sequences):
         # the sweep's sent verdicts, and its received ones over a noiseless link
         lay = sweep._lay_out(seqs, ONT)
         assert lay.risky.tolist() == [v.decision == RISKY for v in expect]
-        _, *near = sweep._score_pass(lay, lay.buffer.copy(), ONT)
+        _, *near = sweep._score_pass(lay, lay.buffer.copy()[None], ONT)
         risky, score = risk_verdicts(lay.frame_seq, *near)
         assert risky.tolist() == [v.decision == RISKY for v in expect]
         assert score.tolist() == [v.score for v in expect]
