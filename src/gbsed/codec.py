@@ -13,7 +13,9 @@ Wire layout (big-endian, 21-octet header):
     |R| u8 | K u8 | flags u16 (reserved 0)
 
 followed by K matrices of N*N octets each (row-major, values in {0, r})
-and the feature matrix as N*d IEEE-754 binary32 values.
+and the feature matrix as N*d IEEE-754 binary32 values (``FEATURE``).
+``header_fields`` reads N, d and K from an array of headers; ``parse``
+unpacks one header whole.
 """
 
 import struct
@@ -34,6 +36,7 @@ MAGIC = b"GBSD"
 VERSION = 1
 HEADER_LEN = 21
 _HEADER = struct.Struct(">4sBQHHBBH")
+FEATURE = np.dtype(">f4")
 
 
 # the largest N, d (16-bit header fields) and |R|, K (8-bit fields)
@@ -58,6 +61,8 @@ def encode_tensor(graph, ontology):
     for src, rel, dst in graph.edges:
         if not 1 <= rel <= num_rel:
             raise OntologyMismatch(f"edge relation id {rel} outside 1..{num_rel}")
+        if not (0 <= src < n and 0 <= dst < n):
+            raise ShapeError(f"edge ({src}, {rel}, {dst}) has a node outside 0..{n - 1}")
         tensor[rel - 1, src, dst] = rel
     return tensor
 
@@ -139,7 +144,7 @@ def regenerate(tensor, features):
 
 
 def payload_length(n, d, k):
-    return HEADER_LEN + k * n * n + 4 * n * d
+    return HEADER_LEN + k * n * n + FEATURE.itemsize * n * d
 
 
 def serialize(retained, features, ontology):
@@ -160,7 +165,14 @@ def serialize(retained, features, ontology):
     if num_rel > _MAX_U8 or k > _MAX_U8:
         raise CapacityError(f"|R|={num_rel} K={k} exceed 8-bit fields")
     header = _HEADER.pack(MAGIC, VERSION, ontology_digest(ontology), n, d, num_rel, k, 0)
-    return b"".join((header, mats.tobytes(), feats.astype(">f4").tobytes()))
+    return b"".join((header, mats.tobytes(), feats.astype(FEATURE).tobytes()))
+
+
+def header_fields(headers):
+    """N, d and K of each row of a (frames, HEADER_LEN) uint8 array, as int64."""
+    n = headers[:, 13].astype(np.int64) << 8 | headers[:, 14]
+    d = headers[:, 15].astype(np.int64) << 8 | headers[:, 16]
+    return n, d, headers[:, 18].astype(np.int64)
 
 
 def headers_parse(headers, sent, lengths):
@@ -170,9 +182,7 @@ def headers_parse(headers, sent, lengths):
     ``sent`` is a header that serialize wrote, and row i of ``headers`` is
     the header of a ``lengths[i]``-octet payload under the same ontology.
     """
-    n = headers[:, 13].astype(np.int64) << 8 | headers[:, 14]
-    d = headers[:, 15].astype(np.int64) << 8 | headers[:, 16]
-    k = headers[:, 18]
+    n, d, k = header_fields(headers)
     return ((headers[:, _FIXED_OCTETS] == sent[:, _FIXED_OCTETS]).all(axis=1) & (n != 0)
             & (k <= headers[:, 17]) & (payload_length(n, d, k) == lengths))
 
@@ -214,6 +224,6 @@ def parse(payload, ontology):
         raise FormatError(f"{len(payload) - expected} trailing octets", offset=expected)
     retained = np.frombuffer(payload, dtype=np.uint8, count=k * n * n, offset=HEADER_LEN)
     retained = retained.reshape(k, n, n).copy()
-    feats = np.frombuffer(payload, dtype=">f4", count=n * d, offset=HEADER_LEN + k * n * n)
+    feats = np.frombuffer(payload, dtype=FEATURE, count=n * d, offset=HEADER_LEN + k * n * n)
     feats = feats.astype(np.float32).reshape(n, d)
     return retained, feats

@@ -62,14 +62,13 @@ class SceneGraph:
 _PAIR_BUDGET = 1 << 14
 
 
-def infer_relations(features, ontology, sizes=None):
+def infer_relations(features, ontology, sizes):
     """Evaluate the geometric relation predicates over every ordered node
     pair of each frame of a batch.
 
     ``features`` stacks the frames' (n, d) feature matrices in order and
     ``sizes`` holds their node counts; returns one tuple of (src, rel, dst)
     triplets per frame, sorted, with node indices local to the frame.
-    Without ``sizes`` the matrix is one frame and its tuple is returned.
 
     Coordinates are bird's-eye view: x lateral (right-positive), y
     longitudinal (forward-positive). All thresholds inclusive. A node whose
@@ -84,8 +83,7 @@ def infer_relations(features, ontology, sizes=None):
     D_VERY, and 100 and 16 have exact roots, so both decide alike.
     """
     features = np.asarray(features, dtype=np.float64)
-    one = sizes is None
-    sizes = np.array([len(features)] if one else sizes, dtype=np.int64)
+    sizes = np.array(sizes, dtype=np.int64)
     if sizes.sum() != len(features):
         raise ShapeError(f"frames of {sizes.sum()} nodes in all do not stack "
                          f"into {len(features)} feature rows")
@@ -106,7 +104,7 @@ def infer_relations(features, ontology, sizes=None):
         ends = np.cumsum(np.bincount(f, minlength=frames.size)).tolist()
         for k, a, b in zip(frames.tolist(), [0] + ends, ends):
             edges[k] = tuple(triplets[a:b])
-    return edges[0] if one else edges
+    return edges
 
 
 def _predicates(cls, x, y, speed):

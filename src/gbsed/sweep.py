@@ -3,17 +3,17 @@ through the configured channel at each SNR point, decode, and evaluate
 fidelity plus downstream risk-task metrics.
 
 A sweep receives the corpus pass once per SNR point and pass. The pass is
-encoded once per sweep into one octet buffer, and the link is planned
-once for that buffer (``plan_link``). Each reception is one ``send``
-call, which does only the work that depends on the seeds and the noise
-level, and fills one row of a batch of receptions. A batch holds at most
+encoded once per sweep into one octet buffer, and the link is planned once
+for that buffer (``plan_link``). Each reception is one ``send`` call,
+which does only the work that depends on the seeds and the noise level,
+and fills one row of a batch of receptions. A batch holds at most
 ``_SCORE_OCTETS`` received octets and at least one reception, and it is
 scored straight from the received octets with a few numpy calls, over
-offsets of every header, matrix and feature row laid out once per sweep
-for the batch; each SNR point keeps its own sums, verdicts and error
-count. A frame whose header arrived changed scores as a fallback (a bare
-ego: fidelity 0, nothing near) unless ``codec.headers_parse`` finds that
-it parses; only those frames are decoded on their own with
+offsets laid out once per sweep from the N, d and K of the sent headers
+(``codec.header_fields``); each SNR point keeps its own sums, verdicts and
+error count. A frame whose header arrived changed scores as a fallback (a
+bare ego: fidelity 0, nothing near) unless ``codec.headers_parse`` finds
+that it parses; only those frames are decoded on their own with
 ``decode_frame``. Each decision has one array rule that both paths call:
 ``codec.relation_ids`` decodes every matrix's relation id (``decompress``
 calls it for one frame), ``metrics.nodes_match`` tests every node
@@ -27,6 +27,7 @@ reference link built from the channel's primitives.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -99,13 +100,6 @@ def decode_frame(payload, ontology):
         return None
 
 
-def _ranges(starts, counts):
-    """starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1 for every i."""
-    counts = np.asarray(counts, dtype=np.int64)
-    return (np.repeat(starts - (np.cumsum(counts) - counts), counts)
-            + np.arange(counts.sum(), dtype=np.int64))
-
-
 # a sweep's receptions are scored in batches of at most this many received
 # octets, and of at least one reception
 _SCORE_OCTETS = 1 << 17
@@ -160,26 +154,24 @@ def _lay_out(sequences, ontology, points=1, trials=1):
     rows = min(points * passes, max(1, _SCORE_OCTETS // buffer.size))
 
     # the batch is rows copies of the pass, back to back
-    def per_frame(values):
-        return np.tile(np.array(values, dtype=np.int64), rows)
-
-    lengths = per_frame([len(p) for p in payloads])
-    n = per_frame([f.num_nodes for f in frames])
-    # compress keeps one matrix per relation that has an edge
-    k = per_frame([len({rel for _, rel, _ in f.edges}) for f in frames])
-    m = per_frame([len(f.edges) for f in frames])
+    lengths = np.tile(np.array([len(p) for p in payloads], dtype=np.int64), rows)
+    m = np.tile(np.array([len(f.edges) for f in frames], dtype=np.int64), rows)
     starts = np.cumsum(lengths) - lengths
-    matrix_len = k * n * n
-    # a payload is its header, its matrix octets and its feature octets
-    parts = np.stack([np.full_like(n, codec.HEADER_LEN), matrix_len,
-                      lengths - codec.HEADER_LEN - matrix_len], axis=1).reshape(-1)
     header_at = starts[:, None] + np.arange(codec.HEADER_LEN)
+    headers = np.tile(buffer[header_at[:len(frames)]], (rows, 1))
+    n, d, k = codec.header_fields(headers)
+    # a payload is its header, its matrix octets and its feature octets
+    parts = np.stack([np.full_like(n, codec.HEADER_LEN), k * n * n,
+                      codec.FEATURE.itemsize * n * d], axis=1).reshape(-1)
+    matrix_cells = np.repeat(n * n, k)  # back to back among the matrix octets
     frame_seq = np.repeat(np.arange(rows * len(sequences)), np.tile(seq_len, rows))
     frame_ids = np.arange(rows * len(frames))
     node_frame = np.repeat(frame_ids, n)
-    node_row = _ranges(np.zeros_like(n), n)
-    edges = np.array([(rel, j * f.num_nodes + dst) for f in frames for j, rel, dst in f.edges],
-                     dtype=np.int64).reshape(-1, 2)
+    node_row = np.arange(node_frame.size) - np.repeat(np.cumsum(n) - n, n)
+    edge_frame = np.repeat(frame_ids, m)
+    triplets = np.fromiter(chain.from_iterable(chain.from_iterable(f.edges for f in frames)),
+                           dtype=np.int64).reshape(-1, 3)
+    src, rel, dst = np.tile(triplets.T, rows)
     return _Pass(
         frames=frames,
         risky=risk_verdicts(frame_seq[:len(frames)], *near_ego(frames, ontology))[0],
@@ -192,17 +184,16 @@ def _lay_out(sequences, ontology, points=1, trials=1):
         matrix_octets=np.repeat(np.tile([False, True, False], n.size), parts),
         feature_octets=np.repeat(np.tile([False, False, True], n.size), parts),
         header_at=header_at,
-        headers=np.tile(buffer[header_at[:len(frames)]], (rows, 1)),
-        matrix_start=(np.repeat(np.cumsum(matrix_len) - matrix_len, k)
-                      + _ranges(np.zeros_like(k), k) * np.repeat(n * n, k)),
+        headers=headers,
+        matrix_start=np.cumsum(matrix_cells) - matrix_cells,
         matrix_frame=np.repeat(frame_ids, k),
         node_frame=node_frame,
         node_row=node_row,
         node_cell=node_row * n[node_frame],
         sent_features=np.tile(np.concatenate([f.features for f in frames]), (rows, 1)),
-        edge_frame=np.repeat(frame_ids, m),
-        edge_rel=np.tile(edges[:, 0], rows),
-        edge_cell=np.tile(edges[:, 1], rows),
+        edge_frame=edge_frame,
+        edge_rel=rel,
+        edge_cell=src * n[edge_frame] + dst,
         entities=n + m,
     )
 
@@ -237,9 +228,9 @@ def _score_pass(lay, received, ontology):
     edge_hits = np.bincount(
         edge_frame[has_edge(edge_frame, head(lay.edge_rel), head(lay.edge_cell))],
         minlength=num_frames)
-    values = flat[head(lay.feature_octets)].view(">f4").reshape(-1, ontology.num_attributes)
+    values = flat[head(lay.feature_octets)].view(codec.FEATURE)
     with np.errstate(invalid="ignore"):  # a received signalling NaN
-        recv_features = values.astype(np.float64)
+        recv_features = values.astype(np.float64).reshape(-1, ontology.num_attributes)
     node_hits = np.bincount(node_frame[nodes_match(head(lay.sent_features), recv_features,
                                                    ontology)], minlength=num_frames)
     fidelity = (node_hits + edge_hits) / head(lay.entities)

@@ -14,7 +14,7 @@ from scipy.special import erfc
 from scipy.stats import spearmanr
 
 from gbsed import codec, sweep
-from gbsed.channel import BSC, awgn, qam64_demap, qam64_map
+from gbsed.channel import BSC, UNPROTECTED, LinkConfig, qam64_map, transmit
 from gbsed.errors import GbsedError
 from gbsed.metrics import (
     ConfusionCounts,
@@ -170,11 +170,14 @@ def test_criterion_5_channel_ber_matches_closed_form():
     start = time.monotonic()
     n_bits = 10_000_000
     bits = (splitmix64_stream(7, n_bits) & 1).astype(np.uint8)
-    symbols, pad = qam64_map(bits)
+    payload = np.packbits(bits).tobytes()
     details = []
     worst = 0.0
     for snr_db in (8.0, 10.0, 12.0, 14.0):
-        received = qam64_demap(awgn(symbols, snr_db, int(snr_db) * 1009), pad)
+        # one payload through the link the sweep uses, every bit exposed
+        link = LinkConfig(snr_db=snr_db, seed=int(snr_db) * 1009,
+                          header_protection=UNPROTECTED)
+        received = np.unpackbits(np.frombuffer(transmit(payload, link)[0], dtype=np.uint8))
         measured = np.count_nonzero(received != bits) / n_bits
         expected = _qam64_ber_exact(snr_db)
         # nearest-neighbour approximation, shown only: it undershoots at low SNR

@@ -73,7 +73,7 @@ def test_risky_fraction_extremes():
 def test_edges_equal_relation_inference(default_corpus):
     for seq in default_corpus[:10]:
         for frame in seq.frames:
-            assert frame.edges == infer_relations(frame.features, ONT)
+            assert frame.edges == infer_relations(frame.features, ONT, [len(frame.features)])[0]
 
 
 def test_ego_at_origin(default_corpus):

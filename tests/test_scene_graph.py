@@ -163,7 +163,8 @@ def test_oracle_equivalence_random_scenes(ontology):
 def test_infer_relations_match_the_loop(ontology):
     for seed in range(40):
         features = np.array(_random_records(seed + 200, 1 + seed % 14), dtype=np.float64)
-        assert infer_relations(features, ontology) == reference_relations(features, ontology)
+        (edges,) = infer_relations(features, ontology, [len(features)])
+        assert edges == reference_relations(features, ontology)
     dense = generate(ScenarioSpec(seed=5, num_sequences=3, vehicles_range=(24, 30),
                                   lane_count=5), ontology)
     for seq in generate(ScenarioSpec(seed=11, num_sequences=20), ontology) + dense:
@@ -206,7 +207,7 @@ def test_a_batch_of_mixed_sizes_matches_frame_by_frame(ontology):
               _random_records(64, 12), _random_records(65, 12), _random_records(66, 1)]
     features = [np.array(records, dtype=np.float64) for records in frames]
     batch = infer_relations(np.concatenate(features), ontology, [len(f) for f in features])
-    assert batch == [infer_relations(f, ontology) for f in features]
+    assert batch == [infer_relations(f, ontology, [len(f)])[0] for f in features]
     assert batch == [oracle_relations(records) for records in frames]
     assert [g.edges for g in graphs_from_bev(frames, ontology)] == batch
     assert infer_relations(np.zeros((0, 4)), ontology, []) == []
@@ -220,8 +221,8 @@ def test_a_non_finite_class_is_no_lane(ontology, cls):
                          (CLASS_LANE, -1.0, 3, 0)], dtype=np.float64)
     as_vehicle = features.copy()
     as_vehicle[1, 0] = CLASS_VEHICLE
-    edges = infer_relations(features, ontology)
-    assert edges == infer_relations(as_vehicle, ontology)
+    edges = infer_relations(features, ontology, [len(features)])[0]
+    assert edges == infer_relations(as_vehicle, ontology, [len(as_vehicle)])[0]
     assert edges == reference_relations(as_vehicle, ontology)
     assert (0, ontology.relation_id("is_in"), 2) in edges
 
@@ -231,7 +232,8 @@ def test_non_finite_coordinates_decide_as_the_loop(ontology):
     features = np.array([(CLASS_VEHICLE, 0, 0, 10), (CLASS_VEHICLE, math.inf, 5, 10),
                          (CLASS_LANE, math.inf, -5, 0), (CLASS_VEHICLE, 1e200, math.nan, 1),
                          (CLASS_VEHICLE, -1e200, 2, 12)], dtype=np.float64)
-    assert infer_relations(features, ontology) == reference_relations(features, ontology)
+    (edges,) = infer_relations(features, ontology, [len(features)])
+    assert edges == reference_relations(features, ontology)
 
 
 def test_translation_invariance(ontology):

@@ -123,6 +123,22 @@ def test_decompress_and_the_sweep_share_the_relation_rule(small_corpus, monkeypa
     assert callers == ["decompress", "_score_pass"]
 
 
+def test_the_sweep_and_headers_parse_share_the_header_fields(small_corpus, monkeypatch):
+    # where N, d and K sit in a header is codec's to know: a change of the
+    # header layout made in codec.header_fields reaches both readers
+    callers = []
+    original = codec.header_fields
+
+    def spy(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(*args)
+
+    monkeypatch.setattr(codec, "header_fields", spy)
+    sweep.run_sweep(small_corpus, ONT, sweep.SweepConfig(snr_points=(10.0,),
+                                                         trials_per_point=1))
+    assert callers == ["_lay_out", "headers_parse"]
+
+
 def test_frame_without_nodes_is_refused():
     # parse refuses node count 0, so encode_frame does too; the sweep would
     # otherwise score 0 of 0 entities
@@ -132,6 +148,18 @@ def test_frame_without_nodes_is_refused():
     cfg = sweep.SweepConfig(snr_points=(math.inf,), trials_per_point=1)
     with pytest.raises(GbsedError):
         sweep.run_sweep([GraphSequence((empty,))], ONT, cfg)
+
+
+@pytest.mark.parametrize("edge", [(-1, 1, 0), (0, 1, 2)])
+def test_edge_with_a_node_outside_the_frame_is_refused(edge):
+    # node -1 would be written as node 1, and node 2 of 2 nodes would index
+    # past the tensor
+    frame = SceneGraph(np.zeros((2, 4)), (edge,))
+    with pytest.raises(ShapeError):
+        sweep.encode_frame(frame, ONT)
+    cfg = sweep.SweepConfig(snr_points=(math.inf,), trials_per_point=1)
+    with pytest.raises(ShapeError):
+        sweep.run_sweep([GraphSequence((frame,))], ONT, cfg)
 
 
 def test_noiseless_sweep_row(small_corpus):
@@ -228,6 +256,72 @@ def test_a_sweep_scores_its_receptions_in_batches(default_corpus, small_corpus, 
         monkeypatch.setattr(sweep, "_SCORE_OCTETS", budget)
         sweep.run_sweep(small_corpus, ONT, cfg)
         assert rows == calls
+
+
+def _ranges(starts, counts):
+    """starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1 for every i."""
+    counts = np.asarray(counts, dtype=np.int64)
+    return (np.repeat(starts - (np.cumsum(counts) - counts), counts)
+            + np.arange(counts.sum(), dtype=np.int64))
+
+
+def _layout_from_the_graphs(frames, rows):
+    """The index arrays of rows copies of a pass, as _lay_out derived them
+    from the scene graphs before it read the sent headers: N from the graph
+    and K by compress's rule, one matrix per relation that has an edge."""
+    def per_frame(values):
+        return np.tile(np.array(values, dtype=np.int64), rows)
+
+    n = per_frame([f.num_nodes for f in frames])
+    k = per_frame([len({rel for _, rel, _ in f.edges}) for f in frames])
+    m = per_frame([len(f.edges) for f in frames])
+    lengths = per_frame([len(sweep.encode_frame(f, ONT)) for f in frames])
+    matrix_len = k * n * n
+    parts = np.stack([np.full_like(n, HEADER_LEN), matrix_len,
+                      lengths - HEADER_LEN - matrix_len], axis=1).reshape(-1)
+    frame_ids = np.arange(rows * len(frames))
+    node_frame = np.repeat(frame_ids, n)
+    node_row = _ranges(np.zeros_like(n), n)
+    edges = np.array([(rel, j * f.num_nodes + dst) for f in frames for j, rel, dst in f.edges],
+                     dtype=np.int64).reshape(-1, 2)
+    return {
+        "matrix_octets": np.repeat(np.tile([False, True, False], n.size), parts),
+        "feature_octets": np.repeat(np.tile([False, False, True], n.size), parts),
+        "matrix_start": (np.repeat(np.cumsum(matrix_len) - matrix_len, k)
+                         + _ranges(np.zeros_like(k), k) * np.repeat(n * n, k)),
+        "matrix_frame": np.repeat(frame_ids, k),
+        "node_frame": node_frame,
+        "node_row": node_row,
+        "node_cell": node_row * n[node_frame],
+        "edge_frame": np.repeat(frame_ids, m),
+        "edge_rel": np.tile(edges[:, 0], rows),
+        "edge_cell": np.tile(edges[:, 1], rows),
+        "entities": n + m,
+    }
+
+
+LAYOUT_CASES = {
+    "default_slice": lambda corpus: corpus[90:],
+    "dense": lambda corpus: _dense_corpus(),
+    "no_edges": lambda corpus: [GraphSequence((SceneGraph(np.ones((3, 4)), ()),))],
+    "one_node": lambda corpus: [GraphSequence((SceneGraph(np.ones((1, 4)), ()),))],
+    "all_relations": lambda corpus: [GraphSequence((SceneGraph(
+        np.ones((3, 4)), tuple(sorted([(0, r, 1) for r in range(1, 9)] + [(2, 3, 0)]))),))],
+}
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+def test_layout_from_the_headers_matches_the_graphs(default_corpus, case, rows, monkeypatch):
+    corpus = LAYOUT_CASES[case](default_corpus)
+    monkeypatch.setattr(sweep, "_SCORE_OCTETS", 1 << 30)
+    lay = sweep._lay_out(corpus, ONT, points=rows)
+    assert lay.rows == rows
+    frames = [f for seq in corpus for f in seq.frames]
+    expect = _layout_from_the_graphs(frames, rows)
+    for name, want in expect.items():
+        got = getattr(lay, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 # -- the per-frame reference --------------------------------------------------
