@@ -228,7 +228,8 @@ def plan_link(buffer, lengths, channel_kind, header_protection):
     head = np.minimum(lengths, guard)
     octets = lengths - head
     first = np.cumsum(octets) - octets
-    body_at = np.repeat(starts + head - first, octets) + np.arange(octets.sum())
+    at = np.arange(octets.sum())
+    body_at = np.repeat(starts + head - first, octets) + at
     awgn_link = channel_kind == AWGN64QAM
     groups = -(-octets // 3)
     # two splitmix64 outputs per symbol, one per bit
@@ -238,11 +239,13 @@ def plan_link(buffer, lengths, channel_kind, header_protection):
     indices = keep = None
     if awgn_link:
         padded = 3 * groups
-        keep = np.repeat(np.cumsum(padded) - padded - first, octets) + np.arange(sent.size)
+        keep = np.repeat(np.cumsum(padded) - padded - first, octets) + at
         octet_groups = np.zeros(padded.sum(), dtype=np.uint8)
         octet_groups[keep] = sent
         codes = _codes_from_octets(octet_groups)
-        indices = ((_LEVEL_BY_CODE + 7) / 2).astype(np.uint8)[np.stack([codes >> 3, codes & 7])]
+        # a 3-bit Gray code c is level index c ^ c >> 1 ^ c >> 2
+        indices = np.stack([codes >> 3, codes & 7])
+        indices ^= indices >> 1 ^ indices >> 2
     blocks = []
     ends = np.cumsum(counts)
     a = 0
@@ -458,7 +461,10 @@ def _awgn_octets(plan, seeds, sigma):
 
 
 def frames_required(payload_len_octets):
-    """OFDM frames needed for a payload on a fully loaded uncoded grid."""
-    if payload_len_octets <= 0:
+    """OFDM frames needed for a payload on a fully loaded uncoded grid; an
+    int for one payload length, and an array for an array of them."""
+    octets = np.asarray(payload_len_octets)
+    if (octets <= 0).any():
         raise ValueError("payload length must be positive")
-    return -(-8 * payload_len_octets // OFDM_FRAME_BITS)
+    frames = -(-8 * octets // OFDM_FRAME_BITS)
+    return frames if frames.ndim else int(frames)

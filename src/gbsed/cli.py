@@ -11,6 +11,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import scenarios, sweep
 from .channel import AWGN64QAM, BSC, PROTECTED, UNPROTECTED, LinkConfig
 from .errors import GbsedError
@@ -107,16 +109,14 @@ def cmd_encode(args):
     o = _load_ontology_arg(args.ontology)
     seqs = scenarios.read_scenes(args.scenes, o)
     os.makedirs(args.out, exist_ok=True)
-    total = 0
-    count = 0
-    for s, seq in enumerate(seqs):
-        for k, frame in enumerate(seq.frames):
-            payload = sweep.encode_frame(frame, o)
-            name = os.path.join(args.out, f"seq{s:04d}_f{k:03d}.gbsd")
-            with open(name, "wb") as fh:
-                fh.write(payload)
-            total += len(payload)
-            count += 1
+    buffer, lengths, _ = sweep.encode_frames([f for seq in seqs for f in seq.frames], o)
+    names = [f"seq{s:04d}_f{k:03d}.gbsd" for s, seq in enumerate(seqs)
+             for k in range(len(seq.frames))]
+    ends = np.cumsum(lengths).tolist()
+    for name, lo, hi in zip(names, [0] + ends, ends):
+        with open(os.path.join(args.out, name), "wb") as fh:
+            fh.write(buffer[lo:hi].tobytes())
+    count, total = len(names), int(lengths.sum())
     if count == 0:
         print("0 frames encoded")
         return EXIT_OK

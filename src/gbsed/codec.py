@@ -7,6 +7,15 @@ relation id from its nonzero entries (``relation_ids``, the sweep's too) and
 rebuilds a binary (|R|, N, N) tensor; regeneration turns it plus the
 feature matrix into a scene graph.
 
+``encode_frames`` writes what ``serialize(compress(encode_tensor(g)))``
+writes for every frame of a pass in one call, from the frames' stacked
+feature matrices, node counts and triplets; the sweep, the CLI and
+``sweep.encode_frame`` encode through it. A pass with frames those stages
+refuse raises their error for the first of them, as those stages run on
+that frame raise it. ``payload_parts`` tells the header, matrix and
+feature octets of back-to-back payloads apart, for the encoder and for the
+sweep's layout.
+
 Wire layout (big-endian, 21-octet header):
 
     magic 'GBSD' | version u8 | ontology digest u64 | N u16 | d u16 |
@@ -14,8 +23,8 @@ Wire layout (big-endian, 21-octet header):
 
 followed by K matrices of N*N octets each (row-major, values in {0, r})
 and the feature matrix as N*d IEEE-754 binary32 values (``FEATURE``).
-``header_fields`` reads N, d and K from an array of headers; ``parse``
-unpacks one header whole.
+``header_fields`` reads N, d and K from an array of headers, at the octets
+where ``encode_frames`` writes N and K; ``parse`` unpacks one header whole.
 """
 
 import struct
@@ -42,6 +51,9 @@ FEATURE = np.dtype(">f4")
 # the largest N, d (16-bit header fields) and |R|, K (8-bit fields)
 _MAX_U16 = 0xFFFF
 _MAX_U8 = 0xFF
+
+# header octets of the u16 N, the u16 d and the u8 K
+_N_AT, _D_AT, _K_AT = 13, 15, 18
 
 # header octets of the fields parse accepts in one value only: magic,
 # version, digest, d, |R| and flags
@@ -168,11 +180,87 @@ def serialize(retained, features, ontology):
     return b"".join((header, mats.tobytes(), feats.astype(FEATURE).tobytes()))
 
 
+def payload_parts(n, d, k):
+    """The part of every octet of back-to-back payloads of these N, d and
+    K: 0 in a header, 1 in the matrices and 2 in the features."""
+    parts = np.stack([np.full_like(n, HEADER_LEN), k * n * n, FEATURE.itemsize * n * d],
+                     axis=1).reshape(-1)
+    return np.repeat(np.tile(np.arange(3, dtype=np.uint8), n.size), parts)
+
+
+def encode_frames(features, ontology, sizes, triplets, edge_counts):
+    """The payloads ``serialize(compress(encode_tensor(g)))`` writes for
+    every frame g of a pass, back to back, in one call.
+
+    The frames come as ``scene_graph.stack_graphs`` stacks them:
+    ``features`` stacks their (n, d) feature matrices in order and
+    ``sizes`` holds their node counts; ``triplets`` stacks their (src, rel,
+    dst) triplets as an (edges, 3) array and ``edge_counts`` holds how many
+    each has. Returns the uint8 buffer and the int64 payload lengths. A
+    pass with frames those stages refuse raises what they raise for the
+    first of them.
+    """
+    features = np.asarray(features)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    triplets = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
+    edge_counts = np.asarray(edge_counts, dtype=np.int64)
+    if features.ndim != 2 or len(features) != sizes.sum() or len(triplets) != edge_counts.sum():
+        raise ShapeError(f"frames of {sizes.sum()} nodes and {edge_counts.sum()} triplets do "
+                         f"not stack into features of shape {features.shape} and "
+                         f"{len(triplets)} triplets")
+    num_rel, d = ontology.num_relations, ontology.num_attributes
+    edge_frame = np.repeat(np.arange(sizes.size), edge_counts)
+    _refuse(features, sizes, triplets, edge_frame, ontology)
+    if not sizes.size:
+        return np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64)
+    src, rel, dst = triplets.T
+    # a frame keeps one matrix per relation that has an edge, in relation
+    # order; (frame, relation) pairs are indexed flat
+    pair = edge_frame * num_rel + rel - 1
+    present = np.zeros((sizes.size, num_rel), dtype=bool)
+    present.reshape(-1)[pair] = True
+    k = np.count_nonzero(present, axis=1)
+    slot = np.cumsum(present, axis=1).reshape(-1)[pair] - 1
+    lengths = payload_length(sizes, d, k)
+    starts = np.cumsum(lengths) - lengths
+    part = payload_parts(sizes, d, k)
+    buffer = np.zeros(part.size, dtype=np.uint8)
+    header = _HEADER.pack(MAGIC, VERSION, ontology_digest(ontology), 0, d, num_rel, 0, 0)
+    headers = np.tile(np.frombuffer(header, dtype=np.uint8), (sizes.size, 1))
+    headers[:, _N_AT] = sizes >> 8
+    headers[:, _N_AT + 1] = sizes & 0xFF
+    headers[:, _K_AT] = k
+    buffer[part == 0] = headers.reshape(-1)
+    n = sizes[edge_frame]
+    buffer[starts[edge_frame] + HEADER_LEN + slot * n * n + src * n + dst] = rel
+    buffer[part == 2] = features.astype(np.float32).astype(FEATURE).view(np.uint8).reshape(-1)
+    return buffer, lengths
+
+
+def _refuse(features, sizes, triplets, edge_frame, ontology):
+    """Raise what ``serialize(compress(encode_tensor(g)))`` raises for the
+    first frame g of encode_frames' pass that those stages refuse, if any."""
+    num_rel, d = ontology.num_relations, ontology.num_attributes
+    src, rel, dst = triplets.T
+    n = sizes[edge_frame]
+    bad = (sizes == 0) | (sizes > _MAX_U16)
+    bad[edge_frame[(rel < 1) | (rel > num_rel) | (np.minimum(src, dst) < 0)
+                   | (np.maximum(src, dst) >= n)]] = True
+    if num_rel > _MAX_U8 or features.shape[1] != d or d > _MAX_U16:
+        bad[:] = True
+    if bad.any():
+        f = int(bad.argmax())
+        lo = int(sizes[:f].sum())
+        graph = SceneGraph(features[lo:lo + sizes[f]],
+                           tuple(map(tuple, triplets[edge_frame == f].tolist())))
+        serialize(compress(encode_tensor(graph, ontology)), graph.features, ontology)
+
+
 def header_fields(headers):
     """N, d and K of each row of a (frames, HEADER_LEN) uint8 array, as int64."""
-    n = headers[:, 13].astype(np.int64) << 8 | headers[:, 14]
-    d = headers[:, 15].astype(np.int64) << 8 | headers[:, 16]
-    return n, d, headers[:, 18].astype(np.int64)
+    n = headers[:, _N_AT].astype(np.int64) << 8 | headers[:, _N_AT + 1]
+    d = headers[:, _D_AT].astype(np.int64) << 8 | headers[:, _D_AT + 1]
+    return n, d, headers[:, _K_AT].astype(np.int64)
 
 
 def headers_parse(headers, sent, lengths):

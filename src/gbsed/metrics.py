@@ -138,35 +138,44 @@ def classification_metrics(c):
 
 
 def average_ranks(values):
-    """1-based ranks of values, tied values sharing the mean of their ranks
-    (``scipy.stats.rankdata``'s default); all NaN if any value is NaN."""
+    """1-based ranks of values along the last axis, tied values sharing the
+    mean of their ranks (``scipy.stats.rankdata``'s default); a row with a
+    NaN ranks all NaN."""
     values = np.asarray(values, dtype=float)
-    if np.isnan(values).any():
-        return np.full(values.shape, math.nan)
-    order = np.argsort(values, kind="mergesort")
-    ordered = values[order]
-    # tie groups of the sorted values: first and last 0-based position
-    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    group = np.cumsum(new) - 1
-    first = np.flatnonzero(new)
-    last = np.append(first[1:], values.size) - 1
-    ranks = np.empty(values.size)
-    ranks[order] = 0.5 * (first + last + 2)[group]
+    size = values.shape[-1]
+    order = np.argsort(values, axis=-1, kind="mergesort")
+    ordered = np.take_along_axis(values, order, axis=-1)
+    # tie groups of the sorted values: a group starts at position i where
+    # bounds[..., i] and ends at i where bounds[..., i + 1]
+    bounds = np.ones(values.shape[:-1] + (size + 1,), dtype=bool)
+    np.not_equal(ordered[..., 1:], ordered[..., :-1], out=bounds[..., 1:-1])
+    at = np.arange(size)
+    first = np.maximum.accumulate(np.where(bounds[..., :-1], at, 0), axis=-1)
+    last = np.flip(np.minimum.accumulate(np.flip(np.where(bounds[..., 1:], at, size), -1),
+                                         axis=-1), -1)
+    ranks = np.empty(values.shape)
+    np.put_along_axis(ranks, order, 0.5 * (first + last + 2), axis=-1)
+    ranks[np.isnan(values).any(axis=-1)] = math.nan
     return ranks
 
 
 def auc(scores, labels):
-    """Rank-based (Mann-Whitney) area under the ROC curve.
+    """Rank-based (Mann-Whitney) area under the ROC curve, along the last
+    axis.
 
-    ``scores`` and ``labels`` are equal-length arrays, the labels binary
-    (0/1 or bool); ties count one half.
+    ``scores`` holds a row of scores or an array of rows, and ``labels``
+    the binary labels (0/1 or bool) of a row, or of each row; ties count
+    one half. Returns a float for one row and an array for rows, NaN for a
+    row with a NaN score.
     """
     scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
-    n_pos = int(np.sum(labels == 1))
-    n_neg = int(np.sum(labels == 0))
-    if n_pos == 0 or n_neg == 0:
+    labels = np.broadcast_to(labels, scores.shape)
+    positive = labels == 1
+    n_pos = np.count_nonzero(positive, axis=-1)
+    n_neg = np.count_nonzero(labels == 0, axis=-1)
+    if not (np.all(n_pos) and np.all(n_neg)):
         raise DegenerateInput("AUC needs at least one positive and one negative label")
-    ranks = average_ranks(scores)
-    rank_sum_pos = float(np.sum(ranks[labels == 1]))
-    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    # ranks are halves, so their sum is exact in any order
+    rank_sum_pos = np.sum(average_ranks(scores), axis=-1, where=positive)
+    value = (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return float(value) if value.ndim == 0 else value

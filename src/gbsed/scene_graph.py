@@ -7,6 +7,7 @@ Node 0 is the ego vehicle by convention.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -34,7 +35,7 @@ RELATIONS = ("is_near", "very_near", "to_left_of", "to_right_of", "in_front_of",
 @dataclass(frozen=True, eq=False)
 class SceneGraph:
     features: np.ndarray  # (N, d) float64, row i is node i; C-contiguous, read-only
-    edges: tuple  # sorted (src, rel, dst) triplets
+    edges: tuple  # sorted (src, rel, dst) triplets, each once
 
     def __post_init__(self):
         feats = np.array(self.features, dtype=np.float64, order="C")
@@ -42,6 +43,11 @@ class SceneGraph:
             raise ShapeError(f"features of shape {feats.shape} are not an (N, d) matrix")
         feats.flags.writeable = False
         object.__setattr__(self, "features", feats)
+        # a triplet listed twice would count twice as sent and as recovered,
+        # though the codec sends it once
+        if len(set(self.edges)) != len(self.edges):
+            twice = next(e for i, e in enumerate(self.edges) if e in self.edges[:i])
+            raise ShapeError(f"triplet {twice} is listed more than once")
 
     # a generated __eq__ would compare the matrices' truth values, which
     # raises; NaN features equal NaN so that a graph equals itself
@@ -54,6 +60,20 @@ class SceneGraph:
     @property
     def num_nodes(self):
         return len(self.features)
+
+
+def stack_graphs(graphs):
+    """Scene graphs as the arrays that ``infer_relations`` and
+    ``codec.encode_frames`` take: their feature matrices stacked in order,
+    their node counts, their (src, rel, dst) triplets stacked as an
+    (edges, 3) int64 array, and their edge counts. The graphs' matrices must
+    be of one width."""
+    edge_counts = np.array([len(g.edges) for g in graphs], dtype=np.int64)
+    triplets = np.fromiter(chain.from_iterable(chain.from_iterable(g.edges for g in graphs)),
+                           dtype=np.int64, count=3 * int(edge_counts.sum())).reshape(-1, 3)
+    features = np.concatenate([g.features for g in graphs]) if graphs else np.zeros((0, 0))
+    return (features, np.array([g.num_nodes for g in graphs], dtype=np.int64), triplets,
+            edge_counts)
 
 
 # the most ordered node pairs, self pairs included, that graphs_from_bev

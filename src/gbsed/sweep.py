@@ -3,8 +3,10 @@ through the configured channel at each SNR point, decode, and evaluate
 fidelity plus downstream risk-task metrics.
 
 A sweep receives the corpus pass once per SNR point and pass. The pass is
-encoded once per sweep into one octet buffer, and the link is planned once
-for that buffer (``plan_link``). Each reception is one ``send`` call,
+encoded once per sweep into one octet buffer, with one
+``codec.encode_frames`` call over the frames' stacked arrays
+(``encode_frames``, which ``encode_frame`` and ``gbsed encode`` call too),
+and the link is planned once for that buffer (``plan_link``). Each reception is one ``send`` call,
 which does only the work that depends on the seeds and the noise level,
 and fills one row of a batch of receptions. A batch holds at most
 ``_SCORE_OCTETS`` received octets and at least one reception, and it is
@@ -18,7 +20,9 @@ that it parses; only those frames are decoded on their own with
 ``codec.relation_ids`` decodes every matrix's relation id (``decompress``
 calls it for one frame), ``metrics.nodes_match`` tests every node
 (``semantic_fidelity`` calls it for one frame), and ``risk_verdicts``
-decides every sequence's risk verdict, sent and received.
+decides every sequence's risk verdict, sent and received. The result
+rows of all the SNR points are scored in one call (``_point_rows``):
+``verdict_consistency`` counts and ``metrics.auc`` ranks one row a point.
 The single-frame path (``encode_frame``, ``transmit``, ``decode_frame``,
 ``semantic_fidelity``, ``task_consistency``) gives the same numbers frame
 by frame; the tests check the sweep against that loop run over a float64
@@ -27,7 +31,6 @@ reference link built from the channel's primitives.
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -43,9 +46,11 @@ from .channel import (
 )
 from .errors import DegenerateInput, GbsedError
 from .metrics import classification_metrics, auc as auc_metric, nodes_match, semantic_fidelity
+from .scene_graph import stack_graphs
 from .task import (
     near_ego,
     near_ego_nodes,
+    near_ego_stacked,
     risk_verdicts,
     task_consistency,  # noqa: F401  (single-frame path)
     verdict_consistency,
@@ -86,8 +91,25 @@ class SweepConfig:
 
 def encode_frame(graph, ontology):
     """Scene graph -> wire payload octets."""
-    retained = codec.compress(codec.encode_tensor(graph, ontology))
-    return codec.serialize(retained, graph.features, ontology)
+    return encode_frames([graph], ontology)[0].tobytes()
+
+
+def encode_frames(frames, ontology):
+    """Scene graphs -> their payloads back to back in one uint8 buffer, and
+    the payload lengths, in one ``codec.encode_frames`` call. Also returns
+    the arrays that call took (``stack_graphs``)."""
+    try:
+        stacked = stack_graphs(frames)
+    except (TypeError, ValueError, OverflowError):
+        # frames that do not stack (feature matrices of mixed widths, or a
+        # triplet that is not three int64 values) include one that the
+        # staged encode refuses: it names the first
+        for f in frames:
+            codec.serialize(codec.compress(codec.encode_tensor(f, ontology)), f.features,
+                            ontology)
+        raise
+    features, sizes, triplets, edge_counts = stacked
+    return (*codec.encode_frames(features, ontology, sizes, triplets, edge_counts), stacked)
 
 
 def decode_frame(payload, ontology):
@@ -148,41 +170,37 @@ def _lay_out(sequences, ontology, points=1, trials=1):
     seq_len = [len(seq.frames) for seq in sequences]
     if 0 in seq_len:
         raise DegenerateInput("empty graph sequence")
-    payloads = [encode_frame(f, ontology) for f in frames]
-    buffer = np.frombuffer(b"".join(payloads), dtype=np.uint8)
+    buffer, lengths, stacked = encode_frames(frames, ontology)
+    features, _, triplets, m = stacked
     passes = -(-trials // len(frames))
     rows = min(points * passes, max(1, _SCORE_OCTETS // buffer.size))
 
     # the batch is rows copies of the pass, back to back
-    lengths = np.tile(np.array([len(p) for p in payloads], dtype=np.int64), rows)
-    m = np.tile(np.array([len(f.edges) for f in frames], dtype=np.int64), rows)
+    lengths = np.tile(lengths, rows)
     starts = np.cumsum(lengths) - lengths
     header_at = starts[:, None] + np.arange(codec.HEADER_LEN)
     headers = np.tile(buffer[header_at[:len(frames)]], (rows, 1))
     n, d, k = codec.header_fields(headers)
-    # a payload is its header, its matrix octets and its feature octets
-    parts = np.stack([np.full_like(n, codec.HEADER_LEN), k * n * n,
-                      codec.FEATURE.itemsize * n * d], axis=1).reshape(-1)
+    part = codec.payload_parts(n, d, k)
     matrix_cells = np.repeat(n * n, k)  # back to back among the matrix octets
     frame_seq = np.repeat(np.arange(rows * len(sequences)), np.tile(seq_len, rows))
     frame_ids = np.arange(rows * len(frames))
     node_frame = np.repeat(frame_ids, n)
     node_row = np.arange(node_frame.size) - np.repeat(np.cumsum(n) - n, n)
+    m = np.tile(m, rows)
     edge_frame = np.repeat(frame_ids, m)
-    triplets = np.fromiter(chain.from_iterable(chain.from_iterable(f.edges for f in frames)),
-                           dtype=np.int64).reshape(-1, 3)
     src, rel, dst = np.tile(triplets.T, rows)
     return _Pass(
         frames=frames,
-        risky=risk_verdicts(frame_seq[:len(frames)], *near_ego(frames, ontology))[0],
+        risky=risk_verdicts(frame_seq[:len(frames)], *near_ego_stacked(*stacked, ontology))[0],
         buffer=buffer,
         passes=passes,
         rows=rows,
         frame_seq=frame_seq,
         lengths=lengths,
         starts=starts,
-        matrix_octets=np.repeat(np.tile([False, True, False], n.size), parts),
-        feature_octets=np.repeat(np.tile([False, False, True], n.size), parts),
+        matrix_octets=part == 1,
+        feature_octets=part == 2,
         header_at=header_at,
         headers=headers,
         matrix_start=np.cumsum(matrix_cells) - matrix_cells,
@@ -190,7 +208,7 @@ def _lay_out(sequences, ontology, points=1, trials=1):
         node_frame=node_frame,
         node_row=node_row,
         node_cell=node_row * n[node_frame],
-        sent_features=np.tile(np.concatenate([f.features for f in frames]), (rows, 1)),
+        sent_features=np.tile(features, (rows, 1)),
         edge_frame=edge_frame,
         edge_rel=rel,
         edge_cell=src * n[edge_frame] + dst,
@@ -261,29 +279,32 @@ def _score_pass(lay, received, ontology):
     return fidelity, any_near, np.concatenate(near_frame), np.concatenate(near_row)
 
 
-def _point_row(snr_db, ber, fidelity, truth, pred_risky, pred_score, sizes):
-    """The result row of one SNR point, from its sent verdicts and its
-    passes' received verdicts and scores, one array a pass in pass order."""
-    counts, consistency, scores, labels = verdict_consistency(
-        truth, np.concatenate(pred_risky), np.concatenate(pred_score))
-    cls = classification_metrics(counts)
+def _point_rows(snr_points, ber, fidelity, truth, pred_risky, pred_score, sizes):
+    """The result rows of the SNR points, from their BERs and mean
+    fidelities, the sent verdicts, and each point's received verdicts and
+    scores: one (points, sequences) row a point, its passes in pass order."""
+    counts, consistency, scores, labels = verdict_consistency(truth, pred_risky, pred_score)
     try:
-        auc_val = auc_metric(scores, labels)
+        auc_val = auc_metric(scores, labels).tolist()
     except GbsedError:
-        auc_val = float("nan")
-    return {
-        "snr_db": snr_db,
-        "ber": ber,
-        "fidelity": fidelity,
-        "consistency": consistency,
-        "accuracy": cls.accuracy,
-        "precision": cls.precision,
-        "recall": cls.recall,
-        "f1": cls.f1,
-        "mcc": cls.mcc,
-        "auc": auc_val,
-        **sizes,
-    }
+        auc_val = [float("nan")] * len(snr_points)
+    rows = []
+    for i, snr_db in enumerate(snr_points):
+        cls = classification_metrics(counts[i])
+        rows.append({
+            "snr_db": snr_db,
+            "ber": ber[i],
+            "fidelity": fidelity[i],
+            "consistency": float(consistency[i]),
+            "accuracy": cls.accuracy,
+            "precision": cls.precision,
+            "recall": cls.recall,
+            "f1": cls.f1,
+            "mcc": cls.mcc,
+            "auc": auc_val[i],
+            **sizes,
+        })
+    return rows
 
 
 def run_sweep(sequences, ontology, cfg):
@@ -305,7 +326,8 @@ def run_sweep(sequences, ontology, cfg):
     receptions = [(i, p) for i in range(points) for p in range(lay.passes)]
     errors = [0] * points
     fidelity_sum = [0.0] * points
-    pred_risky, pred_score = ([[] for _ in range(points)] for _ in range(2))
+    pred_risky = np.empty((points, lay.passes, lay.risky.size), dtype=bool)
+    pred_score = np.empty(pred_risky.shape)
     batch = np.empty((lay.rows, lay.buffer.size), dtype=np.uint8)
     for lo in range(0, len(receptions), lay.rows):
         todo = receptions[lo:lo + lay.rows]
@@ -317,24 +339,23 @@ def run_sweep(sequences, ontology, cfg):
         rows = len(todo)
         fid, *near = _score_pass(lay, batch[:rows], ontology)
         risky, score = risk_verdicts(lay.frame_seq[:rows * num_frames], *near)
-        for (i, _), f, r, s in zip(todo, fid.reshape(rows, -1), risky.reshape(rows, -1),
+        for (i, p), f, r, s in zip(todo, fid.reshape(rows, -1), risky.reshape(rows, -1),
                                    score.reshape(rows, -1)):
             # frame by frame, left to right, pass after pass: the sum's
             # rounding is part of the output
             running = np.add.accumulate(np.concatenate([[fidelity_sum[i]], f]))
             fidelity_sum[i] = float(running[-1])
-            pred_risky[i].append(r)
-            pred_score[i].append(s)
+            pred_risky[i, p] = r
+            pred_score[i, p] = s
     sizes = {
         "mean_payload_octets": int(lengths.sum()) / num_frames,
-        "frames_per_payload": sum(frames_required(x) for x in lengths.tolist()) / num_frames,
+        "frames_per_payload": int(frames_required(lengths).sum()) / num_frames,
     }
-    truth = np.tile(lay.risky, lay.passes)
     bits = 8 * int(lengths.sum()) * lay.passes
-    return [_point_row(snr_db, errors[i] / bits if bits else 0.0,
-                       fidelity_sum[i] / (num_frames * lay.passes), truth, pred_risky[i],
-                       pred_score[i], sizes)
-            for i, snr_db in enumerate(cfg.snr_points)]
+    return _point_rows(cfg.snr_points, [e / bits if bits else 0.0 for e in errors],
+                       [f / (num_frames * lay.passes) for f in fidelity_sum],
+                       np.tile(lay.risky, lay.passes), pred_risky.reshape(points, -1),
+                       pred_score.reshape(points, -1), sizes)
 
 
 def rows_to_csv(rows):

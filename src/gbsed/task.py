@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DegenerateInput, ShapeError
 from .metrics import ConfusionCounts
-from .scene_graph import CLASS_VEHICLE
+from .scene_graph import CLASS_VEHICLE, stack_graphs
 
 RISKY = "risky"
 SAFE = "safe"
@@ -42,15 +42,20 @@ def near_ego_nodes(near, features, node_frame, node_row, num_frames, ontology):
 
 def near_ego(frames, ontology):
     """near_ego_nodes' arrays for a list of scene graphs."""
-    n = np.array([f.num_nodes for f in frames], dtype=np.int64)
-    first = np.cumsum(n) - n
-    node_frame = np.repeat(np.arange(len(frames)), n)
-    near_id = ontology.relation_id("is_near")
-    near = np.zeros(n.sum(), dtype=bool)
-    near[[first[i] + src for i, f in enumerate(frames)
-          for src, rel, dst in f.edges if rel == near_id and dst == 0]] = True
-    return near_ego_nodes(near, np.concatenate([f.features for f in frames]), node_frame,
-                          np.arange(n.sum()) - first[node_frame], len(frames), ontology)
+    return near_ego_stacked(*stack_graphs(frames), ontology)
+
+
+def near_ego_stacked(features, sizes, triplets, edge_counts, ontology):
+    """near_ego_nodes' arrays for frames stacked as ``stack_graphs`` stacks
+    them."""
+    first = np.cumsum(sizes) - sizes
+    node_frame = np.repeat(np.arange(sizes.size), sizes)
+    src, rel, dst = triplets.T
+    source = first[np.repeat(np.arange(sizes.size), edge_counts)] + src
+    near = np.zeros(sizes.sum(), dtype=bool)
+    near[source[(rel == ontology.relation_id("is_near")) & (dst == 0)]] = True
+    return near_ego_nodes(near, features, node_frame,
+                          np.arange(sizes.sum()) - first[node_frame], sizes.size, ontology)
 
 
 def assess_risk(sequence, ontology):
@@ -111,10 +116,20 @@ def verdict_consistency(truth, pred, score):
     """task_consistency's result from paired sent and received verdicts:
     the sent and received risky flags and the received scores, as arrays
     over the sequences. The scores and the sent flags come back as the
-    arrays metrics.auc takes."""
-    tp = int(np.count_nonzero(truth & pred))
-    fp = int(np.count_nonzero(~truth & pred))
-    fn = int(np.count_nonzero(truth & ~pred))
-    tn = truth.size - tp - fp - fn
-    counts = ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
-    return counts, (tp + tn) / truth.size if truth.size else 1.0, score, truth
+    arrays metrics.auc takes.
+
+    ``pred`` and ``score`` may also hold one row per reception of the same
+    sequences; the counts and the consistency then come back one a row, as
+    a list and an array.
+    """
+    size = truth.shape[-1]
+    tp = np.count_nonzero(truth & pred, axis=-1)
+    fp = np.count_nonzero(~truth & pred, axis=-1)
+    fn = np.count_nonzero(truth & ~pred, axis=-1)
+    tn = size - tp - fp - fn
+    consistency = (tp + tn) / size if size else np.ones(np.shape(tp))
+    counts = [ConfusionCounts(*c)
+              for c in zip(*(np.ravel(x).tolist() for x in (tp, fp, tn, fn)))]
+    if np.ndim(tp) == 0:
+        return counts[0], float(consistency), score, truth
+    return counts, consistency, score, truth

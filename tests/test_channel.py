@@ -695,6 +695,42 @@ def test_plan_blocks_are_maximal_runs_within_the_draw_budget(kind, protection,
             assert frames == _body_bit_blocks(lengths, guard, budget)
 
 
+@pytest.mark.parametrize("protection", [PROTECTED, UNPROTECTED])
+@pytest.mark.parametrize("kind", [AWGN64QAM, BSC])
+def test_plan_arrays_match_their_formulas(kind, protection):
+    # body_at, sent, keep and the level indices as plan_link wrote them
+    # before it shared one arange and decoded the Gray codes arithmetically:
+    # each octet's place by its own arange, and each level index looked up
+    # through the Gray map's levels
+    gen = rng.SplitMix64(31)
+    lengths = [gen.randint(0, 90) for _ in range(60)] + [0, HEADER_LEN, HEADER_LEN + 1]
+    buffer = np.frombuffer(bytes(gen.randint(0, 255) for _ in range(sum(lengths))),
+                           dtype=np.uint8)
+    plan = plan_link(buffer, lengths, kind, protection)
+    lengths = np.array(lengths, dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    head = np.minimum(lengths, HEADER_LEN if protection == PROTECTED else 0)
+    octets = lengths - head
+    first = np.cumsum(octets) - octets
+    body_at = np.repeat(starts + head - first, octets) + np.arange(octets.sum())
+    np.testing.assert_array_equal(plan.body_at, body_at)
+    np.testing.assert_array_equal(plan.sent, buffer[body_at])
+    if kind == BSC:
+        assert plan.keep is None and plan.indices is None
+        return
+    padded = 3 * -(-octets // 3)
+    keep = np.repeat(np.cumsum(padded) - padded - first, octets) + np.arange(body_at.size)
+    groups = np.zeros(padded.sum(), dtype=np.uint8)
+    groups[keep] = buffer[body_at]
+    codes = channel._codes_from_octets(groups)
+    assert set(codes.tolist()) == set(range(64))
+    levels = ((channel._LEVEL_BY_CODE + 7) / 2).astype(np.uint8)
+    indices = levels[np.stack([codes >> 3, codes & 7])]
+    np.testing.assert_array_equal(plan.keep, keep)
+    assert plan.indices.dtype == np.uint8 and plan.indices.shape == indices.shape
+    np.testing.assert_array_equal(plan.indices, indices)
+
+
 @pytest.mark.parametrize("cfg", [
     LinkConfig(snr_db=3.0),
     LinkConfig(channel_kind=BSC, bsc_flip_prob=0.002),
@@ -847,6 +883,15 @@ def test_frames_required_examples():
 def test_frames_required_positive_only():
     with pytest.raises(ValueError):
         frames_required(0)
+
+
+def test_frames_required_of_an_array_is_each_payloads():
+    # the sweep counts the OFDM frames of a whole pass in one call
+    lengths = np.array([1, 1386, 1387, 2772, 2773, 234, 30_021])
+    assert type(frames_required(1386)) is int
+    assert frames_required(lengths).tolist() == [frames_required(x) for x in lengths.tolist()]
+    with pytest.raises(ValueError):
+        frames_required(np.array([5, 0, 7]))
 
 
 # -- cross-path determinism ---------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,9 +13,13 @@ from gbsed.errors import (
     ShapeError,
     TruncationError,
 )
-from gbsed.ontology import load_ontology
+from gbsed.ontology import emit_ontology, load_ontology
 from gbsed.rng import SplitMix64
+from gbsed.scenarios import ScenarioSpec, generate
 from gbsed.scene_graph import SceneGraph
+
+# the most nodes the header's 16-bit N carries
+_MAX_NODES = 0xFFFF
 
 
 def _random_graph(seed, n, num_rel, edge_prob=0.2, d=4):
@@ -471,3 +476,116 @@ def test_full_pipeline_round_trip(ontology):
         assert out.edges == g.edges
         np.testing.assert_array_equal(out.features,
                                       g.features.astype(np.float32))
+
+
+# -- one encoder call for a pass ------------------------------------------------
+
+def _stacked(frames):
+    """encode_frames' arrays for a list of scene graphs."""
+    triplets = np.array([e for f in frames for e in f.edges], dtype=np.int64).reshape(-1, 3)
+    return (np.concatenate([f.features for f in frames]), [f.num_nodes for f in frames],
+            triplets, [len(f.edges) for f in frames])
+
+
+def _encode(frames, ontology):
+    features, sizes, triplets, edge_counts = _stacked(frames)
+    return codec.encode_frames(features, ontology, sizes, triplets, edge_counts)
+
+
+def _assert_encodes_as_the_stages(frames, ontology):
+    buffer, lengths = _encode(frames, ontology)
+    staged = [_serialized(f, ontology) for f in frames]
+    assert buffer.dtype == np.uint8 and lengths.dtype == np.int64
+    assert lengths.tolist() == [len(p) for p in staged]
+    assert buffer.tobytes() == b"".join(staged)
+
+
+def _crafted_frames():
+    gen = SplitMix64(19)
+
+    def features(n):
+        return [[gen.uniform(-40, 40) for _ in range(4)] for _ in range(n)]
+
+    return {
+        "no_edges": SceneGraph(np.ones((3, 4)), ()),
+        "one_node": SceneGraph(np.ones((1, 4)), ()),
+        "one_node_self_edge": SceneGraph(np.ones((1, 4)), ((0, 5, 0),)),
+        "all_relations": SceneGraph(
+            np.ones((3, 4)), tuple(sorted([(0, r, 1) for r in range(1, 9)] + [(2, 3, 0)]))),
+        # N's high octet is 0 at 255 nodes and 1 at 256
+        "n_255": SceneGraph(features(255), ((0, 1, 254), (100, 3, 200), (254, 8, 0))),
+        "n_256": SceneGraph(features(256), ((0, 2, 255), (255, 2, 0), (255, 7, 255))),
+        "special_values": SceneGraph(
+            [[np.nan, np.inf, -np.inf, -0.0], [1e-45, 3.4e38, -1.5, 2.0 ** -140]],
+            ((1, 4, 0),)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_crafted_frames()))
+def test_encode_frames_writes_what_the_stages_write_for_one_frame(ontology, case):
+    _assert_encodes_as_the_stages([_crafted_frames()[case]], ontology)
+
+
+def test_encode_frames_writes_what_the_stages_write_for_crafted_passes(ontology):
+    frames = list(_crafted_frames().values())
+    _assert_encodes_as_the_stages(frames, ontology)
+    _assert_encodes_as_the_stages(frames[::-1] + frames, ontology)
+    # another digest and |R| in the header
+    nine = load_ontology(emit_ontology(ontology) + "relation 9 overtaking\n")
+    _assert_encodes_as_the_stages(frames, nine)
+
+
+def test_encode_frames_writes_what_the_stages_write_for_the_corpora(ontology, corpus_frames):
+    _assert_encodes_as_the_stages(corpus_frames, ontology)
+    dense = generate(ScenarioSpec(seed=5, num_sequences=4, vehicles_range=(24, 30),
+                                  lane_count=5), ontology)
+    _assert_encodes_as_the_stages([f for seq in dense for f in seq.frames], ontology)
+
+
+def test_encode_frames_of_no_frames(ontology):
+    buffer, lengths = codec.encode_frames(np.zeros((0, 4)), ontology, [], np.zeros((0, 3)), [])
+    assert buffer.size == 0 and lengths.size == 0
+
+
+def test_encode_frames_refuses_arrays_that_do_not_stack(ontology):
+    features, sizes, triplets, edge_counts = _stacked([_random_graph(3, 4, 8)] * 2)
+    for args in ((features[1:], sizes, triplets, edge_counts),
+                 (features, sizes, triplets[1:], edge_counts),
+                 (features[:, 0], sizes, triplets, edge_counts)):
+        with pytest.raises(ShapeError):
+            codec.encode_frames(args[0], ontology, *args[1:])
+
+
+def _staged_error(frame, ontology):
+    with pytest.raises(GbsedError) as e:
+        _serialized(frame, ontology)
+    return type(e.value), str(e.value)
+
+
+# frames of 4 features that the staged encode refuses, each for a reason
+# checked at another point of encode_tensor or serialize
+REFUSED = {
+    "no_nodes": SceneGraph(np.zeros((0, 4)), ()),
+    "no_nodes_one_edge": SceneGraph(np.zeros((0, 4)), ((0, 1, 0),)),
+    "relation_0": SceneGraph(np.zeros((2, 4)), ((0, 0, 1),)),
+    "relation_9": SceneGraph(np.zeros((2, 4)), ((0, 9, 1),)),
+    "node_outside_then_relation_9": SceneGraph(np.zeros((2, 4)), ((0, 1, 5), (0, 9, 1))),
+    "relation_9_then_node_outside": SceneGraph(np.zeros((4, 4)), ((0, 9, 1), (3, 1, 4))),
+    "negative_node": SceneGraph(np.zeros((2, 4)), ((-1, 1, 0),)),
+    "too_many_nodes": SceneGraph(np.zeros((_MAX_NODES + 1, 4)), ()),
+}
+
+
+def test_encode_frames_refuses_the_first_frame_the_stages_refuse(ontology):
+    good = [_random_graph(s, 5, 8) for s in range(3)]
+    for a, b in itertools.permutations(sorted(REFUSED), 2):
+        expect = _staged_error(REFUSED[a], ontology)
+        frames = [good[0], REFUSED[a], good[1], REFUSED[b], good[2]]
+        with pytest.raises(GbsedError) as e:
+            _encode(frames, ontology)
+        assert (type(e.value), str(e.value)) == expect, (a, b)
+    # features of another width than the ontology's: refused after the edges
+    for frame in (SceneGraph(np.zeros((2, 5)), ()), SceneGraph(np.zeros((2, 5)), ((0, 1, 2),))):
+        with pytest.raises(GbsedError) as e:
+            _encode([frame, _random_graph(4, 2, 8, d=5)], ontology)
+        assert (type(e.value), str(e.value)) == _staged_error(frame, ontology)

@@ -1,15 +1,19 @@
 """Totality fuzzing: the payload parser and the scenes parser must return a
-value or raise a typed package error on any input, never crash."""
+value or raise a typed package error on any input, never crash. And the
+one-call encoder must write what the staged encode writes, on any graphs."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbsed import codec
+from gbsed import codec, sweep
 from gbsed.errors import GbsedError
 from gbsed.ontology import default_ontology
 from gbsed.rng import SplitMix64, splitmix64_stream
 from gbsed.scenarios import scenes_from_text
+from gbsed.scene_graph import SceneGraph
 
 ONT = default_ontology()
 
@@ -76,3 +80,23 @@ def test_truncation_of_valid_payload_always_typed(corpus_frames):
             assert False, f"truncation at {cut} parsed"
         except GbsedError:
             pass
+
+
+# a graph: up to 12 nodes of 4 features each, float32 values, infinities and
+# NaN among them, and a set of triplets over its nodes and the 8 relations
+_graphs = st.integers(1, 12).flatmap(lambda n: st.builds(
+    lambda features, edges: SceneGraph(np.array(features).reshape(n, 4), tuple(sorted(edges))),
+    st.lists(st.floats(allow_nan=False, width=32) | st.just(math.nan),
+             min_size=4 * n, max_size=4 * n),
+    st.sets(st.tuples(st.integers(0, n - 1), st.integers(1, 8), st.integers(0, n - 1)),
+            max_size=3 * n)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(_graphs, min_size=1, max_size=6))
+def test_one_encoder_call_writes_what_the_stages_write(graphs):
+    buffer, lengths, _ = sweep.encode_frames(graphs, ONT)
+    staged = [codec.serialize(codec.compress(codec.encode_tensor(g, ONT)), g.features, ONT)
+              for g in graphs]
+    assert lengths.tolist() == [len(p) for p in staged]
+    assert buffer.tobytes() == b"".join(staged)

@@ -278,3 +278,45 @@ def test_average_ranks_edge_cases_match_scipy():
 
 def test_auc_nan_score_gives_nan():
     assert math.isnan(auc(*_columns([(0.2, 0), (math.nan, 1), (0.9, 1)])))
+
+
+# rows of scores of one width: ties among few distinct values, NaN, and
+# mostly distinct floats
+_rows = st.integers(0, 12).flatmap(lambda width: st.lists(
+    st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, -3.0, math.inf, -math.inf, math.nan])
+             | st.floats(allow_nan=False, width=32), min_size=width, max_size=width),
+    min_size=1, max_size=4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rows)
+def test_average_ranks_of_rows_are_each_rows_ranks(rows):
+    values = np.array(rows, dtype=float).reshape(len(rows), -1)
+    ranks = average_ranks(values)
+    assert ranks.shape == values.shape
+    for row, got in zip(values, ranks):
+        assert got.tobytes() == average_ranks(row).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rows, st.integers(0, 2 ** 32 - 1))
+def test_auc_of_rows_is_each_rows_auc(rows, seed):
+    values = np.array(rows, dtype=float).reshape(len(rows), -1)
+    gen = np.random.default_rng(seed)
+    shared = gen.integers(0, 2, values.shape[1])
+    own = gen.integers(0, 2, values.shape)
+    for labels in (shared, own):
+        each = []
+        for row, row_labels in zip(values, np.broadcast_to(labels, values.shape)):
+            try:
+                each.append(auc(row, row_labels))
+            except DegenerateInput:
+                each.append(None)
+        if None in each:
+            with pytest.raises(DegenerateInput):
+                auc(values, labels)
+            continue
+        got = auc(values, labels)
+        assert got.shape == (len(rows),)
+        assert np.array(each).tobytes() == got.tobytes()
+        assert all(type(a) is float for a in each)

@@ -324,3 +324,14 @@ def test_features_are_read_only_float64_and_owned(ontology):
     rows[0, 0] = 9.0
     assert g.features[0, 0] == 0.0
     assert not graph_from_bev([(CLASS_VEHICLE, 0, 0, 10)], ontology).features.flags.writeable
+
+
+def test_a_triplet_listed_twice_is_refused():
+    # the codec sends a triplet once, so a second copy would count twice as
+    # sent and as recovered in semantic_fidelity and in the sweep
+    with pytest.raises(ShapeError, match=r"\(0, 1, 1\)"):
+        SceneGraph(np.zeros((2, 4)), ((0, 1, 1), (0, 1, 1)))
+    with pytest.raises(ShapeError, match=r"\(2, 5, 0\)"):
+        SceneGraph(np.zeros((3, 4)), ((2, 5, 0), (0, 1, 1), (2, 5, 0)))
+    assert SceneGraph(np.zeros((2, 4)), ((0, 1, 1), (0, 2, 1), (1, 1, 0))).edges == (
+        (0, 1, 1), (0, 2, 1), (1, 1, 0))

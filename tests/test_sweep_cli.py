@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import gbsed
-from gbsed import channel, codec, sweep
+from gbsed import channel, codec, scenarios, sweep
 from gbsed.channel import BSC, UNPROTECTED, LinkConfig, frames_required, transmit
 from gbsed.cli import build_parser, config_from_args, main
 from gbsed.codec import HEADER_LEN
@@ -19,7 +20,7 @@ from gbsed.metrics import auc, classification_metrics, semantic_fidelity
 from gbsed.ontology import default_ontology, emit_ontology
 from gbsed.scenarios import ScenarioSpec, generate
 from gbsed.scene_graph import SceneGraph
-from gbsed.task import GraphSequence, near_ego, task_consistency
+from gbsed.task import GraphSequence, near_ego, task_consistency, verdict_consistency
 from reference_link import reference_transmit
 
 ONT = default_ontology()
@@ -160,6 +161,81 @@ def test_edge_with_a_node_outside_the_frame_is_refused(edge):
     cfg = sweep.SweepConfig(snr_points=(math.inf,), trials_per_point=1)
     with pytest.raises(ShapeError):
         sweep.run_sweep([GraphSequence((frame,))], ONT, cfg)
+
+
+def _staged_error(frame):
+    with pytest.raises(GbsedError) as e:
+        codec.serialize(codec.compress(codec.encode_tensor(frame, ONT)), frame.features, ONT)
+    return type(e.value), str(e.value)
+
+
+# frames the staged encode refuses, at different points of its checks; a
+# frame of 5 features makes a pass of mixed widths, and an id of 2^64 one
+# whose triplets do not stack into int64
+REFUSED = {
+    "no_nodes": SceneGraph(np.zeros((0, 4)), ()),
+    "relation_9": SceneGraph(np.zeros((2, 4)), ((0, 9, 1),)),
+    "relation_2_64": SceneGraph(np.zeros((2, 4)), ((0, 1 << 64, 1),)),
+    "node_outside": SceneGraph(np.zeros((2, 4)), ((0, 1, 2),)),
+    "node_2_64": SceneGraph(np.zeros((2, 4)), ((1 << 64, 1, 0),)),
+    "width_5": SceneGraph(np.zeros((2, 5)), ()),
+    "width_5_node_outside": SceneGraph(np.zeros((2, 5)), ((1, 3, 7),)),
+}
+
+
+def test_a_pass_raises_the_staged_error_of_its_first_refused_frame(tmp_path, capsys,
+                                                                   monkeypatch):
+    good = [f for seq in generate(ScenarioSpec(seed=3, num_sequences=3,
+                                               frames_per_sequence=1), ONT) for f in seq.frames]
+    cfg = sweep.SweepConfig(snr_points=(math.inf,), trials_per_point=1)
+    for name, frame in REFUSED.items():
+        with pytest.raises(GbsedError) as e:
+            sweep.encode_frame(frame, ONT)
+        assert (type(e.value), str(e.value)) == _staged_error(frame), name
+    for a, b in itertools.permutations(sorted(REFUSED), 2):
+        expect = _staged_error(REFUSED[a])
+        frames = [good[0], REFUSED[a], good[1], REFUSED[b], good[2]]
+        with pytest.raises(GbsedError) as e:
+            sweep.run_sweep([GraphSequence((f,)) for f in frames], ONT, cfg)
+        assert (type(e.value), str(e.value)) == expect, (a, b)
+        # gbsed encode writes no payload and exits 3 with the same message
+        out = tmp_path / f"{a}-{b}"
+        monkeypatch.setattr(scenarios, "read_scenes",
+                            lambda path, ontology: [GraphSequence(tuple(frames))])
+        assert main(["encode", "--scenes", "corpus.scenes", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {expect[1]}\n", (a, b)
+        assert os.listdir(out) == []
+
+
+def test_a_sweep_encodes_its_pass_in_one_call(small_corpus, monkeypatch):
+    callers = []
+    original = codec.encode_frames
+
+    def spy(*args):
+        callers.append(sys._getframe(2).f_code.co_name)
+        return original(*args)
+
+    def staged(*args):
+        pytest.fail("the sweep encoded a frame through the staged path")
+
+    monkeypatch.setattr(codec, "encode_frames", spy)
+    for name in ("encode_tensor", "compress", "serialize"):
+        monkeypatch.setattr(codec, name, staged)
+    cfg = sweep.SweepConfig(snr_points=(0.0, 10.0, 20.0), trials_per_point=120)
+    sweep.run_sweep(small_corpus, ONT, cfg)
+    assert callers == ["_lay_out"]
+
+
+def test_cli_encode_writes_the_payloads_of_encode_frame(tmp_path, capsys):
+    scenes = _gen(tmp_path)
+    out = tmp_path / "payloads"
+    assert main(["encode", "--scenes", str(scenes), "--out", str(out)]) == 0
+    seqs = scenarios.read_scenes(str(scenes), ONT)
+    expect = {f"seq{s:04d}_f{k:03d}.gbsd": sweep.encode_frame(frame, ONT)
+              for s, seq in enumerate(seqs) for k, frame in enumerate(seq.frames)}
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == expect
+    total = sum(map(len, expect.values()))
+    assert f"{len(expect)} frames encoded, {total} octets total" in capsys.readouterr().out
 
 
 def test_noiseless_sweep_row(small_corpus):
@@ -463,6 +539,55 @@ def test_equivalence_cases_cover_pads_and_blocks(small_corpus, monkeypatch):
         != p[:HEADER_LEN]
         for t, p in enumerate(payloads))
     assert changed > len(payloads) // 2
+
+
+def _point_row(snr_db, ber, fidelity, truth, pred_risky, pred_score, sizes):
+    """One SNR point's result row, scored on its own: the rule the sweep
+    ran once per point before it scored all its points in one call."""
+    counts, consistency, scores, labels = verdict_consistency(truth, pred_risky, pred_score)
+    cls = classification_metrics(counts)
+    try:
+        auc_val = auc(scores, labels)
+    except GbsedError:
+        auc_val = float("nan")
+    return {"snr_db": snr_db, "ber": ber, "fidelity": fidelity, "consistency": consistency,
+            "accuracy": cls.accuracy, "precision": cls.precision, "recall": cls.recall,
+            "f1": cls.f1, "mcc": cls.mcc, "auc": auc_val, **sizes}
+
+
+def _verdicts(seed, points, size, distinct):
+    gen = np.random.default_rng(seed)
+    return (gen.random((points, size)) < 0.4,
+            gen.integers(0, distinct, (points, size)) / distinct)
+
+
+# (sent verdicts, received verdicts and scores) of 4 points over 12 sequences
+POINT_CASES = {
+    "tied_scores": lambda: (np.arange(12) % 3 == 0, *_verdicts(1, 4, 12, 3)),
+    "nan_score": lambda: (np.arange(12) % 3 == 0, _verdicts(2, 4, 12, 5)[0],
+                          np.where(np.arange(48).reshape(4, 12) == 17, np.nan,
+                                   _verdicts(2, 4, 12, 5)[1])),
+    "single_class_truth": lambda: (np.zeros(12, dtype=bool), *_verdicts(3, 4, 12, 4)),
+    "all_risky_predictions": lambda: (np.arange(12) % 4 == 1, np.ones((4, 12), dtype=bool),
+                                      _verdicts(4, 4, 12, 6)[1]),
+    "distinct_scores": lambda: (np.arange(12) % 2 == 0, *_verdicts(5, 4, 12, 1000)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POINT_CASES))
+def test_point_rows_equal_the_rows_scored_point_by_point(case):
+    truth, pred_risky, pred_score = POINT_CASES[case]()
+    snr_points = (0.0, 4.0, 8.0, math.inf)
+    ber, fidelity = [0.1, 0.01, 1e-3, 0.0], [0.2, 0.5, 0.7, 1.0]
+    sizes = {"mean_payload_octets": 234.5, "frames_per_payload": 1.0}
+    rows = sweep._point_rows(snr_points, ber, fidelity, truth, pred_risky, pred_score, sizes)
+    expect = [_point_row(*point, truth, r, s, sizes)
+              for point, r, s in zip(zip(snr_points, ber, fidelity), pred_risky, pred_score)]
+    assert sweep.rows_to_csv(rows) == sweep.rows_to_csv(expect)
+    assert [{k: type(v) for k, v in row.items()} for row in rows] == [
+        {k: type(v) for k, v in row.items()} for row in expect]
+    if case in ("nan_score", "single_class_truth"):
+        assert math.isnan(rows[1]["auc"]) and math.isnan(expect[1]["auc"])
 
 
 def test_csv_schema(small_corpus):
