@@ -9,7 +9,8 @@ of the plan sends every payload with its own seed; ``transmit`` is a
 one-frame ``send``. It decides every symbol as the float64 primitives
 ``qam64_demap(awgn(qam64_map(bits)))`` would: on AWGN a float32 filter
 decides each block, and one float64 pass per send redoes the symbols it
-flags as near a midpoint.
+flags as near a midpoint with awgn's and qam64_demap's own code; the Gray
+map is written once each way (``_level_index``, ``_codes_from_levels``).
 """
 
 import math
@@ -33,19 +34,32 @@ OFDM_FRAME_BITS = 132 * 14 * 6
 # outputs, which size its scratch (a larger frame is a block of its own)
 _BLOCK_DRAWS = 1 << 16
 
+
+def _level_index(codes):
+    """Level indices i (level 2i - 7) of 3-bit Gray codes, i's being i ^ i >> 1."""
+    return codes ^ codes >> 1 ^ codes >> 2
+
+
+def _codes_from_levels(levels, out):
+    """The 6-bit codes of (2, m) uint8 I and Q level indices into out, overwriting
+    levels[1]: w ^ (w >> 1 & 0b011011) for w = 8 I + Q, the mask dropping I's shifted bit."""
+    np.left_shift(levels[0], 3, out=out)
+    out |= levels[1]
+    gray = np.right_shift(out, 1, out=levels[1])
+    gray &= 0b011011
+    out ^= gray
+    return out
+
+
 # per-axis Gray map: 3-bit code -> amplitude level
-# 000 -> -7, 001 -> -5, 011 -> -3, 010 -> -1, 110 -> +1, 111 -> +3, 101 -> +5, 100 -> +7
-_LEVEL_BY_CODE = np.array([-7, -5, -1, -3, 7, 5, 1, 3], dtype=np.float64)
+_LEVEL_BY_CODE = 2.0 * _level_index(np.arange(8)) - 7.0
 _SCALE = 1.0 / math.sqrt(42.0)  # unit average symbol energy
 
 _SIX = np.arange(64)
-# 6-bit code (I code, then Q code) -> symbol, and its bits -> code
+# 6-bit code (I code, then Q code) -> symbol; its bits, and 8 I index + Q index, -> code
 _SYMBOL_BY_CODE = (_LEVEL_BY_CODE[_SIX >> 3] + 1j * _LEVEL_BY_CODE[_SIX & 7]) * _SCALE
 _BIT_WEIGHTS = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
-# level index i (level = 2i-7) has the 3-bit code i ^ (i >> 1), Gray's. For
-# w = 8 * I level index + Q level index, w ^ (w >> 1 & 0b011011) is I's code
-# then Q's: the mask drops the bit of I that the shift moves into Q's field
-_CODE_BY_LEVELS = (_SIX ^ (_SIX >> 1 & 0b011011)).astype(np.uint8)
+_CODE_BY_LEVELS = _codes_from_levels(np.uint8([_SIX >> 3, _SIX & 7]), np.empty(64, np.uint8))
 
 
 @dataclass(frozen=True)
@@ -105,7 +119,12 @@ def awgn(symbols, snr_db, seed):
     if _noiseless(snr_db):
         return np.array(symbols, copy=True)
     z = rng.normals(seed, 2 * len(symbols))
-    return symbols + _sigma(snr_db) * (z[0::2] + 1j * z[1::2])
+    return _noisy(symbols, _sigma(snr_db), z[0::2], z[1::2])
+
+
+def _noisy(symbols, sigma, i, q):
+    """The symbols plus sigma times the unit normals i (I) and q (Q)."""
+    return symbols + sigma * (i + 1j * q)
 
 
 def _decide_axis(u):
@@ -123,11 +142,15 @@ def _decide_axis(u):
     return idx
 
 
+def _decide(symbols):
+    """The 6-bit codes of symbols by hard per-axis nearest-level decision."""
+    u = np.asarray(symbols) / _SCALE
+    return _CODE_BY_LEVELS[8 * _decide_axis(u.real) + _decide_axis(u.imag)]
+
+
 def qam64_demap(symbols, pad=0):
     """Hard per-axis nearest-level decision and inverse Gray map."""
-    u = np.asarray(symbols) / _SCALE
-    codes = _CODE_BY_LEVELS[8 * _decide_axis(u.real) + _decide_axis(u.imag)]
-    flat = np.unpackbits(codes).reshape(-1, 8)[:, 2:].reshape(-1)
+    flat = np.unpackbits(_decide(symbols)).reshape(-1, 8)[:, 2:].reshape(-1)
     return flat[: flat.size - pad] if pad else flat
 
 
@@ -243,9 +266,7 @@ def plan_link(buffer, lengths, channel_kind, header_protection):
         octet_groups = np.zeros(padded.sum(), dtype=np.uint8)
         octet_groups[keep] = sent
         codes = _codes_from_octets(octet_groups)
-        # a 3-bit Gray code c is level index c ^ c >> 1 ^ c >> 2
-        indices = np.stack([codes >> 3, codes & 7])
-        indices ^= indices >> 1 ^ indices >> 2
+        indices = _level_index(np.stack([codes >> 3, codes & 7]))
     blocks = []
     ends = np.cumsum(counts)
     a = 0
@@ -402,42 +423,16 @@ def _filter(raw, indices, sigma, s, codes):
     levels, far = _decide32(y, _filter_bound(sigma) / 2.0, s)
     far[0] &= far[1]
     far[0] &= inside
-    # the code of 8 * I level index + Q level index, as _CODE_BY_LEVELS
-    np.left_shift(levels[0], 3, out=codes)
-    codes |= levels[1]
-    gray = np.right_shift(codes, 1, out=levels[1])
-    gray &= 0b011011
-    codes ^= gray
+    _codes_from_levels(levels, codes)
     return np.flatnonzero(np.logical_not(far[0], out=far[0]))
 
 
-def _sent_parts(indices):
-    """The interleaved (I, Q) parts of the symbols with the given (2, k)
-    level indices, as qam64_map's _SYMBOL_BY_CODE holds them."""
-    return (indices.T * 2.0 - 7.0) * _SCALE
-
-
-def _to_levels(iq, sent, sigma):
-    """Unit noise given as interleaved (I, Q) floats, in place, to the
-    received amplitudes in level units, rounded as qam64_demap(awgn(...))
-    rounds them; sent are the symbols' interleaved parts."""
-    # the parts of awgn's complex sum, whose cross terms are exact
-    # zeros; numpy's complex y / _SCALE multiplies each part by
-    # fl(1 / _SCALE), which on a few values near a midpoint decides
-    # otherwise than dividing
-    iq *= sigma
-    iq += sent
-    iq *= 1.0 / _SCALE
-    return iq
-
-
 def _refine(pairs, at, indices, sigma, codes):
-    """Redo symbols ``at`` of a send in float64 from their splitmix64 output
-    pairs, with the operations awgn and qam64_demap use, into codes."""
+    """Redo symbols ``at`` of a send from their splitmix64 output pairs and
+    sent level indices, as qam64_demap decides them after awgn, into codes."""
     r, theta = rng.polar(pairs.reshape(-1), np.empty(at.size), np.empty(at.size))
-    u = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
-    levels = _decide_axis(_to_levels(u, _sent_parts(indices[:, at]), sigma))
-    codes[at] = _CODE_BY_LEVELS[8 * levels[:, 0] + levels[:, 1]]
+    sent = _SYMBOL_BY_CODE[_codes_from_levels(indices[:, at], np.empty(at.size, np.uint8))]
+    codes[at] = _decide(_noisy(sent, sigma, r * np.cos(theta), r * np.sin(theta)))
 
 
 def _awgn_octets(plan, seeds, sigma):

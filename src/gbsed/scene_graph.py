@@ -43,8 +43,13 @@ class SceneGraph:
             raise ShapeError(f"features of shape {feats.shape} are not an (N, d) matrix")
         feats.flags.writeable = False
         object.__setattr__(self, "features", feats)
-        # a triplet listed twice would count twice as sent and as recovered,
+        # the array encoder would read a value 1.5 as 1 and drop a fourth; a
+        # triplet listed twice would count twice as sent and as recovered,
         # though the codec sends it once
+        for e in self.edges:
+            if not (isinstance(e, tuple) and len(e) == 3
+                    and all(isinstance(v, (int, np.integer)) for v in e)):
+                raise ShapeError(f"triplet {e!r} is not three integers")
         if len(set(self.edges)) != len(self.edges):
             twice = next(e for i, e in enumerate(self.edges) if e in self.edges[:i])
             raise ShapeError(f"triplet {twice} is listed more than once")

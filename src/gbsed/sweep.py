@@ -101,9 +101,8 @@ def encode_frames(frames, ontology):
     try:
         stacked = stack_graphs(frames)
     except (TypeError, ValueError, OverflowError):
-        # frames that do not stack (feature matrices of mixed widths, or a
-        # triplet that is not three int64 values) include one that the
-        # staged encode refuses: it names the first
+        # frames that do not stack (mixed feature widths, or a triplet value
+        # beyond int64) include one the staged encode refuses: it names the first
         for f in frames:
             codec.serialize(codec.compress(codec.encode_tensor(f, ontology)), f.features,
                             ontology)

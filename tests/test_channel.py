@@ -132,39 +132,48 @@ def test_map_matches_per_axis_levels():
 
 
 def test_demap_matches_rounding_at_ties_and_their_neighbours():
+    # the ties and their neighbours in level units, and the scaled ties with
+    # their neighbours as floats: at +-6 * _SCALE, dividing by _SCALE and
+    # multiplying by its inverse fall on either side of a midpoint
     mids = np.arange(-24, 25) / 2.0
     amps = np.concatenate([mids, np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf),
                            [1e300, -1e300, 5e-324, -0.0]])
     u = np.add.outer(amps, 1j * amps).ravel()
+    scaled = mids * _SCALE
+    scaled = np.concatenate([scaled, np.nextafter(scaled, np.inf), np.nextafter(scaled, -np.inf)])
     z = rng.normals(4, 200_000) * 4.0
-    for symbols in (u * _SCALE, u, (z[0::2] + 1j * z[1::2]) * _SCALE):
+    for symbols in (u * _SCALE, u, np.add.outer(scaled, 1j * scaled).ravel(),
+                    (z[0::2] + 1j * z[1::2]) * _SCALE):
         np.testing.assert_array_equal(qam64_demap(symbols), _demap_by_axis(symbols))
 
 
+def test_gray_tables_match_the_literal_map():
+    # the code-to-level and level-to-code tables, and a plan's level
+    # indices, come from the Gray formulas; the literal map above pins them
+    assert channel._LEVEL_BY_CODE.dtype == np.float64
+    np.testing.assert_array_equal(channel._LEVEL_BY_CODE, _LEVELS)
+    assert channel._CODE_BY_LEVELS.dtype == np.uint8
+    np.testing.assert_array_equal(channel._CODE_BY_LEVELS,
+                                  (8 * _CODES[:, None] + _CODES).reshape(-1))
+    codes = np.arange(64, dtype=np.uint8)
+    octets = channel._octets_from_codes(codes, np.empty((16, 3), dtype=np.uint8))
+    plan = plan_link(octets, [octets.size], AWGN64QAM, UNPROTECTED)
+    np.testing.assert_array_equal(_CODES[plan.indices], np.stack([codes >> 3, codes & 7]))
+
+
 def test_planned_levels_scale_to_the_symbol_table_bit_for_bit():
-    # the float64 pass builds the sent parts from a plan's level indices,
-    # and awgn adds its noise to qam64_map's _SYMBOL_BY_CODE: they must
-    # agree to the last bit, here for every 6-bit code in order
+    # the float64 pass takes the sent symbols from qam64_map's
+    # _SYMBOL_BY_CODE through the codes of a plan's level indices: they
+    # must be the sent codes, here every 6-bit code in order, and their
+    # symbols the scaled levels 2i - 7 to the last bit
     octets = channel._octets_from_codes(np.arange(64, dtype=np.uint8),
                                         np.empty((16, 3), dtype=np.uint8))
     plan = plan_link(octets, [octets.size], AWGN64QAM, UNPROTECTED)
     assert plan.indices.dtype == np.uint8 and plan.indices.shape == (2, 64)
-    parts = channel._sent_parts(plan.indices)
-    assert parts.tobytes() == channel._SYMBOL_BY_CODE.tobytes()
-
-
-def test_flat_decision_matches_demap_at_ties_and_their_neighbours():
-    # the float64 pass decides on interleaved (I, Q) floats; at +-6 * _SCALE,
-    # dividing by _SCALE and multiplying by its inverse fall on either side
-    # of a midpoint. With no noise (unit noise 0, sigma 1) the received parts
-    # are the sent ones
-    mids = np.arange(-24, 25) / 2.0 * _SCALE
-    amps = np.concatenate([mids, np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf)])
-    symbols = np.add.outer(amps, 1j * amps).ravel()
-    parts = symbols.view(np.float64).reshape(-1, 2)
-    np.testing.assert_array_equal(_decide_codes(channel._to_levels(np.zeros(parts.shape),
-                                                                   parts, 1.0)),
-                                  _codes_of_bits(qam64_demap(symbols)))
+    codes = channel._codes_from_levels(plan.indices.copy(), np.empty(64, dtype=np.uint8))
+    np.testing.assert_array_equal(codes, np.arange(64))
+    parts = (plan.indices.T * 2.0 - 7.0) * _SCALE
+    assert channel._SYMBOL_BY_CODE[codes].view(np.float64).tobytes() == parts.tobytes()
 
 
 # -- AWGN ---------------------------------------------------------------------
@@ -203,13 +212,6 @@ def test_awgn_ber_monotone_in_snr():
 def _codes_of_bits(bits):
     """qam64_demap's bits as 6-bit codes, I's code then Q's."""
     return (bits.reshape(-1, 6) @ (1 << np.arange(5, -1, -1))).astype(np.uint8)
-
-
-def _decide_codes(u):
-    """The 6-bit codes of (k, 2) (I, Q) level-unit amplitudes, decided by
-    _decide_axis."""
-    levels = channel._decide_axis(u).astype(np.int64)
-    return channel._CODE_BY_LEVELS[8 * levels[:, 0] + levels[:, 1]]
 
 
 def _pairs(u1, u2):
@@ -405,8 +407,8 @@ def test_refine_mends_what_float32_trig_decides_wrong():
     indices = np.full((2, m), 3, dtype=np.uint8)
     codes, at = _filter(raw, indices, snr_db)
     rad, ang = _polar64(raw)
-    sent = channel._sent_parts(indices)
-    received = sent[:, 0] + 1j * sent[:, 1] + sigma * (rad * np.cos(ang) + 1j * rad * np.sin(ang))
+    sent = channel._SYMBOL_BY_CODE[8 * _CODES[3] + _CODES[3]]
+    received = sent + sigma * (rad * np.cos(ang) + 1j * rad * np.sin(ang))
     expect = _codes_of_bits(qam64_demap(received))
     wrong = np.flatnonzero(codes != expect)
     assert wrong.size > 20
@@ -724,7 +726,7 @@ def test_plan_arrays_match_their_formulas(kind, protection):
     groups[keep] = buffer[body_at]
     codes = channel._codes_from_octets(groups)
     assert set(codes.tolist()) == set(range(64))
-    levels = ((channel._LEVEL_BY_CODE + 7) / 2).astype(np.uint8)
+    levels = ((_LEVELS + 7) / 2).astype(np.uint8)
     indices = levels[np.stack([codes >> 3, codes & 7])]
     np.testing.assert_array_equal(plan.keep, keep)
     assert plan.indices.dtype == np.uint8 and plan.indices.shape == indices.shape

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -335,3 +336,12 @@ def test_a_triplet_listed_twice_is_refused():
         SceneGraph(np.zeros((3, 4)), ((2, 5, 0), (0, 1, 1), (2, 5, 0)))
     assert SceneGraph(np.zeros((2, 4)), ((0, 1, 1), (0, 2, 1), (1, 1, 0))).edges == (
         (0, 1, 1), (0, 2, 1), (1, 1, 0))
+
+
+@pytest.mark.parametrize("edge", [(0, 1.5, 1), (0, None, 1), (0, "1", 1), (0, 1, 1, 5),
+                                  (0, 1), [0, 1, 1], 7],
+                         ids=["float", "none", "str", "four", "two", "list", "int"])
+def test_a_triplet_that_is_not_three_integers_is_refused(edge):
+    # the array encoder would read 1.5 as 1 and drop a fourth entry
+    with pytest.raises(ShapeError, match=re.escape(f"triplet {edge!r} is not three integers")):
+        SceneGraph(np.zeros((2, 4)), ((0, 2, 1), edge))

@@ -163,6 +163,36 @@ def test_edge_with_a_node_outside_the_frame_is_refused(edge):
         sweep.run_sweep([GraphSequence((frame,))], ONT, cfg)
 
 
+@pytest.mark.parametrize("edge", [(0, 1.5, 1), (0, None, 1), (0, "1", 1), (0, 1, 1, 5)],
+                         ids=["float", "none", "str", "four"])
+def test_a_triplet_that_is_not_three_integers_reaches_no_encoder(edge):
+    # the pass encoder would write (0, 1.5, 1) and (0, 1, 1, 5) as (0, 1, 1)
+    # and the staged one would raise IndexError, ValueError or TypeError: the
+    # graph refuses the triplet with a ShapeError on every path
+    cfg = sweep.SweepConfig(snr_points=(math.inf,), trials_per_point=1)
+    encoders = [
+        lambda g: sweep.encode_frame(g, ONT),
+        lambda g: sweep.run_sweep([GraphSequence((g,))], ONT, cfg),
+        lambda g: codec.encode_tensor(g, ONT),
+    ]
+    for encode in encoders:
+        with pytest.raises(ShapeError, match="is not three integers"):
+            encode(SceneGraph(np.zeros((2, 4)), (edge,)))
+
+
+def test_numpy_integer_triplets_encode_as_python_ints():
+    rows = np.arange(12.0).reshape(3, 4)
+    ints = SceneGraph(rows, ((0, 1, 1), (2, 5, 0)))
+    numpy_ints = SceneGraph(rows, ((np.int64(0), np.uint8(1), np.int32(1)),
+                                   (np.uint16(2), np.int64(5), np.int8(0))))
+    assert sweep.encode_frame(numpy_ints, ONT) == sweep.encode_frame(ints, ONT)
+    np.testing.assert_array_equal(codec.encode_tensor(numpy_ints, ONT),
+                                  codec.encode_tensor(ints, ONT))
+    cfg = sweep.SweepConfig(snr_points=(0.0, 20.0), trials_per_point=2)
+    assert sweep.rows_to_csv(sweep.run_sweep([GraphSequence((numpy_ints, ints))], ONT, cfg)) \
+        == sweep.rows_to_csv(sweep.run_sweep([GraphSequence((ints, ints))], ONT, cfg))
+
+
 def _staged_error(frame):
     with pytest.raises(GbsedError) as e:
         codec.serialize(codec.compress(codec.encode_tensor(frame, ONT)), frame.features, ONT)
