@@ -4,8 +4,8 @@ Encoding stacks one self-describing NxN matrix per relation (entries are 0
 or the relation id) into a (|R|, N, N) uint8 array. Compression keeps the
 (K, N, N) nonzero slices; decompression recovers each received matrix's
 relation id from its nonzero entries (``relation_ids``, the sweep's too) and
-rebuilds a binary (|R|, N, N) tensor; regeneration turns it plus the
-feature matrix into a scene graph.
+reads the kept matrices straight into sorted (src, rel, dst) triplets;
+regeneration turns them plus the feature matrix into a scene graph.
 
 ``encode_frames`` writes what ``serialize(compress(encode_tensor(g)))``
 writes for every frame of a pass in one call, from the frames' stacked
@@ -52,12 +52,12 @@ FEATURE = np.dtype(">f4")
 _MAX_U16 = 0xFFFF
 _MAX_U8 = 0xFF
 
-# header octets of the u16 N, the u16 d and the u8 K
-_N_AT, _D_AT, _K_AT = 13, 15, 18
+# header octets of the u16 N, the u16 d, the u8 |R| and the u8 K
+_N_AT, _D_AT, _R_AT, _K_AT = 13, 15, 17, 18
 
 # header octets of the fields parse accepts in one value only: magic,
 # version, digest, d, |R| and flags
-_FIXED_OCTETS = np.r_[0:13, 15:18, 19:21]
+_FIXED_OCTETS = np.r_[0:_N_AT, _D_AT:_K_AT, _K_AT + 1:HEADER_LEN]
 
 
 def encode_tensor(graph, ontology):
@@ -114,20 +114,20 @@ def relation_ids(octets, matrix_start, matrix_frame, num_frames, num_relations):
 
 
 def decompress(retained, num_relations):
-    """Rebuild the binary adjacency tensor from the (K, N, N) received matrices.
+    """Decode the (K, N, N) received matrices to (src, rel, dst) triplets.
 
-    Returns the (|R|, N, N) uint8 tensor in {0, 1} and a list of warnings.
-    Each matrix takes the id ``relation_ids`` decodes (of equal ids the last
-    is kept); its in-range cells, residue of another id included, are the
+    Returns the sorted (E, 3) int64 triplets and a list of warnings. Each
+    matrix takes the id ``relation_ids`` decodes (of equal ids the last is
+    kept); its in-range cells, residue of another id included, are the
     relation's edges, and out-of-range cells are corruption artifacts.
     """
     k, n = retained.shape[:2]
     rel, chosen = relation_ids(retained.reshape(-1), np.arange(k) * (n * n),
                                np.zeros(k, dtype=np.int64), 1, num_relations)
-    chosen = chosen[1:]
-    kept = chosen >= 0
-    tensor = np.zeros((num_relations, n, n), dtype=np.uint8)
-    tensor[kept] = in_range(retained[chosen[kept]], num_relations)
+    # chosen lists the kept matrices by relation: cells read as (src, kept, dst) come sorted
+    kept = chosen[chosen >= 0]
+    src, slot, dst = np.nonzero(in_range(retained[kept], num_relations).transpose(1, 0, 2))
+    triplets = np.stack([src, rel[kept][slot], dst], axis=1, dtype=np.int64)
     rel = rel.tolist()
     warnings = []
     for m, (mat, r) in enumerate(zip(retained, rel)):
@@ -140,19 +140,19 @@ def decompress(retained, num_relations):
             warnings.append(f"matrix repaired to relation {r} (values {values})")
         if r and r in rel[:m]:
             warnings.append(f"duplicate matrix for relation {r}; later one kept")
-    return tensor, warnings
+    return triplets, warnings
 
 
-def regenerate(tensor, features):
-    """Rebuild a SceneGraph from a binary tensor and feature matrix."""
+def regenerate(triplets, features):
+    """Rebuild a SceneGraph from sorted (E, 3) integer triplets and a feature matrix."""
     with np.errstate(invalid="ignore"):
         feats = np.asarray(features, dtype=float)
-    n = tensor.shape[1]
-    if feats.ndim != 2 or feats.shape[0] != n:
-        raise ShapeError(f"feature matrix shape {feats.shape} does not match n={n}")
-    rel, src, dst = np.nonzero(tensor)
-    edges = sorted(zip(src.tolist(), (rel + 1).tolist(), dst.tolist()))
-    return SceneGraph(feats, tuple(edges))
+    triplets = np.asarray(triplets)
+    nodes = triplets[:, ::2] if triplets.ndim == 2 and triplets.shape[1] == 3 else None
+    if (feats.ndim != 2 or nodes is None or triplets.dtype.kind not in "iu"
+            or not ((nodes >= 0) & (nodes < len(feats))).all()):
+        raise ShapeError(f"triplets {triplets.dtype}{triplets.shape} vs features {feats.shape}")
+    return SceneGraph(feats, tuple(map(tuple, triplets.tolist())))
 
 
 def payload_length(n, d, k):
@@ -272,7 +272,7 @@ def headers_parse(headers, sent, lengths):
     """
     n, d, k = header_fields(headers)
     return ((headers[:, _FIXED_OCTETS] == sent[:, _FIXED_OCTETS]).all(axis=1) & (n != 0)
-            & (k <= headers[:, 17]) & (payload_length(n, d, k) == lengths))
+            & (k <= headers[:, _R_AT]) & (payload_length(n, d, k) == lengths))
 
 
 def parse(payload, ontology):
@@ -293,15 +293,15 @@ def parse(payload, ontology):
         raise OntologyMismatch(f"payload digest {digest:#018x} does not match ontology",
                                offset=5)
     if n == 0:
-        raise FormatError("node count 0", offset=13)
+        raise FormatError("node count 0", offset=_N_AT)
     if d != ontology.num_attributes:
         raise FormatError(f"feature width {d} != ontology {ontology.num_attributes}",
-                          offset=15)
+                          offset=_D_AT)
     if num_rel != ontology.num_relations:
         raise FormatError(f"relation count {num_rel} != ontology {ontology.num_relations}",
-                          offset=17)
+                          offset=_R_AT)
     if k > num_rel:
-        raise FormatError(f"retained count {k} exceeds |R|={num_rel}", offset=18)
+        raise FormatError(f"retained count {k} exceeds |R|={num_rel}", offset=_K_AT)
     if flags != 0:
         raise FormatError(f"reserved flags {flags:#06x} nonzero", offset=19)
     expected = payload_length(n, d, k)

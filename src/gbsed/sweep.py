@@ -115,8 +115,8 @@ def decode_frame(payload, ontology):
     """Wire payload -> scene graph, or None if the payload fails to parse."""
     try:
         retained, feats = codec.parse(payload, ontology)
-        tensor, _ = codec.decompress(retained, ontology.num_relations)
-        return codec.regenerate(tensor, feats)
+        triplets, _ = codec.decompress(retained, ontology.num_relations)
+        return codec.regenerate(triplets, feats)
     except GbsedError:
         return None
 

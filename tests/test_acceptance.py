@@ -279,10 +279,10 @@ def test_criterion_9_wire_robustness():
         for bit in range(8 * n * n):
             corrupted = mat.copy().reshape(-1)
             corrupted[bit // 8] ^= 1 << (7 - bit % 8)
-            out, _ = codec.decompress(corrupted.reshape(1, n, n), 8)
+            triplets, _ = codec.decompress(corrupted.reshape(1, n, n), 8)
             total += 1
             # recovered iff the original relation's slice is the one populated
-            placed = {r + 1 for r in range(8) if out[r].any()}
+            placed = set(triplets[:, 1].tolist())
             if placed <= {rel} and (placed or not mat.any()):
                 recovered += 1
     rate = recovered / total

@@ -116,8 +116,8 @@ def test_compress_matches_distinct_relation_oracle(ontology):
 # -- decompress ---------------------------------------------------------------
 
 def test_decompress_empty():
-    t, warnings = codec.decompress(np.zeros((0, 4, 4), dtype=np.uint8), 5)
-    assert t.shape == (5, 4, 4) and not t.any()
+    triplets, warnings = codec.decompress(np.zeros((0, 4, 4), dtype=np.uint8), 5)
+    assert triplets.shape == (0, 3) and triplets.dtype == np.int64
     assert warnings == []
 
 
@@ -125,8 +125,9 @@ def test_decompress_inverts_compress(ontology):
     for seed in range(20):
         g = _random_graph(seed + 500, 5, 8)
         tensor = codec.encode_tensor(g, ontology)
-        out, warnings = codec.decompress(codec.compress(tensor), 8)
-        np.testing.assert_array_equal(out, (tensor > 0).astype(np.uint8))
+        triplets, warnings = codec.decompress(codec.compress(tensor), 8)
+        assert triplets.dtype == np.int64
+        assert tuple(map(tuple, triplets.tolist())) == g.edges
         assert warnings == []
 
 
@@ -134,19 +135,18 @@ def test_mode_repair_out_of_range_discarded():
     mat = np.zeros((3, 3), dtype=np.uint8)
     mat[0, 1] = mat[0, 2] = mat[1, 0] = 3
     mat[2, 2] = 200
-    out, warnings = codec.decompress(mat[None], 8)
+    triplets, warnings = codec.decompress(mat[None], 8)
     assert len(warnings) == 1
-    expect = np.zeros((8, 3, 3), dtype=np.uint8)
-    expect[2, 0, 1] = expect[2, 0, 2] = expect[2, 1, 0] = 1
-    np.testing.assert_array_equal(out, expect)  # 200 never placed
+    assert triplets.tolist() == [[0, 3, 1], [0, 3, 2], [1, 3, 0]]  # 200 never placed
 
 
 def test_mode_repair_tie_toward_smallest_id():
     mat = np.zeros((2, 2), dtype=np.uint8)
     mat[0, 1] = 5
     mat[1, 0] = 2
-    out, warnings = codec.decompress(mat[None], 8)
-    assert out[1].any() and not out[4].any()
+    triplets, warnings = codec.decompress(mat[None], 8)
+    # the 5 is in range, so relation 2's matrix keeps it as an edge
+    assert triplets.tolist() == [[0, 2, 1], [1, 2, 0]]
     assert len(warnings) == 1
 
 
@@ -168,8 +168,8 @@ def test_duplicate_relation_later_wins():
     a[0, 1] = 3
     b = np.zeros((2, 2), dtype=np.uint8)
     b[1, 0] = 3
-    out, warnings = codec.decompress(np.stack([a, b]), 8)
-    assert out[2, 1, 0] == 1 and out[2, 0, 1] == 0
+    triplets, warnings = codec.decompress(np.stack([a, b]), 8)
+    assert triplets.tolist() == [[1, 3, 0]]
     assert any("duplicate" in w for w in warnings)
 
 
@@ -237,9 +237,13 @@ def test_relation_rule_matches_the_per_matrix_loop():
     for num_relations in (1, 3, 8):
         stacks = [_random_stack(gen, num_relations) for _ in range(400)]
         for retained in stacks:
-            tensor, warnings = codec.decompress(retained, num_relations)
+            triplets, warnings = codec.decompress(retained, num_relations)
             expect_tensor, expect_warnings = _reference_decompress(retained, num_relations)
-            np.testing.assert_array_equal(tensor, expect_tensor)
+            # the triplets of the reference's tensor, in the order of a sort
+            r, src, dst = np.nonzero(expect_tensor)
+            expect = sorted(zip(src.tolist(), (r + 1).tolist(), dst.tolist()))
+            assert triplets.dtype == np.int64 and triplets.shape == (len(expect), 3)
+            assert list(map(tuple, triplets.tolist())) == expect
             assert warnings == expect_warnings
             all_warnings += warnings
         # the same stacks as frames of one pass: every frame's ids and kept matrices
@@ -266,22 +270,25 @@ def test_relation_rule_matches_the_per_matrix_loop():
 # -- regenerate ---------------------------------------------------------------
 
 def test_regenerate_zero_tensor():
-    g = codec.regenerate(np.zeros((8, 2, 2), dtype=np.uint8), np.zeros((2, 4)))
+    g = codec.regenerate(np.zeros((0, 3), dtype=np.int64), np.zeros((2, 4)))
     assert g.num_nodes == 2 and g.edges == ()
 
 
 def test_regenerate_single_triplet():
     o = _tiny_ontology()
-    slices = np.zeros((2, 2, 2), dtype=np.uint8)
-    slices[1, 0, 1] = 1
-    g = codec.regenerate(slices, np.zeros((2, 1)))
-    assert g.edges == ((0, 2, 1),)
+    g = codec.regenerate(np.array([[0, 2, 1]]), np.zeros((2, 1)))
+    assert g.edges == ((0, 2, 1),) and all(type(v) is int for v in g.edges[0])
     assert o.relation_name(2) == "to_left_of"
 
 
 def test_regenerate_shape_mismatch():
+    # SceneGraph does not check node range: node 5 of 2 must be refused here
     with pytest.raises(ShapeError):
-        codec.regenerate(np.zeros((8, 3, 3), dtype=np.uint8), np.zeros((2, 4)))
+        codec.regenerate(np.array([[0, 1, 5]]), np.zeros((2, 4)))
+    for triplets in (np.array([[-1, 1, 0]]), np.zeros((1, 2), dtype=np.int64),
+                     np.zeros(3, dtype=np.int64), np.array([[0.0, 1.0, 1.0]])):
+        with pytest.raises(ShapeError):
+            codec.regenerate(triplets, np.zeros((2, 4)))
 
 
 # -- serialize / parse --------------------------------------------------------
@@ -470,8 +477,8 @@ def test_full_pipeline_round_trip(ontology):
         g = _random_graph(seed + 2000, 8, 8)
         payload = _serialized(g, ontology)
         back, feats = codec.parse(payload, ontology)
-        tensor, warnings = codec.decompress(back, ontology.num_relations)
-        out = codec.regenerate(tensor, feats)
+        triplets, warnings = codec.decompress(back, ontology.num_relations)
+        out = codec.regenerate(triplets, feats)
         assert warnings == []
         assert out.edges == g.edges
         np.testing.assert_array_equal(out.features,

@@ -46,8 +46,8 @@ def test_parser_total_over_mutated_valid_payloads(corpus_frames):
             payload[gen.randint(0, len(payload) - 1)] ^= 1 << gen.randint(0, 7)
         try:
             compressed, feats = codec.parse(bytes(payload), ONT)
-            tensor, _ = codec.decompress(compressed, ONT.num_relations)
-            codec.regenerate(tensor, feats)
+            triplets, _ = codec.decompress(compressed, ONT.num_relations)
+            codec.regenerate(triplets, feats)
         except GbsedError:
             pass
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,22 @@ def test_encode_decode_frame_round_trip(small_corpus):
 def test_decode_frame_garbage_is_none():
     assert sweep.decode_frame(b"garbage", ONT) is None
     assert sweep.decode_frame(b"", ONT) is None
+
+
+# edgeless (K = 0) frames of 8, 16 and 32 KB and 1 MB payloads: a header
+# field must not drive an allocation that the payload does not bound, as a
+# dense (|R|, N, N) tensor of |R|·N² octets would
+@pytest.mark.parametrize("n", [500, 1_000, 2_000, 0xFFFF])
+def test_decode_frame_memory_is_bounded_by_the_payload(n):
+    payload = sweep.encode_frame(SceneGraph(np.zeros((n, ONT.num_attributes)), ()), ONT)
+    tracemalloc.start()
+    try:
+        graph = sweep.decode_frame(payload, ONT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.num_nodes == n and graph.edges == ()
+    assert peak <= 8 * len(payload), (peak, len(payload))
 
 
 # two header bit flips that keep the length 21 + K·N² + 4·N·d: the feature
