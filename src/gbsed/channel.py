@@ -11,6 +11,9 @@ one-frame ``send``. It decides every symbol as the float64 primitives
 decides each block, and one float64 pass per send redoes the symbols it
 flags as near a midpoint with awgn's and qam64_demap's own code; the Gray
 map is written once each way (``_level_index``, ``_codes_from_levels``).
+On either link a send ends in one gather: each received octet is read
+from the link's octets (on AWGN the decided codes, packed word by word)
+or from a copy of the sent buffer.
 """
 
 import math
@@ -41,12 +44,16 @@ def _level_index(codes):
 
 
 def _codes_from_levels(levels, out):
-    """The 6-bit codes of (2, m) uint8 I and Q level indices into out, overwriting
-    levels[1]: w ^ (w >> 1 & 0b011011) for w = 8 I + Q, the mask dropping I's shifted bit."""
+    """The 6-bit codes of (2, m) I and Q level indices into out, overwriting
+    levels[1]: w ^ (w >> 1 & 0b011011) for w = 8 I + Q, the mask dropping I's
+    shifted bit. The arrays may be unsigned views that hold an index in every
+    byte lane, as uint32 views do four: the indices are at most 7, so no bit
+    crosses a lane, and the mask, repeated in every lane, drops the bit that
+    the shift brings in from the next."""
     np.left_shift(levels[0], 3, out=out)
     out |= levels[1]
     gray = np.right_shift(out, 1, out=levels[1])
-    gray &= 0b011011
+    gray &= 0x1B1B1B1B & np.iinfo(gray.dtype).max
     out ^= gray
     return out
 
@@ -198,42 +205,44 @@ class _Block:
 class _Scratch:
     """Buffers that every send of a plan reuses: for its largest block of n
     splitmix64 outputs (its bits on the BSC, two per symbol on AWGN), 17
-    bytes an output (18.5 on AWGN), and on AWGN 2.5 bytes a plan symbol.
-    The float32 filter works in tmp, which _mix is done with, so raw keeps
-    a block's outputs until the flagged pairs are taken; the repacked
-    octets become the bit differences."""
+    bytes an output (18.5 on AWGN), and source, the send's ``link`` octets
+    (BSC: body octets; AWGN: a code a symbol, then packed 3 octets to 4
+    bytes) and a copy of the sent buffer, which the received buffer is
+    gathered from. The float32 filter works in tmp, which _mix is done
+    with, so raw keeps a block's outputs until the flagged pairs are taken;
+    then tmp is the spare words of the packing."""
 
-    def __init__(self, n, symbols=None):
+    def __init__(self, n, link, buffer, awgn_link):
         self.raw, self.tmp = np.empty((2, n), dtype=np.uint64)
         self.flags = np.empty(n, dtype=bool)  # BSC flips; AWGN finite r, then far parts
-        if symbols is not None:
+        self.source = np.empty(link + buffer.size, dtype=np.uint8)
+        self.source[link:] = buffer
+        if awgn_link:
             m = n // 2
-            # I and Q amplitudes, radius, spare; the last two become distances
+            # hi1, then radius; hi2, then angle; I and Q amplitudes. The
+            # first two become distances
             self.f32 = self.tmp.view(np.float32)[:4 * m].reshape(4, m)
             self.inside = np.empty(m, dtype=bool)
             self.levels = np.empty((2, m), dtype=np.uint8)
-            self.codes = np.empty(symbols, dtype=np.uint8)
-            self.octets = np.empty((symbols // 4, 3), dtype=np.uint8)
-            self.got = np.empty(3 * symbols // 4, dtype=np.uint8)
 
 
 @dataclass(frozen=True)
 class LinkPlan:
     """What sending a fixed set of back-to-back payloads over one kind of
     link takes that does not depend on the seeds or the noise level; built
-    by ``plan_link``, used by ``send``. Each send works in the plan's
-    scratch, so a plan is not meant for concurrent sends."""
+    by ``plan_link``, used by ``send``, which writes the received buffer in
+    one gather by recv_from, one index per buffer octet. Each send works in
+    the plan's scratch, so a plan is not meant for concurrent sends."""
     channel_kind: str
     header_protection: str
-    buffer: np.ndarray   # the sent payloads, back to back
-    frames: int          # how many
-    body_at: np.ndarray  # buffer offsets of the octets that meet the channel
-    sent: np.ndarray     # those octets
+    buffer: np.ndarray     # the sent payloads, back to back
+    frames: int            # how many
+    recv_from: np.ndarray  # where each buffer octet is read from in scratch.source, intp
+    sent: np.ndarray       # BSC: the octets that meet the channel
     blocks: tuple
-    steps: np.ndarray    # rng.golden_steps of the most draws of one frame
+    steps: np.ndarray      # rng.golden_steps of the most draws of one frame
     scratch: _Scratch
-    indices: np.ndarray  # AWGN: (2, symbols) I and Q level indices (level 2i - 7), uint8
-    keep: np.ndarray     # AWGN: where the body octets sit among the repacked octets
+    indices: np.ndarray    # AWGN: (2, symbols) I and Q level indices (level 2i - 7), uint8
 
 
 def plan_link(buffer, lengths, channel_kind, header_protection):
@@ -242,31 +251,21 @@ def plan_link(buffer, lengths, channel_kind, header_protection):
     On AWGN every frame's body octets are padded with zeros to whole groups
     of 3, which are 4 symbols: the zero bits that close the frame's last
     symbol, as ``qam64_map`` pads a lone frame, are among them, and
-    decisions on the pad land only in octets that are dropped.
+    decisions on the pad land only in octets that are not read.
     """
     buffer = np.asarray(buffer, dtype=np.uint8)
     lengths = np.asarray(lengths, dtype=np.int64)
-    starts = np.cumsum(lengths) - lengths
     guard = HEADER_LEN if header_protection == PROTECTED else 0
     head = np.minimum(lengths, guard)
     octets = lengths - head
     first = np.cumsum(octets) - octets
-    at = np.arange(octets.sum())
-    body_at = np.repeat(starts + head - first, octets) + at
     awgn_link = channel_kind == AWGN64QAM
     groups = -(-octets // 3)
     # two splitmix64 outputs per symbol, one per bit
     counts = 8 * groups if awgn_link else 8 * octets
-    sent = buffer[body_at]
     symbols = np.concatenate([[0], np.cumsum(4 * groups)])  # where frames' symbols start
-    indices = keep = None
-    if awgn_link:
-        padded = 3 * groups
-        keep = np.repeat(np.cumsum(padded) - padded - first, octets) + at
-        octet_groups = np.zeros(padded.sum(), dtype=np.uint8)
-        octet_groups[keep] = sent
-        codes = _codes_from_octets(octet_groups)
-        indices = _level_index(np.stack([codes >> 3, codes & 7]))
+    size = int(symbols[-1]) if awgn_link else int(octets.sum())
+    recv_from, sent, indices = _read_from(buffer, lengths, head, size, awgn_link)
     blocks = []
     ends = np.cumsum(counts)
     a = 0
@@ -279,9 +278,40 @@ def plan_link(buffer, lengths, channel_kind, header_protection):
                              slice(int(symbols[a]), int(symbols[b]))))
         a = b
     most = max((int(blk.counts.sum()) for blk in blocks), default=0)
-    return LinkPlan(channel_kind, header_protection, buffer, int(lengths.size), body_at,
+    return LinkPlan(channel_kind, header_protection, buffer, int(lengths.size), recv_from,
                     sent, tuple(blocks), rng.golden_steps(int(counts.max(initial=0))),
-                    _Scratch(most, int(symbols[-1]) if awgn_link else None), indices, keep)
+                    _Scratch(most, size, buffer, awgn_link), indices)
+
+
+def _read_from(buffer, lengths, head, size, awgn_link):
+    """A plan's recv_from, for ``size`` link octets ahead of the copy of the
+    buffer in the source, and its sent body octets (BSC) or the level
+    indices of its symbols (AWGN). The octet-sized temporaries are freed on
+    return, before plan_link makes the scratch."""
+    octets = lengths - head
+    first = np.cumsum(octets) - octets
+    # each body octet's buffer offset
+    body_at = np.repeat(np.cumsum(lengths) - lengths + head - first, octets)
+    body_at += np.arange(body_at.size)
+    sent = buffer[body_at]
+    if awgn_link:
+        # and its place among its frame's body padded to whole groups of 3
+        padded = 3 * -(-octets // 3)
+        place = np.repeat(np.cumsum(padded) - padded - first, octets)
+        place += np.arange(place.size)
+        octet_groups = np.zeros(padded.sum(), dtype=np.uint8)
+        octet_groups[place] = sent
+        codes = _codes_from_octets(octet_groups)
+        sent, indices = None, _level_index(np.stack([codes >> 3, codes & 7]))
+        # octet k of group g, at place 3 g + k, is byte 2 - k of the group's
+        # packed word: link octet 4 g + 2 - k = 7 g + 2 - place
+        link = 7 * (place // 3) + 2 - place
+    else:
+        link, indices = np.arange(body_at.size), None
+    # the octets that bypass the channel are read from the copy of the buffer
+    recv_from = np.arange(size, size + buffer.size, dtype=np.intp)
+    recv_from[body_at] = link
+    return recv_from, sent, indices
 
 
 def _codes_from_octets(octets):
@@ -295,17 +325,25 @@ def _codes_from_octets(octets):
     return codes.reshape(-1)
 
 
-def _octets_from_codes(codes, out):
-    """Inverse of _codes_from_octets, into out of shape (codes.size // 4, 3)."""
-    c = codes.reshape(-1, 4)
-    o0, o1, o2 = out[:, 0], out[:, 1], out[:, 2]
-    np.left_shift(c[:, 0], 2, out=o0)
-    o0 |= np.right_shift(c[:, 1], 4, out=o1)
-    np.left_shift(c[:, 1], 4, out=o1)
-    o1 |= np.right_shift(c[:, 2], 2, out=o2)
-    np.left_shift(c[:, 2], 6, out=o2)
-    o2 |= c[:, 3]
-    return out.reshape(-1)
+# a group's 4 codes, and then its 3 octets, as one little-endian word
+_WORD = np.dtype("<u4")
+
+
+def _octets_from_codes(words, spare):
+    """Inverse of _codes_from_octets, in place on _WORD words that each hold
+    4 codes c0..c3 in bytes 0..3: a word becomes c0 << 18 | c1 << 12 |
+    c2 << 6 | c3, whose bytes 2, 1 and 0 are the group's octets. spare is
+    a _WORD array at least as long, which it overwrites."""
+    pair = np.bitwise_and(words, 0x003F003F, out=spare[:words.size])  # c0 and c2
+    pair <<= 6
+    words >>= 8
+    words &= 0x003F003F  # c1 and c3
+    words |= pair        # c0 << 6 | c1 in the low half, c2 << 6 | c3 in the high
+    np.bitwise_and(words, 0xFFF, out=pair)
+    pair <<= 12
+    words >>= 16
+    words |= pair
+    return words
 
 
 def _flip_threshold(p):
@@ -329,24 +367,21 @@ def send(plan, seeds, cfg):
     seeds = np.asarray(seeds, dtype=np.uint64)
     if seeds.shape != (plan.frames,):
         raise ValueError(f"{seeds.size} seeds for a plan of {plan.frames} frames")
-    received = plan.buffer.copy()
     if (cfg.bsc_flip_prob == 0.0 if cfg.channel_kind == BSC else _noiseless(cfg.snr_db)):
-        return received, 0
+        return plan.buffer.copy(), 0
     s = plan.scratch
     if cfg.channel_kind == AWGN64QAM:
-        got = _awgn_octets(plan, seeds, _sigma(cfg.snr_db))
-        diff = np.bitwise_xor(got, plan.sent, out=s.octets.reshape(-1)[:got.size])
-        received[plan.body_at] = got
-        return received, int(np.bitwise_count(diff, out=diff).sum())
-    errors = 0
-    for blk in plan.blocks:
-        raw = rng.splitmix64_streams(seeds[blk.frames], blk.counts, plan.steps, s.raw, s.tmp)
-        flips = np.less(raw, _flip_threshold(cfg.bsc_flip_prob), out=s.flags[:raw.size])
-        errors += int(np.count_nonzero(flips))
-        got = np.packbits(flips)
-        got ^= plan.sent[blk.octets]
-        received[plan.body_at[blk.octets]] = got
-    return received, errors
+        _awgn_octets(plan, seeds, _sigma(cfg.snr_db))
+    else:
+        for blk in plan.blocks:
+            raw = rng.splitmix64_streams(seeds[blk.frames], blk.counts, plan.steps, s.raw, s.tmp)
+            flips = np.less(raw, _flip_threshold(cfg.bsc_flip_prob), out=s.flags[:raw.size])
+            np.bitwise_xor(np.packbits(flips), plan.sent[blk.octets], out=s.source[blk.octets])
+    received = np.take(s.source, plan.recv_from)
+    # the bit differences in whole 64-bit words, which count far faster than octets
+    diff = np.zeros(-(-received.size // 8), dtype=np.uint64)
+    np.bitwise_xor(received, plan.buffer, out=diff.view(np.uint8)[:received.size])
+    return received, int(np.bitwise_count(diff).sum())
 
 
 # The float32 filter reads the high 32-bit words hi1 and hi2 of a symbol's
@@ -367,18 +402,24 @@ def _filter_bound(sigma):
     return sigma / _SCALE * (rng.R_MAX * _TRIG32_ERROR + _RADIUS32_ERROR) + _ROUNDING
 
 
-def _polar32(raw, r, theta):
+def _high_words(raw, hi):
+    """The high 32-bit words hi1 and hi2 of raw's (u1, u2) pairs, copied in
+    one pass into the rows of hi, a (2, raw.size // 2) uint32 array."""
+    np.copyto(hi, raw.view(np.uint32).reshape(-1, 4)[:, _HI::2].T)
+    return hi
+
+
+def _polar32(hi, r, theta):
     """The float32 Box-Muller radius sqrt(-2 ln((hi1 + 1/2)·2^-32)) and angle
-    hi2·2 pi·2^-32, hi2 read as signed, of raw's (u1, u2) pairs, into r and
-    theta of raw.size // 2 each."""
-    words = raw.view(np.uint32).reshape(-1, 4)
-    np.copyto(r, words[:, _HI], casting="unsafe")
+    hi2·2 pi·2^-32, hi2 read as signed, of the high words hi = (hi1, hi2)
+    of (u1, u2) pairs, into r and theta, which may be hi's own rows."""
+    np.copyto(r, hi[0], casting="unsafe")
     r += 0.5
     r *= 2.0 ** -32
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
-    np.copyto(theta, words.view(np.int32)[:, 2 + _HI], casting="unsafe")
+    np.copyto(theta, hi[1].view(np.int32), casting="unsafe")
     theta *= np.float32(2.0 * math.pi * 2.0 ** -32)
     return r, theta
 
@@ -390,7 +431,7 @@ def _decide32(y, half_bound, s):
     (NaN does not): there the floor decides as _decide_axis does on the
     float64 amplitude. In scratch s, overwriting y."""
     m = y.shape[1]
-    d, far, levels = s.f32[2:, :m], s.flags[:2 * m].reshape(2, m), s.levels[:, :m]
+    d, far, levels = s.f32[:2, :m], s.flags[:2 * m].reshape(2, m), s.levels[:, :m]
     np.rint(y, out=d)
     np.clip(d, 1.0, 7.0, out=d)
     d -= y
@@ -402,18 +443,21 @@ def _decide32(y, half_bound, s):
 
 
 def _filter(raw, indices, sigma, s, codes):
-    """The 6-bit codes of a block's symbols, from their splitmix64 outputs
-    raw and their sent level indices, decided in float32 into codes;
-    returns the symbols it flags: with hi1 within _EDGE of 0 or 2^32, an
-    infinite amplitude, or a part within half the bound of a midpoint."""
+    """The 6-bit codes of a block's symbols, a whole number of 4-symbol
+    groups, from their splitmix64 outputs raw and their sent level indices,
+    decided in float32 into codes; returns the symbols it flags: with hi1
+    within _EDGE of 0 or 2^32, an infinite amplitude, or a part within half
+    the bound of a midpoint."""
     m = raw.size // 2
-    y, r = s.f32[:2, :m], s.f32[2, :m]
+    f = s.f32[:, :m]
+    hi = _high_words(raw, f[:2].view(np.uint32))
     # hi1 + _EDGE wraps the values within _EDGE of 2^32 below 2 _EDGE
-    hi1 = np.add(raw.view(np.uint32)[_HI::4], _EDGE, out=s.f32[3, :m].view(np.uint32))
-    inside = np.greater_equal(hi1, 2 * _EDGE, out=s.inside[:m])
-    _polar32(raw, r, y[1])
-    np.cos(y[1], out=y[0])
-    np.sin(y[1], out=y[1])
+    edged = np.add(hi[0], _EDGE, out=f[2].view(np.uint32))
+    inside = np.greater_equal(edged, 2 * _EDGE, out=s.inside[:m])
+    r, theta = _polar32(hi, f[0], f[1])
+    y = f[2:]
+    np.cos(theta, out=y[0])
+    np.sin(theta, out=y[1])
     r *= np.float32(sigma / (2.0 * _SCALE))
     # flag an r that overflows (past about -749 dB): y would keep only the trig's sign
     inside &= np.less(r, np.inf, out=s.flags[:m])
@@ -423,7 +467,7 @@ def _filter(raw, indices, sigma, s, codes):
     levels, far = _decide32(y, _filter_bound(sigma) / 2.0, s)
     far[0] &= far[1]
     far[0] &= inside
-    _codes_from_levels(levels, codes)
+    _codes_from_levels(levels.view(np.uint32), codes.view(np.uint32))
     return np.flatnonzero(np.logical_not(far[0], out=far[0]))
 
 
@@ -436,23 +480,25 @@ def _refine(pairs, at, indices, sigma, codes):
 
 
 def _awgn_octets(plan, seeds, sigma):
-    """The plan's body octets as qam64_demap decides them after awgn: every
-    block through the float32 filter, then the symbols it flags in one
-    float64 pass, in the plan's scratch."""
+    """The plan's body octets as qam64_demap decides them after awgn, into
+    the link octets of its scratch, packed 3 to a word: every block through
+    the float32 filter, then the symbols it flags in one float64 pass."""
     s = plan.scratch
+    codes = s.source[:plan.indices.shape[1]]
     pairs, flagged = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for blk in plan.blocks:
             raw = rng.splitmix64_streams(seeds[blk.frames], blk.counts, plan.steps, s.raw, s.tmp)
-            at = _filter(raw, plan.indices[:, blk.symbols], sigma, s, s.codes[blk.symbols])
+            at = _filter(raw, plan.indices[:, blk.symbols], sigma, s, codes[blk.symbols])
             if at.size:
                 pairs.append(raw.reshape(-1, 2)[at])
                 flagged.append(at + blk.symbols.start)
     if flagged:
-        _refine(np.concatenate(pairs), np.concatenate(flagged), plan.indices, sigma, s.codes)
-    octets = _octets_from_codes(s.codes, s.octets)
-    # keep is in range; mode "clip" takes straight into out, "raise" buffers it
-    return np.take(octets, plan.keep, out=s.got[:plan.keep.size], mode="clip")
+        _refine(np.concatenate(pairs), np.concatenate(flagged), plan.indices, sigma, codes)
+    words, spare = codes.view(_WORD), s.tmp.view(_WORD)
+    # spare holds a block's words 16 times over; a send of more blocks packs in pieces
+    for lo in range(0, words.size, max(spare.size, 1)):
+        _octets_from_codes(words[lo:lo + spare.size], spare)
 
 
 def frames_required(payload_len_octets):

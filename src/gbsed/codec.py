@@ -145,14 +145,16 @@ def decompress(retained, num_relations):
 
 def regenerate(triplets, features):
     """Rebuild a SceneGraph from sorted (E, 3) integer triplets and a feature matrix."""
-    with np.errstate(invalid="ignore"):
-        feats = np.asarray(features, dtype=float)
+    feats = np.asarray(features)
     triplets = np.asarray(triplets)
     nodes = triplets[:, ::2] if triplets.ndim == 2 and triplets.shape[1] == 3 else None
     if (feats.ndim != 2 or nodes is None or triplets.dtype.kind not in "iu"
             or not ((nodes >= 0) & (nodes < len(feats))).all()):
         raise ShapeError(f"triplets {triplets.dtype}{triplets.shape} vs features {feats.shape}")
-    return SceneGraph(feats, tuple(map(tuple, triplets.tolist())))
+    # SceneGraph converts the features to float64 once; a received signalling
+    # NaN raises the invalid flag there
+    with np.errstate(invalid="ignore"):
+        return SceneGraph(feats, tuple(map(tuple, triplets.tolist())))
 
 
 def payload_length(n, d, k):

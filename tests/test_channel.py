@@ -147,6 +147,53 @@ def test_demap_matches_rounding_at_ties_and_their_neighbours():
         np.testing.assert_array_equal(qam64_demap(symbols), _demap_by_axis(symbols))
 
 
+def _packed(codes):
+    """Codes, 4 a group, through the word packer: the octets of each packed
+    word's bytes 2, 1 and 0, in order, and every word's byte 3."""
+    words = np.array(codes, dtype=np.uint8).view(channel._WORD)
+    channel._octets_from_codes(words, np.empty_like(words))
+    octets = words.view(np.uint8).reshape(-1, 4)
+    return octets[:, 2::-1].reshape(-1), octets[:, 3]
+
+
+def test_word_packing_inverts_the_octet_split():
+    # every 6-bit value in every lane of a word, and all 4,096 value pairs
+    # of each pair of neighbouring lanes, the other lanes all 0s or all 1s:
+    # the packed octets split back into the codes, and byte 3 stays clear
+    six = np.arange(64, dtype=np.uint8)
+    groups = []
+    for fill in (0, 63):
+        for lane in range(4):
+            g = np.full((64, 4), fill, dtype=np.uint8)
+            g[:, lane] = six
+            groups.append(g)
+        for lane in range(3):
+            g = np.full((64 * 64, 4), fill, dtype=np.uint8)
+            g[:, lane], g[:, lane + 1] = np.repeat(six, 64), np.tile(six, 64)
+            groups.append(g)
+    codes = np.concatenate(groups).reshape(-1)
+    octets, top = _packed(codes)
+    np.testing.assert_array_equal(channel._codes_from_octets(octets), codes)
+    assert not top.any()
+
+
+def test_codes_from_levels_on_words_matches_bytes():
+    # all 64 (I, Q) level index pairs in each of the 4 byte lanes of uint32
+    # views, the other lanes all 0s or all 7s, against the uint8 path
+    pairs = np.stack([np.repeat(np.arange(8), 8), np.tile(np.arange(8), 8)]).astype(np.uint8)
+    for fill in (0, 7):
+        for lane in range(4):
+            levels = np.full((2, 64, 4), fill, dtype=np.uint8)
+            levels[:, :, lane] = pairs
+            levels = levels.reshape(2, -1)
+            expect = channel._codes_from_levels(levels.copy(), np.empty(levels.shape[1], np.uint8))
+            codes = np.empty(levels.shape[1], dtype=np.uint8)
+            channel._codes_from_levels(levels.view(np.uint32), codes.view(np.uint32))
+            np.testing.assert_array_equal(codes, expect)
+            np.testing.assert_array_equal(codes.reshape(64, 4)[:, lane],
+                                          channel._CODE_BY_LEVELS[8 * pairs[0] + pairs[1]])
+
+
 def test_gray_tables_match_the_literal_map():
     # the code-to-level and level-to-code tables, and a plan's level
     # indices, come from the Gray formulas; the literal map above pins them
@@ -156,7 +203,7 @@ def test_gray_tables_match_the_literal_map():
     np.testing.assert_array_equal(channel._CODE_BY_LEVELS,
                                   (8 * _CODES[:, None] + _CODES).reshape(-1))
     codes = np.arange(64, dtype=np.uint8)
-    octets = channel._octets_from_codes(codes, np.empty((16, 3), dtype=np.uint8))
+    octets, _ = _packed(codes)
     plan = plan_link(octets, [octets.size], AWGN64QAM, UNPROTECTED)
     np.testing.assert_array_equal(_CODES[plan.indices], np.stack([codes >> 3, codes & 7]))
 
@@ -166,8 +213,7 @@ def test_planned_levels_scale_to_the_symbol_table_bit_for_bit():
     # _SYMBOL_BY_CODE through the codes of a plan's level indices: they
     # must be the sent codes, here every 6-bit code in order, and their
     # symbols the scaled levels 2i - 7 to the last bit
-    octets = channel._octets_from_codes(np.arange(64, dtype=np.uint8),
-                                        np.empty((16, 3), dtype=np.uint8))
+    octets, _ = _packed(np.arange(64, dtype=np.uint8))
     plan = plan_link(octets, [octets.size], AWGN64QAM, UNPROTECTED)
     assert plan.indices.dtype == np.uint8 and plan.indices.shape == (2, 64)
     codes = channel._codes_from_levels(plan.indices.copy(), np.empty(64, dtype=np.uint8))
@@ -223,7 +269,8 @@ def _pairs(u1, u2):
 
 def _polar32(raw):
     m = raw.size // 2
-    return channel._polar32(raw, np.empty(m, dtype=np.float32), np.empty(m, dtype=np.float32))
+    hi = channel._high_words(raw, np.empty((2, m), dtype=np.uint32))
+    return channel._polar32(hi, np.empty(m, dtype=np.float32), np.empty(m, dtype=np.float32))
 
 
 def _polar64(raw):
@@ -231,14 +278,23 @@ def _polar64(raw):
     return rng.polar(raw.copy(), np.empty(m), np.empty(m))
 
 
+def _scratch(n):
+    """An AWGN scratch for blocks of up to n outputs."""
+    return channel._Scratch(n, 0, np.empty(0, dtype=np.uint8), True)
+
+
 def _filter(raw, indices, snr_db):
     """The float32 filter's codes and flagged symbols for pairs raw whose
-    sent levels have the given (2, m) level indices."""
+    sent levels have the given (2, m) level indices. A block is whole groups
+    of 4 symbols: the pairs are padded to one, and the padding dropped."""
     m = raw.size // 2
-    codes = np.empty(m, dtype=np.uint8)
-    at = channel._filter(raw, np.asarray(indices, dtype=np.uint8), channel._sigma(snr_db),
-                         channel._Scratch(raw.size, m), codes)
-    return codes, at
+    pad = -m % 4
+    raw = np.concatenate([raw, np.zeros(2 * pad, dtype=np.uint64)])
+    indices = np.concatenate([np.asarray(indices, dtype=np.uint8),
+                              np.zeros((2, pad), dtype=np.uint8)], axis=1)
+    codes = np.empty(m + pad, dtype=np.uint8)
+    at = channel._filter(raw, indices, channel._sigma(snr_db), _scratch(raw.size), codes)
+    return codes[:m], at[at < m]
 
 
 def test_float32_trig_within_sixteenth_of_the_bound():
@@ -316,7 +372,7 @@ def _decide32(y, bound):
     """The filter's level indices of float32 amplitudes y (midpoints on
     1..7) and which of them it flags, at level-unit bound."""
     y = np.asarray(y, dtype=np.float32)
-    s = channel._Scratch(2 * y.size, y.size)
+    s = _scratch(2 * y.size)
     with np.errstate(invalid="ignore"):  # NaN's level is garbage, and redone
         levels, far = channel._decide32(np.stack([y, y]), bound / 2.0, s)
     return levels[0].copy(), ~far[0]
@@ -700,10 +756,11 @@ def test_plan_blocks_are_maximal_runs_within_the_draw_budget(kind, protection,
 @pytest.mark.parametrize("protection", [PROTECTED, UNPROTECTED])
 @pytest.mark.parametrize("kind", [AWGN64QAM, BSC])
 def test_plan_arrays_match_their_formulas(kind, protection):
-    # body_at, sent, keep and the level indices as plan_link wrote them
-    # before it shared one arange and decoded the Gray codes arithmetically:
-    # each octet's place by its own arange, and each level index looked up
-    # through the Gray map's levels
+    # the received buffer's gather, sent and the level indices, against the
+    # formulas plan_link wrote them with before it shared one arange and
+    # decoded the Gray codes arithmetically: each body octet's buffer offset
+    # (body_at) and its place among the padded groups (keep) by its own
+    # arange, and each level index looked up through the Gray map's levels
     gen = rng.SplitMix64(31)
     lengths = [gen.randint(0, 90) for _ in range(60)] + [0, HEADER_LEN, HEADER_LEN + 1]
     buffer = np.frombuffer(bytes(gen.randint(0, 255) for _ in range(sum(lengths))),
@@ -715,22 +772,33 @@ def test_plan_arrays_match_their_formulas(kind, protection):
     octets = lengths - head
     first = np.cumsum(octets) - octets
     body_at = np.repeat(starts + head - first, octets) + np.arange(octets.sum())
-    np.testing.assert_array_equal(plan.body_at, body_at)
-    np.testing.assert_array_equal(plan.sent, buffer[body_at])
+    assert not hasattr(plan, "body_at") and not hasattr(plan, "keep")
     if kind == BSC:
-        assert plan.keep is None and plan.indices is None
-        return
-    padded = 3 * -(-octets // 3)
-    keep = np.repeat(np.cumsum(padded) - padded - first, octets) + np.arange(body_at.size)
-    groups = np.zeros(padded.sum(), dtype=np.uint8)
-    groups[keep] = buffer[body_at]
-    codes = channel._codes_from_octets(groups)
-    assert set(codes.tolist()) == set(range(64))
-    levels = ((_LEVELS + 7) / 2).astype(np.uint8)
-    indices = levels[np.stack([codes >> 3, codes & 7])]
-    np.testing.assert_array_equal(plan.keep, keep)
-    assert plan.indices.dtype == np.uint8 and plan.indices.shape == indices.shape
-    np.testing.assert_array_equal(plan.indices, indices)
+        # the body octets are the link octets, in order
+        np.testing.assert_array_equal(plan.sent, buffer[body_at])
+        assert plan.indices is None
+        link, size = np.arange(body_at.size), body_at.size
+    else:
+        padded = 3 * -(-octets // 3)
+        keep = np.repeat(np.cumsum(padded) - padded - first, octets) + np.arange(body_at.size)
+        groups = np.zeros(padded.sum(), dtype=np.uint8)
+        groups[keep] = buffer[body_at]
+        codes = channel._codes_from_octets(groups)
+        assert set(codes.tolist()) == set(range(64))
+        levels = ((_LEVELS + 7) / 2).astype(np.uint8)
+        indices = levels[np.stack([codes >> 3, codes & 7])]
+        assert plan.sent is None
+        assert plan.indices.dtype == np.uint8 and plan.indices.shape == indices.shape
+        np.testing.assert_array_equal(plan.indices, indices)
+        # octet k of a group of 3 is byte 2 - k of the group's 4-byte word
+        link, size = 4 * (keep // 3) + 2 - keep % 3, codes.size
+    # the link octets, then a copy of the buffer that the other octets come from
+    recv_from = np.arange(size, size + buffer.size)
+    recv_from[body_at] = link
+    assert plan.recv_from.dtype == np.intp
+    np.testing.assert_array_equal(plan.recv_from, recv_from)
+    assert plan.scratch.source.size == size + buffer.size
+    np.testing.assert_array_equal(plan.scratch.source[size:], buffer)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -763,17 +831,57 @@ def test_send_allocates_no_block_sized_buffers(cfg):
 @pytest.mark.parametrize("n", [100_001, 100_000])
 def test_awgn_scratch_shares_memory_between_roles(n):
     # the float32 filter's rows live in tmp, which _mix is done with: with
-    # the send-wide codes, octets and received octets of a one-block plan,
-    # under 20 bytes per draw
+    # the send-wide source of a one-block plan, its codes and a copy of the
+    # buffer of their 3 octets a group, under 20 bytes per draw
+    buffer = np.zeros(3 * n // 8, dtype=np.uint8)
     tracemalloc.start()
     try:
-        s = channel._Scratch(n, n // 2)
+        s = channel._Scratch(n, n // 2, buffer, True)
         allocated = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert allocated <= 20 * n, allocated / n
-    assert s.f32.shape == (4, n // 2) and s.codes.size == n // 2
+    assert s.f32.shape == (4, n // 2) and s.source.size == n // 2 + buffer.size
     assert np.shares_memory(s.f32, s.tmp) and not np.shares_memory(s.f32, s.raw)
+
+
+@pytest.mark.parametrize("protection", [PROTECTED, UNPROTECTED])
+@pytest.mark.parametrize("kind", [AWGN64QAM, BSC])
+def test_plan_keeps_one_index_per_buffer_octet(kind, protection):
+    # beside its scratch, a plan keeps the gather's one index per buffer
+    # octet, and on AWGN 2 level indices a symbol (8/3 bytes a body octet)
+    # or on the BSC the sent body octets: at most 12 bytes a buffer octet
+    lengths = [3000] * 64
+    buffer = (rng.splitmix64_stream(37, sum(lengths)) >> np.uint64(56)).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        plan = plan_link(buffer, lengths, kind, protection)
+        allocated = tracemalloc.get_traced_memory()[0]
+        s = plan.scratch
+        s = channel._Scratch(s.raw.size, s.source.size - buffer.size, buffer, kind == AWGN64QAM)
+        scratch = tracemalloc.get_traced_memory()[0] - allocated
+    finally:
+        tracemalloc.stop()
+    assert allocated - scratch <= 12 * buffer.size, (allocated - scratch) / buffer.size
+
+
+def test_send_packs_the_codes_of_many_blocks_in_pieces(monkeypatch):
+    # a send packs its codes in pieces of the words its spare holds, 2
+    # words an output of the largest block: blocks of one 81-octet frame
+    # (216 outputs) give pieces of 432 words, and 60 frames give 1,620
+    # words, so the last piece is short
+    monkeypatch.setattr(channel, "_BLOCK_DRAWS", 256)
+    lengths = [HEADER_LEN + 81] * 60
+    gen = rng.SplitMix64(41)
+    payloads = [bytes(gen.randint(0, 255) for _ in range(n)) for n in lengths]
+    plan = plan_link(np.frombuffer(b"".join(payloads), dtype=np.uint8), lengths, AWGN64QAM,
+                     PROTECTED)
+    assert len(plan.blocks) == 60 and plan.scratch.tmp.view(channel._WORD).size == 432
+    cfg = LinkConfig(snr_db=0.5)
+    received, errors = send(plan, np.arange(60), cfg)
+    expect = [reference_transmit(p, replace(cfg, seed=s)) for s, p in enumerate(payloads)]
+    assert received.tobytes() == b"".join(r for r, _ in expect)
+    assert errors == sum(e for _, e in expect)
 
 
 @pytest.mark.parametrize("p", [0.5, 0.25, 2.0 ** -10, 0.1, 1 / 3, 0.002,

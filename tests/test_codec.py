@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -289,6 +290,28 @@ def test_regenerate_shape_mismatch():
                      np.zeros(3, dtype=np.int64), np.array([[0.0, 1.0, 1.0]])):
         with pytest.raises(ShapeError):
             codec.regenerate(triplets, np.zeros((2, 4)))
+
+
+def test_regenerate_converts_the_features_once():
+    # a parsed frame's float32 features become the graph's float64 matrix
+    # in one conversion: the peak is the matrix, twice the float32 bytes,
+    # where a second float64 copy made it four times
+    feats = np.arange(65_535 * 4, dtype=np.float32).reshape(-1, 4)
+    tracemalloc.start()
+    try:
+        g = codec.regenerate(np.zeros((0, 3), dtype=np.int64), feats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(g.features, feats)
+    assert peak <= 2.5 * feats.nbytes, peak / feats.nbytes
+
+
+def test_regenerate_keeps_a_signalling_nan():
+    # float32 signalling NaNs off the wire become float64 NaNs, with no warning
+    feats = np.frombuffer(bytes.fromhex("7f800001" "3f800000"), dtype=codec.FEATURE)
+    g = codec.regenerate(np.zeros((0, 3), dtype=np.int64), feats.astype(np.float32).reshape(1, 2))
+    assert np.isnan(g.features[0, 0]) and g.features[0, 1] == 1.0
 
 
 # -- serialize / parse --------------------------------------------------------
