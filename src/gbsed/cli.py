@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import scenarios, sweep
+from . import codec, scenarios, sweep
 from .channel import AWGN64QAM, BSC, PROTECTED, UNPROTECTED, LinkConfig
 from .errors import GbsedError
 from .metrics import compression_ratio, raw_frame_octets
@@ -109,7 +109,7 @@ def cmd_encode(args):
     o = _load_ontology_arg(args.ontology)
     seqs = scenarios.read_scenes(args.scenes, o)
     os.makedirs(args.out, exist_ok=True)
-    buffer, lengths, _ = sweep.encode_frames([f for seq in seqs for f in seq.frames], o)
+    buffer, lengths, _ = codec.encode_frames([f for seq in seqs for f in seq.frames], o)
     names = [f"seq{s:04d}_f{k:03d}.gbsd" for s, seq in enumerate(seqs)
              for k in range(len(seq.frames))]
     ends = np.cumsum(lengths).tolist()

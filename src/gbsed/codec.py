@@ -8,13 +8,12 @@ reads the kept matrices straight into sorted (src, rel, dst) triplets;
 regeneration turns them plus the feature matrix into a scene graph.
 
 ``encode_frames`` writes what ``serialize(compress(encode_tensor(g)))``
-writes for every frame of a pass in one call, from the frames' stacked
-feature matrices, node counts and triplets; the sweep, the CLI and
-``sweep.encode_frame`` encode through it. A pass with frames those stages
-refuse raises their error for the first of them, as those stages run on
-that frame raise it. ``payload_parts`` tells the header, matrix and
-feature octets of back-to-back payloads apart, for the encoder and for the
-sweep's layout.
+writes for every scene graph g of a pass in one call, from the graphs'
+stacked arrays (``scene_graph.stack_graphs``); the sweep, the CLI and
+``sweep.encode_frame`` encode through it. It runs those stages only on the
+graphs they refuse, in order, so a pass raises their error for the first
+of them. ``payload_parts`` tells the header, matrix and feature octets of
+back-to-back payloads apart, for the encoder and for the sweep's layout.
 
 Wire layout (big-endian, 21-octet header):
 
@@ -39,7 +38,7 @@ from .errors import (
     TruncationError,
 )
 from .ontology import ontology_digest
-from .scene_graph import SceneGraph
+from .scene_graph import SceneGraph, stack_graphs
 
 MAGIC = b"GBSD"
 VERSION = 1
@@ -190,32 +189,36 @@ def payload_parts(n, d, k):
     return np.repeat(np.tile(np.arange(3, dtype=np.uint8), n.size), parts)
 
 
-def encode_frames(features, ontology, sizes, triplets, edge_counts):
+def encode_frames(graphs, ontology):
     """The payloads ``serialize(compress(encode_tensor(g)))`` writes for
-    every frame g of a pass, back to back, in one call.
+    every scene graph g of a pass, back to back, in one call.
 
-    The frames come as ``scene_graph.stack_graphs`` stacks them:
-    ``features`` stacks their (n, d) feature matrices in order and
-    ``sizes`` holds their node counts; ``triplets`` stacks their (src, rel,
-    dst) triplets as an (edges, 3) array and ``edge_counts`` holds how many
-    each has. Returns the uint8 buffer and the int64 payload lengths. A
-    pass with frames those stages refuse raises what they raise for the
-    first of them.
+    Returns the uint8 buffer, the int64 payload lengths and the graphs'
+    arrays as ``scene_graph.stack_graphs`` stacks them. The graphs those
+    stages refuse are flagged from the arrays, and the stages run on the
+    flagged graphs in order, so a pass raises what they raise for its first
+    refused graph.
     """
-    features = np.asarray(features)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    triplets = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
-    edge_counts = np.asarray(edge_counts, dtype=np.int64)
-    if features.ndim != 2 or len(features) != sizes.sum() or len(triplets) != edge_counts.sum():
-        raise ShapeError(f"frames of {sizes.sum()} nodes and {edge_counts.sum()} triplets do "
-                         f"not stack into features of shape {features.shape} and "
-                         f"{len(triplets)} triplets")
     num_rel, d = ontology.num_relations, ontology.num_attributes
-    edge_frame = np.repeat(np.arange(sizes.size), edge_counts)
-    _refuse(features, sizes, triplets, edge_frame, ontology)
-    if not sizes.size:
-        return np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64)
-    src, rel, dst = triplets.T
+    try:
+        stacked = stack_graphs(graphs)
+    except (ValueError, OverflowError):
+        # graphs that do not stack (mixed feature widths, or a triplet value
+        # beyond int64) include one the stages refuse: all are flagged
+        refused = np.ones(len(graphs), dtype=bool)
+    else:
+        features, sizes, triplets, edge_counts = stacked
+        edge_frame = np.repeat(np.arange(sizes.size), edge_counts)
+        n = sizes[edge_frame]
+        src, rel, dst = triplets.T
+        refused = (sizes == 0) | (sizes > _MAX_U16)
+        refused[edge_frame[(rel < 1) | (rel > num_rel) | (np.minimum(src, dst) < 0)
+                           | (np.maximum(src, dst) >= n)]] = True
+        if num_rel > _MAX_U8 or features.shape[1] != d or d > _MAX_U16:
+            refused[:] = True
+    # the first refused graph raises here, and a pass that does not stack has one
+    for f in np.flatnonzero(refused).tolist():
+        serialize(compress(encode_tensor(graphs[f], ontology)), graphs[f].features, ontology)
     # a frame keeps one matrix per relation that has an edge, in relation
     # order; (frame, relation) pairs are indexed flat
     pair = edge_frame * num_rel + rel - 1
@@ -233,29 +236,9 @@ def encode_frames(features, ontology, sizes, triplets, edge_counts):
     headers[:, _N_AT + 1] = sizes & 0xFF
     headers[:, _K_AT] = k
     buffer[part == 0] = headers.reshape(-1)
-    n = sizes[edge_frame]
     buffer[starts[edge_frame] + HEADER_LEN + slot * n * n + src * n + dst] = rel
     buffer[part == 2] = features.astype(np.float32).astype(FEATURE).view(np.uint8).reshape(-1)
-    return buffer, lengths
-
-
-def _refuse(features, sizes, triplets, edge_frame, ontology):
-    """Raise what ``serialize(compress(encode_tensor(g)))`` raises for the
-    first frame g of encode_frames' pass that those stages refuse, if any."""
-    num_rel, d = ontology.num_relations, ontology.num_attributes
-    src, rel, dst = triplets.T
-    n = sizes[edge_frame]
-    bad = (sizes == 0) | (sizes > _MAX_U16)
-    bad[edge_frame[(rel < 1) | (rel > num_rel) | (np.minimum(src, dst) < 0)
-                   | (np.maximum(src, dst) >= n)]] = True
-    if num_rel > _MAX_U8 or features.shape[1] != d or d > _MAX_U16:
-        bad[:] = True
-    if bad.any():
-        f = int(bad.argmax())
-        lo = int(sizes[:f].sum())
-        graph = SceneGraph(features[lo:lo + sizes[f]],
-                           tuple(map(tuple, triplets[edge_frame == f].tolist())))
-        serialize(compress(encode_tensor(graph, ontology)), graph.features, ontology)
+    return buffer, lengths, stacked
 
 
 def header_fields(headers):

@@ -268,8 +268,8 @@ def scenes_from_text(text, ontology):
             raise ParseError("frame with no nodes", line_number=lineno)
         edges = []
         for tok in head[2].split():
-            edge = _parse_edge(tok, ontology.num_relations, lineno)
-            if edge[0] >= len(rows) or edge[2] >= len(rows) or edge[0] == edge[2]:
+            edge = src, _, dst = _parse_edge(tok, ontology.num_relations, lineno)
+            if not (0 <= src < len(rows) and 0 <= dst < len(rows)) or src == dst:
                 raise ParseError(f"edge {edge} references invalid nodes",
                                  line_number=lineno)
             edges.append(edge)

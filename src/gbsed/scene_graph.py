@@ -68,11 +68,12 @@ class SceneGraph:
 
 
 def stack_graphs(graphs):
-    """Scene graphs as the arrays that ``infer_relations`` and
-    ``codec.encode_frames`` take: their feature matrices stacked in order,
-    their node counts, their (src, rel, dst) triplets stacked as an
-    (edges, 3) int64 array, and their edge counts. The graphs' matrices must
-    be of one width."""
+    """Scene graphs as the arrays that ``codec.encode_frames`` encodes and
+    returns and ``task.near_ego_stacked`` takes: their feature matrices
+    stacked in order, their node counts, their (src, rel, dst) triplets
+    stacked as an (edges, 3) int64 array, and their edge counts. Graphs
+    whose matrices differ in width raise ValueError, and a triplet value
+    beyond int64 OverflowError."""
     edge_counts = np.array([len(g.edges) for g in graphs], dtype=np.int64)
     triplets = np.fromiter(chain.from_iterable(chain.from_iterable(g.edges for g in graphs)),
                            dtype=np.int64, count=3 * int(edge_counts.sum())).reshape(-1, 3)

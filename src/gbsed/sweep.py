@@ -4,9 +4,9 @@ fidelity plus downstream risk-task metrics.
 
 A sweep receives the corpus pass once per SNR point and pass. The pass is
 encoded once per sweep into one octet buffer, with one
-``codec.encode_frames`` call over the frames' stacked arrays
-(``encode_frames``, which ``encode_frame`` and ``gbsed encode`` call too),
-and the link is planned once for that buffer (``plan_link``). Each reception is one ``send`` call,
+``codec.encode_frames`` call over its scene graphs (as ``encode_frame`` and
+``gbsed encode`` encode), and the link is planned once for that buffer
+(``plan_link``). Each reception is one ``send`` call,
 which does only the work that depends on the seeds and the noise level,
 and fills one row of a batch of receptions. A batch holds at most
 ``_SCORE_OCTETS`` received octets and at least one reception, and it is
@@ -46,7 +46,6 @@ from .channel import (
 )
 from .errors import DegenerateInput, GbsedError
 from .metrics import classification_metrics, auc as auc_metric, nodes_match, semantic_fidelity
-from .scene_graph import stack_graphs
 from .task import (
     near_ego,
     near_ego_nodes,
@@ -91,24 +90,7 @@ class SweepConfig:
 
 def encode_frame(graph, ontology):
     """Scene graph -> wire payload octets."""
-    return encode_frames([graph], ontology)[0].tobytes()
-
-
-def encode_frames(frames, ontology):
-    """Scene graphs -> their payloads back to back in one uint8 buffer, and
-    the payload lengths, in one ``codec.encode_frames`` call. Also returns
-    the arrays that call took (``stack_graphs``)."""
-    try:
-        stacked = stack_graphs(frames)
-    except (TypeError, ValueError, OverflowError):
-        # frames that do not stack (mixed feature widths, or a triplet value
-        # beyond int64) include one the staged encode refuses: it names the first
-        for f in frames:
-            codec.serialize(codec.compress(codec.encode_tensor(f, ontology)), f.features,
-                            ontology)
-        raise
-    features, sizes, triplets, edge_counts = stacked
-    return (*codec.encode_frames(features, ontology, sizes, triplets, edge_counts), stacked)
+    return codec.encode_frames([graph], ontology)[0].tobytes()
 
 
 def decode_frame(payload, ontology):
@@ -169,7 +151,7 @@ def _lay_out(sequences, ontology, points=1, trials=1):
     seq_len = [len(seq.frames) for seq in sequences]
     if 0 in seq_len:
         raise DegenerateInput("empty graph sequence")
-    buffer, lengths, stacked = encode_frames(frames, ontology)
+    buffer, lengths, stacked = codec.encode_frames(frames, ontology)
     features, _, triplets, m = stacked
     passes = -(-trials // len(frames))
     rows = min(points * passes, max(1, _SCORE_OCTETS // buffer.size))

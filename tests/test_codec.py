@@ -17,7 +17,7 @@ from gbsed.errors import (
 from gbsed.ontology import emit_ontology, load_ontology
 from gbsed.rng import SplitMix64
 from gbsed.scenarios import ScenarioSpec, generate
-from gbsed.scene_graph import SceneGraph
+from gbsed.scene_graph import SceneGraph, stack_graphs
 
 # the most nodes the header's 16-bit N carries
 _MAX_NODES = 0xFFFF
@@ -510,20 +510,8 @@ def test_full_pipeline_round_trip(ontology):
 
 # -- one encoder call for a pass ------------------------------------------------
 
-def _stacked(frames):
-    """encode_frames' arrays for a list of scene graphs."""
-    triplets = np.array([e for f in frames for e in f.edges], dtype=np.int64).reshape(-1, 3)
-    return (np.concatenate([f.features for f in frames]), [f.num_nodes for f in frames],
-            triplets, [len(f.edges) for f in frames])
-
-
-def _encode(frames, ontology):
-    features, sizes, triplets, edge_counts = _stacked(frames)
-    return codec.encode_frames(features, ontology, sizes, triplets, edge_counts)
-
-
 def _assert_encodes_as_the_stages(frames, ontology):
-    buffer, lengths = _encode(frames, ontology)
+    buffer, lengths, _ = codec.encode_frames(frames, ontology)
     staged = [_serialized(f, ontology) for f in frames]
     assert buffer.dtype == np.uint8 and lengths.dtype == np.int64
     assert lengths.tolist() == [len(p) for p in staged]
@@ -573,17 +561,8 @@ def test_encode_frames_writes_what_the_stages_write_for_the_corpora(ontology, co
 
 
 def test_encode_frames_of_no_frames(ontology):
-    buffer, lengths = codec.encode_frames(np.zeros((0, 4)), ontology, [], np.zeros((0, 3)), [])
+    buffer, lengths, _ = codec.encode_frames([], ontology)
     assert buffer.size == 0 and lengths.size == 0
-
-
-def test_encode_frames_refuses_arrays_that_do_not_stack(ontology):
-    features, sizes, triplets, edge_counts = _stacked([_random_graph(3, 4, 8)] * 2)
-    for args in ((features[1:], sizes, triplets, edge_counts),
-                 (features, sizes, triplets[1:], edge_counts),
-                 (features[:, 0], sizes, triplets, edge_counts)):
-        with pytest.raises(ShapeError):
-            codec.encode_frames(args[0], ontology, *args[1:])
 
 
 def _staged_error(frame, ontology):
@@ -612,10 +591,39 @@ def test_encode_frames_refuses_the_first_frame_the_stages_refuse(ontology):
         expect = _staged_error(REFUSED[a], ontology)
         frames = [good[0], REFUSED[a], good[1], REFUSED[b], good[2]]
         with pytest.raises(GbsedError) as e:
-            _encode(frames, ontology)
+            codec.encode_frames(frames, ontology)
         assert (type(e.value), str(e.value)) == expect, (a, b)
     # features of another width than the ontology's: refused after the edges
     for frame in (SceneGraph(np.zeros((2, 5)), ()), SceneGraph(np.zeros((2, 5)), ((0, 1, 2),))):
         with pytest.raises(GbsedError) as e:
-            _encode([frame, _random_graph(4, 2, 8, d=5)], ontology)
+            codec.encode_frames([frame, _random_graph(4, 2, 8, d=5)], ontology)
         assert (type(e.value), str(e.value)) == _staged_error(frame, ontology)
+
+
+def test_encode_frames_runs_the_stages_on_its_refused_graphs_only(ontology, monkeypatch):
+    calls = []
+    original = codec.encode_tensor
+
+    def spy(graph, ontology):
+        calls.append(graph)
+        return original(graph, ontology)
+
+    monkeypatch.setattr(codec, "encode_tensor", spy)
+    good = [_random_graph(s, 5, 8) for s in range(5)]
+    _, _, stacked = codec.encode_frames(good, ontology)
+    assert calls == []
+    for got, expect in zip(stacked, stack_graphs(good), strict=True):
+        assert got.dtype == expect.dtype
+        np.testing.assert_array_equal(got, expect)
+    # one refused graph, at index 3: the stages run on it alone
+    frames = good[:3] + [REFUSED["relation_9"]] + good[4:]
+    with pytest.raises(OntologyMismatch):
+        codec.encode_frames(frames, ontology)
+    assert list(map(id, calls)) == [id(frames[3])]
+    # a 5-feature graph at index 2 does not stack: the stages run on every
+    # graph in order and raise at it
+    calls.clear()
+    frames = good[:2] + [_random_graph(5, 3, 8, d=5)] + good[3:]
+    with pytest.raises(ShapeError, match=r"\(3, 5\) != \(3, 4\)"):
+        codec.encode_frames(frames, ontology)
+    assert list(map(id, calls)) == list(map(id, frames[:3]))

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbsed import codec, sweep
+from gbsed import codec
 from gbsed.errors import GbsedError
 from gbsed.ontology import default_ontology
 from gbsed.rng import SplitMix64, splitmix64_stream
@@ -95,7 +95,7 @@ _graphs = st.integers(1, 12).flatmap(lambda n: st.builds(
 @settings(max_examples=120, deadline=None)
 @given(st.lists(_graphs, min_size=1, max_size=6))
 def test_one_encoder_call_writes_what_the_stages_write(graphs):
-    buffer, lengths, _ = sweep.encode_frames(graphs, ONT)
+    buffer, lengths, _ = codec.encode_frames(graphs, ONT)
     staged = [codec.serialize(codec.compress(codec.encode_tensor(g, ONT)), g.features, ONT)
               for g in graphs]
     assert lengths.tolist() == [len(p) for p in staged]

@@ -136,6 +136,8 @@ def test_label_lines_parsed():
     ("seq 0 frame 0 | 0:0:0:0:0 | 0:9:1", 1),      # relation id out of range
     ("seq 0 frame 0 | 0:0:0:0:0 | 0:1:0", 1),      # self-loop
     ("seq 0 frame 0 | 0:0:0:0:0 | 0:1:5", 1),      # dst out of range
+    ("seq 0 frame 0 | 0:0:0:0:10 1:0:0:30:10 | -1:1:0", 1),  # negative src
+    ("seq 0 frame 0 | 0:0:0:0:10 1:0:0:30:10 | 1:1:-2", 1),  # negative dst
     ("seq 0 frame 0 | 1:0:0:0:0 |", 1),            # node index out of order
     ("seq 0 frame 0 | 0:0:0:0 |", 1),              # short node record
     ("seq 0 frame 0 | 0:0:x:0:0 |", 1),            # non-numeric field

@@ -259,7 +259,7 @@ def test_a_sweep_encodes_its_pass_in_one_call(small_corpus, monkeypatch):
     original = codec.encode_frames
 
     def spy(*args):
-        callers.append(sys._getframe(2).f_code.co_name)
+        callers.append(sys._getframe(1).f_code.co_name)
         return original(*args)
 
     def staged(*args):
