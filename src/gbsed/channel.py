@@ -4,16 +4,17 @@ symmetric channel, and OFDM frame-capacity accounting.
 The noiseless sentinel is ``snr_db = math.inf``. All randomness derives
 from the 64-bit seed in LinkConfig via the splitmix64 stream.
 
-``plan_link`` lays out many back-to-back payloads once, and each ``send``
-of the plan sends every payload with its own seed; ``transmit`` is a
-one-frame ``send``. It decides every symbol as the float64 primitives
-``qam64_demap(awgn(qam64_map(bits)))`` would: on AWGN a float32 filter
-decides each block, and one float64 pass per send redoes the symbols it
-flags as near a midpoint with awgn's and qam64_demap's own code; the Gray
-map is written once each way (``_level_index``, ``_codes_from_levels``).
-On either link a send ends in one gather: each received octet is read
-from the link's octets (on AWGN the decided codes, packed word by word)
-or from a copy of the sent buffer.
+``plan_link`` lays out many back-to-back payloads once, and a ``send``
+receives every payload once a row, each row on its own link with its own
+seeds; ``transmit`` is a one-frame, one-row ``send``. It decides every
+symbol as the float64 primitives ``qam64_demap(awgn(qam64_map(bits)))``
+would: on AWGN a float32 filter decides each block of a row, and one
+float64 pass per send redoes the symbols it flags as near a midpoint in
+every row, each at its row's noise level, with awgn's and qam64_demap's
+own code; the Gray map is written once each way (``_level_index``,
+``_codes_from_levels``). On either link a send ends in one gather: each
+received octet is read from its row's link octets (on AWGN the decided
+codes, packed word by word) or from the row's copy of the sent buffer.
 """
 
 import math
@@ -190,8 +191,9 @@ def transmit(payload, cfg):
     """
     data = np.frombuffer(bytes(payload), dtype=np.uint8)
     plan = plan_link(data, [data.size], cfg.channel_kind, cfg.header_protection)
-    received, errors = send(plan, [cfg.seed % (1 << 64)], cfg)
-    return received.tobytes(), errors
+    received = np.empty((1, data.size), dtype=np.uint8)
+    errors = send(plan, [[cfg.seed % (1 << 64)]], [cfg], received)
+    return received.tobytes(), int(errors[0])
 
 
 @dataclass(frozen=True)
@@ -205,18 +207,21 @@ class _Block:
 class _Scratch:
     """Buffers that every send of a plan reuses: for its largest block of n
     splitmix64 outputs (its bits on the BSC, two per symbol on AWGN), 17
-    bytes an output (18.5 on AWGN), and source, the send's ``link`` octets
-    (BSC: body octets; AWGN: a code a symbol, then packed 3 octets to 4
-    bytes) and a copy of the sent buffer, which the received buffer is
-    gathered from. The float32 filter works in tmp, which _mix is done
-    with, so raw keeps a block's outputs until the flagged pairs are taken;
-    then tmp is the spare words of the packing."""
+    bytes an output (18.5 on AWGN); source, a row a reception of its
+    ``link`` octets (BSC: body octets; AWGN: a code a symbol, then packed 3
+    octets to 4 bytes) and a copy of the sent buffer, padded to whole words,
+    which the received rows are gathered from; and diff, each received row
+    XOR the sent buffer in zero-padded 64-bit words. The float32 filter
+    works in tmp, which _mix is done with, so raw keeps a block's outputs
+    until the flagged pairs are taken; then tmp is the spare words of the
+    packing."""
 
-    def __init__(self, n, link, buffer, awgn_link):
+    def __init__(self, n, link, buffer, awgn_link, rows=1):
         self.raw, self.tmp = np.empty((2, n), dtype=np.uint64)
         self.flags = np.empty(n, dtype=bool)  # BSC flips; AWGN finite r, then far parts
-        self.source = np.empty(link + buffer.size, dtype=np.uint8)
-        self.source[link:] = buffer
+        self.source = np.empty((rows, -(-(link + buffer.size) // 8) * 8), dtype=np.uint8)
+        self.source[:, link:link + buffer.size] = buffer
+        self.diff = np.zeros((rows, -(-buffer.size // 8)), dtype=np.uint64)
         if awgn_link:
             m = n // 2
             # hi1, then radius; hi2, then angle; I and Q amplitudes. The
@@ -229,15 +234,15 @@ class _Scratch:
 @dataclass(frozen=True)
 class LinkPlan:
     """What sending a fixed set of back-to-back payloads over one kind of
-    link takes that does not depend on the seeds or the noise level; built
-    by ``plan_link``, used by ``send``, which writes the received buffer in
+    link takes that does not depend on the seeds or the noise levels; built
+    by ``plan_link``, used by ``send``, which writes every received row in
     one gather by recv_from, one index per buffer octet. Each send works in
     the plan's scratch, so a plan is not meant for concurrent sends."""
     channel_kind: str
     header_protection: str
     buffer: np.ndarray     # the sent payloads, back to back
     frames: int            # how many
-    recv_from: np.ndarray  # where each buffer octet is read from in scratch.source, intp
+    recv_from: np.ndarray  # where each buffer octet is read from in a row of scratch.source, intp
     sent: np.ndarray       # BSC: the octets that meet the channel
     blocks: tuple
     steps: np.ndarray      # rng.golden_steps of the most draws of one frame
@@ -245,8 +250,9 @@ class LinkPlan:
     indices: np.ndarray    # AWGN: (2, symbols) I and Q level indices (level 2i - 7), uint8
 
 
-def plan_link(buffer, lengths, channel_kind, header_protection):
-    """Lay out back-to-back payloads of the given lengths for ``send``.
+def plan_link(buffer, lengths, channel_kind, header_protection, rows=1):
+    """Lay out back-to-back payloads of the given lengths for ``send``s of
+    up to ``rows`` receptions of them each.
 
     On AWGN every frame's body octets are padded with zeros to whole groups
     of 3, which are 4 symbols: the zero bits that close the frame's last
@@ -280,7 +286,7 @@ def plan_link(buffer, lengths, channel_kind, header_protection):
     most = max((int(blk.counts.sum()) for blk in blocks), default=0)
     return LinkPlan(channel_kind, header_protection, buffer, int(lengths.size), recv_from,
                     sent, tuple(blocks), rng.golden_steps(int(counts.max(initial=0))),
-                    _Scratch(most, size, buffer, awgn_link), indices)
+                    _Scratch(most, size, buffer, awgn_link, rows), indices)
 
 
 def _read_from(buffer, lengths, head, size, awgn_link):
@@ -289,28 +295,27 @@ def _read_from(buffer, lengths, head, size, awgn_link):
     indices of its symbols (AWGN). The octet-sized temporaries are freed on
     return, before plan_link makes the scratch."""
     octets = lengths - head
-    first = np.cumsum(octets) - octets
-    # each body octet's buffer offset
-    body_at = np.repeat(np.cumsum(lengths) - lengths + head - first, octets)
-    body_at += np.arange(body_at.size)
-    sent = buffer[body_at]
+    # a frame's body octets take their places among the link's body octets,
+    # on AWGN each frame's padded to whole groups of 3
+    room = 3 * -(-octets // 3) if awgn_link else octets
+    # the buffer in segments, each frame's header and then its body: the
+    # header reads from the copy of the buffer, a body octet from its place
+    segments = np.stack([head, octets], axis=1).ravel()
+    offsets = np.stack([np.full(lengths.size, size),
+                        np.cumsum(room) - room - (np.cumsum(lengths) - lengths) - head], axis=1)
+    recv_from = np.repeat(offsets.ravel(), segments).astype(np.intp, copy=False)
+    recv_from += np.arange(buffer.size)
+    body = np.repeat(np.tile([False, True], lengths.size), segments)
+    sent, indices = buffer[body], None
     if awgn_link:
-        # and its place among its frame's body padded to whole groups of 3
-        padded = 3 * -(-octets // 3)
-        place = np.repeat(np.cumsum(padded) - padded - first, octets)
-        place += np.arange(place.size)
-        octet_groups = np.zeros(padded.sum(), dtype=np.uint8)
+        place = recv_from[body]
+        octet_groups = np.zeros(room.sum(), dtype=np.uint8)
         octet_groups[place] = sent
         codes = _codes_from_octets(octet_groups)
         sent, indices = None, _level_index(np.stack([codes >> 3, codes & 7]))
         # octet k of group g, at place 3 g + k, is byte 2 - k of the group's
         # packed word: link octet 4 g + 2 - k = 7 g + 2 - place
-        link = 7 * (place // 3) + 2 - place
-    else:
-        link, indices = np.arange(body_at.size), None
-    # the octets that bypass the channel are read from the copy of the buffer
-    recv_from = np.arange(size, size + buffer.size, dtype=np.intp)
-    recv_from[body_at] = link
+        recv_from[body] = 7 * (place // 3) + 2 - place
     return recv_from, sent, indices
 
 
@@ -333,8 +338,9 @@ def _octets_from_codes(words, spare):
     """Inverse of _codes_from_octets, in place on _WORD words that each hold
     4 codes c0..c3 in bytes 0..3: a word becomes c0 << 18 | c1 << 12 |
     c2 << 6 | c3, whose bytes 2, 1 and 0 are the group's octets. spare is
-    a _WORD array at least as long, which it overwrites."""
-    pair = np.bitwise_and(words, 0x003F003F, out=spare[:words.size])  # c0 and c2
+    a flat _WORD array of at least words.size, which it overwrites."""
+    pair = np.bitwise_and(words, 0x003F003F,  # c0 and c2
+                          out=spare[:words.size].reshape(words.shape))
     pair <<= 6
     words >>= 8
     words &= 0x003F003F  # c1 and c3
@@ -352,36 +358,51 @@ def _flip_threshold(p):
     return np.uint64(math.ceil(p * 2.0 ** 53) << 11)
 
 
-def send(plan, seeds, cfg):
-    """Send the plan's payloads through the link, payload i with seed
-    seeds[i] in [0, 2^64); cfg.seed is not used, and cfg's channel kind and
-    header protection must be the plan's; ``transmit`` is a one-frame send.
+def send(plan, seeds, links, out):
+    """Receive the plan's payloads once a row, into the rows of out, a
+    (rows, buffer octets) uint8 array: row j on links[j], payload i with
+    seed seeds[j, i] in [0, 2^64). The links' seeds are not used, and
+    their channel kind and header protection must be the plan's;
+    ``transmit`` is a one-frame, one-row send.
 
-    Returns (received_buffer, bit_error_count). On AWGN every body bit is
-    decided as ``qam64_demap(awgn(qam64_map(bits), snr_db, seed))`` decides
-    it; on the BSC it flips where ``rng.uniforms(seed, bits) < p``.
+    Returns each row's bit error count. On AWGN every body bit is decided
+    as ``qam64_demap(awgn(qam64_map(bits), snr_db, seed))`` decides it; on
+    the BSC it flips where ``rng.uniforms(seed, bits) < p``. A noiseless
+    row (SNR +inf, or p = 0) draws nothing.
     """
-    if (cfg.channel_kind, cfg.header_protection) != (plan.channel_kind,
-                                                     plan.header_protection):
-        raise ValueError("the link differs from the one the plan was made for")
+    if any((cfg.channel_kind, cfg.header_protection)
+           != (plan.channel_kind, plan.header_protection) for cfg in links):
+        raise ValueError("a link differs from the one the plan was made for")
     seeds = np.asarray(seeds, dtype=np.uint64)
-    if seeds.shape != (plan.frames,):
-        raise ValueError(f"{seeds.size} seeds for a plan of {plan.frames} frames")
-    if (cfg.bsc_flip_prob == 0.0 if cfg.channel_kind == BSC else _noiseless(cfg.snr_db)):
-        return plan.buffer.copy(), 0
-    s = plan.scratch
-    if cfg.channel_kind == AWGN64QAM:
-        _awgn_octets(plan, seeds, _sigma(cfg.snr_db))
+    rows, s = len(links), plan.scratch
+    if seeds.shape != (rows, plan.frames) or rows > len(s.source):
+        raise ValueError(f"seeds of shape {seeds.shape} for {rows} links, and a plan of "
+                         f"{plan.frames} frames and at most {len(s.source)} rows")
+    if out.shape != (rows, plan.buffer.size) or out.dtype != np.uint8:
+        raise ValueError(f"out of shape {out.shape} and {out.dtype} for {rows} rows of "
+                         f"{plan.buffer.size} octets")
+    noisy = np.array([(cfg.bsc_flip_prob != 0.0 if cfg.channel_kind == BSC
+                       else not _noiseless(cfg.snr_db)) for cfg in links], dtype=bool)
+    if not noisy.any():  # nothing to draw, pack or gather
+        out[:] = plan.buffer
+        return np.zeros(rows, dtype=np.int64)
+    if plan.channel_kind == AWGN64QAM:
+        _awgn_octets(plan, seeds, [_sigma(cfg.snr_db) for cfg in links], noisy)
     else:
-        for blk in plan.blocks:
-            raw = rng.splitmix64_streams(seeds[blk.frames], blk.counts, plan.steps, s.raw, s.tmp)
-            flips = np.less(raw, _flip_threshold(cfg.bsc_flip_prob), out=s.flags[:raw.size])
-            np.bitwise_xor(np.packbits(flips), plan.sent[blk.octets], out=s.source[blk.octets])
-    received = np.take(s.source, plan.recv_from)
+        for j in np.flatnonzero(noisy):
+            threshold = _flip_threshold(links[j].bsc_flip_prob)
+            for blk in plan.blocks:
+                raw = rng.splitmix64_streams(seeds[j, blk.frames], blk.counts, plan.steps,
+                                             s.raw, s.tmp)
+                flips = np.less(raw, threshold, out=s.flags[:raw.size])
+                np.bitwise_xor(np.packbits(flips), plan.sent[blk.octets],
+                               out=s.source[j, blk.octets])
+    np.take(s.source[:rows], plan.recv_from, axis=1, out=out, mode="clip")  # "raise" buffers out
+    out[~noisy] = plan.buffer
     # the bit differences in whole 64-bit words, which count far faster than octets
-    diff = np.zeros(-(-received.size // 8), dtype=np.uint64)
-    np.bitwise_xor(received, plan.buffer, out=diff.view(np.uint8)[:received.size])
-    return received, int(np.bitwise_count(diff).sum())
+    diff = s.diff[:rows]
+    np.bitwise_xor(out, plan.buffer, out=diff.view(np.uint8)[:, :out.shape[1]])
+    return np.bitwise_count(diff).sum(axis=1, dtype=np.int64)
 
 
 # The float32 filter reads the high 32-bit words hi1 and hi2 of a symbol's
@@ -472,33 +493,46 @@ def _filter(raw, indices, sigma, s, codes):
 
 
 def _refine(pairs, at, indices, sigma, codes):
-    """Redo symbols ``at`` of a send from their splitmix64 output pairs and
-    sent level indices, as qam64_demap decides them after awgn, into codes."""
-    r, theta = rng.polar(pairs.reshape(-1), np.empty(at.size), np.empty(at.size))
-    sent = _SYMBOL_BY_CODE[_codes_from_levels(indices[:, at], np.empty(at.size, np.uint8))]
+    """Redo symbols ``at``, numbered across the rows of codes, from their
+    splitmix64 output pairs, the sent level indices of a row's symbols and
+    sigma (one, or one a symbol), as qam64_demap decides them after awgn."""
+    at = np.unravel_index(at, codes.shape)
+    r, theta = rng.polar(pairs.reshape(-1), np.empty(len(pairs)), np.empty(len(pairs)))
+    sent = _SYMBOL_BY_CODE[_codes_from_levels(indices[:, at[-1]],
+                                              np.empty(len(pairs), np.uint8))]
     codes[at] = _decide(_noisy(sent, sigma, r * np.cos(theta), r * np.sin(theta)))
 
 
-def _awgn_octets(plan, seeds, sigma):
-    """The plan's body octets as qam64_demap decides them after awgn, into
-    the link octets of its scratch, packed 3 to a word: every block through
-    the float32 filter, then the symbols it flags in one float64 pass."""
+def _awgn_octets(plan, seeds, sigmas, noisy):
+    """The plan's body octets as qam64_demap decides them after awgn, row j
+    at per-axis noise deviation sigmas[j], into the scratch's rows, packed 3
+    to a word: each noisy row's blocks through the float32 filter, then the
+    symbols it flags in every row in one float64 pass, then one packing."""
     s = plan.scratch
-    codes = s.source[:plan.indices.shape[1]]
-    pairs, flagged = [], []
+    codes = s.source[:len(seeds), :plan.indices.shape[1]]
+    pairs, flagged, deviations = [], [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for blk in plan.blocks:
-            raw = rng.splitmix64_streams(seeds[blk.frames], blk.counts, plan.steps, s.raw, s.tmp)
-            at = _filter(raw, plan.indices[:, blk.symbols], sigma, s, codes[blk.symbols])
-            if at.size:
-                pairs.append(raw.reshape(-1, 2)[at])
-                flagged.append(at + blk.symbols.start)
+        for j in np.flatnonzero(noisy):
+            for blk in plan.blocks:
+                raw = rng.splitmix64_streams(seeds[j, blk.frames], blk.counts, plan.steps,
+                                             s.raw, s.tmp)
+                at = _filter(raw, plan.indices[:, blk.symbols], sigmas[j], s,
+                             codes[j, blk.symbols])
+                if at.size:
+                    pairs.append(raw.reshape(-1, 2)[at])
+                    flagged.append(at + (j * codes.shape[1] + blk.symbols.start))
+                    deviations.append(np.full(at.size, sigmas[j]))
     if flagged:
-        _refine(np.concatenate(pairs), np.concatenate(flagged), plan.indices, sigma, codes)
+        _refine(np.concatenate(pairs), np.concatenate(flagged), plan.indices,
+                np.concatenate(deviations), codes)
     words, spare = codes.view(_WORD), s.tmp.view(_WORD)
-    # spare holds a block's words 16 times over; a send of more blocks packs in pieces
-    for lo in range(0, words.size, max(spare.size, 1)):
-        _octets_from_codes(words[lo:lo + spare.size], spare)
+    # spare holds a block's words 16 times over: a piece is as many whole
+    # rows as it holds, or a part of a row longer than it
+    wide = max(min(spare.size, words.shape[1]), 1)
+    tall = max(spare.size // wide, 1)
+    for lo in range(0, words.shape[0], tall):
+        for at in range(0, words.shape[1], wide):
+            _octets_from_codes(words[lo:lo + tall, at:at + wide], spare)
 
 
 def frames_required(payload_len_octets):

@@ -242,7 +242,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except (GbsedError, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        line = getattr(e, "line_number", None)  # a malformed .scenes line
+        print(f"error: {'' if line is None else f'line {line}: '}{e}", file=sys.stderr)
         return EXIT_DATA
     except Exception as e:  # invariant violation
         print(f"internal error: {e}", file=sys.stderr)

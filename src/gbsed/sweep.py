@@ -6,10 +6,11 @@ A sweep receives the corpus pass once per SNR point and pass. The pass is
 encoded once per sweep into one octet buffer, with one
 ``codec.encode_frames`` call over its scene graphs (as ``encode_frame`` and
 ``gbsed encode`` encode), and the link is planned once for that buffer
-(``plan_link``). Each reception is one ``send`` call,
-which does only the work that depends on the seeds and the noise level,
-and fills one row of a batch of receptions. A batch holds at most
-``_SCORE_OCTETS`` received octets and at least one reception, and it is
+(``plan_link``), for as many receptions as a batch holds. A batch holds
+at most ``_SCORE_OCTETS`` received octets and at least one reception. It
+is received in one ``send`` call, which does only the work that depends
+on the seeds and the noise levels and writes each reception, on its own
+SNR point's link, straight into its row of the batch. The batch is
 scored straight from the received octets with a few numpy calls, over
 offsets laid out once per sweep from the N, d and K of the sent headers
 (``codec.header_fields``); each SNR point keeps its own sums, verdicts and
@@ -300,7 +301,7 @@ def run_sweep(sequences, ontology, cfg):
     lay = _lay_out(sequences, ontology, points, cfg.trials_per_point)
     num_frames = len(lay.frames)
     lengths = lay.lengths[:num_frames]
-    plan = plan_link(lay.buffer, lengths, cfg.channel_kind, cfg.header_protection)
+    plan = plan_link(lay.buffer, lengths, cfg.channel_kind, cfg.header_protection, lay.rows)
     links = [cfg._link(s) for s in cfg.snr_points]
     # reception (i, p) is pass p of SNR point i; trial t of point i sends
     # frame t mod F with seed base_seed ^ i ^ t
@@ -312,12 +313,13 @@ def run_sweep(sequences, ontology, cfg):
     batch = np.empty((lay.rows, lay.buffer.size), dtype=np.uint8)
     for lo in range(0, len(receptions), lay.rows):
         todo = receptions[lo:lo + lay.rows]
-        for j, (i, p) in enumerate(todo):
-            seeds = (np.uint64((cfg.base_seed ^ i) & _MASK64)
-                     ^ np.arange(p * num_frames, (p + 1) * num_frames, dtype=np.uint64))
-            batch[j], e = send(plan, seeds, links[i])
-            errors[i] += e
         rows = len(todo)
+        keys = np.array([(cfg.base_seed ^ i) & _MASK64 for i, _ in todo], dtype=np.uint64)
+        first = np.array([p * num_frames for _, p in todo], dtype=np.uint64)
+        seeds = keys[:, None] ^ (first[:, None] + np.arange(num_frames, dtype=np.uint64))
+        row_errors = send(plan, seeds, [links[i] for i, _ in todo], batch[:rows])
+        for (i, _), e in zip(todo, row_errors.tolist()):
+            errors[i] += e
         fid, *near = _score_pass(lay, batch[:rows], ontology)
         risky, score = risk_verdicts(lay.frame_seq[:rows * num_frames], *near)
         for (i, p), f, r, s in zip(todo, fid.reshape(rows, -1), risky.reshape(rows, -1),

@@ -32,6 +32,15 @@ from reference_link import reference_transmit
 _SCALE = 1.0 / math.sqrt(42.0)
 
 
+def _send(plan, seeds, cfg):
+    """A one-row send of the plan's payloads with the given seeds: the
+    received buffer and its bit error count."""
+    out = np.empty((1, plan.buffer.size), dtype=np.uint8)
+    errors = send(plan, [seeds], [cfg], out)
+    assert errors.shape == (1,)
+    return out[0], int(errors[0])
+
+
 def _all_symbols():
     bits = np.array([[(v >> (5 - k)) & 1 for k in range(6)] for v in range(64)],
                     dtype=np.uint8).reshape(-1)
@@ -436,7 +445,7 @@ def test_near_midpoint_refines_few_symbols_at_minus_70db(refined):
     lengths = [3000] * 20
     cfg = LinkConfig(snr_db=-70.0, header_protection=UNPROTECTED)
     plan = plan_link(np.zeros(sum(lengths), dtype=np.uint8), lengths, AWGN64QAM, UNPROTECTED)
-    received, errors = send(plan, np.arange(len(lengths)), cfg)
+    received, errors = _send(plan, np.arange(len(lengths)), cfg)
     expect = [reference_transmit(bytes(n), replace(cfg, seed=s)) for s, n in enumerate(lengths)]
     assert received.tobytes() == b"".join(r for r, _ in expect)
     assert errors == sum(e for _, e in expect)
@@ -616,7 +625,7 @@ def test_transmit_frames_matches_transmit(cfg, request, monkeypatch, refined):
         for point in range(2):
             seeds = [((1 << 64) - 1) ^ point, point, 5, 6, 7, 1 << 63, 9, 10, 11, 12, 13, 14]
             calls = len(refined)
-            received, errors = send(plan, seeds, cfg)
+            received, errors = _send(plan, seeds, cfg)
             # the float64 pass runs once per send, over every block's flags
             assert len(refined) - calls == (request.node.callspec.id in _REFINED)
             expect = [reference_transmit(p, replace(cfg, seed=s))
@@ -653,7 +662,7 @@ def test_send_refuses_another_link():
     plan = plan_link(np.zeros(30, dtype=np.uint8), [30], AWGN64QAM, PROTECTED)
     for cfg in (LinkConfig(channel_kind=BSC), LinkConfig(header_protection=UNPROTECTED)):
         with pytest.raises(ValueError):
-            send(plan, [0], cfg)
+            send(plan, [[0]], [cfg], np.empty((1, 30), dtype=np.uint8))
 
 
 @pytest.mark.parametrize("cfg", [
@@ -665,8 +674,8 @@ def test_send_refuses_a_seed_vector_not_one_per_frame(cfg):
     plan = plan_link(np.zeros(90, dtype=np.uint8), [30, 30, 30], cfg.channel_kind, PROTECTED)
     for seeds in ([0, 1, 2, 3], [0, 1], [[0, 1, 2]]):
         with pytest.raises(ValueError):
-            send(plan, seeds, cfg)
-    send(plan, [0, 1, 2], cfg)
+            _send(plan, seeds, cfg)
+    _send(plan, [0, 1, 2], cfg)
 
 
 def test_sends_on_one_plan_leak_nothing_between_them(refined):
@@ -687,7 +696,7 @@ def test_sends_on_one_plan_leak_nothing_between_them(refined):
         returned = []
         for k, cfg in enumerate(links):
             seeds = [(1 << 64) - 1 - 7 * k - f for f in range(len(lengths))]
-            received, errors = send(plan, seeds, cfg)
+            received, errors = _send(plan, seeds, cfg)
             assert type(errors) is int
             expect = [reference_transmit(p, replace(cfg, seed=s))
                       for p, s in zip(payloads, seeds)]
@@ -699,6 +708,100 @@ def test_sends_on_one_plan_leak_nothing_between_them(refined):
                 assert sum(refined) > 0
         for received, copy in returned:
             np.testing.assert_array_equal(received, copy)
+
+
+# the links of one batched send each, in row order: a noiseless row among
+# noisy ones
+_BATCHES = {
+    "awgn": [LinkConfig(snr_db=s) for s in (0.0, 10.0, math.inf, 20.0)],
+    "awgn_unprotected": [LinkConfig(snr_db=s, header_protection=UNPROTECTED)
+                         for s in (20.0, math.inf, 0.0, 10.0)],
+    "bsc": [LinkConfig(channel_kind=BSC, bsc_flip_prob=p) for p in (0.002, 0.0, 0.5)],
+    "bsc_unprotected": [LinkConfig(channel_kind=BSC, bsc_flip_prob=p,
+                                   header_protection=UNPROTECTED) for p in (0.5, 0.0, 0.002)],
+}
+
+
+@pytest.mark.parametrize("budget", [1000, 1 << 16])
+@pytest.mark.parametrize("name", sorted(_BATCHES))
+def test_a_batched_send_equals_one_row_sends(name, budget, monkeypatch, refined):
+    # one send of several receptions, each on its own link with its own
+    # seeds, gives each row what a one-row send of it gives (and the
+    # reference link), octet for octet and error for error, with one float64
+    # pass over every row's flagged symbols. Its plan holds more rows than
+    # are sent, and at a budget of 1,000 outputs a frame is longer than a
+    # block
+    monkeypatch.setattr(channel, "_BLOCK_DRAWS", budget)
+    links = _BATCHES[name]
+    lengths = [40, 41, 42, 0, 10, HEADER_LEN, 300, 22, 5000, 25]
+    gen = rng.SplitMix64(43)
+    payloads = [bytes(gen.randint(0, 255) for _ in range(n)) for n in lengths]
+    buffer = np.frombuffer(b"".join(payloads), dtype=np.uint8)
+    kind, protection = links[0].channel_kind, links[0].header_protection
+    plan = plan_link(buffer, lengths, kind, protection, rows=len(links) + 2)
+    single = plan_link(buffer, lengths, kind, protection)
+    assert any(blk.counts.sum() > budget for blk in plan.blocks) == (budget == 1000)
+    seeds = np.array([[gen.next_u64() for _ in lengths] for _ in links], dtype=np.uint64)
+    for rows in (len(links), 2):
+        out = np.empty((rows, buffer.size), dtype=np.uint8)
+        calls = len(refined)
+        errors = send(plan, seeds[:rows], links[:rows], out)
+        batched = refined[calls:]
+        assert errors.shape == (rows,) and errors.dtype == np.int64
+        for j, cfg in enumerate(links[:rows]):
+            received, e = _send(single, seeds[j], cfg)
+            assert out[j].tobytes() == received.tobytes() and errors[j] == e, (cfg, j)
+            expect = [reference_transmit(p, replace(cfg, seed=int(s)))
+                      for p, s in zip(payloads, seeds[j])]
+            assert received.tobytes() == b"".join(r for r, _ in expect)
+            assert e == sum(e for _, e in expect)
+        # one float64 pass redoes what the one-row sends redo between them
+        one_row = refined[calls + len(batched):]
+        assert len(batched) == (len(one_row) > 0) and sum(batched) == sum(one_row)
+        if rows == len(links):
+            assert len(one_row) > 1 if kind == AWGN64QAM else not one_row
+    quiet = [j for j, cfg in enumerate(links) if cfg.snr_db == math.inf
+             and cfg.bsc_flip_prob == 0.0]
+    out = np.empty((len(links), buffer.size), dtype=np.uint8)
+    errors = send(plan, seeds, links, out)
+    for j in quiet:
+        assert out[j].tobytes() == buffer.tobytes() and errors[j] == 0
+    assert (errors[[j for j in range(len(links)) if j not in quiet]] > 0).all()
+    # and a send of noiseless rows only, into rows that held noisy ones
+    errors = send(plan, seeds[:2], [links[quiet[0]]] * 2, out[:2])
+    assert [row.tobytes() for row in out[:2]] == [buffer.tobytes()] * 2
+    assert errors.tolist() == [0, 0] and errors.dtype == np.int64
+
+
+@pytest.mark.parametrize("kind", [AWGN64QAM, BSC])
+def test_send_refuses_what_does_not_fit_its_plan(kind):
+    plan = plan_link(np.zeros(90, dtype=np.uint8), [30, 30, 30], kind, PROTECTED, rows=2)
+    link = LinkConfig(snr_db=3.0, channel_kind=kind, bsc_flip_prob=0.1)
+    other = BSC if kind == AWGN64QAM else AWGN64QAM
+    seeds = np.arange(6, dtype=np.uint64).reshape(2, 3)
+    out = np.empty((2, 90), dtype=np.uint8)
+    refused = {
+        "another kind": (seeds, [link, LinkConfig(channel_kind=other)], out),
+        "another protection": (seeds, [replace(link, header_protection=UNPROTECTED), link],
+                               out),
+        "a seed too few": (seeds[:, :2], [link, link], out),
+        "a seed too many": (np.arange(8).reshape(2, 4), [link, link], out),
+        "one row of seeds": (seeds.ravel(), [link, link], out),
+        "fewer rows of seeds than links": (seeds[:1], [link, link], out),
+        "more rows of seeds than links": (seeds, [link], out[:1]),
+        "more rows than the plan": (np.zeros((3, 3)), [link] * 3, np.empty((3, 90), np.uint8)),
+        "an out of fewer octets": (seeds, [link, link], out[:, :89]),
+        "an out of more octets": (seeds, [link, link], np.empty((2, 91), np.uint8)),
+        "an out of fewer rows": (seeds, [link, link], out[:1]),
+        "a flat out": (seeds, [link, link], np.empty(180, np.uint8)),
+        "an out not of octets": (seeds, [link, link], np.empty((2, 90), np.int64)),
+    }
+    for why, (s, links, o) in refused.items():
+        with pytest.raises(ValueError):
+            send(plan, s, links, o)
+            pytest.fail(why)
+    send(plan, seeds, [link, link], out)
+    send(plan, seeds[:1], [link], out[:1])
 
 
 def _body_bit_blocks(lengths, guard, budget):
@@ -765,7 +868,7 @@ def test_plan_arrays_match_their_formulas(kind, protection):
     lengths = [gen.randint(0, 90) for _ in range(60)] + [0, HEADER_LEN, HEADER_LEN + 1]
     buffer = np.frombuffer(bytes(gen.randint(0, 255) for _ in range(sum(lengths))),
                            dtype=np.uint8)
-    plan = plan_link(buffer, lengths, kind, protection)
+    plan = plan_link(buffer, lengths, kind, protection, rows=3)
     lengths = np.array(lengths, dtype=np.int64)
     starts = np.cumsum(lengths) - lengths
     head = np.minimum(lengths, HEADER_LEN if protection == PROTECTED else 0)
@@ -797,8 +900,10 @@ def test_plan_arrays_match_their_formulas(kind, protection):
     recv_from[body_at] = link
     assert plan.recv_from.dtype == np.intp
     np.testing.assert_array_equal(plan.recv_from, recv_from)
-    assert plan.scratch.source.size == size + buffer.size
-    np.testing.assert_array_equal(plan.scratch.source[size:], buffer)
+    # a row a reception, each padded to whole 8-octet words
+    assert plan.scratch.source.shape == (3, -(-(size + buffer.size) // 8) * 8)
+    for row in plan.scratch.source:
+        np.testing.assert_array_equal(row[size:size + buffer.size], buffer)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -806,42 +911,65 @@ def test_plan_arrays_match_their_formulas(kind, protection):
     LinkConfig(channel_kind=BSC, bsc_flip_prob=0.002),
 ], ids=["awgn", "bsc"])
 def test_send_allocates_no_block_sized_buffers(cfg):
-    # after a first send has set the plan's scratch going, a send allocates
-    # its received buffer and small per-block arrays; tracemalloc sees the
-    # buffers numpy allocates. A 234-octet frame draws 568 splitmix64
-    # outputs on AWGN (71 groups of 3 body octets) and 1,704 on the BSC
+    # after a first send has set the plan's scratch going, a send into out
+    # allocates its per-row bit counts and small per-block arrays; tracemalloc
+    # sees the buffers numpy allocates. A 234-octet frame draws 568
+    # splitmix64 outputs on AWGN (71 groups of 3 body octets) and 1,704 on
+    # the BSC
+    peak, draws = _second_send_peak(cfg, 1)
+    assert peak < 2 * draws, peak / draws
+
+
+def _second_send_peak(cfg, rows):
+    """The tracemalloc peak of a second send of `rows` receptions on cfg
+    into out, of 4 blocks of 234-octet frames a row, and the bytes of a
+    block's draws."""
     per_frame = {AWGN64QAM: 568, BSC: 1704}[cfg.channel_kind]
     lengths = [234] * (4 * (channel._BLOCK_DRAWS // per_frame))
     plan = plan_link(np.zeros(sum(lengths), dtype=np.uint8), lengths, cfg.channel_kind,
-                     PROTECTED)
+                     PROTECTED, rows)
     assert plan.blocks[0].counts[0] == per_frame
     assert len(plan.blocks) == 4
     draws = 8 * max(int(blk.counts.sum()) for blk in plan.blocks)
-    seeds = np.arange(len(lengths), dtype=np.uint64)
-    send(plan, seeds, cfg)
+    seeds = np.arange(rows * len(lengths), dtype=np.uint64).reshape(rows, -1)
+    out = np.empty((rows, plan.buffer.size), dtype=np.uint8)
+    send(plan, seeds, [cfg] * rows, out)
     tracemalloc.start()
     try:
-        send(plan, seeds + 1, cfg)
+        send(plan, seeds + 1, [cfg] * rows, out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, draws
+
+
+@pytest.mark.parametrize("cfg", [
+    LinkConfig(snr_db=3.0),
+    LinkConfig(channel_kind=BSC, bsc_flip_prob=0.002),
+], ids=["awgn", "bsc"])
+def test_a_five_row_send_allocates_no_block_sized_buffers(cfg):
+    # five rows of 107,640 octets each: their bit differences live in the
+    # plan's scratch, and a send copies no row
+    peak, draws = _second_send_peak(cfg, 5)
     assert peak < 2 * draws, peak / draws
 
 
 @pytest.mark.parametrize("n", [100_001, 100_000])
 def test_awgn_scratch_shares_memory_between_roles(n):
     # the float32 filter's rows live in tmp, which _mix is done with: with
-    # the send-wide source of a one-block plan, its codes and a copy of the
-    # buffer of their 3 octets a group, under 20 bytes per draw
+    # the send-wide source of a one-block plan for one reception, its codes
+    # and a copy of the buffer of their 3 octets a group, under 20 bytes
+    # per draw
     buffer = np.zeros(3 * n // 8, dtype=np.uint8)
     tracemalloc.start()
     try:
-        s = channel._Scratch(n, n // 2, buffer, True)
+        s = channel._Scratch(n, n // 2, buffer, True, rows=1)
         allocated = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert allocated <= 20 * n, allocated / n
-    assert s.f32.shape == (4, n // 2) and s.source.size == n // 2 + buffer.size
+    assert s.f32.shape == (4, n // 2)
+    assert s.source.shape == (1, -(-(n // 2 + buffer.size) // 8) * 8)
     assert np.shares_memory(s.f32, s.tmp) and not np.shares_memory(s.f32, s.raw)
 
 
@@ -878,10 +1006,32 @@ def test_send_packs_the_codes_of_many_blocks_in_pieces(monkeypatch):
                      PROTECTED)
     assert len(plan.blocks) == 60 and plan.scratch.tmp.view(channel._WORD).size == 432
     cfg = LinkConfig(snr_db=0.5)
-    received, errors = send(plan, np.arange(60), cfg)
+    received, errors = _send(plan, np.arange(60), cfg)
     expect = [reference_transmit(p, replace(cfg, seed=s)) for s, p in enumerate(payloads)]
     assert received.tobytes() == b"".join(r for r, _ in expect)
     assert errors == sum(e for _, e in expect)
+
+
+def test_send_packs_whole_rows_in_pieces(monkeypatch):
+    # 3 one-frame blocks of 81 body octets a row: 81 words a row, and a
+    # spare of 432 words packs 5 whole rows a piece, so 22 rows take 5
+    # pieces, the last of 2 rows
+    monkeypatch.setattr(channel, "_BLOCK_DRAWS", 256)
+    lengths = [HEADER_LEN + 81] * 3
+    gen = rng.SplitMix64(47)
+    payloads = [bytes(gen.randint(0, 255) for _ in range(n)) for n in lengths]
+    plan = plan_link(np.frombuffer(b"".join(payloads), dtype=np.uint8), lengths, AWGN64QAM,
+                     PROTECTED, rows=22)
+    assert plan.indices.shape[1] == 4 * 81 and plan.scratch.tmp.view(channel._WORD).size == 432
+    links = [LinkConfig(snr_db=0.5 * j) for j in range(22)]
+    seeds = np.arange(66, dtype=np.uint64).reshape(22, 3)
+    out = np.empty((22, plan.buffer.size), dtype=np.uint8)
+    errors = send(plan, seeds, links, out)
+    for j, cfg in enumerate(links):
+        expect = [reference_transmit(p, replace(cfg, seed=int(s)))
+                  for p, s in zip(payloads, seeds[j])]
+        assert out[j].tobytes() == b"".join(r for r, _ in expect), j
+        assert errors[j] == sum(e for _, e in expect)
 
 
 @pytest.mark.parametrize("p", [0.5, 0.25, 2.0 ** -10, 0.1, 1 / 3, 0.002,
@@ -941,8 +1091,8 @@ def test_send_ber_on_uniform_bits_matches_exact():
     buffer = (rng.splitmix64_stream(31, sum(lengths)) >> np.uint64(56)).astype(np.uint8)
     plan = plan_link(buffer, lengths, AWGN64QAM, UNPROTECTED)
     for snr_db in (8.0, 12.0):
-        _, errors = send(plan, np.arange(len(lengths)) + int(snr_db) * 1009,
-                         LinkConfig(snr_db=snr_db, header_protection=UNPROTECTED))
+        _, errors = _send(plan, np.arange(len(lengths)) + int(snr_db) * 1009,
+                          LinkConfig(snr_db=snr_db, header_protection=UNPROTECTED))
         assert errors / (8 * buffer.size) == pytest.approx(qam64_ber_exact(snr_db), rel=0.05)
 
 

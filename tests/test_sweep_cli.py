@@ -254,6 +254,29 @@ def test_a_pass_raises_the_staged_error_of_its_first_refused_frame(tmp_path, cap
         assert os.listdir(out) == []
 
 
+def test_a_sweep_sends_each_scoring_batch_in_one_call(default_corpus, monkeypatch):
+    # the default corpus's last 100 frames, one pass at each of the 11 SNR
+    # points: 6 receptions fit in a scoring batch, so the 11 go in 2 sends,
+    # each of the batch's rows on its own point's link
+    calls = []
+    original = sweep.send
+
+    def spy(plan, seeds, links, out):
+        calls.append(([link.snr_db for link in links], seeds.shape, out.shape))
+        return original(plan, seeds, links, out)
+
+    part = default_corpus[-10:]
+    cfg = sweep.SweepConfig(trials_per_point=100)
+    expect = sweep.rows_to_csv(sweep.run_sweep(part, ONT, cfg))
+    monkeypatch.setattr(sweep, "send", spy)
+    assert sweep.rows_to_csv(sweep.run_sweep(part, ONT, cfg)) == expect
+    size = sum(len(sweep.encode_frame(f, ONT)) for seq in part for f in seq.frames)
+    assert [len(points) for points, _, _ in calls] == [6, 5]
+    assert [p for points, _, _ in calls for p in points] == list(cfg.snr_points)
+    assert [shape for _, shape, _ in calls] == [(6, 100), (5, 100)]
+    assert [shape for _, _, shape in calls] == [(6, size), (5, size)]
+
+
 def test_a_sweep_encodes_its_pass_in_one_call(small_corpus, monkeypatch):
     callers = []
     original = codec.encode_frames
@@ -742,6 +765,14 @@ def test_cli_custom_ontology(tmp_path):
     scenes = _gen(tmp_path, ontology=str(cfg))
     assert main(["encode", "--scenes", str(scenes), "--ontology", str(cfg),
                  "--out", str(tmp_path / "p")]) == 0
+
+
+def test_cli_names_the_malformed_scenes_line(tmp_path, capsys):
+    bad = tmp_path / "bad.scenes"
+    bad.write_text("seq 0 frame 0 | 0:0:0.0:0.0:10.0 |\nseq 0 frame 1 | x |\n")
+    for command in ("encode", "sweep"):
+        assert main([command, "--scenes", str(bad), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == "error: line 2: bad node record 'x'\n", command
 
 
 def test_cli_exit_codes(tmp_path, capsys):
