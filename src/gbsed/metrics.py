@@ -137,45 +137,34 @@ def classification_metrics(c):
     return ClassificationMetrics(accuracy, precision, recall, f1, mcc, degenerate)
 
 
-def average_ranks(values):
-    """1-based ranks of values along the last axis, tied values sharing the
-    mean of their ranks (``scipy.stats.rankdata``'s default); a row with a
-    NaN ranks all NaN."""
-    values = np.asarray(values, dtype=float)
-    size = values.shape[-1]
-    order = np.argsort(values, axis=-1, kind="mergesort")
-    ordered = np.take_along_axis(values, order, axis=-1)
-    # tie groups of the sorted values: a group starts at position i where
-    # bounds[..., i] and ends at i where bounds[..., i + 1]
-    bounds = np.ones(values.shape[:-1] + (size + 1,), dtype=bool)
-    np.not_equal(ordered[..., 1:], ordered[..., :-1], out=bounds[..., 1:-1])
-    at = np.arange(size)
-    first = np.maximum.accumulate(np.where(bounds[..., :-1], at, 0), axis=-1)
-    last = np.flip(np.minimum.accumulate(np.flip(np.where(bounds[..., 1:], at, size), -1),
-                                         axis=-1), -1)
-    ranks = np.empty(values.shape)
-    np.put_along_axis(ranks, order, 0.5 * (first + last + 2), axis=-1)
-    ranks[np.isnan(values).any(axis=-1)] = math.nan
-    return ranks
-
-
 def auc(scores, labels):
-    """Rank-based (Mann-Whitney) area under the ROC curve, along the last
-    axis.
+    """Area under the ROC curve along the last axis: the Mann-Whitney
+    statistic U / (P·N), where U counts the (positive, negative) pairs that
+    the positive wins by score, a tie one half.
 
     ``scores`` holds a row of scores or an array of rows, and ``labels``
-    the binary labels (0/1 or bool) of a row, or of each row; ties count
-    one half. Returns a float for one row and an array for rows, NaN for a
-    row with a NaN score.
-    """
+    the binary labels (0/1 or bool) of a row, or of each row. Returns a
+    float for one row and an array for rows, NaN for a row with a NaN score."""
     scores = np.asarray(scores, dtype=float)
     labels = np.broadcast_to(labels, scores.shape)
-    positive = labels == 1
-    n_pos = np.count_nonzero(positive, axis=-1)
-    n_neg = np.count_nonzero(labels == 0, axis=-1)
+    negative = labels == 0
+    if not (negative | (labels == 1)).all():
+        raise ValueError("AUC labels must be 0 or 1")
+    n_neg = np.count_nonzero(negative, axis=-1)
+    n_pos = scores.shape[-1] - n_neg
     if not (np.all(n_pos) and np.all(n_neg)):
         raise DegenerateInput("AUC needs at least one positive and one negative label")
-    # ranks are halves, so their sum is exact in any order
-    rank_sum_pos = np.sum(average_ranks(scores), axis=-1, where=positive)
-    value = (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    nan = np.isnan(scores).any(axis=-1)
+    # a quick sort first, so that the stable sorts below sort sorted rows;
+    # ``at`` makes orders along the last axis flat indices, cheap to gather
+    at = np.arange(0, scores.size, max(scores.shape[-1], 1)).reshape(scores.shape[:-1] + (1,))
+    order = np.argsort(scores, axis=-1) + at
+    scores, negative = scores.ravel()[order], negative.ravel()[order]
+    # 2U: the negatives below each positive, with tied ones sorted after it and
+    # then before it; at the negatives, the running count of them sums to N(N + 1)/2
+    twice_u = -n_neg * (n_neg + 1)
+    for ties_last in (negative, ~negative):
+        neg = negative.ravel()[np.lexsort((ties_last, scores), axis=-1) + at]
+        twice_u += np.cumsum(neg, axis=-1).sum(axis=-1)
+    value = np.where(nan, math.nan, twice_u / 2.0 / (n_pos * n_neg))
     return float(value) if value.ndim == 0 else value

@@ -25,7 +25,7 @@ L_SIDE = 20.0      # longitudinal reach of to_left_of / to_right_of
 L_FRONT = 30.0     # longitudinal reach of in_front_of / behind
 V_MARGIN = 0.5     # approaching: faster than the other node by more than this
 
-# the attributes of graph_from_bev's records, in record order, and the
+# the attributes of graphs_from_bev's records, in record order, and the
 # relations infer_relations emits, in id order from 1
 ATTRIBUTES = ("class", "bev_x", "bev_y", "speed")
 RELATIONS = ("is_near", "very_near", "to_left_of", "to_right_of", "in_front_of",
@@ -186,8 +186,3 @@ def graphs_from_bev(frames, ontology):
 def _graphs(batch, ontology):
     edges = infer_relations(np.concatenate(batch), ontology, [len(f) for f in batch])
     return [SceneGraph(features, e) for features, e in zip(batch, edges)]
-
-
-def graph_from_bev(records, ontology):
-    """``graphs_from_bev`` of one frame."""
-    return graphs_from_bev([records], ontology)[0]

@@ -23,7 +23,7 @@ calls it for one frame), ``metrics.nodes_match`` tests every node
 (``semantic_fidelity`` calls it for one frame), and ``risk_verdicts``
 decides every sequence's risk verdict, sent and received. The result
 rows of all the SNR points are scored in one call (``_point_rows``):
-``verdict_consistency`` counts and ``metrics.auc`` ranks one row a point.
+``verdict_consistency`` counts and ``metrics.auc`` scores one row a point.
 The single-frame path (``encode_frame``, ``transmit``, ``decode_frame``,
 ``semantic_fidelity``, ``task_consistency``) gives the same numbers frame
 by frame; the tests check the sweep against that loop run over a float64
@@ -31,6 +31,7 @@ reference link built from the channel's primitives.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,8 +79,12 @@ class SweepConfig:
     def __post_init__(self):
         if not self.snr_points:
             raise ValueError("snr_points is empty")
-        if self.trials_per_point < 1:
-            raise ValueError("trials_per_point must be >= 1")
+        try:
+            trials = operator.index(self.trials_per_point)
+        except TypeError:
+            trials = 0  # not an integer
+        if trials < 1:
+            raise ValueError(f"trials_per_point {self.trials_per_point!r} is not an integer >= 1")
         for snr_db in self.snr_points:
             self._link(snr_db)  # raises ValueError for a bad point or link
 
@@ -265,9 +270,9 @@ def _point_rows(snr_points, ber, fidelity, truth, pred_risky, pred_score, sizes)
     """The result rows of the SNR points, from their BERs and mean
     fidelities, the sent verdicts, and each point's received verdicts and
     scores: one (points, sequences) row a point, its passes in pass order."""
-    counts, consistency, scores, labels = verdict_consistency(truth, pred_risky, pred_score)
+    counts, consistency = verdict_consistency(truth, pred_risky)
     try:
-        auc_val = auc_metric(scores, labels).tolist()
+        auc_val = auc_metric(pred_score, truth).tolist()
     except GbsedError:
         auc_val = [float("nan")] * len(snr_points)
     rows = []

@@ -105,31 +105,22 @@ def task_consistency(sent_seqs, received_seqs, ontology):
     """
     if len(sent_seqs) != len(received_seqs):
         raise ShapeError(f"{len(sent_seqs)} sent vs {len(received_seqs)} received sequences")
-    truths = [assess_risk(s, ontology).decision == RISKY for s in sent_seqs]
+    truth = np.array([assess_risk(s, ontology).decision == RISKY for s in sent_seqs], dtype=bool)
     preds = [assess_risk(r, ontology) for r in received_seqs]
-    return verdict_consistency(np.array(truths, dtype=bool),
-                               np.array([p.decision == RISKY for p in preds], dtype=bool),
-                               np.array([p.score for p in preds], dtype=np.float64))
+    pred = np.array([[p.decision == RISKY for p in preds]], dtype=bool)
+    (counts,), (consistency,) = verdict_consistency(truth, pred)
+    return counts, float(consistency), np.array([p.score for p in preds], dtype=np.float64), truth
 
 
-def verdict_consistency(truth, pred, score):
-    """task_consistency's result from paired sent and received verdicts:
-    the sent and received risky flags and the received scores, as arrays
-    over the sequences. The scores and the sent flags come back as the
-    arrays metrics.auc takes.
-
-    ``pred`` and ``score`` may also hold one row per reception of the same
-    sequences; the counts and the consistency then come back one a row, as
-    a list and an array.
-    """
+def verdict_consistency(truth, pred):
+    """task_consistency's counts and consistency, one a row of ``pred``:
+    ``truth`` holds the sent risky flags of the sequences and ``pred`` the
+    received ones, a row a reception. Returns a list of ConfusionCounts and
+    an array of consistency rates."""
     size = truth.shape[-1]
     tp = np.count_nonzero(truth & pred, axis=-1)
     fp = np.count_nonzero(~truth & pred, axis=-1)
     fn = np.count_nonzero(truth & ~pred, axis=-1)
     tn = size - tp - fp - fn
-    consistency = (tp + tn) / size if size else np.ones(np.shape(tp))
-    counts = [ConfusionCounts(*c)
-              for c in zip(*(np.ravel(x).tolist() for x in (tp, fp, tn, fn)))]
-    if np.ndim(tp) == 0:
-        return counts[0], float(consistency), score, truth
-    return counts, consistency, score, truth
+    consistency = (tp + tn) / size if size else np.ones(tp.shape)
+    return [ConfusionCounts(*c) for c in zip(*(x.tolist() for x in (tp, fp, tn, fn)))], consistency

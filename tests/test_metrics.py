@@ -12,7 +12,6 @@ from gbsed.metrics import (
     SPEED_TOLERANCE,
     ConfusionCounts,
     auc,
-    average_ranks,
     classification_metrics,
     compression_ratio,
     f1_from_precision_recall,
@@ -262,20 +261,6 @@ def test_auc_label_symmetry():
     assert auc(*_columns(scored)) == pytest.approx(1.0 - auc(*_columns(negated)), abs=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.5, -3.0, math.inf, -math.inf]),
-                max_size=30)
-       | st.lists(st.floats(allow_nan=False, width=32), max_size=30))
-def test_average_ranks_match_scipy(values):
-    # ties among few distinct values, and mostly distinct floats
-    assert average_ranks(values).tobytes() == rankdata(values).astype(float).tobytes()
-
-
-def test_average_ranks_edge_cases_match_scipy():
-    for values in ([], [7.0], [2.0, 1.0], [1.0, 1.0, 1.0], [3.0, math.nan, 1.0], [math.nan]):
-        np.testing.assert_array_equal(average_ranks(values), rankdata(values))
-
-
 def test_auc_nan_score_gives_nan():
     assert math.isnan(auc(*_columns([(0.2, 0), (math.nan, 1), (0.9, 1)])))
 
@@ -286,16 +271,6 @@ _rows = st.integers(0, 12).flatmap(lambda width: st.lists(
     st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, -3.0, math.inf, -math.inf, math.nan])
              | st.floats(allow_nan=False, width=32), min_size=width, max_size=width),
     min_size=1, max_size=4))
-
-
-@settings(max_examples=80, deadline=None)
-@given(_rows)
-def test_average_ranks_of_rows_are_each_rows_ranks(rows):
-    values = np.array(rows, dtype=float).reshape(len(rows), -1)
-    ranks = average_ranks(values)
-    assert ranks.shape == values.shape
-    for row, got in zip(values, ranks):
-        assert got.tobytes() == average_ranks(row).tobytes()
 
 
 @settings(max_examples=80, deadline=None)
@@ -320,3 +295,71 @@ def test_auc_of_rows_is_each_rows_auc(rows, seed):
         assert got.shape == (len(rows),)
         assert np.array(each).tobytes() == got.tobytes()
         assert all(type(a) is float for a in each)
+
+
+def test_auc_refuses_labels_other_than_0_and_1():
+    # a label 2 would take a rank but count in neither class: AUC 2.0
+    for labels in ([0, 1, 2], [0, 1, -1], [0.0, 1.0, 0.5], [0.0, 1.0, math.nan]):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            auc([0.5, 0.9, 0.1], labels)
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        auc([[0.5, 0.9, 0.1], [0.5, 0.9, 0.1]], [[0, 1, 0], [2, 1, 0]])
+    for labels in ([0, 1, 0], [False, True, False], [0.0, 1.0, 0.0]):
+        assert auc([0.5, 0.9, 0.1], labels) == 1.0
+
+
+def test_auc_of_no_rows_is_empty():
+    for width in (0, 3):
+        got = auc(np.zeros((0, width)), np.arange(width) % 2)
+        assert got.shape == (0,) and got.dtype == np.float64
+
+
+def _rank_sum_auc(values, labels):
+    """AUC by the rank-sum form of U, from scipy's average ranks, for each
+    row of ``values``: (rank sum of the positives - P(P + 1)/2) / (P·N), NaN
+    for a row with a NaN; None where a row lacks a class."""
+    expect = []
+    for row, row_labels in zip(values, np.broadcast_to(labels, values.shape)):
+        positive = row_labels == 1
+        n_pos = np.count_nonzero(positive)
+        n_neg = row.size - n_pos
+        if not (n_pos and n_neg):
+            return None
+        rank_sum = np.sum(rankdata(row), where=positive)
+        expect.append((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    return np.array(expect, dtype=np.float64)
+
+
+_FEW = (0.0, -0.0, 0.5, 1.0, 2.5, -3.0, math.inf, -math.inf)
+
+
+def _rows_of(values):
+    return st.integers(0, 30).flatmap(lambda width: st.lists(
+        st.lists(values, min_size=width, max_size=width), min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rows_of(st.sampled_from(_FEW)) | _rows_of(st.floats(allow_nan=False, width=32))
+       | _rows_of(st.sampled_from(_FEW + (math.nan,))),
+       st.integers(0, 2 ** 32 - 1))
+def test_auc_is_the_rank_sum_statistic(rows, seed):
+    # rows of ties among few distinct values, of mostly distinct floats, and
+    # with NaN; the labels shared by the rows, or each row's own
+    values = np.array(rows, dtype=float).reshape(len(rows), -1)
+    gen = np.random.default_rng(seed)
+    for labels in (gen.integers(0, 2, values.shape[1]), gen.integers(0, 2, values.shape),
+                   gen.integers(0, 2, values.shape).astype(bool)):
+        expect = _rank_sum_auc(values, labels)
+        if expect is None:
+            with pytest.raises(DegenerateInput):
+                auc(values, labels)
+        else:
+            assert auc(values, labels).tobytes() == expect.tobytes()
+
+
+def test_auc_of_wide_rows_is_the_rank_sum_statistic():
+    gen = np.random.default_rng(5)
+    values = np.stack([gen.integers(0, 50, 10_000) / 50, gen.random(10_000),
+                       gen.choice(_FEW, 10_000)])
+    for labels in (gen.integers(0, 2, 10_000), gen.integers(0, 2, values.shape)):
+        assert auc(values, labels).tobytes() == _rank_sum_auc(values, labels).tobytes()

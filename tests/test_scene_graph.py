@@ -17,7 +17,6 @@ from gbsed.scene_graph import (
     LANE_WIDTH,
     V_MARGIN,
     SceneGraph,
-    graph_from_bev,
     graphs_from_bev,
     infer_relations,
 )
@@ -120,19 +119,19 @@ def _random_records(seed, n, with_lanes=True):
 # -- relation inference -------------------------------------------------------
 
 def test_is_near_symmetric_pair(ontology):
-    g = graph_from_bev([(CLASS_VEHICLE, 0, 0, 10), (CLASS_VEHICLE, 0, 5, 10)], ontology)
+    g = graphs_from_bev([[(CLASS_VEHICLE, 0, 0, 10), (CLASS_VEHICLE, 0, 5, 10)]], ontology)[0]
     near = ontology.relation_id("is_near")
     assert (0, near, 1) in g.edges and (1, near, 0) in g.edges
 
 
 def test_to_left_of_sector(ontology):
-    g = graph_from_bev([(CLASS_VEHICLE, 0, 0, 10), (CLASS_VEHICLE, -3, 10, 10)], ontology)
+    g = graphs_from_bev([[(CLASS_VEHICLE, 0, 0, 10), (CLASS_VEHICLE, -3, 10, 10)]], ontology)[0]
     assert (1, ontology.relation_id("to_left_of"), 0) in g.edges
 
 
 def test_hand_evaluated_two_vehicle_scene(ontology):
     # one vehicle 5 m ahead in-lane, same speed
-    g = graph_from_bev([(CLASS_VEHICLE, 0, 0, 10), (CLASS_VEHICLE, 0, 5, 10)], ontology)
+    g = graphs_from_bev([[(CLASS_VEHICLE, 0, 0, 10), (CLASS_VEHICLE, 0, 5, 10)]], ontology)[0]
     rid = ontology.relation_id
     assert set(g.edges) == {
         (0, rid("is_near"), 1), (1, rid("is_near"), 0),
@@ -141,15 +140,15 @@ def test_hand_evaluated_two_vehicle_scene(ontology):
 
 
 def test_is_in_lane_node(ontology):
-    g = graph_from_bev([(CLASS_VEHICLE, 0, 0, 10), (CLASS_LANE, 1.0, 0, 0)], ontology)
+    g = graphs_from_bev([[(CLASS_VEHICLE, 0, 0, 10), (CLASS_LANE, 1.0, 0, 0)]], ontology)[0]
     assert (0, ontology.relation_id("is_in"), 1) in g.edges
     assert (1, ontology.relation_id("is_in"), 0) not in g.edges
 
 
 def test_approaching_needs_speed_margin(ontology):
     rid = ontology.relation_id("approaching")
-    fast = graph_from_bev([(CLASS_VEHICLE, 0, 0, 10), (CLASS_VEHICLE, 0, 5, 11)], ontology)
-    slow = graph_from_bev([(CLASS_VEHICLE, 0, 0, 10), (CLASS_VEHICLE, 0, 5, 10.5)], ontology)
+    fast = graphs_from_bev([[(CLASS_VEHICLE, 0, 0, 10), (CLASS_VEHICLE, 0, 5, 11)]], ontology)[0]
+    slow = graphs_from_bev([[(CLASS_VEHICLE, 0, 0, 10), (CLASS_VEHICLE, 0, 5, 10.5)]], ontology)[0]
     assert (1, rid, 0) in fast.edges
     assert (1, rid, 0) not in slow.edges  # margin is strict
 
@@ -157,7 +156,7 @@ def test_approaching_needs_speed_margin(ontology):
 def test_oracle_equivalence_random_scenes(ontology):
     for seed in range(40):
         records = _random_records(seed, 12)
-        g = graph_from_bev(records, ontology)
+        g = graphs_from_bev([records], ontology)[0]
         assert g.edges == oracle_relations(records), f"seed {seed}"
 
 
@@ -240,8 +239,8 @@ def test_non_finite_coordinates_decide_as_the_loop(ontology):
 def test_translation_invariance(ontology):
     records = _random_records(7, 10, with_lanes=False)
     shifted = [(c, x + 123.25, y - 55.5, v) for c, x, y, v in records]
-    base = graph_from_bev(records, ontology).edges
-    moved = graph_from_bev(shifted, ontology).edges
+    base = graphs_from_bev([records], ontology)[0].edges
+    moved = graphs_from_bev([shifted], ontology)[0].edges
     assert base == moved
 
 
@@ -249,36 +248,36 @@ def test_symmetric_relations_property(ontology):
     near = ontology.relation_id("is_near")
     very = ontology.relation_id("very_near")
     for seed in range(10):
-        g = graph_from_bev(_random_records(seed + 100, 9), ontology)
+        g = graphs_from_bev([_random_records(seed + 100, 9)], ontology)[0]
         for src, rel, dst in g.edges:
             if rel in (near, very):
                 assert (dst, rel, src) in g.edges
 
 
 def test_edges_sorted_and_unique(ontology):
-    g = graph_from_bev(_random_records(5, 11), ontology)
+    g = graphs_from_bev([_random_records(5, 11)], ontology)[0]
     assert list(g.edges) == sorted(set(g.edges))
 
 
 def test_single_ego_graph(ontology):
-    g = graph_from_bev([(CLASS_VEHICLE, 0, 0, 10)], ontology)
+    g = graphs_from_bev([[(CLASS_VEHICLE, 0, 0, 10)]], ontology)[0]
     assert g.num_nodes == 1 and g.edges == ()
 
 
 def test_empty_records_rejected(ontology):
     with pytest.raises(ShapeError):
-        graph_from_bev([], ontology)
+        graphs_from_bev([[]], ontology)
 
 
 def test_build_deterministic(ontology):
     records = _random_records(31, 8)
-    a = graph_from_bev(records, ontology)
-    b = graph_from_bev(records, ontology)
+    a = graphs_from_bev([records], ontology)[0]
+    b = graphs_from_bev([records], ontology)[0]
     assert a == b
 
 
 def test_features_layout(ontology):
-    g = graph_from_bev([(CLASS_VEHICLE, 1.5, -2.0, 10), (CLASS_LANE, 0, 0, 0)], ontology)
+    g = graphs_from_bev([[(CLASS_VEHICLE, 1.5, -2.0, 10), (CLASS_LANE, 0, 0, 0)]], ontology)[0]
     f = g.features
     assert f.shape == (2, 4)
     np.testing.assert_array_equal(f[0], [CLASS_VEHICLE, 1.5, -2.0, 10.0])
@@ -324,7 +323,7 @@ def test_features_are_read_only_float64_and_owned(ontology):
         g.features[0, 0] = 1.0
     rows[0, 0] = 9.0
     assert g.features[0, 0] == 0.0
-    assert not graph_from_bev([(CLASS_VEHICLE, 0, 0, 10)], ontology).features.flags.writeable
+    assert not graphs_from_bev([[(CLASS_VEHICLE, 0, 0, 10)]], ontology)[0].features.flags.writeable
 
 
 def test_a_triplet_listed_twice_is_refused():

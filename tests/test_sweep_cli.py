@@ -614,13 +614,14 @@ def test_equivalence_cases_cover_pads_and_blocks(small_corpus, monkeypatch):
 def _point_row(snr_db, ber, fidelity, truth, pred_risky, pred_score, sizes):
     """One SNR point's result row, scored on its own: the rule the sweep
     ran once per point before it scored all its points in one call."""
-    counts, consistency, scores, labels = verdict_consistency(truth, pred_risky, pred_score)
+    (counts,), (consistency,) = verdict_consistency(truth, pred_risky[None])
     cls = classification_metrics(counts)
     try:
-        auc_val = auc(scores, labels)
+        auc_val = auc(pred_score, truth)
     except GbsedError:
         auc_val = float("nan")
-    return {"snr_db": snr_db, "ber": ber, "fidelity": fidelity, "consistency": consistency,
+    return {"snr_db": snr_db, "ber": ber, "fidelity": fidelity,
+            "consistency": float(consistency),
             "accuracy": cls.accuracy, "precision": cls.precision, "recall": cls.recall,
             "f1": cls.f1, "mcc": cls.mcc, "auc": auc_val, **sizes}
 
@@ -691,8 +692,14 @@ def test_sweep_config_validation():
         sweep.SweepConfig(snr_points=())
     with pytest.raises(ValueError):
         sweep.SweepConfig(trials_per_point=0)
+    assert sweep.SweepConfig(trials_per_point=np.int64(3)).trials_per_point == 3
     with pytest.raises(ValueError):
         sweep.run_sweep([], ONT, sweep.SweepConfig())
+    # a trial count that is no integer is refused when the config is built,
+    # not as a TypeError from run_sweep
+    for trials in (2.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match="not an integer"):
+            sweep.SweepConfig(trials_per_point=trials)
     # every point's link is checked when the config is built
     for bad in (dict(channel_kind="foo"), dict(header_protection="foo"),
                 dict(bsc_flip_prob=0.7), dict(snr_points=(0.0, math.nan)),
