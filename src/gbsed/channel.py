@@ -40,8 +40,10 @@ _BLOCK_DRAWS = 1 << 16
 
 
 def _level_index(codes):
-    """Level indices i (level 2i - 7) of 3-bit Gray codes, i's being i ^ i >> 1."""
-    return codes ^ codes >> 1 ^ codes >> 2
+    """Level indices i (level 2i - 7) of 3-bit Gray codes, i's being i ^ i >> 1,
+    in each 3-bit field of codes up to 24 bits wide: the masks drop the bits
+    that the shifts bring in from the next field."""
+    return codes ^ codes >> 1 & 0x6DB6DB ^ codes >> 2 & 0x249249
 
 
 def _codes_from_levels(levels, out):
@@ -202,6 +204,8 @@ class _Block:
     octets: slice       # their body octets, within the plan's body octets
     counts: np.ndarray  # splitmix64 outputs each frame draws
     symbols: slice      # AWGN: their symbols, within the plan's symbols
+    draws: int          # counts.sum()
+    counters: tuple     # rng.stream_slices of its frames into the scratch's raw
 
 
 class _Scratch:
@@ -212,13 +216,13 @@ class _Scratch:
     octets to 4 bytes) and a copy of the sent buffer, padded to whole words,
     which the received rows are gathered from; and diff, each received row
     XOR the sent buffer in zero-padded 64-bit words. The float32 filter
-    works in tmp, which _mix is done with, so raw keeps a block's outputs
-    until the flagged pairs are taken; then tmp is the spare words of the
-    packing."""
+    works in tmp, which _premix is done with, so raw keeps a block's
+    unfinished outputs until the flagged pairs are taken; then tmp is the
+    spare words of the packing."""
 
     def __init__(self, n, link, buffer, awgn_link, rows=1):
         self.raw, self.tmp = np.empty((2, n), dtype=np.uint64)
-        self.flags = np.empty(n, dtype=bool)  # BSC flips; AWGN finite r, then far parts
+        self.flags = np.empty(n, dtype=bool)  # BSC candidates; AWGN finite r, then far parts
         self.source = np.empty((rows, -(-(link + buffer.size) // 8) * 8), dtype=np.uint8)
         self.source[:, link:link + buffer.size] = buffer
         self.diff = np.zeros((rows, -(-buffer.size // 8)), dtype=np.uint64)
@@ -245,7 +249,6 @@ class LinkPlan:
     recv_from: np.ndarray  # where each buffer octet is read from in a row of scratch.source, intp
     sent: np.ndarray       # BSC: the octets that meet the channel
     blocks: tuple
-    steps: np.ndarray      # rng.golden_steps of the most draws of one frame
     scratch: _Scratch
     indices: np.ndarray    # AWGN: (2, symbols) I and Q level indices (level 2i - 7), uint8
 
@@ -272,21 +275,24 @@ def plan_link(buffer, lengths, channel_kind, header_protection, rows=1):
     symbols = np.concatenate([[0], np.cumsum(4 * groups)])  # where frames' symbols start
     size = int(symbols[-1]) if awgn_link else int(octets.sum())
     recv_from, sent, indices = _read_from(buffer, lengths, head, size, awgn_link)
-    blocks = []
+    runs = []
     ends = np.cumsum(counts)
     a = 0
     while a < lengths.size:
         # the longest run of frames within the block budget, at least one
         b = max(a + 1, int(np.searchsorted(ends, ends[a] - counts[a] + _BLOCK_DRAWS,
                                           side="right")))
-        span = slice(int(first[a]), int(first[b - 1] + octets[b - 1]))
-        blocks.append(_Block(slice(a, b), span, counts[a:b],
-                             slice(int(symbols[a]), int(symbols[b]))))
+        runs.append((a, b, int(counts[a:b].sum())))
         a = b
-    most = max((int(blk.counts.sum()) for blk in blocks), default=0)
+    scratch = _Scratch(max((n for _, _, n in runs), default=0), size, buffer, awgn_link,
+                       rows)
+    steps = rng.golden_steps(int(counts.max(initial=0)))
+    blocks = tuple(_Block(slice(a, b), slice(int(first[a]), int(first[b - 1] + octets[b - 1])),
+                          counts[a:b], slice(int(symbols[a]), int(symbols[b])), n,
+                          rng.stream_slices(counts[a:b], steps, scratch.raw))
+                   for a, b, n in runs)
     return LinkPlan(channel_kind, header_protection, buffer, int(lengths.size), recv_from,
-                    sent, tuple(blocks), rng.golden_steps(int(counts.max(initial=0))),
-                    _Scratch(most, size, buffer, awgn_link, rows), indices)
+                    sent, blocks, scratch, indices)
 
 
 def _read_from(buffer, lengths, head, size, awgn_link):
@@ -309,36 +315,52 @@ def _read_from(buffer, lengths, head, size, awgn_link):
     sent, indices = buffer[body], None
     if awgn_link:
         place = recv_from[body]
-        octet_groups = np.zeros(room.sum(), dtype=np.uint8)
-        octet_groups[place] = sent
-        codes = _codes_from_octets(octet_groups)
-        sent, indices = None, _level_index(np.stack([codes >> 3, codes & 7]))
         # octet k of group g, at place 3 g + k, is byte 2 - k of the group's
         # packed word: link octet 4 g + 2 - k = 7 g + 2 - place
-        recv_from[body] = 7 * (place // 3) + 2 - place
+        link = 7 * (place // 3) + 2 - place
+        recv_from[body] = link
+        words = np.zeros(room.sum() // 3, dtype=_WORD)
+        words.view(np.uint8)[link] = sent
+        sent, indices = None, _indices_from_words(words)
     return recv_from, sent, indices
-
-
-def _codes_from_octets(octets):
-    """Octets, a whole number of groups of 3, as 6-bit codes, 4 a group."""
-    o = octets.reshape(-1, 3)
-    codes = np.empty((o.shape[0], 4), dtype=np.uint8)
-    codes[:, 0] = o[:, 0] >> 2
-    codes[:, 1] = (o[:, 0] & 3) << 4 | o[:, 1] >> 4
-    codes[:, 2] = (o[:, 1] & 15) << 2 | o[:, 2] >> 6
-    codes[:, 3] = o[:, 2] & 63
-    return codes.reshape(-1)
 
 
 # a group's 4 codes, and then its 3 octets, as one little-endian word
 _WORD = np.dtype("<u4")
 
 
+def _indices_from_words(words):
+    """The (2, 4 words.size) I and Q level indices of the symbols of _WORD
+    words that each hold a group's 3 octets in bytes 2, 1 and 0 and a clear
+    byte 3, as _octets_from_codes packs them. A word's 8 3-bit fields, from
+    the top, are the I and Q Gray codes of its 4 symbols: they are decoded
+    where they lie, the inverse of _octets_from_codes' shifts and masks
+    moves symbol k's 8 I + Q to byte k, and every byte lane is split into I
+    and Q at once."""
+    codes = _level_index(words)
+    pair = np.bitwise_and(codes, 0xFFF)  # symbols 2 and 3
+    pair <<= 16
+    codes >>= 12
+    codes |= pair  # symbols 0 and 1 in the low half, 2 and 3 in the high
+    np.bitwise_and(codes, 0x003F003F, out=pair)  # symbols 1 and 3
+    pair <<= 8
+    codes >>= 6
+    codes &= 0x003F003F  # symbols 0 and 2
+    codes |= pair
+    indices = np.empty((2, 4 * words.size), dtype=np.uint8)
+    i, q = indices.view(_WORD)
+    np.right_shift(codes, 3, out=i)
+    i &= 0x07070707
+    np.bitwise_and(codes, 0x07070707, out=q)
+    return indices
+
+
 def _octets_from_codes(words, spare):
-    """Inverse of _codes_from_octets, in place on _WORD words that each hold
-    4 codes c0..c3 in bytes 0..3: a word becomes c0 << 18 | c1 << 12 |
-    c2 << 6 | c3, whose bytes 2, 1 and 0 are the group's octets. spare is
-    a flat _WORD array of at least words.size, which it overwrites."""
+    """Groups of 3 octets from their 4 6-bit codes, in place on _WORD words
+    that each hold a group's codes c0..c3 in bytes 0..3: a word becomes
+    c0 << 18 | c1 << 12 | c2 << 6 | c3, whose bytes 2, 1 and 0 are the
+    group's octets. spare is a flat _WORD array of at least words.size,
+    which it overwrites."""
     pair = np.bitwise_and(words, 0x003F003F,  # c0 and c2
                           out=spare[:words.size].reshape(words.shape))
     pair <<= 6
@@ -356,6 +378,29 @@ def _flip_threshold(p):
     """The raw splitmix64 outputs below which a BSC flips a bit: uniforms'
     (raw >> 11)·2^-53 < p holds exactly when raw < ceil(p·2^53)·2^11."""
     return np.uint64(math.ceil(p * 2.0 ** 53) << 11)
+
+
+def _flips(z, threshold, flags):
+    """A block's BSC flips, packed 8 to an octet, from its splitmix64 outputs
+    z but for their last step: where the finished output is below threshold
+    (at most 2^63, from _flip_threshold). The last step keeps an output's
+    top 31 bits, so one whose top 31 bits exceed threshold's cannot flip;
+    the octets of the candidates, marked in flags, are finished and decided
+    again."""
+    bound = np.uint64(((int(threshold) >> 33) + 1) << 33)
+    packed = np.packbits(np.less(z, bound, out=flags[:z.size]))
+    at = np.flatnonzero(packed != 0)
+    near = z.reshape(-1, 8)[at]
+    packed[at] = np.packbits(rng._finish(near, np.empty_like(near)) < threshold)
+    return packed
+
+
+def _premixed(seeds, blk, s):
+    """The block's splitmix64 outputs for its frames' seeds, but for their
+    last step (rng._finish), in s.raw."""
+    for seed, (terms, counters) in zip(seeds, blk.counters):
+        np.add(terms, seed, out=counters)
+    return rng._premix(s.raw[:blk.draws], s.tmp[:blk.draws])
 
 
 def send(plan, seeds, links, out):
@@ -392,10 +437,8 @@ def send(plan, seeds, links, out):
         for j in np.flatnonzero(noisy):
             threshold = _flip_threshold(links[j].bsc_flip_prob)
             for blk in plan.blocks:
-                raw = rng.splitmix64_streams(seeds[j, blk.frames], blk.counts, plan.steps,
-                                             s.raw, s.tmp)
-                flips = np.less(raw, threshold, out=s.flags[:raw.size])
-                np.bitwise_xor(np.packbits(flips), plan.sent[blk.octets],
+                z = _premixed(seeds[j, blk.frames], blk, s)
+                np.bitwise_xor(_flips(z, threshold, s.flags), plan.sent[blk.octets],
                                out=s.source[j, blk.octets])
     np.take(s.source[:rows], plan.recv_from, axis=1, out=out, mode="clip")  # "raise" buffers out
     out[~noisy] = plan.buffer
@@ -406,10 +449,11 @@ def send(plan, seeds, links, out):
 
 
 # The float32 filter reads the high 32-bit words hi1 and hi2 of a symbol's
-# two outputs (word _HI in a uint32 view). For hi1 in [_EDGE, 2^32 - _EDGE)
-# its radius and its cos and sin are within 2^-15 and 2^-20 of polar's in
-# float64 (the tests pin both; it flags every other symbol); the bound
-# allows 16 times each, and 4 times its own rounding (README derives it)
+# two outputs (word _HI in a uint32 view), which it finishes itself. For
+# hi1 in [_EDGE, 2^32 - _EDGE) its radius and its cos and sin are within
+# 2^-15 and 2^-20 of polar's in float64 (the tests pin both; it flags every
+# other symbol); the bound allows 16 times each, and 4 times its own
+# rounding (README derives it)
 _HI = 1 if np.little_endian else 0
 _EDGE = 1 << 12
 _RADIUS32_ERROR = 2.0 ** -11
@@ -423,10 +467,14 @@ def _filter_bound(sigma):
     return sigma / _SCALE * (rng.R_MAX * _TRIG32_ERROR + _RADIUS32_ERROR) + _ROUNDING
 
 
-def _high_words(raw, hi):
-    """The high 32-bit words hi1 and hi2 of raw's (u1, u2) pairs, copied in
-    one pass into the rows of hi, a (2, raw.size // 2) uint32 array."""
-    np.copyto(hi, raw.view(np.uint32).reshape(-1, 4)[:, _HI::2].T)
+def _high_words(z, hi, t):
+    """The high 32-bit words hi1 and hi2 of (u1, u2) pairs from their
+    splitmix64 outputs z but for the last step, into the rows of hi, a
+    (2, z.size // 2) uint32 array: copied in one pass, then finished, as
+    the last step z ^= z >> 31 acts on a high word: hi ^= hi >> 31. t is a
+    uint32 array of hi's shape that it overwrites."""
+    np.copyto(hi, z.view(np.uint32).reshape(-1, 4)[:, _HI::2].T)
+    hi ^= np.right_shift(hi, 31, out=t)
     return hi
 
 
@@ -463,15 +511,16 @@ def _decide32(y, half_bound, s):
     return levels, far
 
 
-def _filter(raw, indices, sigma, s, codes):
+def _filter(z, indices, sigma, s, codes):
     """The 6-bit codes of a block's symbols, a whole number of 4-symbol
-    groups, from their splitmix64 outputs raw and their sent level indices,
-    decided in float32 into codes; returns the symbols it flags: with hi1
-    within _EDGE of 0 or 2^32, an infinite amplitude, or a part within half
-    the bound of a midpoint."""
-    m = raw.size // 2
+    groups, from their splitmix64 outputs z but for the last step
+    (rng._finish) and their sent level indices, decided in float32 into
+    codes; returns the symbols it flags: with hi1 within _EDGE of 0 or
+    2^32, an infinite amplitude, or a part within half the bound of a
+    midpoint."""
+    m = z.size // 2
     f = s.f32[:, :m]
-    hi = _high_words(raw, f[:2].view(np.uint32))
+    hi = _high_words(z, f[:2].view(np.uint32), f[2:].view(np.uint32))
     # hi1 + _EDGE wraps the values within _EDGE of 2^32 below 2 _EDGE
     edged = np.add(hi[0], _EDGE, out=f[2].view(np.uint32))
     inside = np.greater_equal(edged, 2 * _EDGE, out=s.inside[:m])
@@ -514,17 +563,17 @@ def _awgn_octets(plan, seeds, sigmas, noisy):
     with np.errstate(over="ignore", invalid="ignore"):
         for j in np.flatnonzero(noisy):
             for blk in plan.blocks:
-                raw = rng.splitmix64_streams(seeds[j, blk.frames], blk.counts, plan.steps,
-                                             s.raw, s.tmp)
-                at = _filter(raw, plan.indices[:, blk.symbols], sigmas[j], s,
+                z = _premixed(seeds[j, blk.frames], blk, s)
+                at = _filter(z, plan.indices[:, blk.symbols], sigmas[j], s,
                              codes[j, blk.symbols])
                 if at.size:
-                    pairs.append(raw.reshape(-1, 2)[at])
+                    pairs.append(z.reshape(-1, 2)[at])
                     flagged.append(at + (j * codes.shape[1] + blk.symbols.start))
                     deviations.append(np.full(at.size, sigmas[j]))
     if flagged:
-        _refine(np.concatenate(pairs), np.concatenate(flagged), plan.indices,
-                np.concatenate(deviations), codes)
+        pairs = np.concatenate(pairs)
+        _refine(rng._finish(pairs, np.empty_like(pairs)), np.concatenate(flagged),
+                plan.indices, np.concatenate(deviations), codes)
     words, spare = codes.view(_WORD), s.tmp.view(_WORD)
     # spare holds a block's words 16 times over: a piece is as many whole
     # rows as it holds, or a part of a row longer than it

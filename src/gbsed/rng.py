@@ -4,8 +4,13 @@ Everything random in this package flows from splitmix64 (Steele, Lea &
 Flood constants), so a single 64-bit seed reproduces an entire experiment
 bit-for-bit. The bulk generators are counter-based: output k of the stream
 of seed s is ``mix(s + k·G)``, a pure function of (s, k), so the streams of
-many seeds can be drawn in one call (``splitmix64_streams``) and each
-equals the single-seed generator's output for its seed.
+many seeds can be laid out back to back (``stream_slices``) and mixed in one
+pass, and each equals the single-seed generator's output for its seed.
+
+``_mix`` runs in two parts: ``_premix``, its first six steps, and
+``_finish``, the last xor-shift ``z ^= z >> 31``, which leaves an output's
+top 31 bits as they were. A caller whose decisions read only top bits can
+decide on the unfinished words and finish just the outputs it must.
 """
 
 import math
@@ -66,18 +71,30 @@ def golden_steps(n):
     return np.arange(1, n + 1, dtype=np.uint64) * _U_GOLDEN
 
 
-def _mix(z, t):
-    """splitmix64's output function, in place on a uint64 array; t is a
-    uint64 array of z's size that it overwrites."""
+def _premix(z, t):
+    """splitmix64's output function but for its last step (``_finish``), in
+    place on a uint64 array; t is a uint64 array of z's size that it
+    overwrites."""
     np.right_shift(z, np.uint64(30), out=t)
     z ^= t
     z *= _U_MIX1
     np.right_shift(z, np.uint64(27), out=t)
     z ^= t
     z *= _U_MIX2
-    np.right_shift(z, np.uint64(31), out=t)
-    z ^= t
     return z
+
+
+def _finish(z, t):
+    """The last step of splitmix64's output function, ``z ^= z >> 31``, in
+    place as _premix. It is a bijection that keeps z's top 31 bits; its
+    inverse is ``y ^ y >> 31 ^ y >> 62``."""
+    z ^= np.right_shift(z, np.uint64(31), out=t)
+    return z
+
+
+def _mix(z, t):
+    """splitmix64's output function, in place as _premix."""
+    return _finish(_premix(z, t), t)
 
 
 def polar(raw, r, theta):
@@ -130,17 +147,14 @@ def normals(seed, n):
 # the seed plus golden_steps' term j, which every stream shares.
 
 
-def splitmix64_streams(seeds, counts, steps, out, tmp):
-    """``concatenate([splitmix64_stream(s, c) for s, c in zip(seeds, counts)])``,
-    written into out[:sum(counts)], which it returns; tmp is a uint64 array
-    at least as long, which it overwrites.
+def stream_slices(counts, steps, out):
+    """Views that lay out streams of counts[i] outputs each back to back in
+    out: a pair (steps[:c], out[at:at + c]) a stream. ``np.add(terms, seed,
+    out=counters)`` on a stream's pair writes its counters, and ``_mix`` of
+    out[:sum(counts)] then gives every stream's outputs.
 
     ``steps`` is ``golden_steps(n)`` for some n >= max(counts), which can be
     laid out once and shared by every call.
     """
-    at = 0
-    for seed, count in zip(np.asarray(seeds, dtype=np.uint64),
-                           np.asarray(counts, dtype=np.int64).tolist()):
-        np.add(steps[:count], seed, out=out[at:at + count])
-        at += count
-    return _mix(out[:at], tmp[:at])
+    ends = np.cumsum(counts, dtype=np.int64).tolist()
+    return tuple((steps[:b - a], out[a:b]) for a, b in zip([0] + ends, ends))

@@ -156,6 +156,17 @@ def test_demap_matches_rounding_at_ties_and_their_neighbours():
         np.testing.assert_array_equal(qam64_demap(symbols), _demap_by_axis(symbols))
 
 
+def _codes_from_octets(octets):
+    """Octets, a whole number of groups of 3, as 6-bit codes, 4 a group."""
+    o = octets.reshape(-1, 3)
+    codes = np.empty((o.shape[0], 4), dtype=np.uint8)
+    codes[:, 0] = o[:, 0] >> 2
+    codes[:, 1] = (o[:, 0] & 3) << 4 | o[:, 1] >> 4
+    codes[:, 2] = (o[:, 1] & 15) << 2 | o[:, 2] >> 6
+    codes[:, 3] = o[:, 2] & 63
+    return codes.reshape(-1)
+
+
 def _packed(codes):
     """Codes, 4 a group, through the word packer: the octets of each packed
     word's bytes 2, 1 and 0, in order, and every word's byte 3."""
@@ -168,7 +179,8 @@ def _packed(codes):
 def test_word_packing_inverts_the_octet_split():
     # every 6-bit value in every lane of a word, and all 4,096 value pairs
     # of each pair of neighbouring lanes, the other lanes all 0s or all 1s:
-    # the packed octets split back into the codes, and byte 3 stays clear
+    # the packed octets split back into the codes, and byte 3 stays clear;
+    # a plan's level indices of the packed words are the codes' I and Q halves'
     six = np.arange(64, dtype=np.uint8)
     groups = []
     for fill in (0, 63):
@@ -182,8 +194,11 @@ def test_word_packing_inverts_the_octet_split():
             groups.append(g)
     codes = np.concatenate(groups).reshape(-1)
     octets, top = _packed(codes)
-    np.testing.assert_array_equal(channel._codes_from_octets(octets), codes)
+    np.testing.assert_array_equal(_codes_from_octets(octets), codes)
     assert not top.any()
+    words = np.stack([octets[2::3], octets[1::3], octets[0::3], top], axis=1)
+    indices = channel._indices_from_words(words.reshape(-1).view(channel._WORD))
+    np.testing.assert_array_equal(indices, (_LEVELS[np.stack([codes >> 3, codes & 7])] + 7) / 2)
 
 
 def test_codes_from_levels_on_words_matches_bytes():
@@ -276,9 +291,18 @@ def _pairs(u1, u2):
     return np.stack([u1, u2], axis=1).reshape(-1)
 
 
+def _unfinished(raw):
+    """The words z that splitmix64's last step, z ^ z >> 31, takes to the
+    outputs raw: its inverse, raw ^ raw >> 31 ^ raw >> 62. send decides on
+    such words, as rng._premix leaves them."""
+    raw = np.asarray(raw, dtype=np.uint64)
+    return raw ^ raw >> np.uint64(31) ^ raw >> np.uint64(62)
+
+
 def _polar32(raw):
     m = raw.size // 2
-    hi = channel._high_words(raw, np.empty((2, m), dtype=np.uint32))
+    hi = channel._high_words(_unfinished(raw), np.empty((2, m), dtype=np.uint32),
+                             np.empty((2, m), dtype=np.uint32))
     return channel._polar32(hi, np.empty(m, dtype=np.float32), np.empty(m, dtype=np.float32))
 
 
@@ -293,12 +317,13 @@ def _scratch(n):
 
 
 def _filter(raw, indices, snr_db):
-    """The float32 filter's codes and flagged symbols for pairs raw whose
-    sent levels have the given (2, m) level indices. A block is whole groups
-    of 4 symbols: the pairs are padded to one, and the padding dropped."""
+    """The float32 filter's codes and flagged symbols for output pairs raw
+    whose sent levels have the given (2, m) level indices: the filter is
+    handed the words that finish to them. A block is whole groups of 4
+    symbols: the pairs are padded to one, and the padding dropped."""
     m = raw.size // 2
     pad = -m % 4
-    raw = np.concatenate([raw, np.zeros(2 * pad, dtype=np.uint64)])
+    raw = np.concatenate([_unfinished(raw), np.zeros(2 * pad, dtype=np.uint64)])
     indices = np.concatenate([np.asarray(indices, dtype=np.uint8),
                               np.zeros((2, pad), dtype=np.uint8)], axis=1)
     codes = np.empty(m + pad, dtype=np.uint8)
@@ -491,18 +516,19 @@ def test_send_redoes_symbols_whose_float32_amplitude_overflows(monkeypatch):
     # the filter flags it, and send gives the reference link's octets
     seed, u1, u2 = 7, 1 << 63, ((1 << 30) - 1) << 32
     # the first symbol of seed's stream draws outputs 0 and 1, the mix of
-    # counters seed + G and seed + 2 G
+    # counters seed + G and seed + 2 G. rng._mix, which the reference link
+    # draws with, finishes what rng._premix gives, and send decides on that
     crafted = {(seed + k * rng._GOLDEN) & rng._MASK64: u for k, u in ((1, u1), (2, u2))}
-    mix = rng._mix
+    premix = rng._premix
 
-    def mix_crafted(z, t):
+    def premix_crafted(z, t):
         at = [(np.flatnonzero(z == np.uint64(c)), u) for c, u in crafted.items()]
-        mix(z, t)
+        premix(z, t)
         for i, u in at:
-            z[i] = u
+            z[i] = _unfinished(u)
         return z
 
-    monkeypatch.setattr(rng, "_mix", mix_crafted)
+    monkeypatch.setattr(rng, "_premix", premix_crafted)
     # the first symbol is sent on level index 3 on both axes
     payload = bytes([int(channel._CODE_BY_LEVELS[8 * 3 + 3]) << 2]) + bytes(29)
     cfg = LinkConfig(snr_db=-770.0, seed=seed, header_protection=UNPROTECTED)
@@ -886,7 +912,7 @@ def test_plan_arrays_match_their_formulas(kind, protection):
         keep = np.repeat(np.cumsum(padded) - padded - first, octets) + np.arange(body_at.size)
         groups = np.zeros(padded.sum(), dtype=np.uint8)
         groups[keep] = buffer[body_at]
-        codes = channel._codes_from_octets(groups)
+        codes = _codes_from_octets(groups)
         assert set(codes.tolist()) == set(range(64))
         levels = ((_LEVELS + 7) / 2).astype(np.uint8)
         indices = levels[np.stack([codes >> 3, codes & 7])]
@@ -956,7 +982,7 @@ def test_a_five_row_send_allocates_no_block_sized_buffers(cfg):
 
 @pytest.mark.parametrize("n", [100_001, 100_000])
 def test_awgn_scratch_shares_memory_between_roles(n):
-    # the float32 filter's rows live in tmp, which _mix is done with: with
+    # the float32 filter's rows live in tmp, which _premix is done with: with
     # the send-wide source of a one-block plan for one reception, its codes
     # and a copy of the buffer of their 3 octets a group, under 20 bytes
     # per draw
@@ -1048,6 +1074,114 @@ def test_bsc_threshold_on_raw_outputs_is_exact(p):
     as_uniforms = (raws >> np.uint64(11)).astype(np.float64) * 2.0 ** -53 < p
     np.testing.assert_array_equal(raws < channel._flip_threshold(p), as_uniforms)
     assert as_uniforms[0] and not as_uniforms[1] and not as_uniforms[2]
+
+
+@pytest.mark.parametrize("p", [0.002, 1 / 3, 0.5, 2.0 ** -60, 5e-324])
+def test_bsc_flips_on_unfinished_outputs_at_the_edge(p):
+    # send decides a flip on the word before splitmix64's last step, which
+    # keeps an output's top 31 bits, and finishes only the octets of words
+    # whose top 31 bits are at most the threshold's. Outputs whose top 31
+    # bits are the threshold's, one below and one above it, each with low
+    # bits on both sides of the threshold's, as the words that finish to
+    # them: the flips are where the output is below the threshold
+    threshold = int(channel._flip_threshold(p))
+    top, low = threshold >> 33, threshold & ((1 << 33) - 1)
+    lows = sorted({v for v in (0, 1, low - 1, low, low + 1, low + 2048, (1 << 33) - 1)
+                   if 0 <= v < 1 << 33})
+    raws = [t << 33 | v for t in (top - 1, top, top + 1) if t >= 0 for v in lows]
+    raws += [0, (1 << 64) - 1] + [(1 << 64) - 1] * (-(len(raws) + 2) % 8)
+    raws = np.array(raws, dtype=np.uint64)
+    z = _unfinished(raws)
+    assert (z >> np.uint64(33) == raws >> np.uint64(33)).all()
+    flips = channel._flips(z, channel._flip_threshold(p), np.empty(z.size, dtype=bool))
+    np.testing.assert_array_equal(np.unpackbits(flips).astype(bool), raws < np.uint64(threshold))
+    assert (raws < np.uint64(threshold)).any() and not (raws < np.uint64(threshold)).all()
+
+
+def test_high_words_finish_as_the_mix_does():
+    # the float32 filter copies the high words of the unfinished outputs and
+    # finishes them itself: bit for bit the high words of rng._mix's
+    # outputs of the counters that _premix took to them, and of the finish
+    # of random words and of words with the top bit set
+    counters = np.uint64(53) + rng.golden_steps(1 << 13)
+    z = np.concatenate([rng._premix(counters.copy(), np.empty_like(counters)),
+                        rng.splitmix64_stream(59, 1 << 12) | np.uint64(1 << 63),
+                        np.array([0, 1 << 63, (1 << 64) - 1, (1 << 63) - 1], dtype=np.uint64)])
+    assert (z[:counters.size] >= np.uint64(1 << 63)).any()
+    m = z.size // 2
+    hi = channel._high_words(z, np.empty((2, m), dtype=np.uint32),
+                             np.empty((2, m), dtype=np.uint32))
+    finished = rng._finish(z.copy(), np.empty_like(z)) >> np.uint64(32)
+    np.testing.assert_array_equal(hi, np.stack([finished[0::2], finished[1::2]]))
+    mixed = rng._mix(counters.copy(), np.empty_like(counters)) >> np.uint64(32)
+    np.testing.assert_array_equal(hi[:, :counters.size // 2],
+                                  np.stack([mixed[0::2], mixed[1::2]]))
+
+
+@pytest.mark.parametrize("kind", [AWGN64QAM, BSC])
+def test_plan_counter_slices_give_each_frames_stream(kind, monkeypatch):
+    # a plan lays out each block's counters once, as views of one run of
+    # golden steps and of the scratch: with each frame's seed added, one
+    # _premix and one _finish give the frame's splitmix64 stream. A block
+    # of many frames, and a frame of more outputs than a block's budget
+    monkeypatch.setattr(channel, "_BLOCK_DRAWS", 4096)
+    lengths = [40] * 30 + [HEADER_LEN + 2000] + [0, 25, 300]
+    plan = plan_link(np.zeros(sum(lengths), dtype=np.uint8), lengths, kind, PROTECTED)
+    assert max(len(blk.counts) for blk in plan.blocks) > 10
+    assert any(blk.draws > 4096 for blk in plan.blocks)
+    seeds = np.array([(1 << 64) - 1 - 3 * f for f in range(len(lengths))], dtype=np.uint64)
+    s = plan.scratch
+    steps = plan.blocks[0].counters[0][0].base
+    for blk in plan.blocks:
+        assert len(blk.counters) == len(blk.counts) and blk.draws == blk.counts.sum()
+        for (terms, counters), count in zip(blk.counters, blk.counts):
+            assert terms.size == counters.size == count
+            assert terms.base is steps and counters.base is s.raw.base
+        z = channel._premixed(seeds[blk.frames], blk, s)
+        expect = [rng.splitmix64_stream(int(seed), int(c))
+                  for seed, c in zip(seeds[blk.frames], blk.counts)]
+        np.testing.assert_array_equal(rng._finish(z.copy(), np.empty_like(z)),
+                                      np.concatenate(expect))
+
+
+@pytest.mark.parametrize("kind", [AWGN64QAM, BSC])
+def test_send_finishes_only_what_its_decisions_read(kind, monkeypatch, refined):
+    # a send draws its outputs with _premix and never the whole mix; the
+    # 64-bit finish runs only on the octets of the BSC's candidates (outputs
+    # whose top 31 bits are at most the threshold's) and, once a send, on
+    # the AWGN filter's flagged pairs. A noiseless row draws nothing
+    lengths = [234] * 40 + [0, 5000]
+    gen = rng.SplitMix64(61)
+    buffer = np.frombuffer(bytes(gen.randint(0, 255) for _ in range(sum(lengths))),
+                           dtype=np.uint8)
+    plan = plan_link(buffer, lengths, kind, UNPROTECTED, rows=2)
+    noisy = LinkConfig(snr_db=0.5, channel_kind=kind, bsc_flip_prob=0.002,
+                       header_protection=UNPROTECTED)
+    quiet = replace(noisy, snr_db=math.inf, bsc_flip_prob=0.0)
+    seeds = np.array([[gen.next_u64() for _ in lengths] for _ in range(2)], dtype=np.uint64)
+    bound = ((int(channel._flip_threshold(0.002)) >> 33) + 1) << 33
+    outputs = np.concatenate([rng.splitmix64_stream(int(seed), 8 * n)
+                              for seed, n in zip(seeds[1], lengths)])
+    candidates = 8 * int((outputs.reshape(-1, 8) < np.uint64(bound)).any(axis=1).sum())
+    expect = [b"".join(reference_transmit(buffer[a - n:a].tobytes(), replace(cfg, seed=int(sd)))[0]
+                       for sd, n, a in zip(row, lengths, np.cumsum(lengths)))
+              for row, cfg in zip(seeds, (quiet, noisy))]
+    finished, premixed = [], []
+    finish, premix = rng._finish, rng._premix
+    monkeypatch.setattr(rng, "_finish", lambda z, t: finished.append(z.size) or finish(z, t))
+    monkeypatch.setattr(rng, "_premix", lambda z, t: premixed.append(z.size) or premix(z, t))
+    monkeypatch.setattr(rng, "_mix", lambda z, t: pytest.fail("send finished every output"))
+    out = np.empty((2, buffer.size), dtype=np.uint8)
+    send(plan, seeds, [quiet, noisy], out)
+    assert [row.tobytes() for row in out] == expect
+    assert premixed == [blk.draws for blk in plan.blocks]
+    if kind == BSC:
+        assert 0 < sum(finished) == candidates < outputs.size // 20
+    else:
+        assert len(finished) == 1 and sum(finished) == 2 * sum(refined) > 0
+    finished.clear(), premixed.clear()
+    send(plan, seeds, [quiet, quiet], out)
+    assert not finished and not premixed
 
 
 # -- exact BER ----------------------------------------------------------------

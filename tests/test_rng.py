@@ -62,6 +62,14 @@ def test_choice_uniformity():
 
 # -- many seeds at once -------------------------------------------------------
 
+def _streams(seeds, counts, steps, out, tmp):
+    """The streams of seeds, counts[i] outputs each, back to back in out:
+    each seed added to its pair of rng.stream_slices, then one _mix."""
+    for seed, (terms, counters) in zip(seeds, rng.stream_slices(counts, steps, out)):
+        np.add(terms, np.uint64(seed), out=counters)
+    return rng._mix(out[:sum(counts)], tmp[:sum(counts)])
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.tuples(SEEDS, st.integers(min_value=0, max_value=40)), max_size=8))
 def test_streams_concatenate_single_seed_streams(pairs):
@@ -73,15 +81,31 @@ def test_streams_concatenate_single_seed_streams(pairs):
     # with just enough counter terms, and with a longer shared run of them
     for steps in (rng.golden_steps(max(even, default=0)), rng.golden_steps(2 * sum(even) + 3)):
         out = np.zeros(tmp.size, dtype=np.uint64)
+        assert len(rng.stream_slices(counts, steps, out)) == len(pairs)
         np.testing.assert_array_equal(
-            rng.splitmix64_streams(seeds, counts, steps, out, tmp),
+            _streams(seeds, counts, steps, out, tmp),
             np.concatenate([rng.splitmix64_stream(s, c) for s, c in pairs] or [[]]))
         assert not out[sum(counts):].any()
         # polar on streams of even counts, then float64 trig: each seed's normals
-        raw = rng.splitmix64_streams(seeds, even, steps, out, tmp)
+        raw = _streams(seeds, even, steps, out, tmp)
         r, theta = rng.polar(raw, np.empty(sum(counts)), np.empty(sum(counts)))
         normals = np.empty(2 * r.size)
         np.multiply(r, np.cos(theta), out=normals[0::2])
         np.multiply(r, np.sin(theta), out=normals[1::2])
         assert normals.tobytes() == np.concatenate(
             [rng.normals(s, c) for s, c in zip(seeds, even)] or [[]]).tobytes()
+
+
+def test_mix_is_premix_then_finish_and_finish_inverts():
+    # the two parts of splitmix64's output function make the whole, and the
+    # last step's inverse y ^ y >> 31 ^ y >> 62 undoes it, for words with
+    # the top bit set and clear
+    z = np.concatenate([rng.golden_steps(1000), np.array([0, 1 << 63, (1 << 64) - 1,
+                                                          (1 << 31) - 1], dtype=np.uint64)])
+    t = np.empty_like(z)
+    premixed = rng._premix(z.copy(), t)
+    finished = rng._finish(premixed.copy(), t)
+    np.testing.assert_array_equal(finished, rng._mix(z.copy(), t))
+    np.testing.assert_array_equal(finished >> np.uint64(33), premixed >> np.uint64(33))
+    undone = finished ^ finished >> np.uint64(31) ^ finished >> np.uint64(62)
+    np.testing.assert_array_equal(undone, premixed)
