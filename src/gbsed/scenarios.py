@@ -200,92 +200,84 @@ def read_scenes(path, ontology):
         return scenes_from_text(fh.read(), ontology)
 
 
-def _parse_node(token, lineno):
-    parts = token.split(":")
-    if len(parts) != 5:
-        raise ParseError(f"bad node record {token!r}", line_number=lineno)
-    try:
-        idx = int(parts[0])
-        cls = float(int(parts[1]))
-        x, y, speed = (float(p) for p in parts[2:])
-    except (ValueError, OverflowError):  # OverflowError: a class beyond float range
-        raise ParseError(f"bad node record {token!r}", line_number=lineno) from None
-    return idx, (cls, x, y, speed)
-
-
-def _parse_edge(token, num_relations, lineno):
-    parts = token.split(":")
-    if len(parts) != 3:
-        raise ParseError(f"bad edge triplet {token!r}", line_number=lineno)
-    try:
-        src, rel, dst = (int(p) for p in parts)
-    except ValueError:
-        raise ParseError(f"bad edge triplet {token!r}", line_number=lineno) from None
-    if not 1 <= rel <= num_relations:
-        raise ParseError(f"relation id {rel} outside 1..{num_relations}",
-                         line_number=lineno)
-    return (src, rel, dst)
-
-
 def scenes_from_text(text, ontology):
-    """Parse the .scenes grammar back into GraphSequence objects."""
+    """Parse the .scenes grammar back into GraphSequence objects. A
+    malformed file raises ParseError with the line at fault."""
     check_ontology(ontology)
-    seqs = {}     # id -> list of (frame_k, SceneGraph)
-    labels = {}
-    first_line = {}  # id -> the first line that names it; the ids must be 0..S-1
+    num_relations = ontology.num_relations
+    seqs = {}    # id -> {frame number: (line number, SceneGraph)}
+    labels = {}  # id -> (label, line number)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        head = line.split("|")
-        tokens = head[0].split()
+        head, *fields = line.split("|")
+        tokens = head.split()
         if len(tokens) == 4 and tokens[0] == "seq" and tokens[2] == "label":
             try:
                 seq_id = int(tokens[1])
             except ValueError:
                 seq_id = None
-            if len(head) != 1 or tokens[3] not in (RISKY, SAFE) or seq_id is None:
+            if fields or tokens[3] not in (RISKY, SAFE) or seq_id is None:
                 raise ParseError(f"bad label line {line!r}", line_number=lineno)
             if seq_id in labels:
                 raise ParseError(f"second label for sequence {seq_id}", line_number=lineno)
-            labels[seq_id] = tokens[3]
-            first_line.setdefault(seq_id, lineno)
+            labels[seq_id] = tokens[3], lineno
             continue
-        if len(head) != 3 or len(tokens) != 4 or tokens[0] != "seq" or tokens[2] != "frame":
+        if len(fields) != 2 or len(tokens) != 4 or tokens[0] != "seq" or tokens[2] != "frame":
             raise ParseError(f"unrecognized line {line!r}", line_number=lineno)
         try:
-            seq_id = int(tokens[1])
-            frame_k = int(tokens[3])
+            seq_id, frame_k = int(tokens[1]), int(tokens[3])
         except ValueError:
             raise ParseError(f"bad seq/frame ids in {line!r}", line_number=lineno) from None
+        nodes, edges = fields
         rows = []
-        for tok in head[1].split():
-            idx, row = _parse_node(tok, lineno)
-            if idx != len(rows):
-                raise ParseError(f"node index {idx} out of order", line_number=lineno)
+        for tok in nodes.split():
+            try:
+                i, cls, x, y, speed = tok.split(":")
+                i, row = int(i), (float(int(cls)), float(x), float(y), float(speed))
+            except (ValueError, OverflowError):  # OverflowError: a class beyond float range
+                raise ParseError(f"bad node record {tok!r}", line_number=lineno) from None
+            if i != len(rows):
+                raise ParseError(f"node index {i} out of order", line_number=lineno)
             rows.append(row)
         if not rows:
             raise ParseError("frame with no nodes", line_number=lineno)
-        edges = []
-        for tok in head[2].split():
-            edge = src, _, dst = _parse_edge(tok, ontology.num_relations, lineno)
-            if not (0 <= src < len(rows) and 0 <= dst < len(rows)) or src == dst:
-                raise ParseError(f"edge {edge} references invalid nodes",
+        triplets = set()
+        for tok in edges.split():
+            try:
+                src, rel, dst = map(int, tok.split(":"))
+            except ValueError:
+                raise ParseError(f"bad edge triplet {tok!r}", line_number=lineno) from None
+            if not 1 <= rel <= num_relations:
+                raise ParseError(f"relation id {rel} outside 1..{num_relations}",
                                  line_number=lineno)
-            edges.append(edge)
-        graph = SceneGraph(rows, tuple(sorted(set(edges))))
-        seqs.setdefault(seq_id, []).append((frame_k, graph))
-        first_line.setdefault(seq_id, lineno)
-    stray = sorted((n, i) for i, n in first_line.items() if not 0 <= i < len(seqs))
+            if not (0 <= src < len(rows) and 0 <= dst < len(rows)) or src == dst:
+                raise ParseError(f"edge {(src, rel, dst)} references invalid nodes",
+                                 line_number=lineno)
+            triplets.add((src, rel, dst))
+        frames = seqs.setdefault(seq_id, {})
+        if frame_k in frames:
+            raise ParseError(f"second frame {frame_k} for sequence {seq_id}",
+                             line_number=lineno)
+        frames[frame_k] = lineno, SceneGraph(rows, tuple(sorted(triplets)))
+    # the ids must be 0..S-1; name the first line of one that is not
+    named = [(lineno, i) for i, (_, lineno) in labels.items()]
+    named += [(next(iter(frames.values()))[0], i) for i, frames in seqs.items()]
+    stray = [(lineno, i) for lineno, i in named if not 0 <= i < len(seqs)]
     if stray:
-        raise ParseError(f"sequence {stray[0][1]} is not one of the frame sequences "
-                         f"0..{len(seqs) - 1}", line_number=stray[0][0])
+        lineno, i = min(stray)
+        raise ParseError(f"sequence {i} is not one of the frame sequences "
+                         f"0..{len(seqs) - 1}", line_number=lineno)
     out = []
     for seq_id in range(len(seqs)):
-        frames = [g for _, g in sorted(seqs[seq_id], key=lambda p: p[0])]
-        expected = list(range(len(frames)))
-        got = sorted(k for k, _ in seqs[seq_id])
-        if got != expected:
-            raise ParseError(f"sequence {seq_id} frames {got} not contiguous")
-        out.append(GraphSequence(tuple(frames), labels.get(seq_id)))
+        frames = seqs[seq_id]
+        graphs = [frames.get(k) for k in range(len(frames))]
+        if None in graphs:  # the frame numbers, each once, are not 0..n-1
+            got = sorted(frames)
+            past = next(k for n, k in enumerate(got) if k != n)  # the first past a gap
+            raise ParseError(f"sequence {seq_id} frames {got} not contiguous",
+                             line_number=frames[past][0])
+        label, _ = labels.get(seq_id, (None, None))
+        out.append(GraphSequence(tuple(g for _, g in graphs), label))
     return out

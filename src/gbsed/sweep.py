@@ -85,6 +85,10 @@ class SweepConfig:
             trials = 0  # not an integer
         if trials < 1:
             raise ValueError(f"trials_per_point {self.trials_per_point!r} is not an integer >= 1")
+        try:  # stored as an int: numpy integers overflow on 2^64
+            object.__setattr__(self, "base_seed", operator.index(self.base_seed))
+        except TypeError:
+            raise ValueError(f"base_seed {self.base_seed!r} is not an integer") from None
         for snr_db in self.snr_points:
             self._link(snr_db)  # raises ValueError for a bad point or link
 

@@ -675,6 +675,18 @@ def test_transmit_reduces_seeds_mod_2_to_64(cfg):
             assert transmit(payload, link) == reference_transmit(payload, link)
 
 
+def test_link_config_refuses_a_seed_that_is_no_integer():
+    # 2.5 would draw seed 2's noise; a numpy integer is kept, as an int
+    for seed in (2.5, 3.0, np.float64(3), "3", None):
+        with pytest.raises(ValueError, match="not an integer"):
+            LinkConfig(seed=seed)
+    payload = bytes(range(40))
+    for seed in (np.uint64(7), np.int64(-3), np.int32(7), (1 << 64) + 7):
+        link = LinkConfig(snr_db=2.0, seed=seed)
+        assert type(link.seed) is int
+        assert transmit(payload, link) == transmit(payload, LinkConfig(snr_db=2.0, seed=int(seed)))
+
+
 def test_link_config_refuses_infinite_noise_power():
     # -inf dB, and any SNR whose noise power 10^(-snr/10) overflows a float
     for snr_db in (-math.inf, -3100.0, -3084.0, -1e300):

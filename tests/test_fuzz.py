@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbsed import codec
-from gbsed.errors import GbsedError
+from gbsed.errors import GbsedError, ParseError
 from gbsed.ontology import default_ontology
 from gbsed.rng import SplitMix64, splitmix64_stream
-from gbsed.scenarios import scenes_from_text
+from gbsed.scenarios import ScenarioSpec, generate, scenes_from_text, scenes_to_text
 from gbsed.scene_graph import SceneGraph
 
 ONT = default_ontology()
@@ -68,6 +68,41 @@ def test_scenes_parser_total(text):
         scenes_from_text(text, ONT)
     except GbsedError:
         pass
+
+
+def _mutate_scenes(text, gen):
+    """The text with a character replaced or deleted, or a line duplicated,
+    dropped or swapped with another."""
+    kind = gen.randint(0, 4)
+    if kind < 2:
+        k = gen.randint(0, len(text) - 1)
+        return text[:k] + (gen.choice(":|- x9.0\t") if kind == 0 else "") + text[k + 1:]
+    lines = text.splitlines(keepends=True)
+    a, b = gen.randint(0, len(lines) - 1), gen.randint(0, len(lines) - 1)
+    if kind == 2:
+        lines.insert(b, lines[a])
+    elif kind == 3:
+        del lines[a]
+    else:
+        lines[a], lines[b] = lines[b], lines[a]
+    return "".join(lines)
+
+
+def test_scenes_parser_total_over_mutated_valid_files():
+    # a mutated file parses, or raises ParseError naming one of its lines
+    text = scenes_to_text(generate(ScenarioSpec(num_sequences=3, frames_per_sequence=4), ONT))
+    gen = SplitMix64(29)
+    rejected = 0
+    for _ in range(3000):
+        mutated = text
+        for _ in range(gen.randint(1, 3)):
+            mutated = _mutate_scenes(mutated, gen)
+        try:
+            scenes_from_text(mutated, ONT)
+        except ParseError as e:
+            assert e.line_number in range(1, len(mutated.splitlines()) + 1), (str(e), mutated)
+            rejected += 1
+    assert 0 < rejected < 3000
 
 
 def test_truncation_of_valid_payload_always_typed(corpus_frames):

@@ -131,35 +131,67 @@ def test_label_lines_parsed():
     assert seqs[0].label == RISKY
 
 
-@pytest.mark.parametrize("bad, lineno", [
-    ("seq 0 frame 0 | 0:0:0:0:0 | 0:0:1", 1),      # relation id 0
-    ("seq 0 frame 0 | 0:0:0:0:0 | 0:9:1", 1),      # relation id out of range
-    ("seq 0 frame 0 | 0:0:0:0:0 | 0:1:0", 1),      # self-loop
-    ("seq 0 frame 0 | 0:0:0:0:0 | 0:1:5", 1),      # dst out of range
-    ("seq 0 frame 0 | 0:0:0:0:10 1:0:0:30:10 | -1:1:0", 1),  # negative src
-    ("seq 0 frame 0 | 0:0:0:0:10 1:0:0:30:10 | 1:1:-2", 1),  # negative dst
-    ("seq 0 frame 0 | 1:0:0:0:0 |", 1),            # node index out of order
-    ("seq 0 frame 0 | 0:0:0:0 |", 1),              # short node record
-    ("seq 0 frame 0 | 0:0:x:0:0 |", 1),            # non-numeric field
-    (f"seq 0 frame 0 | 0:{'9' * 400}:0:0:0 |", 1),  # class beyond float range
-    ("seq 0 frame 0 ||", 1),                       # wrong field count
-    ("seq 0 frame 0 | |", 1),                      # frame with no nodes
-    ("seq 0 frame 0", 1),                          # truncated line
-    ("seq 0 label maybe", 1),                      # unknown label
-    ("seq x label safe", 1),                       # bad label sequence id
-    ("seq 0 label safe\nseq 0 label risky", 2),    # second label for a sequence
-    ("seq zero frame 0 | 0:0:0:0:0 |", 1),         # bad ids
-    ("seq 5 label risky\nseq 0 frame 0 | 0:0:0:0:0 |", 1),   # label of no frame sequence
-    ("seq 0 frame 0 | 0:0:0:0:0 |\nseq 0 label safe\nseq 2 label safe", 3),
-    ("seq 7 frame 0 | 0:0:0:0:0 |\nseq 3 frame 0 | 0:0:0:0:0 |", 1),  # ids not 0..S-1
-    ("seq 0 frame 0 | 0:0:0:0:0 |\nseq 2 frame 0 | 0:0:0:0:0 |", 2),
-    ("seq -1 frame 0 | 0:0:0:0:0 |", 1),
-    ("nonsense", 1),
-])
-def test_malformed_lines(bad, lineno):
+MALFORMED = [
+    ("seq 0 frame 0 | 0:0:0:0:0 | 0:0:1", 1,      # relation id 0
+     "relation id 0 outside 1..8"),
+    ("seq 0 frame 0 | 0:0:0:0:0 | 0:9:1", 1,      # relation id out of range
+     "relation id 9 outside 1..8"),
+    ("seq 0 frame 0 | 0:0:0:0:0 | 0:1:0", 1,      # self-loop
+     "edge (0, 1, 0) references invalid nodes"),
+    ("seq 0 frame 0 | 0:0:0:0:0 | 0:1:5", 1,      # dst out of range
+     "edge (0, 1, 5) references invalid nodes"),
+    ("seq 0 frame 0 | 0:0:0:0:10 1:0:0:30:10 | -1:1:0", 1,  # negative src
+     "edge (-1, 1, 0) references invalid nodes"),
+    ("seq 0 frame 0 | 0:0:0:0:10 1:0:0:30:10 | 1:1:-2", 1,  # negative dst
+     "edge (1, 1, -2) references invalid nodes"),
+    ("seq 0 frame 0 | 1:0:0:0:0 |", 1,            # node index out of order
+     "node index 1 out of order"),
+    ("seq 0 frame 0 | 0:0:0:0 |", 1,              # short node record
+     "bad node record '0:0:0:0'"),
+    ("seq 0 frame 0 | 0:0:x:0:0 |", 1,            # non-numeric field
+     "bad node record '0:0:x:0:0'"),
+    (f"seq 0 frame 0 | 0:{'9' * 400}:0:0:0 |", 1,  # class beyond float range
+     f"bad node record '0:{'9' * 400}:0:0:0'"),
+    ("seq 0 frame 0 ||", 1,                       # empty node field
+     "frame with no nodes"),
+    ("seq 0 frame 0 | |", 1,                      # frame with no nodes
+     "frame with no nodes"),
+    ("seq 0 frame 0", 1,                          # truncated line
+     "unrecognized line 'seq 0 frame 0'"),
+    ("seq 0 label maybe", 1,                      # unknown label
+     "bad label line 'seq 0 label maybe'"),
+    ("seq x label safe", 1,                       # bad label sequence id
+     "bad label line 'seq x label safe'"),
+    ("seq 0 label safe\nseq 0 label risky", 2,    # second label for a sequence
+     "second label for sequence 0"),
+    ("seq zero frame 0 | 0:0:0:0:0 |", 1,         # bad ids
+     "bad seq/frame ids in 'seq zero frame 0 | 0:0:0:0:0 |'"),
+    ("seq 5 label risky\nseq 0 frame 0 | 0:0:0:0:0 |", 1,   # label of no frame sequence
+     "sequence 5 is not one of the frame sequences 0..0"),
+    ("seq 0 frame 0 | 0:0:0:0:0 |\nseq 0 label safe\nseq 2 label safe", 3,
+     "sequence 2 is not one of the frame sequences 0..0"),
+    ("seq 7 frame 0 | 0:0:0:0:0 |\nseq 3 frame 0 | 0:0:0:0:0 |", 1,  # ids not 0..S-1
+     "sequence 7 is not one of the frame sequences 0..1"),
+    ("seq 0 frame 0 | 0:0:0:0:0 |\nseq 2 frame 0 | 0:0:0:0:0 |", 2,
+     "sequence 2 is not one of the frame sequences 0..1"),
+    ("seq -1 frame 0 | 0:0:0:0:0 |", 1,
+     "sequence -1 is not one of the frame sequences 0..0"),
+    ("nonsense", 1,
+     "unrecognized line 'nonsense'"),
+    ("seq 0 frame 0 | 0:0:0:0:0 |\nseq 0 frame 0 | 0:0:0:0:0 |", 2,  # repeated frame
+     "second frame 0 for sequence 0"),
+    ("seq 0 frame 0 | 0:0:0:0:0 |\nseq 0 frame 2 | 0:0:0:0:0 |", 2,  # missing frame
+     "sequence 0 frames [0, 2] not contiguous"),
+]
+
+
+# each case is named by its text and line
+@pytest.mark.parametrize("bad, lineno, message", MALFORMED,
+                         ids=[f"{bad}-{lineno}" for bad, lineno, _ in MALFORMED])
+def test_malformed_lines(bad, lineno, message):
     with pytest.raises(ParseError) as e:
         scenes_from_text(bad + "\n", ONT)
-    assert e.value.line_number == lineno
+    assert (e.value.line_number, str(e.value)) == (lineno, message)
 
 
 def test_line_number_points_at_fault():
@@ -171,10 +203,13 @@ def test_line_number_points_at_fault():
 
 
 def test_noncontiguous_frames_rejected():
-    text = ("seq 0 frame 0 | 0:0:0.0:0.0:10.0 |\n"
-            "seq 0 frame 2 | 0:0:0.0:0.0:10.0 |\n")
-    with pytest.raises(ParseError):
-        scenes_from_text(text, ONT)
+    # a gap is reported at the line of the first frame past it, in frame
+    # order; a frame number below 0 is out of place itself
+    frame = "seq 0 frame {} | 0:0:0.0:0.0:10.0 |\n"
+    for numbers, lineno in (((0, 2), 2), ((3, 0, 5), 1), ((1, 0, 3, 4), 3), ((0, -1), 2)):
+        with pytest.raises(ParseError, match="not contiguous") as e:
+            scenes_from_text("".join(frame.format(k) for k in numbers), ONT)
+        assert e.value.line_number == lineno
 
 
 def test_wrong_attribute_count_ontology_rejected():

@@ -700,6 +700,12 @@ def test_sweep_config_validation():
     for trials in (2.5, 3.0, "3", None):
         with pytest.raises(ValueError, match="not an integer"):
             sweep.SweepConfig(trials_per_point=trials)
+    # so is a seed that is no integer, which run_sweep met as a TypeError;
+    # a numpy integer is kept, as an int
+    for seed in (1.5, 3.0, np.float64(3), "3", None):
+        with pytest.raises(ValueError, match="not an integer"):
+            sweep.SweepConfig(base_seed=seed)
+    assert type(sweep.SweepConfig(base_seed=np.int64(-3)).base_seed) is int
     # every point's link is checked when the config is built
     for bad in (dict(channel_kind="foo"), dict(header_protection="foo"),
                 dict(bsc_flip_prob=0.7), dict(snr_points=(0.0, math.nan)),
