@@ -18,13 +18,13 @@ codes, packed word by word) or from the row's copy of the sent buffer.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
 from .codec import HEADER_LEN
+from .errors import integer
 
 AWGN64QAM = "awgn64qam"
 BSC = "bsc"
@@ -88,10 +88,7 @@ class LinkConfig:
             raise ValueError(f"bsc_flip_prob {self.bsc_flip_prob} outside [0, 0.5]")
         if self.header_protection not in (PROTECTED, UNPROTECTED):
             raise ValueError(f"unknown header protection {self.header_protection!r}")
-        try:  # stored as an int: numpy integers overflow on 2^64
-            object.__setattr__(self, "seed", operator.index(self.seed))
-        except TypeError:
-            raise ValueError(f"seed {self.seed!r} is not an integer") from None
+        object.__setattr__(self, "seed", integer("seed", self.seed))
         if math.isnan(self.snr_db):
             raise ValueError("snr_db is NaN")
         if math.isinf(_noise_power(self.snr_db)):

@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from . import codec, scenarios, sweep
-from .channel import AWGN64QAM, BSC, PROTECTED, UNPROTECTED, LinkConfig
-from .errors import GbsedError
+from .channel import AWGN64QAM, BSC, PROTECTED, UNPROTECTED
+from .errors import GbsedError, SpecError
 from .metrics import compression_ratio, raw_frame_octets
 from .ontology import default_ontology, load_ontology
 from .scenarios import ScenarioSpec
@@ -36,59 +36,17 @@ def _load_ontology_arg(path):
         return load_ontology(fh.read())
 
 
-# argparse types: what they raise is a usage error
+# argparse types only turn text into numbers: what they raise is a usage
+# error; ScenarioSpec and SweepConfig check the numbers
 
 
-def _number(kind, text):
-    try:
-        return kind(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+def _snr_list(text):
+    tokens = [t.strip() for t in text.split(",")]
+    return tuple(math.inf if t == "noiseless" else float(t) for t in tokens if t)
 
 
-def _parse_snr_list(text):
-    points = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        points.append(math.inf if tok in ("inf", "noiseless") else _number(float, tok))
-    if not points:
-        raise argparse.ArgumentTypeError("empty SNR list")
-    for p in points:
-        try:
-            LinkConfig(snr_db=p)  # NaN, and a noise power that is not finite
-        except ValueError as e:
-            raise argparse.ArgumentTypeError(str(e)) from None
-    return tuple(points)
-
-
-def _int_at_least(lo):
-    def parse(text):
-        value = _number(int, text)
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"{value} is not >= {lo}")
-        return value
-    return parse
-
-
-def _in_range(lo, hi):
-    def parse(text):
-        value = _number(float, text)
-        if not lo <= value <= hi:
-            raise argparse.ArgumentTypeError(f"{value} is outside [{lo}, {hi}]")
-        return value
-    return parse
-
-
-def _vehicles_range(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"{text!r} is not min,max")
-    lo, hi = (_number(int, v) for v in parts)
-    if not 1 <= lo <= hi:
-        raise argparse.ArgumentTypeError(f"{text!r} is not 1 <= min <= max")
-    return lo, hi
+def _min_max(text):
+    return tuple(int(v) for v in text.split(","))
 
 
 def config_from_args(cls, args):
@@ -96,9 +54,9 @@ def config_from_args(cls, args):
     return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
-def cmd_gen(args):
+def cmd_gen(args, spec):
     o = _load_ontology_arg(args.ontology)
-    seqs = scenarios.generate(config_from_args(ScenarioSpec, args), o)
+    seqs = scenarios.generate(spec, o)
     scenarios.write_scenes(seqs, args.out)
     frames = sum(len(s.frames) for s in seqs)
     print(f"wrote {len(seqs)} sequences ({frames} frames) to {args.out}")
@@ -127,10 +85,10 @@ def cmd_encode(args):
     return EXIT_OK
 
 
-def cmd_sweep(args):
+def cmd_sweep(args, cfg):
     o = _load_ontology_arg(args.ontology)
     seqs = scenarios.read_scenes(args.scenes, o)
-    rows = sweep.run_sweep(seqs, o, config_from_args(SweepConfig, args))
+    rows = sweep.run_sweep(seqs, o, cfg)
     text = sweep.rows_to_csv(rows)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -188,19 +146,17 @@ def build_parser():
 
     p = sub.add_parser("gen", help="generate a synthetic scenario corpus")
     p.add_argument("--seed", type=int, default=ScenarioSpec.seed)
-    p.add_argument("--sequences", dest="num_sequences", type=_int_at_least(0),
+    p.add_argument("--sequences", dest="num_sequences", type=int,
                    default=ScenarioSpec.num_sequences)
-    p.add_argument("--frames", dest="frames_per_sequence", type=_int_at_least(1),
+    p.add_argument("--frames", dest="frames_per_sequence", type=int,
                    default=ScenarioSpec.frames_per_sequence)
-    p.add_argument("--vehicles", dest="vehicles_range", type=_vehicles_range,
+    p.add_argument("--vehicles", dest="vehicles_range", type=_min_max,
                    default=ScenarioSpec.vehicles_range, help="min,max vehicles per sequence")
-    p.add_argument("--risky-fraction", type=_in_range(0.0, 1.0),
-                   default=ScenarioSpec.risky_fraction)
-    p.add_argument("--lanes", dest="lane_count", type=_int_at_least(1),
-                   default=ScenarioSpec.lane_count)
+    p.add_argument("--risky-fraction", type=float, default=ScenarioSpec.risky_fraction)
+    p.add_argument("--lanes", dest="lane_count", type=int, default=ScenarioSpec.lane_count)
     p.add_argument("--ontology", default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, configs=[ScenarioSpec])
 
     p = sub.add_parser("encode", help="encode scenes into .gbsd payload files")
     p.add_argument("--scenes", required=True)
@@ -212,19 +168,19 @@ def build_parser():
     p.add_argument("--scenes", required=True)
     p.add_argument("--ontology", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--snr", dest="snr_points", type=_parse_snr_list,
+    p.add_argument("--snr", dest="snr_points", type=_snr_list,
                    default=DEFAULT_SNR_POINTS,
                    help="comma-separated dB values; inf or noiseless for no noise")
-    p.add_argument("--trials", dest="trials_per_point", type=_int_at_least(1),
+    p.add_argument("--trials", dest="trials_per_point", type=int,
                    default=SweepConfig.trials_per_point)
     p.add_argument("--seed", dest="base_seed", type=int, default=SweepConfig.base_seed)
     p.add_argument("--channel", dest="channel_kind", choices=[AWGN64QAM, BSC],
                    default=SweepConfig.channel_kind)
-    p.add_argument("--flip-prob", dest="bsc_flip_prob", type=_in_range(0.0, 0.5),
+    p.add_argument("--flip-prob", dest="bsc_flip_prob", type=float,
                    default=SweepConfig.bsc_flip_prob)
     p.add_argument("--header-protection", choices=[PROTECTED, UNPROTECTED],
                    default=SweepConfig.header_protection)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, configs=[SweepConfig])
 
     p = sub.add_parser("report", help="render a sweep CSV as aligned tables")
     p.add_argument("--csv", required=True)
@@ -239,8 +195,13 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
+    try:  # gen's and sweep's configs check their options
+        configs = [config_from_args(cls, args) for cls in getattr(args, "configs", ())]
+    except (SpecError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     try:
-        return args.func(args)
+        return args.func(args, *configs)
     except (GbsedError, OSError, ValueError) as e:
         line = getattr(e, "line_number", None)  # a malformed .scenes line
         print(f"error: {'' if line is None else f'line {line}: '}{e}", file=sys.stderr)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+every config's fields go through."""
+
+import operator
 
 
 class GbsedError(Exception):
@@ -55,3 +58,17 @@ class SpecError(GbsedError):
 
 class DegenerateInput(GbsedError):
     """Input admits no meaningful result (empty sequence, single-class AUC, ...)."""
+
+
+def integer(name, value, at_least=None, error=ValueError):
+    """``value`` as an int, so that a numpy integer cannot overflow on 2^64.
+    Raises ``error`` naming field ``name`` unless ``value`` is an integer
+    (and >= ``at_least`` when given)."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or at_least is not None and number < at_least:
+        bound = "" if at_least is None else f" >= {at_least}"
+        raise error(f"{name} {value!r} is not an integer{bound}")
+    return number

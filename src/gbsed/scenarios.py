@@ -13,7 +13,7 @@ the 32-bit wire format and the 6-decimal text format without loss.
 
 from dataclasses import dataclass
 
-from .errors import ParseError, SpecError
+from .errors import ParseError, SpecError, integer
 from .rng import SplitMix64
 from .scene_graph import (ATTRIBUTES, CLASS_VEHICLE, D_NEAR, D_VERY, L_FRONT, L_SIDE,
                           LANE_WIDTH, RELATIONS, SceneGraph, graphs_from_bev)
@@ -39,6 +39,23 @@ class ScenarioSpec:
     risky_fraction: float = 0.3
     lane_count: int = 3
 
+    def __post_init__(self):
+        """Refuse a field out of its domain with a SpecError that names it;
+        the integer fields are stored as ints."""
+        try:
+            lo, hi = self.vehicles_range
+        except (TypeError, ValueError):  # not two values
+            raise SpecError(f"vehicles_range {self.vehicles_range!r} is not min, max") from None
+        lo = integer("vehicles_range min", lo, at_least=1, error=SpecError)
+        hi = integer("vehicles_range max", hi, at_least=lo, error=SpecError)
+        object.__setattr__(self, "vehicles_range", (lo, hi))
+        for name, at_least in (("seed", None), ("num_sequences", 0),
+                               ("frames_per_sequence", 1), ("lane_count", 1)):
+            value = integer(name, getattr(self, name), at_least, SpecError)
+            object.__setattr__(self, name, value)
+        if not 0.0 <= self.risky_fraction <= 1.0:
+            raise SpecError(f"risky_fraction {self.risky_fraction} outside [0, 1]")
+
 
 def _quantize(v):
     return round(v * 64.0) / 64.0
@@ -47,22 +64,6 @@ def _quantize(v):
 def _lane_positions(lane_count, width):
     offset = (lane_count - 1) / 2.0
     return [(k - offset) * width for k in range(lane_count)]
-
-
-def _validate(spec):
-    lo, hi = spec.vehicles_range
-    if not (1 <= lo <= hi):
-        raise SpecError(f"vehicles_range {spec.vehicles_range} is empty or nonpositive")
-    if not 0.0 <= spec.risky_fraction <= 1.0:
-        raise SpecError(f"risky_fraction {spec.risky_fraction} outside [0, 1]")
-    if spec.num_sequences < 0 or spec.frames_per_sequence < 1:
-        raise SpecError("need at least one frame per sequence")
-    if spec.lane_count < 1:
-        raise SpecError("need at least one lane")
-    # each vehicle occupies one longitudinal slot per side in the worst case
-    capacity = spec.lane_count * 2 * 6
-    if hi > capacity:
-        raise SpecError(f"{hi} vehicles exceed lane capacity {capacity}")
 
 
 def _safe_trajectories(gen, count, lanes, frames):
@@ -119,7 +120,10 @@ def _threat_trajectory(gen, frames):
 
 def generate(spec, ontology):
     """Generate the scenario corpus; fully determined by spec.seed."""
-    _validate(spec)
+    # each vehicle occupies one longitudinal slot per side in the worst case
+    capacity = spec.lane_count * 2 * 6
+    if spec.vehicles_range[1] > capacity:
+        raise SpecError(f"{spec.vehicles_range[1]} vehicles exceed lane capacity {capacity}")
     check_ontology(ontology)
     labels = []
     graphs = graphs_from_bev(_frames(spec, labels), ontology)

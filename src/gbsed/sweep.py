@@ -31,7 +31,6 @@ reference link built from the channel's primitives.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +38,7 @@ import numpy as np
 from . import codec
 from .channel import (
     AWGN64QAM,
+    BSC,
     PROTECTED,
     LinkConfig,
     frames_required,
@@ -46,7 +46,7 @@ from .channel import (
     send,
     transmit,  # noqa: F401  (single-frame path, kept beside encode/decode_frame)
 )
-from .errors import DegenerateInput, GbsedError
+from .errors import DegenerateInput, GbsedError, integer
 from .metrics import classification_metrics, auc as auc_metric, nodes_match, semantic_fidelity
 from .task import (
     near_ego,
@@ -79,18 +79,13 @@ class SweepConfig:
     def __post_init__(self):
         if not self.snr_points:
             raise ValueError("snr_points is empty")
-        try:
-            trials = operator.index(self.trials_per_point)
-        except TypeError:
-            trials = 0  # not an integer
-        if trials < 1:
-            raise ValueError(f"trials_per_point {self.trials_per_point!r} is not an integer >= 1")
-        try:  # stored as an int: numpy integers overflow on 2^64
-            object.__setattr__(self, "base_seed", operator.index(self.base_seed))
-        except TypeError:
-            raise ValueError(f"base_seed {self.base_seed!r} is not an integer") from None
+        object.__setattr__(self, "trials_per_point",
+                           integer("trials_per_point", self.trials_per_point, at_least=1))
+        object.__setattr__(self, "base_seed", integer("base_seed", self.base_seed))
         for snr_db in self.snr_points:
             self._link(snr_db)  # raises ValueError for a bad point or link
+        if self.bsc_flip_prob and self.channel_kind != BSC:  # the AWGN link ignores it
+            raise ValueError(f"bsc_flip_prob {self.bsc_flip_prob} needs channel_kind {BSC!r}")
 
     def _link(self, snr_db):
         return LinkConfig(snr_db=snr_db, channel_kind=self.channel_kind,

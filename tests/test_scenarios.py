@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from gbsed.errors import ParseError, SpecError
@@ -97,6 +98,35 @@ def test_infeasible_specs_rejected():
         generate(ScenarioSpec(frames_per_sequence=0), ONT)
     with pytest.raises(SpecError):
         generate(ScenarioSpec(vehicles_range=(2, 100), lane_count=1), ONT)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(seed=2.5), dict(seed="3"), dict(seed=None), dict(num_sequences=2.5),
+    dict(frames_per_sequence=2.5), dict(lane_count=2.5), dict(vehicles_range=(2, 8.5)),
+    dict(vehicles_range=(2.0, 8)), dict(vehicles_range=(2,)), dict(vehicles_range=(2, 3, 4)),
+    dict(vehicles_range=5), dict(num_sequences=-1), dict(lane_count=0),
+    dict(vehicles_range=(8, 2)),
+])
+def test_bad_spec_fields_refused_when_the_spec_is_built(fields):
+    # once a TypeError, a ValueError from unpacking or an OverflowError deep
+    # in generate; now a SpecError naming the field, before any generation
+    name = next(iter(fields))
+    with pytest.raises(SpecError, match=name):
+        ScenarioSpec(**fields)
+
+
+def test_numpy_integer_spec_fields_are_stored_as_ints():
+    spec = ScenarioSpec(seed=np.int64(3), num_sequences=np.int32(4),
+                        frames_per_sequence=np.uint8(5), lane_count=np.int64(2),
+                        vehicles_range=(np.int64(2), np.int16(6)))
+    same = ScenarioSpec(seed=3, num_sequences=4, frames_per_sequence=5, lane_count=2,
+                        vehicles_range=(2, 6))
+    assert spec == same
+    ints = (spec.seed, spec.num_sequences, spec.frames_per_sequence, spec.lane_count,
+            *spec.vehicles_range)
+    assert all(type(v) is int for v in ints)
+    # a numpy seed overflowed in generate; it now gives the int seed's corpus
+    assert scenes_to_text(generate(spec, ONT)) == scenes_to_text(generate(same, ONT))
 
 
 # -- .scenes format -----------------------------------------------------------

@@ -16,7 +16,7 @@ from gbsed import channel, codec, scenarios, sweep
 from gbsed.channel import BSC, UNPROTECTED, LinkConfig, frames_required, transmit
 from gbsed.cli import build_parser, config_from_args, main
 from gbsed.codec import HEADER_LEN
-from gbsed.errors import FormatError, GbsedError, ShapeError
+from gbsed.errors import FormatError, GbsedError, ShapeError, SpecError
 from gbsed.metrics import auc, classification_metrics, semantic_fidelity
 from gbsed.ontology import default_ontology, emit_ontology
 from gbsed.scenarios import ScenarioSpec, generate
@@ -714,6 +714,20 @@ def test_sweep_config_validation():
             sweep.SweepConfig(**bad)
 
 
+def test_flip_prob_needs_the_bsc(tmp_path):
+    # the AWGN link ignores a flip probability: such a sweep once wrote the
+    # CSV of the sweep without it
+    with pytest.raises(ValueError, match="bsc_flip_prob 0.1 needs channel_kind 'bsc'"):
+        sweep.SweepConfig(snr_points=(10.0,), bsc_flip_prob=0.1)
+    sweep.SweepConfig(snr_points=(10.0,), channel_kind=BSC, bsc_flip_prob=0.1)
+    sweep.SweepConfig(snr_points=(10.0,), bsc_flip_prob=0.0)
+    scenes = _gen(tmp_path)
+    args = ["sweep", "--scenes", str(scenes), "--out", str(tmp_path / "r.csv"),
+            "--snr", "10", "--trials", "5", "--flip-prob", "0.1"]
+    assert main(args) == 2
+    assert main(args + ["--channel", BSC]) == 0
+
+
 # -- CLI ----------------------------------------------------------------------
 
 def _gen(tmp_path, **kw):
@@ -815,6 +829,36 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(gen_args + ["--vehicles", "1,40"]) == 3  # beyond the lanes' capacity
     assert main(gen_args + ["--vehicles", "3,3", "--risky-fraction", "1"]) == 0
     assert main(gen_args + ["--sequences", "0"]) == 0
+    # the configs alone check a number: each value above that parses as one
+    # is refused with its config's own message
+    capsys.readouterr()
+    refused = [
+        (["--trials", "0"], dict(trials_per_point=0)),
+        (["--flip-prob", "0.7"], dict(bsc_flip_prob=0.7)),
+        (["--flip-prob", "-0.1"], dict(bsc_flip_prob=-0.1)),
+        (["--snr", ""], dict(snr_points=())),
+        (["--snr", "nan"], dict(snr_points=(math.nan,))),
+        (["--snr=-inf"], dict(snr_points=(-math.inf,))),
+        (["--snr=-3100"], dict(snr_points=(-3100.0,))),
+        (["--snr=0,-inf"], dict(snr_points=(0.0, -math.inf))),
+        (["--flip-prob", "0.1"], dict(bsc_flip_prob=0.1)),  # on the AWGN link
+    ]
+    refused = [(sweep_args + value, sweep.SweepConfig, fields) for value, fields in refused]
+    refused += [(gen_args + value, ScenarioSpec, fields) for value, fields in (
+        (["--vehicles", "2"], dict(vehicles_range=(2,))),
+        (["--vehicles", "8,2"], dict(vehicles_range=(8, 2))),
+        (["--vehicles", "0,2"], dict(vehicles_range=(0, 2))),
+        (["--frames", "0"], dict(frames_per_sequence=0)),
+        (["--lanes", "0"], dict(lane_count=0)),
+        (["--risky-fraction", "1.5"], dict(risky_fraction=1.5)),
+        (["--risky-fraction", "-0.1"], dict(risky_fraction=-0.1)),
+        (["--sequences", "-1"], dict(num_sequences=-1)),
+    )]
+    for args, config, fields in refused:
+        with pytest.raises((SpecError, ValueError)) as refusal:
+            config(**fields)
+        assert main(args) == 2, args
+        assert capsys.readouterr().err == f"error: {refusal.value}\n", args
     # a path that is a directory is a data error
     assert main(["encode", "--scenes", str(tmp_path), "--out", str(tmp_path / "o")]) == 3
     assert main(["gen", "--out", str(tmp_path)]) == 3
