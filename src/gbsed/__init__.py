@@ -18,7 +18,7 @@ from .metrics import (
     raw_frame_octets,
     semantic_fidelity,
 )
-from .ontology import RelationOntology, default_ontology, load_ontology, ontology_digest
+from .ontology import RelationOntology, default_ontology, ontology_digest
 from .scenarios import ScenarioSpec, generate, read_scenes, write_scenes
 from .scene_graph import SceneGraph, infer_relations
 from .sweep import SweepConfig, encode_frame, decode_frame, run_sweep

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import rng
 from .codec import HEADER_LEN
-from .errors import integer
+from .errors import integer, number
 
 AWGN64QAM = "awgn64qam"
 BSC = "bsc"
@@ -84,13 +84,12 @@ class LinkConfig:
     def __post_init__(self):
         if self.channel_kind not in (AWGN64QAM, BSC):
             raise ValueError(f"unknown channel kind {self.channel_kind!r}")
-        if not 0.0 <= self.bsc_flip_prob <= 0.5:
-            raise ValueError(f"bsc_flip_prob {self.bsc_flip_prob} outside [0, 0.5]")
+        object.__setattr__(self, "bsc_flip_prob",
+                           number("bsc_flip_prob", self.bsc_flip_prob, 0.0, 0.5))
         if self.header_protection not in (PROTECTED, UNPROTECTED):
             raise ValueError(f"unknown header protection {self.header_protection!r}")
         object.__setattr__(self, "seed", integer("seed", self.seed))
-        if math.isnan(self.snr_db):
-            raise ValueError("snr_db is NaN")
+        object.__setattr__(self, "snr_db", number("snr_db", self.snr_db))
         if math.isinf(_noise_power(self.snr_db)):
             raise ValueError(f"snr_db {self.snr_db} gives an infinite noise power")
 

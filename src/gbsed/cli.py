@@ -17,7 +17,7 @@ from . import codec, scenarios, sweep
 from .channel import AWGN64QAM, BSC, PROTECTED, UNPROTECTED
 from .errors import GbsedError, SpecError
 from .metrics import compression_ratio, raw_frame_octets
-from .ontology import default_ontology, load_ontology
+from .ontology import default_ontology
 from .scenarios import ScenarioSpec
 from .sweep import DEFAULT_SNR_POINTS, SweepConfig
 
@@ -27,13 +27,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
-
-
-def _load_ontology_arg(path):
-    if path is None:
-        return default_ontology()
-    with open(path, encoding="utf-8") as fh:
-        return load_ontology(fh.read())
 
 
 # argparse types only turn text into numbers: what they raise is a usage
@@ -55,8 +48,7 @@ def config_from_args(cls, args):
 
 
 def cmd_gen(args, spec):
-    o = _load_ontology_arg(args.ontology)
-    seqs = scenarios.generate(spec, o)
+    seqs = scenarios.generate(spec, default_ontology())
     scenarios.write_scenes(seqs, args.out)
     frames = sum(len(s.frames) for s in seqs)
     print(f"wrote {len(seqs)} sequences ({frames} frames) to {args.out}")
@@ -64,7 +56,7 @@ def cmd_gen(args, spec):
 
 
 def cmd_encode(args):
-    o = _load_ontology_arg(args.ontology)
+    o = default_ontology()
     seqs = scenarios.read_scenes(args.scenes, o)
     os.makedirs(args.out, exist_ok=True)
     buffer, lengths, _ = codec.encode_frames([f for seq in seqs for f in seq.frames], o)
@@ -86,7 +78,7 @@ def cmd_encode(args):
 
 
 def cmd_sweep(args, cfg):
-    o = _load_ontology_arg(args.ontology)
+    o = default_ontology()
     seqs = scenarios.read_scenes(args.scenes, o)
     rows = sweep.run_sweep(seqs, o, cfg)
     text = sweep.rows_to_csv(rows)
@@ -154,19 +146,16 @@ def build_parser():
                    default=ScenarioSpec.vehicles_range, help="min,max vehicles per sequence")
     p.add_argument("--risky-fraction", type=float, default=ScenarioSpec.risky_fraction)
     p.add_argument("--lanes", dest="lane_count", type=int, default=ScenarioSpec.lane_count)
-    p.add_argument("--ontology", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen, configs=[ScenarioSpec])
 
     p = sub.add_parser("encode", help="encode scenes into .gbsd payload files")
     p.add_argument("--scenes", required=True)
-    p.add_argument("--ontology", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("sweep", help="run an SNR sweep and write a results CSV")
     p.add_argument("--scenes", required=True)
-    p.add_argument("--ontology", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--snr", dest="snr_points", type=_snr_list,
                    default=DEFAULT_SNR_POINTS,

@@ -1,15 +1,13 @@
-"""Exception types shared across the package, and the integer check that
-every config's fields go through."""
+"""Exception types shared across the package, and the integer and number
+checks that every config's fields go through."""
 
+import math
+import numbers
 import operator
 
 
 class GbsedError(Exception):
     """Base class for all package errors."""
-
-
-class SchemaError(GbsedError):
-    """Ontology document violates the configuration grammar or invariants."""
 
 
 class OntologyMismatch(GbsedError):
@@ -72,3 +70,18 @@ def integer(name, value, at_least=None, error=ValueError):
         bound = "" if at_least is None else f" >= {at_least}"
         raise error(f"{name} {value!r} is not an integer{bound}")
     return number
+
+
+def number(name, value, lo=None, hi=None, error=ValueError):
+    """``value`` as a float. Raises ``error`` naming field ``name`` unless
+    ``value`` is a real number, not NaN, and within the bounds given."""
+    low = -math.inf if lo is None else lo
+    high = math.inf if hi is None else hi
+    try:
+        real = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int beyond float range
+        real = math.nan
+    if not low <= real <= high:  # NaN fails every comparison
+        bound = "" if lo is None and hi is None else f" in [{low}, {high}]"
+        raise error(f"{name} {value!r} is not a number{bound}")
+    return real

@@ -13,10 +13,10 @@ the 32-bit wire format and the 6-decimal text format without loss.
 
 from dataclasses import dataclass
 
-from .errors import ParseError, SpecError, integer
+from .errors import ParseError, SpecError, integer, number
 from .rng import SplitMix64
-from .scene_graph import (ATTRIBUTES, CLASS_VEHICLE, D_NEAR, D_VERY, L_FRONT, L_SIDE,
-                          LANE_WIDTH, RELATIONS, SceneGraph, graphs_from_bev)
+from .scene_graph import (CLASS_VEHICLE, D_NEAR, D_VERY, L_FRONT, L_SIDE, LANE_WIDTH,
+                          SceneGraph, graphs_from_bev)
 from .task import CONSECUTIVE_FRAMES, RISKY, SAFE, GraphSequence
 
 _DT = 0.5            # seconds per frame
@@ -53,8 +53,8 @@ class ScenarioSpec:
                                ("frames_per_sequence", 1), ("lane_count", 1)):
             value = integer(name, getattr(self, name), at_least, SpecError)
             object.__setattr__(self, name, value)
-        if not 0.0 <= self.risky_fraction <= 1.0:
-            raise SpecError(f"risky_fraction {self.risky_fraction} outside [0, 1]")
+        object.__setattr__(self, "risky_fraction",
+                           number("risky_fraction", self.risky_fraction, 0.0, 1.0, SpecError))
 
 
 def _quantize(v):
@@ -124,7 +124,6 @@ def generate(spec, ontology):
     capacity = spec.lane_count * 2 * 6
     if spec.vehicles_range[1] > capacity:
         raise SpecError(f"{spec.vehicles_range[1]} vehicles exceed lane capacity {capacity}")
-    check_ontology(ontology)
     labels = []
     graphs = graphs_from_bev(_frames(spec, labels), ontology)
     per = spec.frames_per_sequence
@@ -185,20 +184,6 @@ def scenes_to_text(sequences):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def check_ontology(ontology):
-    """Refuse an ontology whose attributes are not the four .scenes node
-    columns in order, or whose relations 1..8 are not the relations
-    infer_relations emits, in that order. Relations 9 and up are free."""
-    names = tuple(a.name for a in ontology.attributes)
-    if names != ATTRIBUTES:
-        raise ParseError(f"scenes format carries exactly the node attributes "
-                         f"{' '.join(ATTRIBUTES)}, not {' '.join(names)}")
-    names = tuple(r.name for r in ontology.relations[:len(RELATIONS)])
-    if names != RELATIONS:
-        raise ParseError(f"scenes edges carry the relations {' '.join(RELATIONS)} "
-                         f"as ids 1..{len(RELATIONS)}, not {' '.join(names)}")
-
-
 def read_scenes(path, ontology):
     with open(path, encoding="utf-8") as fh:
         return scenes_from_text(fh.read(), ontology)
@@ -207,7 +192,6 @@ def read_scenes(path, ontology):
 def scenes_from_text(text, ontology):
     """Parse the .scenes grammar back into GraphSequence objects. A
     malformed file raises ParseError with the line at fault."""
-    check_ontology(ontology)
     num_relations = ontology.num_relations
     seqs = {}    # id -> {frame number: (line number, SceneGraph)}
     labels = {}  # id -> (label, line number)

@@ -165,7 +165,7 @@ def graphs_from_bev(frames, ontology):
     one ``infer_relations`` call.
 
     Record 0 of a frame is its ego. The records' columns are the feature
-    columns: the ontology is one that ``scenarios.check_ontology`` accepts.
+    columns, as in ``ontology.default_ontology()``.
     """
     graphs, batch, pairs = [], [], 0
     for records in frames:

@@ -77,6 +77,10 @@ class SweepConfig:
     header_protection: str = PROTECTED
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "snr_points", tuple(self.snr_points))
+        except TypeError:
+            raise ValueError(f"snr_points {self.snr_points!r} is not a sequence") from None
         if not self.snr_points:
             raise ValueError("snr_points is empty")
         object.__setattr__(self, "trials_per_point",

@@ -1276,6 +1276,20 @@ def test_link_config_validation():
         LinkConfig(header_protection="none")
     with pytest.raises(ValueError):
         LinkConfig(snr_db=float("nan"))
+    # a float field that is no number was a bare TypeError; now a ValueError
+    # naming the field
+    for fields in (dict(snr_db="10"), dict(snr_db=None), dict(snr_db=math.nan),
+                   dict(snr_db=10 ** 400),  # beyond float range
+                   dict(channel_kind=BSC, bsc_flip_prob="0.1"),
+                   dict(channel_kind=BSC, bsc_flip_prob=math.nan)):
+        name = "snr_db" if "snr_db" in fields else "bsc_flip_prob"
+        with pytest.raises(ValueError, match=name):
+            LinkConfig(**fields)
+    # a number of another type is stored as a float; +inf is the noiseless link
+    link = LinkConfig(snr_db=np.int64(10), channel_kind=BSC, bsc_flip_prob=np.float32(0.25))
+    assert (link.snr_db, link.bsc_flip_prob) == (10.0, 0.25)
+    assert type(link.snr_db) is float and type(link.bsc_flip_prob) is float
+    assert LinkConfig(snr_db=math.inf).snr_db == math.inf
 
 
 # -- frame accounting ---------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +15,7 @@ from gbsed.errors import (
     ShapeError,
     TruncationError,
 )
-from gbsed.ontology import emit_ontology, load_ontology
+from gbsed.ontology import Attribute, Relation, RelationOntology
 from gbsed.rng import SplitMix64
 from gbsed.scenarios import ScenarioSpec, generate
 from gbsed.scene_graph import SceneGraph, stack_graphs
@@ -37,8 +38,8 @@ def _random_graph(seed, n, num_rel, edge_prob=0.2, d=4):
 
 
 def _tiny_ontology():
-    return load_ontology(
-        "relation 1 is_near\nrelation 2 to_left_of\nattribute 0 class categorical\n")
+    return RelationOntology((Relation(1, "is_near"), Relation(2, "to_left_of")),
+                            (Attribute(0, "class", "categorical"),))
 
 
 # -- encode_tensor ------------------------------------------------------------
@@ -549,7 +550,7 @@ def test_encode_frames_writes_what_the_stages_write_for_crafted_passes(ontology)
     _assert_encodes_as_the_stages(frames, ontology)
     _assert_encodes_as_the_stages(frames[::-1] + frames, ontology)
     # another digest and |R| in the header
-    nine = load_ontology(emit_ontology(ontology) + "relation 9 overtaking\n")
+    nine = replace(ontology, relations=ontology.relations + (Relation(9, "overtaking"),))
     _assert_encodes_as_the_stages(frames, nine)
 
 

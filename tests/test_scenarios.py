@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gbsed.errors import ParseError, SpecError
-from gbsed.ontology import default_ontology, emit_ontology, load_ontology
+from gbsed.ontology import default_ontology
 from gbsed import scene_graph
 from gbsed.scene_graph import infer_relations
 from gbsed.scenarios import (
@@ -105,7 +105,8 @@ def test_infeasible_specs_rejected():
     dict(frames_per_sequence=2.5), dict(lane_count=2.5), dict(vehicles_range=(2, 8.5)),
     dict(vehicles_range=(2.0, 8)), dict(vehicles_range=(2,)), dict(vehicles_range=(2, 3, 4)),
     dict(vehicles_range=5), dict(num_sequences=-1), dict(lane_count=0),
-    dict(vehicles_range=(8, 2)),
+    dict(vehicles_range=(8, 2)), dict(risky_fraction="0.3"), dict(risky_fraction=None),
+    dict(risky_fraction=float("nan")), dict(risky_fraction=1.5),
 ])
 def test_bad_spec_fields_refused_when_the_spec_is_built(fields):
     # once a TypeError, a ValueError from unpacking or an OverflowError deep
@@ -240,22 +241,6 @@ def test_noncontiguous_frames_rejected():
         with pytest.raises(ParseError, match="not contiguous") as e:
             scenes_from_text("".join(frame.format(k) for k in numbers), ONT)
         assert e.value.line_number == lineno
-
-
-def test_wrong_attribute_count_ontology_rejected():
-    tiny = load_ontology("relation 1 is_near\nattribute 0 class categorical\n")
-    with pytest.raises(ParseError):
-        scenes_from_text("seq 0 frame 0 | 0:0:0:0:0 |\n", tiny)
-
-
-def test_generate_refuses_the_ontologies_reading_refuses():
-    tiny = load_ontology("relation 1 is_near\nattribute 0 class categorical\n")
-    renumbered = load_ontology(
-        emit_ontology(ONT).replace("relation 1 is_near", "relation 1 very_near")
-                          .replace("relation 2 very_near", "relation 2 is_near"))
-    for bad in (tiny, renumbered):
-        with pytest.raises(ParseError):
-            generate(ScenarioSpec(num_sequences=1), bad)
 
 
 def test_features_survive_text_precision(default_corpus):
