@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import itertools
 import math
@@ -39,6 +40,26 @@ def test_encode_decode_frame_round_trip(small_corpus):
     payload = sweep.encode_frame(frame, ONT)
     back = sweep.decode_frame(payload, ONT)
     assert back.edges == frame.edges
+
+
+# frozen digests of three 2,000-trial sweeps of the default corpus at seed 0:
+# any change that alters the sweep's CSV bytes must update them deliberately
+SWEEP_SHA256 = [
+    (dict(snr_points=(0.0, 10.0, 16.0, 20.0, math.inf)),
+     "2742f76e7c649bfc360c671ee70d78706e7c70149080af93946c6629ef613409"),
+    (dict(snr_points=(10.0, 20.0), header_protection=UNPROTECTED),
+     "39c3b61eeaff66fe984e3d6aeb1959cb107d1f8c913b1208b14f5d3ef671dafa"),
+    (dict(channel_kind=BSC, bsc_flip_prob=0.002, header_protection=UNPROTECTED),
+     "e7faf7dbe64fb1856ceeb888ba6d3978069d298b88c0fa01d95d438a4d90f059"),
+]
+
+
+@pytest.mark.parametrize("fields, digest", SWEEP_SHA256,
+                         ids=["awgn_protected", "awgn_unprotected", "bsc_unprotected"])
+def test_sweep_csv_golden_hash(default_corpus, fields, digest):
+    cfg = sweep.SweepConfig(trials_per_point=2000, base_seed=0, **fields)
+    text = sweep.rows_to_csv(sweep.run_sweep(default_corpus, ONT, cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_decode_frame_garbage_is_none():
