@@ -4,8 +4,8 @@ Encoding stacks one self-describing NxN matrix per relation (entries are 0
 or the relation id) into a (|R|, N, N) uint8 array. Compression keeps the
 (K, N, N) nonzero slices; decompression recovers each received matrix's
 relation id from its nonzero entries (``relation_ids``, the sweep's too) and
-reads the kept matrices straight into sorted (src, rel, dst) triplets;
-regeneration turns them plus the feature matrix into a scene graph.
+reads the kept matrices straight into sorted (E, 3) int64 (src, rel, dst)
+triplets; regeneration makes them and the feature matrix a scene graph.
 
 ``encode_frames`` writes what ``serialize(compress(encode_tensor(g)))``
 writes for every scene graph g of a pass in one call, from the graphs'
@@ -69,7 +69,7 @@ def encode_tensor(graph, ontology):
     if num_rel > _MAX_U8:
         raise CapacityError(f"|R|={num_rel} exceeds the 8-bit field")
     tensor = np.zeros((num_rel, n, n), dtype=np.uint8)
-    for src, rel, dst in graph.edges:
+    for src, rel, dst in graph.edges.tolist():
         if not 1 <= rel <= num_rel:
             raise OntologyMismatch(f"edge relation id {rel} outside 1..{num_rel}")
         if not (0 <= src < n and 0 <= dst < n):
@@ -144,16 +144,13 @@ def decompress(retained, num_relations):
 
 def regenerate(triplets, features):
     """Rebuild a SceneGraph from sorted (E, 3) integer triplets and a feature matrix."""
-    feats = np.asarray(features)
-    triplets = np.asarray(triplets)
-    nodes = triplets[:, ::2] if triplets.ndim == 2 and triplets.shape[1] == 3 else None
-    if (feats.ndim != 2 or nodes is None or triplets.dtype.kind not in "iu"
-            or not ((nodes >= 0) & (nodes < len(feats))).all()):
-        raise ShapeError(f"triplets {triplets.dtype}{triplets.shape} vs features {feats.shape}")
-    # SceneGraph converts the features to float64 once; a received signalling
-    # NaN raises the invalid flag there
+    # SceneGraph converts the features to float64 once, where a received
+    # signalling NaN raises the invalid flag, and checks the triplets' shape
     with np.errstate(invalid="ignore"):
-        return SceneGraph(feats, tuple(map(tuple, triplets.tolist())))
+        graph = SceneGraph(features, triplets)
+    if not ((graph.edges[:, ::2] >= 0) & (graph.edges[:, ::2] < graph.num_nodes)).all():
+        raise ShapeError(f"triplets name nodes outside the {graph.num_nodes} feature rows")
+    return graph
 
 
 def payload_length(n, d, k):
@@ -202,9 +199,9 @@ def encode_frames(graphs, ontology):
     num_rel, d = ontology.num_relations, ontology.num_attributes
     try:
         stacked = stack_graphs(graphs)
-    except (ValueError, OverflowError):
-        # graphs that do not stack (mixed feature widths, or a triplet value
-        # beyond int64) include one the stages refuse: all are flagged
+    except ValueError:
+        # graphs of mixed feature widths include one the stages refuse: all
+        # are flagged
         refused = np.ones(len(graphs), dtype=bool)
     else:
         features, sizes, triplets, edge_counts = stacked

@@ -80,7 +80,7 @@ def semantic_fidelity(sent, received, ontology):
 
     ``received=None`` means the payload failed to parse: fidelity 0.
     Node correspondence is by index; an edge counts iff the exact triplet
-    is present.
+    is present (a graph lists each triplet once).
     """
     nodes_total = sent.num_nodes
     edges_total = len(sent.edges)
@@ -89,8 +89,8 @@ def semantic_fidelity(sent, received, ontology):
     m = min(nodes_total, received.num_nodes)
     nodes_recovered = int(np.count_nonzero(
         nodes_match(sent.features[:m], received.features[:m], ontology)))
-    recv_edges = set(received.edges)
-    edges_recovered = sum(1 for e in sent.edges if e in recv_edges)
+    edges_recovered = len(set(map(tuple, sent.edges.tolist()))
+                          .intersection(map(tuple, received.edges.tolist())))
     return FidelityReport(nodes_total, nodes_recovered, edges_total, edges_recovered)
 
 

@@ -8,6 +8,7 @@ build's ontology is refused before any matrix is interpreted.
 from dataclasses import dataclass
 from functools import cached_property
 
+from .errors import OntologyMismatch
 from .scene_graph import ATTRIBUTES, RELATIONS
 
 # the kinds of the ATTRIBUTES, in order
@@ -45,19 +46,13 @@ class RelationOntology:
         return len(self.attributes)
 
     def relation_id(self, name):
-        for rel in self.relations:
-            if rel.name == name:
-                return rel.id
-        raise KeyError(name)
+        return _lookup({r.name: r.id for r in self.relations}, name, "relation")
 
     def relation_name(self, rel_id):
-        return self.relations[rel_id - 1].name
+        return _lookup({r.id: r.name for r in self.relations}, rel_id, "relation of id")
 
     def attribute_index(self, name):
-        for attr in self.attributes:
-            if attr.name == name:
-                return attr.index
-        raise KeyError(name)
+        return _lookup({a.name: a.index for a in self.attributes}, name, "attribute")
 
     @cached_property
     def digest(self):
@@ -70,6 +65,13 @@ class RelationOntology:
             h ^= b
             h = (h * _FNV_PRIME) & _MASK64
         return h
+
+
+def _lookup(table, key, what):
+    """table[key]; a key the ontology lacks raises OntologyMismatch naming it."""
+    if key not in table:
+        raise OntologyMismatch(f"the ontology has no {what} {key!r}")
+    return table[key]
 
 
 def ontology_digest(o):

@@ -13,7 +13,7 @@ the 32-bit wire format and the 6-decimal text format without loss.
 
 from dataclasses import dataclass
 
-from .errors import ParseError, SpecError, integer, number
+from .errors import ParseError, ShapeError, SpecError, integer, number
 from .rng import SplitMix64
 from .scene_graph import (CLASS_VEHICLE, D_NEAR, D_VERY, L_FRONT, L_SIDE, LANE_WIDTH,
                           SceneGraph, graphs_from_bev)
@@ -179,7 +179,7 @@ def scenes_to_text(sequences):
                 "%d:%d:%.6f:%.6f:%.6f" % (i, int(round(f[0])), f[1], f[2], f[3])
                 for i, f in enumerate(frame.features.tolist())
             )
-            edges = " ".join(f"{a}:{r}:{b}" for a, r, b in frame.edges)
+            edges = " ".join(f"{a}:{r}:{b}" for a, r, b in frame.edges.tolist())
             lines.append(f"seq {s} frame {k} | {nodes} | {edges}")
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -231,7 +231,7 @@ def scenes_from_text(text, ontology):
             rows.append(row)
         if not rows:
             raise ParseError("frame with no nodes", line_number=lineno)
-        triplets = set()
+        triplets = []
         for tok in edges.split():
             try:
                 src, rel, dst = map(int, tok.split(":"))
@@ -243,12 +243,16 @@ def scenes_from_text(text, ontology):
             if not (0 <= src < len(rows) and 0 <= dst < len(rows)) or src == dst:
                 raise ParseError(f"edge {(src, rel, dst)} references invalid nodes",
                                  line_number=lineno)
-            triplets.add((src, rel, dst))
+            triplets.append((src, rel, dst))
+        try:  # all that is left to check is a triplet listed twice, which the graph refuses
+            graph = SceneGraph(rows, sorted(triplets))
+        except ShapeError as e:
+            raise ParseError(str(e), line_number=lineno) from None
         frames = seqs.setdefault(seq_id, {})
         if frame_k in frames:
             raise ParseError(f"second frame {frame_k} for sequence {seq_id}",
                              line_number=lineno)
-        frames[frame_k] = lineno, SceneGraph(rows, tuple(sorted(triplets)))
+        frames[frame_k] = lineno, graph
     # the ids must be 0..S-1; name the first line of one that is not
     named = [(lineno, i) for i, (_, lineno) in labels.items()]
     named += [(next(iter(frames.values()))[0], i) for i, frames in seqs.items()]

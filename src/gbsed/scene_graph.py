@@ -1,13 +1,14 @@
 """Scene-graph data model and construction.
 
 A scene graph is a directed multi-relational graph over road entities:
-an (N, d) feature matrix whose row i is node i's feature vector, ordered
-by the ontology's attribute schema, and (src, relation_id, dst) triplets.
-Node 0 is the ego vehicle by convention.
+a read-only (N, d) float64 matrix whose row i is node i's features, in the
+ontology's attribute order, and a read-only (E, 3) int64 array of distinct
+(src, relation_id, dst) triplets. Node 0 is the ego vehicle by convention.
 """
 
+import reprlib
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -35,7 +36,7 @@ RELATIONS = ("is_near", "very_near", "to_left_of", "to_right_of", "in_front_of",
 @dataclass(frozen=True, eq=False)
 class SceneGraph:
     features: np.ndarray  # (N, d) float64, row i is node i; C-contiguous, read-only
-    edges: tuple  # sorted (src, rel, dst) triplets, each once
+    edges: np.ndarray  # (E, 3) int64 (src, rel, dst) triplets, each once; C-contiguous, read-only
 
     def __post_init__(self):
         feats = np.array(self.features, dtype=np.float64, order="C")
@@ -43,23 +44,30 @@ class SceneGraph:
             raise ShapeError(f"features of shape {feats.shape} are not an (N, d) matrix")
         feats.flags.writeable = False
         object.__setattr__(self, "features", feats)
-        # the array encoder would read a value 1.5 as 1 and drop a fourth; a
-        # triplet listed twice would count twice as sent and as recovered,
-        # though the codec sends it once
-        for e in self.edges:
-            if not (isinstance(e, tuple) and len(e) == 3
-                    and all(isinstance(v, (int, np.integer)) for v in e)):
-                raise ShapeError(f"triplet {e!r} is not three integers")
-        if len(set(self.edges)) != len(self.edges):
-            twice = next(e for i, e in enumerate(self.edges) if e in self.edges[:i])
+        # the encoders would read 1.5 as 1 and drop a fourth value, and a uint64 of
+        # 2^63 or more would wrap to a negative int64; a triplet listed twice would
+        # count twice as sent and as recovered, though the codec sends it once
+        try:  # rows of mixed lengths raise ValueError, and a value of no length TypeError
+            edges = np.array(self.edges) if len(self.edges) else np.zeros((0, 3), np.int64)
+        except (ValueError, TypeError):
+            edges = np.array(None)
+        kind = edges.dtype.kind
+        if (kind not in "iu" or edges.ndim != 2 or edges.shape[1] != 3
+                or kind == "u" and (edges >> 63).any()):
+            raise ShapeError(f"triplets {reprlib.repr(self.edges)} are not an (E, 3) int64 array")
+        edges = edges.astype(np.int64, order="C", copy=False)
+        if len(set(map(tuple, edges.tolist()))) != len(edges):
+            (twice, _), = Counter(map(tuple, edges.tolist())).most_common(1)
             raise ShapeError(f"triplet {twice} is listed more than once")
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
 
-    # a generated __eq__ would compare the matrices' truth values, which
+    # a generated __eq__ would compare the arrays' truth values, which
     # raises; NaN features equal NaN so that a graph equals itself
     def __eq__(self, other):
         if not isinstance(other, SceneGraph):
             return NotImplemented
-        return (self.edges == other.edges
+        return (np.array_equal(self.edges, other.edges)
                 and np.array_equal(self.features, other.features, equal_nan=True))
 
     @property
@@ -70,16 +78,13 @@ class SceneGraph:
 def stack_graphs(graphs):
     """Scene graphs as the arrays that ``codec.encode_frames`` encodes and
     returns and ``task.near_ego_stacked`` takes: their feature matrices
-    stacked in order, their node counts, their (src, rel, dst) triplets
-    stacked as an (edges, 3) int64 array, and their edge counts. Graphs
-    whose matrices differ in width raise ValueError, and a triplet value
-    beyond int64 OverflowError."""
-    edge_counts = np.array([len(g.edges) for g in graphs], dtype=np.int64)
-    triplets = np.fromiter(chain.from_iterable(chain.from_iterable(g.edges for g in graphs)),
-                           dtype=np.int64, count=3 * int(edge_counts.sum())).reshape(-1, 3)
+    stacked in order, their node counts, their triplets stacked in order,
+    and their edge counts. Graphs whose matrices differ in width raise
+    ValueError."""
     features = np.concatenate([g.features for g in graphs]) if graphs else np.zeros((0, 0))
-    return (features, np.array([g.num_nodes for g in graphs], dtype=np.int64), triplets,
-            edge_counts)
+    return (features, np.array([g.num_nodes for g in graphs], dtype=np.int64),
+            np.concatenate([np.zeros((0, 3), dtype=np.int64)] + [g.edges for g in graphs]),
+            np.array([len(g.edges) for g in graphs], dtype=np.int64))
 
 
 # the most ordered node pairs, self pairs included, that graphs_from_bev
@@ -93,8 +98,9 @@ def infer_relations(features, ontology, sizes):
     pair of each frame of a batch.
 
     ``features`` stacks the frames' (n, d) feature matrices in order and
-    ``sizes`` holds their node counts; returns one tuple of (src, rel, dst)
-    triplets per frame, sorted, with node indices local to the frame.
+    ``sizes`` holds their node counts; returns the frames' sorted (src, rel,
+    dst) triplets, local to each frame, stacked in an (E, 3) int64 array,
+    and each frame's triplet count.
 
     Coordinates are bird's-eye view: x lateral (right-positive), y
     longitudinal (forward-positive). All thresholds inclusive. A node whose
@@ -114,23 +120,24 @@ def infer_relations(features, ontology, sizes):
         raise ShapeError(f"frames of {sizes.sum()} nodes in all do not stack "
                          f"into {len(features)} feature rows")
     ids = [ontology.relation_id(r) for r in RELATIONS]
-    # the predicates' slots in relation-id order; np.argsort would map
-    # numpy's int64 sort code, 128 kB of RSS that nothing else touches
+    # the predicates' slots in relation-id order; np.argsort's default sort
+    # would map numpy's int64 quicksort code, 128 kB of RSS that nothing else touches
     order = sorted(range(len(ids)), key=ids.__getitem__)
     ids = np.array(ids)[order]
     cols = [ontology.attribute_index(a) for a in ATTRIBUTES]
     starts = np.cumsum(sizes) - sizes
-    edges = [()] * sizes.size
+    frame_of, triplets = [np.zeros(0, np.int64)], [np.zeros((0, 3), np.int64)]
     for n in sorted(set(sizes.tolist()) - {0, 1}):  # np.unique imports numpy.ma
         frames = np.flatnonzero(sizes == n)
         block = features[starts[frames, None] + np.arange(n)]  # (frames, n, d)
-        found = _predicates(*(block[..., c] for c in cols))[:, :, order]
-        f, src, rel, dst = np.nonzero(found)
-        triplets = list(zip(src.tolist(), ids[rel].tolist(), dst.tolist()))
-        ends = np.cumsum(np.bincount(f, minlength=frames.size)).tolist()
-        for k, a, b in zip(frames.tolist(), [0] + ends, ends):
-            edges[k] = tuple(triplets[a:b])
-    return edges
+        f, src, rel, dst = np.nonzero(_predicates(*(block[..., c] for c in cols))[:, :, order])
+        frame_of.append(frames[f])
+        triplets.append(np.stack([src, ids[rel], dst], axis=1, dtype=np.int64))
+    # each node count's triplets come frame by frame: a stable sort by frame
+    # stacks them (np.lexsort's code, which the risk rule maps anyway)
+    frame_of = np.concatenate(frame_of)
+    return (np.concatenate(triplets)[np.argsort(frame_of, kind="stable")],
+            np.bincount(frame_of, minlength=sizes.size))
 
 
 def _predicates(cls, x, y, speed):
@@ -184,5 +191,6 @@ def graphs_from_bev(frames, ontology):
 
 
 def _graphs(batch, ontology):
-    edges = infer_relations(np.concatenate(batch), ontology, [len(f) for f in batch])
-    return [SceneGraph(features, e) for features, e in zip(batch, edges)]
+    triplets, counts = infer_relations(np.concatenate(batch), ontology, [len(f) for f in batch])
+    return [SceneGraph(features, edges)
+            for features, edges in zip(batch, np.split(triplets, np.cumsum(counts)[:-1]))]

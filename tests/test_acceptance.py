@@ -58,7 +58,7 @@ def test_criterion_1_round_trip_identity(corpus_frames):
     for frame in corpus_frames:
         payload = sweep.encode_frame(frame, ONT)
         back = sweep.decode_frame(payload, ONT)
-        if back is None or back.edges != frame.edges:
+        if back is None or not np.array_equal(back.edges, frame.edges):
             failures += 1
             continue
         if not np.array_equal(back.features,

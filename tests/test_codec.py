@@ -64,7 +64,7 @@ def test_encode_coordinate_bijection(ontology):
     t = codec.encode_tensor(g, ontology)
     coords = {(i, r + 1, j) for r in range(8)
               for i, j in zip(*np.nonzero(t[r]))}
-    assert coords == set(g.edges)
+    assert coords == set(map(tuple, g.edges.tolist()))
     for r in range(8):  # self-describing: slice r holds only {0, r+1}
         assert set(np.unique(t[r])) <= {0, r + 1}
 
@@ -129,7 +129,7 @@ def test_decompress_inverts_compress(ontology):
         tensor = codec.encode_tensor(g, ontology)
         triplets, warnings = codec.decompress(codec.compress(tensor), 8)
         assert triplets.dtype == np.int64
-        assert tuple(map(tuple, triplets.tolist())) == g.edges
+        np.testing.assert_array_equal(triplets, g.edges)
         assert warnings == []
 
 
@@ -273,13 +273,14 @@ def test_relation_rule_matches_the_per_matrix_loop():
 
 def test_regenerate_zero_tensor():
     g = codec.regenerate(np.zeros((0, 3), dtype=np.int64), np.zeros((2, 4)))
-    assert g.num_nodes == 2 and g.edges == ()
+    assert g.num_nodes == 2 and g.edges.shape == (0, 3)
 
 
 def test_regenerate_single_triplet():
     o = _tiny_ontology()
     g = codec.regenerate(np.array([[0, 2, 1]]), np.zeros((2, 1)))
-    assert g.edges == ((0, 2, 1),) and all(type(v) is int for v in g.edges[0])
+    assert g.edges.tolist() == [[0, 2, 1]] and g.edges.dtype == np.int64
+    assert not g.edges.flags.writeable
     assert o.relation_name(2) == "to_left_of"
 
 
@@ -350,7 +351,7 @@ def test_serialize_injective_over_corpus(ontology, corpus_frames):
         c = codec.compress(codec.encode_tensor(frame, ontology))
         seen.add(codec.serialize(c, frame.features, ontology))
     distinct_inputs = {
-        (frame.edges, tuple(map(tuple, frame.features.astype(np.float32).tolist())))
+        (frame.edges.tobytes(), tuple(map(tuple, frame.features.astype(np.float32).tolist())))
         for frame in corpus_frames
     }
     assert len(seen) == len(distinct_inputs)
@@ -504,7 +505,7 @@ def test_full_pipeline_round_trip(ontology):
         triplets, warnings = codec.decompress(back, ontology.num_relations)
         out = codec.regenerate(triplets, feats)
         assert warnings == []
-        assert out.edges == g.edges
+        np.testing.assert_array_equal(out.edges, g.edges)
         np.testing.assert_array_equal(out.features,
                                       g.features.astype(np.float32))
 

@@ -1,5 +1,8 @@
 from dataclasses import replace
 
+import pytest
+
+from gbsed.errors import OntologyMismatch
 from gbsed.ontology import (
     Attribute,
     Relation,
@@ -7,6 +10,7 @@ from gbsed.ontology import (
     default_ontology,
     ontology_digest,
 )
+from gbsed.scenarios import ScenarioSpec, generate
 from gbsed.scene_graph import ATTRIBUTES, RELATIONS
 
 MINIMAL = RelationOntology((Relation(1, "is_near"), Relation(2, "to_left_of")),
@@ -82,3 +86,32 @@ def test_digest_sensitive_to_single_name_change():
             variants.append(replace(base, attributes=changed))
     for v in variants:
         assert ontology_digest(v) != ontology_digest(base)
+
+
+@pytest.mark.parametrize("lookup, key, message", [
+    ("relation_id", "very_near", "the ontology has no relation 'very_near'"),
+    ("attribute_index", "speed", "the ontology has no attribute 'speed'"),
+    ("relation_name", 0, "the ontology has no relation of id 0"),
+    ("relation_name", 3, "the ontology has no relation of id 3"),
+    ("relation_name", -1, "the ontology has no relation of id -1"),
+])
+def test_a_missing_name_or_id_raises_ontology_mismatch(lookup, key, message):
+    # once a bare KeyError, or a negative index's wrong name, or IndexError
+    with pytest.raises(OntologyMismatch) as e:
+        getattr(MINIMAL, lookup)(key)
+    assert str(e.value) == message
+
+
+def test_relation_names_by_id_of_the_default_ontology():
+    o = default_ontology()
+    assert [o.relation_name(i) for i in range(1, 9)] == list(RELATIONS)
+    for rel_id in (0, 9):  # 0 was "approaching" by a negative index, 9 an IndexError
+        with pytest.raises(OntologyMismatch, match=f"id {rel_id}$"):
+            o.relation_name(rel_id)
+
+
+def test_generating_with_an_ontology_that_lacks_a_relation_raises_ontology_mismatch():
+    base = default_ontology()
+    lacking = replace(base, relations=tuple(r for r in base.relations if r.name != "very_near"))
+    with pytest.raises(OntologyMismatch, match="'very_near'"):
+        generate(ScenarioSpec(num_sequences=1), lacking)

@@ -74,7 +74,8 @@ def test_risky_fraction_extremes():
 def test_edges_equal_relation_inference(default_corpus):
     for seq in default_corpus[:10]:
         for frame in seq.frames:
-            assert frame.edges == infer_relations(frame.features, ONT, [len(frame.features)])[0]
+            triplets, _ = infer_relations(frame.features, ONT, [len(frame.features)])
+            np.testing.assert_array_equal(frame.edges, triplets)
 
 
 def test_ego_at_origin(default_corpus):
@@ -213,6 +214,11 @@ MALFORMED = [
      "second frame 0 for sequence 0"),
     ("seq 0 frame 0 | 0:0:0:0:0 |\nseq 0 frame 2 | 0:0:0:0:0 |", 2,  # missing frame
      "sequence 0 frames [0, 2] not contiguous"),
+    ("seq 0 frame 0 | 0:0:0.0:0.0:10.0 1:0:0.0:5.0:10.0 | 1:1:0 1:1:0", 1,  # repeated triplet
+     "triplet (1, 1, 0) is listed more than once"),
+    ("seq 0 frame 0 | 0:0:0:0:0 1:0:0:5:0 |\n"
+     "seq 0 frame 1 | 0:0:0:0:0 1:0:0:5:0 | 0:1:1 1:1:0 0:1:1", 2,
+     "triplet (0, 1, 1) is listed more than once"),
 ]
 
 

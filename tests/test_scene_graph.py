@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -106,6 +105,12 @@ def reference_relations(features, ontology):
     return tuple(sorted(edges))
 
 
+def _tuples(edges):
+    """A graph's (E, 3) triplets as a tuple of (src, rel, dst) tuples, the
+    oracles' form."""
+    return tuple(map(tuple, edges.tolist()))
+
+
 def _random_records(seed, n, with_lanes=True):
     gen = SplitMix64(seed)
     records = [(CLASS_VEHICLE, 0.0, 0.0, 10.0)]
@@ -121,19 +126,19 @@ def _random_records(seed, n, with_lanes=True):
 def test_is_near_symmetric_pair(ontology):
     g = graphs_from_bev([[(CLASS_VEHICLE, 0, 0, 10), (CLASS_VEHICLE, 0, 5, 10)]], ontology)[0]
     near = ontology.relation_id("is_near")
-    assert (0, near, 1) in g.edges and (1, near, 0) in g.edges
+    assert (0, near, 1) in _tuples(g.edges) and (1, near, 0) in _tuples(g.edges)
 
 
 def test_to_left_of_sector(ontology):
     g = graphs_from_bev([[(CLASS_VEHICLE, 0, 0, 10), (CLASS_VEHICLE, -3, 10, 10)]], ontology)[0]
-    assert (1, ontology.relation_id("to_left_of"), 0) in g.edges
+    assert (1, ontology.relation_id("to_left_of"), 0) in _tuples(g.edges)
 
 
 def test_hand_evaluated_two_vehicle_scene(ontology):
     # one vehicle 5 m ahead in-lane, same speed
     g = graphs_from_bev([[(CLASS_VEHICLE, 0, 0, 10), (CLASS_VEHICLE, 0, 5, 10)]], ontology)[0]
     rid = ontology.relation_id
-    assert set(g.edges) == {
+    assert set(_tuples(g.edges)) == {
         (0, rid("is_near"), 1), (1, rid("is_near"), 0),
         (1, rid("in_front_of"), 0), (0, rid("behind"), 1),
     }
@@ -141,35 +146,36 @@ def test_hand_evaluated_two_vehicle_scene(ontology):
 
 def test_is_in_lane_node(ontology):
     g = graphs_from_bev([[(CLASS_VEHICLE, 0, 0, 10), (CLASS_LANE, 1.0, 0, 0)]], ontology)[0]
-    assert (0, ontology.relation_id("is_in"), 1) in g.edges
-    assert (1, ontology.relation_id("is_in"), 0) not in g.edges
+    assert (0, ontology.relation_id("is_in"), 1) in _tuples(g.edges)
+    assert (1, ontology.relation_id("is_in"), 0) not in _tuples(g.edges)
 
 
 def test_approaching_needs_speed_margin(ontology):
     rid = ontology.relation_id("approaching")
     fast = graphs_from_bev([[(CLASS_VEHICLE, 0, 0, 10), (CLASS_VEHICLE, 0, 5, 11)]], ontology)[0]
     slow = graphs_from_bev([[(CLASS_VEHICLE, 0, 0, 10), (CLASS_VEHICLE, 0, 5, 10.5)]], ontology)[0]
-    assert (1, rid, 0) in fast.edges
-    assert (1, rid, 0) not in slow.edges  # margin is strict
+    assert (1, rid, 0) in _tuples(fast.edges)
+    assert (1, rid, 0) not in _tuples(slow.edges)  # margin is strict
 
 
 def test_oracle_equivalence_random_scenes(ontology):
     for seed in range(40):
         records = _random_records(seed, 12)
         g = graphs_from_bev([records], ontology)[0]
-        assert g.edges == oracle_relations(records), f"seed {seed}"
+        assert _tuples(g.edges) == oracle_relations(records), f"seed {seed}"
 
 
 def test_infer_relations_match_the_loop(ontology):
     for seed in range(40):
         features = np.array(_random_records(seed + 200, 1 + seed % 14), dtype=np.float64)
-        (edges,) = infer_relations(features, ontology, [len(features)])
-        assert edges == reference_relations(features, ontology)
+        triplets, counts = infer_relations(features, ontology, [len(features)])
+        assert _tuples(triplets) == reference_relations(features, ontology)
+        assert counts.tolist() == [len(triplets)]
     dense = generate(ScenarioSpec(seed=5, num_sequences=3, vehicles_range=(24, 30),
                                   lane_count=5), ontology)
     for seq in generate(ScenarioSpec(seed=11, num_sequences=20), ontology) + dense:
         for frame in seq.frames:
-            assert frame.edges == reference_relations(frame.features, ontology)
+            assert _tuples(frame.edges) == reference_relations(frame.features, ontology)
 
 
 _Q = 1.0 / 64.0  # the generator's quantum: features are multiples of it
@@ -197,8 +203,8 @@ def test_predicates_at_their_thresholds(ontology):
                for x, y in ((6.0, 8.0), (-6.0, -8.0), (6.0, 8.0 + _Q), (6.0 - _Q, -8.0))]
     seen = set()
     for records, graph in zip(frames, graphs_from_bev(frames, ontology)):
-        assert graph.edges == oracle_relations(records), records
-        seen.update(rel for _, rel, _ in graph.edges)
+        assert _tuples(graph.edges) == oracle_relations(records), records
+        seen.update(graph.edges[:, 1].tolist())
     assert seen == set(range(1, 9))  # every predicate fired on some placement
 
 
@@ -206,11 +212,15 @@ def test_a_batch_of_mixed_sizes_matches_frame_by_frame(ontology):
     frames = [_random_records(61, 12), _random_records(62, 1), _random_records(63, 2),
               _random_records(64, 12), _random_records(65, 12), _random_records(66, 1)]
     features = [np.array(records, dtype=np.float64) for records in frames]
-    batch = infer_relations(np.concatenate(features), ontology, [len(f) for f in features])
-    assert batch == [infer_relations(f, ontology, [len(f)])[0] for f in features]
+    triplets, counts = infer_relations(np.concatenate(features), ontology,
+                                       [len(f) for f in features])
+    assert triplets.dtype == counts.dtype == np.int64 and triplets.shape == (counts.sum(), 3)
+    batch = [_tuples(t) for t in np.split(triplets, np.cumsum(counts)[:-1])]
+    assert batch == [_tuples(infer_relations(f, ontology, [len(f)])[0]) for f in features]
     assert batch == [oracle_relations(records) for records in frames]
-    assert [g.edges for g in graphs_from_bev(frames, ontology)] == batch
-    assert infer_relations(np.zeros((0, 4)), ontology, []) == []
+    assert [_tuples(g.edges) for g in graphs_from_bev(frames, ontology)] == batch
+    triplets, counts = infer_relations(np.zeros((0, 4)), ontology, [])
+    assert triplets.shape == (0, 3) and counts.shape == (0,)
 
 
 @pytest.mark.parametrize("cls", [math.nan, math.inf, -math.inf])
@@ -221,8 +231,8 @@ def test_a_non_finite_class_is_no_lane(ontology, cls):
                          (CLASS_LANE, -1.0, 3, 0)], dtype=np.float64)
     as_vehicle = features.copy()
     as_vehicle[1, 0] = CLASS_VEHICLE
-    edges = infer_relations(features, ontology, [len(features)])[0]
-    assert edges == infer_relations(as_vehicle, ontology, [len(as_vehicle)])[0]
+    edges = _tuples(infer_relations(features, ontology, [len(features)])[0])
+    assert edges == _tuples(infer_relations(as_vehicle, ontology, [len(as_vehicle)])[0])
     assert edges == reference_relations(as_vehicle, ontology)
     assert (0, ontology.relation_id("is_in"), 2) in edges
 
@@ -232,8 +242,8 @@ def test_non_finite_coordinates_decide_as_the_loop(ontology):
     features = np.array([(CLASS_VEHICLE, 0, 0, 10), (CLASS_VEHICLE, math.inf, 5, 10),
                          (CLASS_LANE, math.inf, -5, 0), (CLASS_VEHICLE, 1e200, math.nan, 1),
                          (CLASS_VEHICLE, -1e200, 2, 12)], dtype=np.float64)
-    (edges,) = infer_relations(features, ontology, [len(features)])
-    assert edges == reference_relations(features, ontology)
+    edges, _ = infer_relations(features, ontology, [len(features)])
+    assert _tuples(edges) == reference_relations(features, ontology)
 
 
 def test_translation_invariance(ontology):
@@ -241,7 +251,7 @@ def test_translation_invariance(ontology):
     shifted = [(c, x + 123.25, y - 55.5, v) for c, x, y, v in records]
     base = graphs_from_bev([records], ontology)[0].edges
     moved = graphs_from_bev([shifted], ontology)[0].edges
-    assert base == moved
+    np.testing.assert_array_equal(base, moved)
 
 
 def test_symmetric_relations_property(ontology):
@@ -251,17 +261,18 @@ def test_symmetric_relations_property(ontology):
         g = graphs_from_bev([_random_records(seed + 100, 9)], ontology)[0]
         for src, rel, dst in g.edges:
             if rel in (near, very):
-                assert (dst, rel, src) in g.edges
+                assert (dst, rel, src) in _tuples(g.edges)
 
 
 def test_edges_sorted_and_unique(ontology):
     g = graphs_from_bev([_random_records(5, 11)], ontology)[0]
-    assert list(g.edges) == sorted(set(g.edges))
+    edges = _tuples(g.edges)
+    assert list(edges) == sorted(set(edges))
 
 
 def test_single_ego_graph(ontology):
     g = graphs_from_bev([[(CLASS_VEHICLE, 0, 0, 10)]], ontology)[0]
-    assert g.num_nodes == 1 and g.edges == ()
+    assert g.num_nodes == 1 and g.edges.shape == (0, 3)
 
 
 def test_empty_records_rejected(ontology):
@@ -333,14 +344,49 @@ def test_a_triplet_listed_twice_is_refused():
         SceneGraph(np.zeros((2, 4)), ((0, 1, 1), (0, 1, 1)))
     with pytest.raises(ShapeError, match=r"\(2, 5, 0\)"):
         SceneGraph(np.zeros((3, 4)), ((2, 5, 0), (0, 1, 1), (2, 5, 0)))
-    assert SceneGraph(np.zeros((2, 4)), ((0, 1, 1), (0, 2, 1), (1, 1, 0))).edges == (
-        (0, 1, 1), (0, 2, 1), (1, 1, 0))
+    assert SceneGraph(np.zeros((2, 4)), ((0, 1, 1), (0, 2, 1), (1, 1, 0))).edges.tolist() == [
+        [0, 1, 1], [0, 2, 1], [1, 1, 0]]
 
 
-@pytest.mark.parametrize("edge", [(0, 1.5, 1), (0, None, 1), (0, "1", 1), (0, 1, 1, 5),
-                                  (0, 1), [0, 1, 1], 7],
-                         ids=["float", "none", "str", "four", "two", "list", "int"])
-def test_a_triplet_that_is_not_three_integers_is_refused(edge):
-    # the array encoder would read 1.5 as 1 and drop a fourth entry
-    with pytest.raises(ShapeError, match=re.escape(f"triplet {edge!r} is not three integers")):
-        SceneGraph(np.zeros((2, 4)), ((0, 2, 1), edge))
+# triplets that are not integer rows of three, or that do not fit int64
+NOT_INT64_TRIPLETS = {
+    "float": ((0, 1.5, 1),),
+    "none": ((0, None, 1),),
+    "str": ((0, "1", 1),),
+    "four": ((0, 1, 1, 5),),
+    "two": ((0, 1),),
+    "int": ((0, 2, 1), 7),
+    "mixed_lengths": ((0, 2, 1), (0, 1)),
+    "value_2_63": ((0, 1 << 63, 1),),
+    "uint64_2_63": np.array([[0, 1 << 63, 1]], dtype=np.uint64),
+    "relation_2_64": ((0, 1 << 64, 1),),
+    "node_2_64": ((1 << 64, 1, 0),),
+}
+
+
+@pytest.mark.parametrize("edges", NOT_INT64_TRIPLETS.values(), ids=NOT_INT64_TRIPLETS.keys())
+def test_a_triplet_that_is_not_three_integers_is_refused(edges):
+    # the encoders would read 1.5 as 1 and drop a fourth entry, and astype
+    # would wrap a uint64 of 2^63 or more: the graph refuses them when built
+    with pytest.raises(ShapeError, match="triplet"):
+        SceneGraph(np.zeros((2, 4)), edges)
+
+
+def test_edges_are_a_read_only_int64_array_and_owned(ontology):
+    rows = np.array([[1, 1, 0], [0, 2, 1]], dtype=np.uint8)
+    g = SceneGraph(np.zeros((2, 4)), rows)
+    assert g.edges.dtype == np.int64 and g.edges.shape == (2, 3) and g.edges.flags.c_contiguous
+    with pytest.raises(ValueError):
+        g.edges[0, 0] = 1
+    rows[0, 0] = 5
+    assert g.edges.tolist() == [[1, 1, 0], [0, 2, 1]]
+    # a row may be any sequence of integers; uint64 values below 2^63 fit
+    assert SceneGraph(np.zeros((2, 4)), ((0, 2, 1), [0, 1, 1])) \
+        == SceneGraph(np.zeros((2, 4)), np.array([[0, 2, 1], [0, 1, 1]], dtype=np.uint64))
+    empty = SceneGraph(np.zeros((1, 4)), ())
+    assert empty.edges.dtype == np.int64 and empty.edges.shape == (0, 3)
+    corpus = generate(ScenarioSpec(seed=3, num_sequences=2), ontology)
+    read = scenes_from_text(scenes_to_text(corpus), ontology)
+    for graph in [f for seq in corpus + read for f in seq.frames] + [g, empty]:
+        assert graph.edges.dtype == np.int64 and graph.edges.ndim == 2
+        assert graph.edges.shape[1] == 3 and not graph.edges.flags.writeable
