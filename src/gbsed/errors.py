@@ -23,7 +23,7 @@ class ShapeError(GbsedError):
 
 
 class CapacityError(GbsedError):
-    """Value exceeds what the wire format can carry."""
+    """Value that the wire format or the .scenes text cannot carry."""
 
 
 class FormatError(GbsedError):

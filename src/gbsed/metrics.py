@@ -63,13 +63,13 @@ def nodes_match(sent, received, ontology):
     """
     ok = np.ones(len(sent), dtype=bool)
     with np.errstate(invalid="ignore"):
-        for attr in ontology.attributes:
-            s = sent[:, attr.index]
-            r = received[:, attr.index]
-            if attr.kind == "categorical":
+        for index, (_, kind) in enumerate(ontology.attributes):
+            s = sent[:, index]
+            r = received[:, index]
+            if kind == "categorical":
                 ok &= np.isfinite(r) & (np.rint(s) == np.rint(r))
             else:
-                limit = SPEED_TOLERANCE if attr.kind == "speed-mps" else POSITION_TOLERANCE
+                limit = SPEED_TOLERANCE if kind == "speed-mps" else POSITION_TOLERANCE
                 ok &= np.isfinite(r) & (np.abs(s - r) <= limit)
     return ok
 

@@ -20,20 +20,10 @@ _MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
-class Relation:
-    id: int
-    name: str
-
-
-@dataclass(frozen=True)
-class Attribute:
-    index: int
-    name: str
-    kind: str
-
-
-@dataclass(frozen=True)
 class RelationOntology:
+    """Relation names in id order, ids from 1, and (name, kind) attribute
+    pairs in index order, indices from 0: an id or index is a position, so
+    none can contradict the codec's 1..|R| or a feature column."""
     relations: tuple
     attributes: tuple
 
@@ -46,20 +36,17 @@ class RelationOntology:
         return len(self.attributes)
 
     def relation_id(self, name):
-        return _lookup({r.name: r.id for r in self.relations}, name, "relation")
-
-    def relation_name(self, rel_id):
-        return _lookup({r.id: r.name for r in self.relations}, rel_id, "relation of id")
+        return _position(self.relations, name, "relation") + 1
 
     def attribute_index(self, name):
-        return _lookup({a.name: a.index for a in self.attributes}, name, "attribute")
+        return _position([a for a, _ in self.attributes], name, "attribute")
 
     @cached_property
     def digest(self):
         """FNV-1a-64 of the canonical text, an int in [0, 2^64): one line
         ``relation <id> <name>`` per relation, then ``attribute <index> <name> <kind>``."""
-        lines = [f"relation {r.id} {r.name}" for r in self.relations]
-        lines += [f"attribute {a.index} {a.name} {a.kind}" for a in self.attributes]
+        lines = [f"relation {i} {name}" for i, name in enumerate(self.relations, start=1)]
+        lines += [f"attribute {i} {name} {kind}" for i, (name, kind) in enumerate(self.attributes)]
         h = _FNV_OFFSET
         for b in ("\n".join(lines) + "\n").encode("utf-8"):
             h ^= b
@@ -67,11 +54,11 @@ class RelationOntology:
         return h
 
 
-def _lookup(table, key, what):
-    """table[key]; a key the ontology lacks raises OntologyMismatch naming it."""
-    if key not in table:
-        raise OntologyMismatch(f"the ontology has no {what} {key!r}")
-    return table[key]
+def _position(names, name, what):
+    """The position of ``name``; one the ontology lacks raises OntologyMismatch."""
+    if name not in names:
+        raise OntologyMismatch(f"the ontology has no {what} {name!r}")
+    return names.index(name)
 
 
 def ontology_digest(o):
@@ -81,6 +68,4 @@ def ontology_digest(o):
 
 def default_ontology():
     """Relations 1..8 are ``RELATIONS`` and attributes 0..3 ``ATTRIBUTES``."""
-    return RelationOntology(
-        tuple(Relation(i, name) for i, name in enumerate(RELATIONS, start=1)),
-        tuple(Attribute(i, name, kind) for i, (name, kind) in enumerate(zip(ATTRIBUTES, _KINDS))))
+    return RelationOntology(RELATIONS, tuple(zip(ATTRIBUTES, _KINDS)))

@@ -13,7 +13,7 @@ the 32-bit wire format and the 6-decimal text format without loss.
 
 from dataclasses import dataclass
 
-from .errors import ParseError, ShapeError, SpecError, integer, number
+from .errors import CapacityError, ParseError, ShapeError, SpecError, integer, number
 from .rng import SplitMix64
 from .scene_graph import (CLASS_VEHICLE, D_NEAR, D_VERY, L_FRONT, L_SIDE, LANE_WIDTH,
                           SceneGraph, graphs_from_bev)
@@ -165,8 +165,9 @@ def _frames(spec, labels):
 
 
 def write_scenes(sequences, path):
+    text = scenes_to_text(sequences)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(scenes_to_text(sequences))
+        fh.write(text)
 
 
 def scenes_to_text(sequences):
@@ -175,10 +176,11 @@ def scenes_to_text(sequences):
         if seq.label is not None:
             lines.append(f"seq {s} label {seq.label}")
         for k, frame in enumerate(seq.frames):
-            nodes = " ".join(
-                "%d:%d:%.6f:%.6f:%.6f" % (i, int(round(f[0])), f[1], f[2], f[3])
-                for i, f in enumerate(frame.features.tolist())
-            )
+            rows = frame.features.tolist()
+            if not all(row[0].is_integer() for row in rows):  # False for NaN and ±inf
+                raise CapacityError(f"sequence {s} frame {k} has a class that is no integer")
+            nodes = " ".join("%d:%d:%.6f:%.6f:%.6f" % (i, f[0], f[1], f[2], f[3])
+                             for i, f in enumerate(rows))
             edges = " ".join(f"{a}:{r}:{b}" for a, r, b in frame.edges.tolist())
             lines.append(f"seq {s} frame {k} | {nodes} | {edges}")
     return "\n".join(lines) + ("\n" if lines else "")
@@ -240,11 +242,11 @@ def scenes_from_text(text, ontology):
             if not 1 <= rel <= num_relations:
                 raise ParseError(f"relation id {rel} outside 1..{num_relations}",
                                  line_number=lineno)
-            if not (0 <= src < len(rows) and 0 <= dst < len(rows)) or src == dst:
+            if src == dst:
                 raise ParseError(f"edge {(src, rel, dst)} references invalid nodes",
                                  line_number=lineno)
             triplets.append((src, rel, dst))
-        try:  # all that is left to check is a triplet listed twice, which the graph refuses
+        try:  # the graph refuses a node outside the frame and a triplet listed twice
             graph = SceneGraph(rows, sorted(triplets))
         except ShapeError as e:
             raise ParseError(str(e), line_number=lineno) from None

@@ -15,7 +15,7 @@ from gbsed.errors import (
     ShapeError,
     TruncationError,
 )
-from gbsed.ontology import Attribute, Relation, RelationOntology
+from gbsed.ontology import RelationOntology
 from gbsed.rng import SplitMix64
 from gbsed.scenarios import ScenarioSpec, generate
 from gbsed.scene_graph import SceneGraph, stack_graphs
@@ -38,8 +38,7 @@ def _random_graph(seed, n, num_rel, edge_prob=0.2, d=4):
 
 
 def _tiny_ontology():
-    return RelationOntology((Relation(1, "is_near"), Relation(2, "to_left_of")),
-                            (Attribute(0, "class", "categorical"),))
+    return RelationOntology(("is_near", "to_left_of"), (("class", "categorical"),))
 
 
 # -- encode_tensor ------------------------------------------------------------
@@ -281,12 +280,12 @@ def test_regenerate_single_triplet():
     g = codec.regenerate(np.array([[0, 2, 1]]), np.zeros((2, 1)))
     assert g.edges.tolist() == [[0, 2, 1]] and g.edges.dtype == np.int64
     assert not g.edges.flags.writeable
-    assert o.relation_name(2) == "to_left_of"
+    assert o.relation_id("to_left_of") == 2
 
 
 def test_regenerate_shape_mismatch():
-    # SceneGraph does not check node range: node 5 of 2 must be refused here
-    with pytest.raises(ShapeError):
+    # the graph refuses node 5 of 2 when it is built
+    with pytest.raises(ShapeError, match=r"triplet \(0, 1, 5\) names a node outside 0\.\.1"):
         codec.regenerate(np.array([[0, 1, 5]]), np.zeros((2, 4)))
     for triplets in (np.array([[-1, 1, 0]]), np.zeros((1, 2), dtype=np.int64),
                      np.zeros(3, dtype=np.int64), np.array([[0.0, 1.0, 1.0]])):
@@ -551,7 +550,7 @@ def test_encode_frames_writes_what_the_stages_write_for_crafted_passes(ontology)
     _assert_encodes_as_the_stages(frames, ontology)
     _assert_encodes_as_the_stages(frames[::-1] + frames, ontology)
     # another digest and |R| in the header
-    nine = replace(ontology, relations=ontology.relations + (Relation(9, "overtaking"),))
+    nine = replace(ontology, relations=ontology.relations + ("overtaking",))
     _assert_encodes_as_the_stages(frames, nine)
 
 
@@ -577,12 +576,9 @@ def _staged_error(frame, ontology):
 # checked at another point of encode_tensor or serialize
 REFUSED = {
     "no_nodes": SceneGraph(np.zeros((0, 4)), ()),
-    "no_nodes_one_edge": SceneGraph(np.zeros((0, 4)), ((0, 1, 0),)),
     "relation_0": SceneGraph(np.zeros((2, 4)), ((0, 0, 1),)),
     "relation_9": SceneGraph(np.zeros((2, 4)), ((0, 9, 1),)),
-    "node_outside_then_relation_9": SceneGraph(np.zeros((2, 4)), ((0, 1, 5), (0, 9, 1))),
-    "relation_9_then_node_outside": SceneGraph(np.zeros((4, 4)), ((0, 9, 1), (3, 1, 4))),
-    "negative_node": SceneGraph(np.zeros((2, 4)), ((-1, 1, 0),)),
+    "relation_0_then_relation_9": SceneGraph(np.zeros((4, 4)), ((0, 0, 1), (3, 9, 2))),
     "too_many_nodes": SceneGraph(np.zeros((_MAX_NODES + 1, 4)), ()),
 }
 
@@ -596,7 +592,7 @@ def test_encode_frames_refuses_the_first_frame_the_stages_refuse(ontology):
             codec.encode_frames(frames, ontology)
         assert (type(e.value), str(e.value)) == expect, (a, b)
     # features of another width than the ontology's: refused after the edges
-    for frame in (SceneGraph(np.zeros((2, 5)), ()), SceneGraph(np.zeros((2, 5)), ((0, 1, 2),))):
+    for frame in (SceneGraph(np.zeros((2, 5)), ()), SceneGraph(np.zeros((2, 5)), ((0, 9, 1),))):
         with pytest.raises(GbsedError) as e:
             codec.encode_frames([frame, _random_graph(4, 2, 8, d=5)], ontology)
         assert (type(e.value), str(e.value)) == _staged_error(frame, ontology)

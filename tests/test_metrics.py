@@ -52,14 +52,14 @@ def test_parse_failure_is_zero(ontology):
 def _reference_node_matches(sent_row, recv_row, ontology):
     """The per-node loop semantic_fidelity ran before it called nodes_match,
     except that a non-finite sent class is lost where ``round`` raised."""
-    for attr in ontology.attributes:
-        s = sent_row[attr.index]
-        r = recv_row[attr.index]
-        if attr.kind == "categorical":
+    for index, (_, kind) in enumerate(ontology.attributes):
+        s = sent_row[index]
+        r = recv_row[index]
+        if kind == "categorical":
             if not (math.isfinite(s) and math.isfinite(r) and round(s) == round(r)):
                 return False
         else:
-            limit = SPEED_TOLERANCE if attr.kind == "speed-mps" else POSITION_TOLERANCE
+            limit = SPEED_TOLERANCE if kind == "speed-mps" else POSITION_TOLERANCE
             if not (math.isfinite(r) and abs(s - r) <= limit):
                 return False
     return True

@@ -1,20 +1,15 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from gbsed.errors import OntologyMismatch
-from gbsed.ontology import (
-    Attribute,
-    Relation,
-    RelationOntology,
-    default_ontology,
-    ontology_digest,
-)
+from gbsed.ontology import RelationOntology, default_ontology, ontology_digest
 from gbsed.scenarios import ScenarioSpec, generate
-from gbsed.scene_graph import ATTRIBUTES, RELATIONS
+from gbsed.scene_graph import ATTRIBUTES, RELATIONS, SceneGraph
+from gbsed.sweep import decode_frame, encode_frame
 
-MINIMAL = RelationOntology((Relation(1, "is_near"), Relation(2, "to_left_of")),
-                           (Attribute(0, "class", "categorical"),))
+MINIMAL = RelationOntology(("is_near", "to_left_of"), (("class", "categorical"),))
 
 
 def test_minimal_document():
@@ -23,7 +18,7 @@ def test_minimal_document():
     assert o.num_relations == 2
     assert o.num_attributes == 1
     assert o.relation_id("is_near") == 1
-    assert o.relation_name(2) == "to_left_of"
+    assert o.relation_id("to_left_of") == 2
     assert o.attribute_index("class") == 0
 
 
@@ -31,19 +26,18 @@ def test_default_fixture():
     o = default_ontology()
     assert o.num_relations == 8
     assert o.num_attributes == 4
-    assert [r.name for r in o.relations] == [
+    assert o.relations == (
         "is_near", "very_near", "to_left_of", "to_right_of",
         "in_front_of", "behind", "is_in", "approaching",
-    ]
-    assert [a.name for a in o.attributes] == ["class", "bev_x", "bev_y", "speed"]
-    assert [a.kind for a in o.attributes] == [
-        "categorical", "length-meters", "length-meters", "speed-mps",
-    ]
-    # the ontology is the relation rules' relations and the records' columns
-    assert tuple(r.name for r in o.relations) == RELATIONS
-    assert tuple(a.name for a in o.attributes) == ATTRIBUTES
-    assert [r.id for r in o.relations] == list(range(1, 9))
-    assert [a.index for a in o.attributes] == list(range(4))
+    )
+    assert o.attributes == (("class", "categorical"), ("bev_x", "length-meters"),
+                            ("bev_y", "length-meters"), ("speed", "speed-mps"))
+    # the ontology is the relation rules' relations and the records' columns,
+    # and an id or index is a position
+    assert o.relations == RELATIONS
+    assert tuple(name for name, _ in o.attributes) == ATTRIBUTES
+    assert [o.relation_id(name) for name in RELATIONS] == list(range(1, 9))
+    assert [o.attribute_index(name) for name in ATTRIBUTES] == list(range(4))
 
 
 def test_canonical_emission_shape():
@@ -77,12 +71,12 @@ def test_digest_is_cached_per_ontology():
 def test_digest_sensitive_to_single_name_change():
     base = default_ontology()
     variants = []
-    for i, r in enumerate(base.relations):
-        renamed = base.relations[:i] + (replace(r, name=r.name + "x"),) + base.relations[i + 1:]
+    for i, name in enumerate(base.relations):
+        renamed = base.relations[:i] + (name + "x",) + base.relations[i + 1:]
         variants.append(replace(base, relations=renamed))
-    for i, a in enumerate(base.attributes):
-        for change in (dict(name=a.name + "x"), dict(kind=a.kind + "x")):
-            changed = base.attributes[:i] + (replace(a, **change),) + base.attributes[i + 1:]
+    for i, (name, kind) in enumerate(base.attributes):
+        for change in ((name + "x", kind), (name, kind + "x")):
+            changed = base.attributes[:i] + (change,) + base.attributes[i + 1:]
             variants.append(replace(base, attributes=changed))
     for v in variants:
         assert ontology_digest(v) != ontology_digest(base)
@@ -91,27 +85,26 @@ def test_digest_sensitive_to_single_name_change():
 @pytest.mark.parametrize("lookup, key, message", [
     ("relation_id", "very_near", "the ontology has no relation 'very_near'"),
     ("attribute_index", "speed", "the ontology has no attribute 'speed'"),
-    ("relation_name", 0, "the ontology has no relation of id 0"),
-    ("relation_name", 3, "the ontology has no relation of id 3"),
-    ("relation_name", -1, "the ontology has no relation of id -1"),
 ])
 def test_a_missing_name_or_id_raises_ontology_mismatch(lookup, key, message):
-    # once a bare KeyError, or a negative index's wrong name, or IndexError
+    # once a bare KeyError
     with pytest.raises(OntologyMismatch) as e:
         getattr(MINIMAL, lookup)(key)
     assert str(e.value) == message
 
 
-def test_relation_names_by_id_of_the_default_ontology():
-    o = default_ontology()
-    assert [o.relation_name(i) for i in range(1, 9)] == list(RELATIONS)
-    for rel_id in (0, 9):  # 0 was "approaching" by a negative index, 9 an IndexError
-        with pytest.raises(OntologyMismatch, match=f"id {rel_id}$"):
-            o.relation_name(rel_id)
+def test_ids_are_positions():
+    # without very_near, approaching is relation 7 of 7: an id is its place,
+    # so none can lie outside the codec's 1..|R|
+    lacking = RelationOntology(tuple(r for r in RELATIONS if r != "very_near"),
+                               default_ontology().attributes)
+    assert lacking.relation_id("approaching") == 7 == lacking.num_relations
+    graph = SceneGraph(np.zeros((2, 4)), ((1, 7, 0),))
+    assert decode_frame(encode_frame(graph, lacking), lacking) == graph
 
 
 def test_generating_with_an_ontology_that_lacks_a_relation_raises_ontology_mismatch():
     base = default_ontology()
-    lacking = replace(base, relations=tuple(r for r in base.relations if r.name != "very_near"))
+    lacking = replace(base, relations=tuple(r for r in base.relations if r != "very_near"))
     with pytest.raises(OntologyMismatch, match="'very_near'"):
         generate(ScenarioSpec(num_sequences=1), lacking)

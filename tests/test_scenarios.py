@@ -1,12 +1,13 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
-from gbsed.errors import ParseError, SpecError
+from gbsed.errors import CapacityError, ParseError, SpecError
 from gbsed.ontology import default_ontology
 from gbsed import scene_graph
-from gbsed.scene_graph import infer_relations
+from gbsed.scene_graph import SceneGraph, infer_relations
 from gbsed.scenarios import (
     ScenarioSpec,
     generate,
@@ -15,7 +16,7 @@ from gbsed.scenarios import (
     scenes_to_text,
     write_scenes,
 )
-from gbsed.task import RISKY, SAFE, assess_risk
+from gbsed.task import RISKY, SAFE, GraphSequence, assess_risk
 
 ONT = default_ontology()
 
@@ -140,6 +141,19 @@ def test_round_trip_equality(default_corpus, tmp_path):
     assert back == default_corpus
 
 
+@pytest.mark.parametrize("cls", [2.4, math.nan, math.inf, -math.inf])
+def test_a_class_that_is_no_finite_integer_is_not_written(cls, tmp_path):
+    # 2.4 was written as 2 and read back unequal, NaN raised a bare
+    # ValueError and infinity a bare OverflowError; the graph keeps such a
+    # class, as a received graph may carry one
+    good = SceneGraph([(0.0, 0.0, 0.0, 10.0)], ())
+    odd = SceneGraph([(0.0, 0.0, 0.0, 10.0), (cls, 0.0, 5.0, 10.0)], ())
+    path = tmp_path / "corpus.scenes"
+    with pytest.raises(CapacityError, match="^sequence 1 frame 2 has a class that is no integer$"):
+        write_scenes([GraphSequence((good,)), GraphSequence((good, good, odd))], path)
+    assert not path.exists()
+
+
 def test_text_round_trip_exact(default_corpus):
     text = scenes_to_text(default_corpus)
     assert scenes_to_text(scenes_from_text(text, ONT)) == text
@@ -171,11 +185,11 @@ MALFORMED = [
     ("seq 0 frame 0 | 0:0:0:0:0 | 0:1:0", 1,      # self-loop
      "edge (0, 1, 0) references invalid nodes"),
     ("seq 0 frame 0 | 0:0:0:0:0 | 0:1:5", 1,      # dst out of range
-     "edge (0, 1, 5) references invalid nodes"),
+     "triplet (0, 1, 5) names a node outside 0..0"),
     ("seq 0 frame 0 | 0:0:0:0:10 1:0:0:30:10 | -1:1:0", 1,  # negative src
-     "edge (-1, 1, 0) references invalid nodes"),
+     "triplet (-1, 1, 0) names a node outside 0..1"),
     ("seq 0 frame 0 | 0:0:0:0:10 1:0:0:30:10 | 1:1:-2", 1,  # negative dst
-     "edge (1, 1, -2) references invalid nodes"),
+     "triplet (1, 1, -2) names a node outside 0..1"),
     ("seq 0 frame 0 | 1:0:0:0:0 |", 1,            # node index out of order
      "node index 1 out of order"),
     ("seq 0 frame 0 | 0:0:0:0 |", 1,              # short node record

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ def oracle_relations(records):
 def reference_relations(features, ontology):
     """The per-pair loop that infer_relations replaced: its ``** 0.5`` is
     libm pow, and its class is ``int(round(...))``."""
-    rid = {r.name: r.id for r in ontology.relations}
+    rid = {name: ontology.relation_id(name) for name in ontology.relations}
     xi = ontology.attribute_index("bev_x")
     yi = ontology.attribute_index("bev_y")
     ci = ontology.attribute_index("class")
@@ -319,6 +320,16 @@ def test_graph_with_a_nan_feature_equals_itself():
     assert g == SceneGraph([(math.nan, 0.0, 5.0, 10.0)], ())
 
 
+def test_graphs_of_equal_values_in_other_bytes_are_equal():
+    # equal bytes settle a comparison; -0.0 and 0.0, and NaNs of other
+    # payloads, differ in bytes and are compared by value
+    assert SceneGraph([(0.0, -0.0, 5.0, 10.0)], ()) == SceneGraph([(0.0, 0.0, 5.0, 10.0)], ())
+    quiet, payload = np.array([0x7FF8000000000000, 0x7FF8000000000001], np.uint64).view(np.float64)
+    assert SceneGraph([(quiet, 0.0)], ()) == SceneGraph([(payload, 0.0)], ())
+    # and equal bytes in another shape are another graph
+    assert SceneGraph(np.zeros((2, 3)), ()) != SceneGraph(np.zeros((3, 2)), ())
+
+
 def test_features_must_be_a_matrix():
     with pytest.raises(ShapeError):
         SceneGraph(np.zeros(4), ())
@@ -346,6 +357,16 @@ def test_a_triplet_listed_twice_is_refused():
         SceneGraph(np.zeros((3, 4)), ((2, 5, 0), (0, 1, 1), (2, 5, 0)))
     assert SceneGraph(np.zeros((2, 4)), ((0, 1, 1), (0, 2, 1), (1, 1, 0))).edges.tolist() == [
         [0, 1, 1], [0, 2, 1], [1, 1, 0]]
+
+
+@pytest.mark.parametrize("num_nodes, edge", [(2, (2, 1, 0)), (2, (1, 1, -2)), (0, (0, 1, 0))])
+def test_a_triplet_naming_a_node_the_graph_lacks_is_refused(num_nodes, edge):
+    # node 2 of a 2-node frame once reached the risk rule, which read it as
+    # the next frame's ego (a safe verdict of score 1/3 before two 3-node
+    # frames) or raised IndexError past the last frame's rows
+    message = f"triplet {edge} names a node outside 0..{num_nodes - 1}"
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        SceneGraph(np.zeros((num_nodes, 4)), (edge,))
 
 
 # triplets that are not integer rows of three, or that do not fit int64
