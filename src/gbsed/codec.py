@@ -63,16 +63,17 @@ def encode_tensor(graph, ontology):
     """Stack the edges into the (|R|, N, N) uint8 tensor; slice r-1 holds {0, r}."""
     n = graph.num_nodes
     num_rel = ontology.num_relations
-    # refuse what serialize would refuse before allocating |R|·N^2 octets
+    # refuse what serialize would refuse, and unknown relations, before allocating |R|·N^2 octets
     if n > _MAX_U16:
         raise CapacityError(f"n={n} exceeds the 16-bit field")
     if num_rel > _MAX_U8:
         raise CapacityError(f"|R|={num_rel} exceeds the 8-bit field")
+    src, rel, dst = graph.edges.T
+    outside = (rel < 1) | (rel > num_rel)
+    if outside.any():
+        raise OntologyMismatch(f"edge relation id {rel[outside][0]} outside 1..{num_rel}")
     tensor = np.zeros((num_rel, n, n), dtype=np.uint8)
-    for src, rel, dst in graph.edges.tolist():
-        if not 1 <= rel <= num_rel:
-            raise OntologyMismatch(f"edge relation id {rel} outside 1..{num_rel}")
-        tensor[rel - 1, src, dst] = rel
+    tensor[rel - 1, src, dst] = rel
     return tensor
 
 
@@ -203,7 +204,7 @@ def encode_frames(graphs, ontology):
         edge_frame = np.repeat(np.arange(sizes.size), edge_counts)
         n = sizes[edge_frame]
         src, rel, dst = triplets.T
-        refused = (sizes == 0) | (sizes > _MAX_U16)
+        refused = sizes > _MAX_U16
         refused[edge_frame[(rel < 1) | (rel > num_rel)]] = True
         if num_rel > _MAX_U8 or features.shape[1] != d or d > _MAX_U16:
             refused[:] = True

@@ -24,11 +24,8 @@ class FidelityReport:
     edges_recovered: int
 
     @property
-    def fidelity(self):
-        total = self.nodes_total + self.edges_total
-        if total == 0:
-            return 1.0
-        return (self.nodes_recovered + self.edges_recovered) / total
+    def fidelity(self):  # a sent graph has its ego, so the total is at least 1
+        return (self.nodes_recovered + self.edges_recovered) / (self.nodes_total + self.edges_total)
 
 
 @dataclass(frozen=True)

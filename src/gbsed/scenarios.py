@@ -231,8 +231,6 @@ def scenes_from_text(text, ontology):
             if i != len(rows):
                 raise ParseError(f"node index {i} out of order", line_number=lineno)
             rows.append(row)
-        if not rows:
-            raise ParseError("frame with no nodes", line_number=lineno)
         triplets = []
         for tok in edges.split():
             try:
@@ -246,7 +244,7 @@ def scenes_from_text(text, ontology):
                 raise ParseError(f"edge {(src, rel, dst)} references invalid nodes",
                                  line_number=lineno)
             triplets.append((src, rel, dst))
-        try:  # the graph refuses a node outside the frame and a triplet listed twice
+        try:  # the graph refuses no nodes, a node outside the frame, a repeated triplet
             graph = SceneGraph(rows, sorted(triplets))
         except ShapeError as e:
             raise ParseError(str(e), line_number=lineno) from None

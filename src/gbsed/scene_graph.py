@@ -39,6 +39,8 @@ class SceneGraph:
 
     def __post_init__(self):
         feats = np.array(self.features, dtype=np.float64, order="C")
+        if feats.shape[:1] == (0,):  # first: a .scenes frame of no nodes arrives as shape (0,)
+            raise ShapeError("a scene graph needs node 0, the ego, and this one has no nodes")
         if feats.ndim != 2:
             raise ShapeError(f"features of shape {feats.shape} are not an (N, d) matrix")
         feats.flags.writeable = False
@@ -183,16 +185,14 @@ def graphs_from_bev(frames, ontology):
     """
     graphs, batch, pairs = [], [], 0
     for records in frames:
-        if not records:
-            raise ShapeError("at least the ego record is required")
         if batch and pairs + len(records) ** 2 > _PAIR_BUDGET:
             graphs += _graphs(batch, ontology)
             batch, pairs = [], 0
         # each frame becomes its matrix as it comes: holding a batch's
         # records, thousands of small tuples, left the peak RSS of a
-        # set-up and sweep 0.3 MB higher
+        # set-up and sweep 0.3 MB higher; no records make a (0, 4) matrix
         batch.append(np.array([(int(cls), x, y, speed) for cls, x, y, speed in records],
-                              dtype=np.float64))
+                              dtype=np.float64).reshape(-1, len(ATTRIBUTES)))
         pairs += len(records) ** 2
     return graphs + (_graphs(batch, ontology) if batch else [])
 

@@ -32,6 +32,7 @@ reference link built from the channel's primitives.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from .channel import (
     send,
     transmit,  # noqa: F401  (single-frame path, kept beside encode/decode_frame)
 )
-from .errors import DegenerateInput, GbsedError, integer
+from .errors import GbsedError, integer
 from .metrics import classification_metrics, auc as auc_metric, nodes_match, semantic_fidelity
 from .task import (
     near_ego,
@@ -86,15 +87,17 @@ class SweepConfig:
         object.__setattr__(self, "trials_per_point",
                            integer("trials_per_point", self.trials_per_point, at_least=1))
         object.__setattr__(self, "base_seed", integer("base_seed", self.base_seed))
-        for snr_db in self.snr_points:
-            self._link(snr_db)  # raises ValueError for a bad point or link
+        self.links  # raises ValueError for a bad point or link
         if self.bsc_flip_prob and self.channel_kind != BSC:  # the AWGN link ignores it
             raise ValueError(f"bsc_flip_prob {self.bsc_flip_prob} needs channel_kind {BSC!r}")
 
-    def _link(self, snr_db):
-        return LinkConfig(snr_db=snr_db, channel_kind=self.channel_kind,
-                          bsc_flip_prob=self.bsc_flip_prob,
-                          header_protection=self.header_protection)
+    @cached_property
+    def links(self):
+        """Each SNR point's LinkConfig, in order, built once."""
+        return tuple(LinkConfig(snr_db=snr_db, channel_kind=self.channel_kind,
+                                bsc_flip_prob=self.bsc_flip_prob,
+                                header_protection=self.header_protection)
+                     for snr_db in self.snr_points)
 
 
 def encode_frame(graph, ontology):
@@ -158,8 +161,6 @@ def _lay_out(sequences, ontology, points=1, trials=1):
     ``_SCORE_OCTETS``, and at least one."""
     frames = tuple(f for seq in sequences for f in seq.frames)
     seq_len = [len(seq.frames) for seq in sequences]
-    if 0 in seq_len:
-        raise DegenerateInput("empty graph sequence")
     buffer, lengths, stacked = codec.encode_frames(frames, ontology)
     features, _, triplets, m = stacked
     passes = -(-trials // len(frames))
@@ -310,7 +311,6 @@ def run_sweep(sequences, ontology, cfg):
     num_frames = len(lay.frames)
     lengths = lay.lengths[:num_frames]
     plan = plan_link(lay.buffer, lengths, cfg.channel_kind, cfg.header_protection, lay.rows)
-    links = [cfg._link(s) for s in cfg.snr_points]
     # reception (i, p) is pass p of SNR point i; trial t of point i sends
     # frame t mod F with seed base_seed ^ i ^ t
     receptions = [(i, p) for i in range(points) for p in range(lay.passes)]
@@ -325,7 +325,7 @@ def run_sweep(sequences, ontology, cfg):
         keys = np.array([(cfg.base_seed ^ i) & _MASK64 for i, _ in todo], dtype=np.uint64)
         first = np.array([p * num_frames for _, p in todo], dtype=np.uint64)
         seeds = keys[:, None] ^ (first[:, None] + np.arange(num_frames, dtype=np.uint64))
-        row_errors = send(plan, seeds, [links[i] for i, _ in todo], batch[:rows])
+        row_errors = send(plan, seeds, [cfg.links[i] for i, _ in todo], batch[:rows])
         for (i, _), e in zip(todo, row_errors.tolist()):
             errors[i] += e
         fid, *near = _score_pass(lay, batch[:rows], ontology)

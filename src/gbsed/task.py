@@ -20,8 +20,12 @@ CONSECUTIVE_FRAMES = 2
 
 @dataclass(frozen=True)
 class GraphSequence:
-    frames: tuple
+    frames: tuple  # scene graphs in frame order, at least one
     label: Optional[str] = None
+
+    def __post_init__(self):
+        if not self.frames:
+            raise DegenerateInput("empty graph sequence")
 
 
 @dataclass(frozen=True)
@@ -62,8 +66,6 @@ def assess_risk(sequence, ontology):
     """Risky iff the same vehicle-class node stays is_near the ego for m
     consecutive frames; score is the fraction of frames with an
     is_near-to-ego triplet."""
-    if not sequence.frames:
-        raise DegenerateInput("empty graph sequence")
     risky, score = risk_verdicts(np.zeros(len(sequence.frames), dtype=np.int64),
                                  *near_ego(sequence.frames, ontology))
     return RiskVerdict(RISKY if risky[0] else SAFE, float(score[0]))

@@ -1,4 +1,5 @@
 import itertools
+import resource
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -573,14 +574,37 @@ def _staged_error(frame, ontology):
 
 
 # frames of 4 features that the staged encode refuses, each for a reason
-# checked at another point of encode_tensor or serialize
+# checked at another point of encode_tensor or serialize; a frame of no nodes
+# is refused when it is built (test_scene_graph.py::
+# test_a_graph_without_nodes_is_refused_first)
 REFUSED = {
-    "no_nodes": SceneGraph(np.zeros((0, 4)), ()),
     "relation_0": SceneGraph(np.zeros((2, 4)), ((0, 0, 1),)),
     "relation_9": SceneGraph(np.zeros((2, 4)), ((0, 9, 1),)),
     "relation_0_then_relation_9": SceneGraph(np.zeros((4, 4)), ((0, 0, 1), (3, 9, 2))),
     "too_many_nodes": SceneGraph(np.zeros((_MAX_NODES + 1, 4)), ()),
 }
+
+
+def test_a_relation_id_outside_the_ontology_is_refused_before_allocating(ontology):
+    # the (|R|, N, N) tensor of 60,000 nodes is 26.8 GiB: encode_tensor checks
+    # the relation ids before allocating it, so a pass raises OntologyMismatch
+    # and not MemoryError, and the first bad id in triplet order is named
+    graph = SceneGraph(np.zeros((60_000, 4)), [(0, 9, 1)])
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(OntologyMismatch, match=r"^edge relation id 9 outside 1\.\.8$"):
+            codec.encode_frames([graph], ontology)
+        with pytest.raises(OntologyMismatch, match=r"^edge relation id 9 outside 1\.\.8$"):
+            codec.encode_tensor(graph, ontology)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 << 20, peak
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before < 100 << 10
+    with pytest.raises(OntologyMismatch, match=r"^edge relation id 12 outside 1\.\.8$"):
+        codec.encode_tensor(SceneGraph(np.zeros((3, 4)), [(2, 3, 1), (1, 12, 0), (0, 0, 2)]),
+                            ontology)
 
 
 def test_encode_frames_refuses_the_first_frame_the_stages_refuse(ontology):

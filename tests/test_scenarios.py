@@ -199,9 +199,9 @@ MALFORMED = [
     (f"seq 0 frame 0 | 0:{'9' * 400}:0:0:0 |", 1,  # class beyond float range
      f"bad node record '0:{'9' * 400}:0:0:0'"),
     ("seq 0 frame 0 ||", 1,                       # empty node field
-     "frame with no nodes"),
+     "a scene graph needs node 0, the ego, and this one has no nodes"),
     ("seq 0 frame 0 | |", 1,                      # frame with no nodes
-     "frame with no nodes"),
+     "a scene graph needs node 0, the ego, and this one has no nodes"),
     ("seq 0 frame 0", 1,                          # truncated line
      "unrecognized line 'seq 0 frame 0'"),
     ("seq 0 label maybe", 1,                      # unknown label

@@ -277,8 +277,31 @@ def test_single_ego_graph(ontology):
 
 
 def test_empty_records_rejected(ontology):
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"^a scene graph needs node 0, the ego"):
         graphs_from_bev([[]], ontology)
+
+
+@pytest.mark.parametrize("before, after", [(0, 2), (1, 0), (2, 3), (3, 1)],
+                         ids=["first", "last", "middle", "after_a_full_batch"])
+def test_a_frame_of_no_records_is_refused_in_a_batch(ontology, before, after):
+    # graphs_from_bev does not check for the ego record itself: an empty frame
+    # reaches infer_relations as a (0, 4) matrix in its batch, and its graph
+    # refuses it; the 120-record frame that opens "after_a_full_batch" fills
+    # the pair budget, so the empty frame lands in a second batch
+    sizes = [120, 50, 7][:before] if before == 3 else [5, 9][:before]
+    frames = [_random_records(s, n) for s, n in enumerate(sizes)]
+    frames += [[]] + [_random_records(10 + s, 4) for s in range(after)]
+    with pytest.raises(ShapeError, match=r"^a scene graph needs node 0, the ego"):
+        graphs_from_bev(iter(frames), ontology)
+
+
+@pytest.mark.parametrize("features", [[], np.zeros((0, 4))], ids=["list", "matrix"])
+@pytest.mark.parametrize("edges", [(), ((0, 1, 1),), (("x",),)], ids=["none", "one", "bad"])
+def test_a_graph_without_nodes_is_refused_first(features, edges):
+    # node 0 is the ego, which the risk rule reads and parse requires: a graph
+    # without it is refused before its shape and its triplets are looked at
+    with pytest.raises(ShapeError, match=r"^a scene graph needs node 0, the ego"):
+        SceneGraph(features, edges)
 
 
 def test_build_deterministic(ontology):
@@ -359,12 +382,15 @@ def test_a_triplet_listed_twice_is_refused():
         [0, 1, 1], [0, 2, 1], [1, 1, 0]]
 
 
-@pytest.mark.parametrize("num_nodes, edge", [(2, (2, 1, 0)), (2, (1, 1, -2)), (0, (0, 1, 0))])
+@pytest.mark.parametrize("num_nodes, edge", [(2, (2, 1, 0)), (2, (1, 1, -2)), (0, (0, 1, 0)),
+                                             (1, (0, 1, 1))])
 def test_a_triplet_naming_a_node_the_graph_lacks_is_refused(num_nodes, edge):
     # node 2 of a 2-node frame once reached the risk rule, which read it as
     # the next frame's ego (a safe verdict of score 1/3 before two 3-node
-    # frames) or raised IndexError past the last frame's rows
-    message = f"triplet {edge} names a node outside 0..{num_nodes - 1}"
+    # frames) or raised IndexError past the last frame's rows; a graph of no
+    # nodes is refused for its missing ego before its triplets are looked at
+    message = (f"triplet {edge} names a node outside 0..{num_nodes - 1}" if num_nodes else
+               "a scene graph needs node 0, the ego, and this one has no nodes")
     with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
         SceneGraph(np.zeros((num_nodes, 4)), (edge,))
 

@@ -178,15 +178,18 @@ def test_the_sweep_and_headers_parse_share_the_header_fields(small_corpus, monke
     assert callers == ["_lay_out", "headers_parse"]
 
 
-def test_frame_without_nodes_is_refused():
-    # parse refuses node count 0, so encode_frame does too; the sweep would
-    # otherwise score 0 of 0 entities
-    empty = SceneGraph(np.zeros((0, 4)), ())
-    with pytest.raises(ShapeError):
-        sweep.encode_frame(empty, ONT)
-    cfg = sweep.SweepConfig(snr_points=(math.inf,), trials_per_point=1)
-    with pytest.raises(GbsedError):
-        sweep.run_sweep([GraphSequence((empty,))], ONT, cfg)
+def test_frame_without_nodes_is_refused(tmp_path, capsys):
+    # parse refuses node count 0, and the sweep would score 0 of 0 entities:
+    # a graph without node 0, the ego, is refused when it is built, so no
+    # encoder or sweep is handed one; gbsed reads such a frame as a data error
+    with pytest.raises(ShapeError, match=r"^a scene graph needs node 0, the ego"):
+        SceneGraph(np.zeros((0, 4)), ())
+    empty = tmp_path / "empty.scenes"
+    empty.write_text("seq 0 frame 0 | |\n")
+    for command in ("encode", "sweep"):
+        assert main([command, "--scenes", str(empty), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == ("error: line 1: a scene graph needs node 0, the ego, "
+                                           "and this one has no nodes\n"), command
 
 
 @pytest.mark.parametrize("edge", [(-1, 1, 0), (0, 1, 2)])
@@ -229,9 +232,9 @@ def _staged_error(frame):
 
 
 # frames the staged encode refuses, at different points of its checks; a
-# frame of 5 features makes a pass of mixed widths
+# frame of 5 features makes a pass of mixed widths (a frame of no nodes is
+# refused when it is built: test_frame_without_nodes_is_refused)
 REFUSED = {
-    "no_nodes": SceneGraph(np.zeros((0, 4)), ()),
     "relation_9": SceneGraph(np.zeros((2, 4)), ((0, 9, 1),)),
     "width_5": SceneGraph(np.zeros((2, 5)), ()),
     "width_5_relation_9": SceneGraph(np.zeros((2, 5)), ((1, 9, 0),)),

@@ -68,8 +68,11 @@ def test_lane_class_near_counts_for_score_not_decision():
 
 
 def test_empty_sequence_rejected():
-    with pytest.raises(DegenerateInput):
-        assess_risk(GraphSequence(()), ONT)
+    # a sequence is refused when it is built, so the risk rule and the sweep
+    # are never handed one without frames
+    for frames in ((), []):
+        with pytest.raises(DegenerateInput, match="^empty graph sequence$"):
+            GraphSequence(frames)
 
 
 def test_attribute_noise_without_edge_change_is_invisible():
